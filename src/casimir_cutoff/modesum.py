@@ -10,6 +10,15 @@ sum requires lambda < 1; every term is then positive and the tail is
 dominated by a geometric series, which gives a certified remainder
 bound rather than a heuristic one.
 
+Each term is q^n times a quadratic in n, with q = exp((lambda - 1)
+epsilon pi / a), so the sum runs as a recurrence that needs a single
+exponential for all its terms.  The same structure gives the infinite
+sum in closed form, from which the index where the bound meets the
+tolerance is predicted before any summing; parameters that would need
+more modes than the cap fail at once.  The bound also covers the
+rounding drift of the recurrence, so it holds at every working
+precision.
+
 The same energy has a closed form: a second derivative of a coth
 expression in which the lambda occurrence of the cutoff is held frozen
 during differentiation and identified with epsilon afterwards.  Both
@@ -22,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from mpmath import cos, coth, csch, exp, mpc, mpf, pi, sin, sqrt
+from mpmath import cos, coth, csch, exp, expm1, ldexp, mag, mp, mpc, mpf, pi, sin, sqrt
 
 from .errors import (
     CutoffDomain,
@@ -33,11 +42,30 @@ from .errors import (
 )
 from .precision import to_mpf
 
-# Iteration cap for the self-extending mode sum; a certified bound that
-# has not been met by then signals parameters too close to the
-# convergence boundary for direct summation.
+# Iteration cap for the self-extending mode sum; a stopping index past
+# it signals parameters too close to the convergence boundary for
+# direct summation.
 _AUTO_N_CAP = 50_000
 _DEFAULT_REL_TOL = mpf("1e-30")
+# Rounding drift of the recurrence: c in c (n + 2) u (S_n + tail_n),
+# with u = 2^-prec.  Each operation rounds to nearest (relative error at
+# most u), q, A, B, C enter within u of their exact values (_tower), and
+# every quantity is positive, so errors compound multiplicatively; while
+# n u <= 1e-4, k roundings cost at most 1.0001 k u.  Counting them:
+# - q^n: n from the rounding of q, n - 1 from the products;
+# - p(n) by forward differences: any part passes through at most n + 2
+#   (its input, the chain of p' and the chain of p);
+# - term_n = q^n p(n): 3n + 2 with the product;
+# - S_n: the running sum adds n - k + 1 to term k, so at most 3n + 3;
+# - tail_n = term_{n+1} / (1 - rho_n): 3n + 7, where rho_n is formed
+#   from q (1 + 8u), which keeps it above the exact ratio bound.
+# So |E - S_n| <= tail_n + (3n + 8) u (S_n + tail_n), and c = 5 leaves
+# (2n + 2) u (S_n + tail_n) for rounding the bound itself.
+_DRIFT_C = 5
+# The per-step stopping rule starts this many modes below the predicted
+# index.  Rounding moves the prediction by a relative O(n u), far less
+# than the per-mode decay 1 - rho_n of the tail it is read from.
+_CHECK_MARGIN = 2
 
 
 class FieldKind(Enum):
@@ -132,21 +160,35 @@ def transverse_integral(m, epsilon) -> mpf:
     return exp(-eps * m) * (m * m / eps + 2 * m / eps**2 + 2 / eps**3) / (2 * pi)
 
 
-def _mode_term(n: int, a: mpf, cutoff: CutoffParams) -> mpf:
-    m = n * pi / a
-    return exp(cutoff.lam * cutoff.epsilon * m) * transverse_integral(m, cutoff.epsilon)
+def _tower(geom: PlateGeometry, cutoff: CutoffParams, weight: mpf):
+    """x = log q, q, 1 - q and (A, B, C): term_n = q^n (A n^2 + B n + C).
+
+    The weight and the 1/2pi of the transverse integral are folded into
+    A, B and C.  Everything is evaluated with guard bits and rounded
+    once, so each value is within 2^-prec relative of its exact value,
+    as _DRIFT_C assumes; rounding x itself would cost |x| units in the
+    last place of q, hence guard bits that grow with the size of x.
+    """
+    eps = cutoff.epsilon
+    x = (cutoff.lam - 1) * eps * pi / geom.a
+    with mp.extraprec(20 + max(0, mag(x))):
+        x = (cutoff.lam - 1) * eps * pi / geom.a
+        one_minus_q = -expm1(x)
+        k = pi / geom.a
+        f = weight / (2 * pi * eps)
+        parts = (x, 1 - one_minus_q, one_minus_q, f * k * k, 2 * f * k / eps, 2 * f / eps**2)
+    return tuple(+v for v in parts)
 
 
-def _tail_bound(n_max: int, a: mpf, cutoff: CutoffParams, weight: mpf) -> mpf:
-    # Terms behave like exp((lam-1) eps pi n / a) times a quadratic in n.
-    # For a quadratic with non-negative coefficients p(n+1)/p(n) is at
-    # most ((n+1)/n)^2 and decreasing, so every ratio past n_max is
-    # bounded by rho below; the tail is then a geometric series.
-    r = exp((cutoff.lam - 1) * cutoff.epsilon * pi / a)
-    rho = r * (mpf(n_max + 2) / (n_max + 1)) ** 2
-    if rho >= 1:
-        return mpf("inf")
-    return weight * _mode_term(n_max + 1, a, cutoff) / (1 - rho)
+def _first_true(ok, lo: int, hi: int) -> int:
+    """Smallest n in (lo, hi] with ok(n), for ok monotone in n and ok(hi) true."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def energy_mode_sum(
@@ -163,42 +205,110 @@ def energy_mode_sum(
     one polarization per mode, which halves every term and deletes
     n = 0 entirely.
 
-    With n_max given, sums exactly that range and reports the certified
-    remainder bound (NotConverged only if a tolerance is also given and
-    the bound misses it).  With n_max omitted, extends the sum until
-    the bound drops below the relative tolerance (default 1e-30).
+    Term n is q^n (A n^2 + B n + C) with q = exp((lambda - 1) eps pi / a),
+    so the sum runs as a recurrence: q^n advances by one product per
+    mode and the quadratic by forward differences.  The remainder bound
+    is the geometric tail term_{n+1} / (1 - rho_n), with
+    rho_n = q ((n + 2) / (n + 1))^2, plus the rounding drift
+    5 (n + 2) 2^-prec (S_n + tail) of the recurrence itself.
+
+    With n_max given, sums exactly that range and reports the bound
+    (NotConverged only if a tolerance is also given and the bound
+    misses it).  With n_max omitted, returns the first n whose bound is
+    within the relative tolerance (default 1e-30) of the partial sum.
+    That index is predicted before summing, from the closed-form
+    geometric moments of the infinite sum; NotConverged is raised at
+    once if it exceeds the 50 000-mode cap, or if the rounding drift
+    there already exceeds the tolerance.  A tolerance that is not
+    positive raises ValueError.
     """
     rel_tol = _DEFAULT_REL_TOL if tol is None else to_mpf(tol)
+    if not rel_tol > 0:
+        raise ValueError(f"tolerance must be positive, got {rel_tol}")
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if field is FieldKind.ELECTROMAGNETIC:
-        weight, n0_weight = mpf(1), mpf(1) / 2
+        weight = mpf(1)
     elif field is FieldKind.SCALAR:
-        weight, n0_weight = mpf(1) / 2, mpf(0)
+        weight = mpf(1) / 2
     else:
         raise InvalidMode(f"unknown field kind: {field!r}")
 
-    a = geom.a
-    total = n0_weight * _mode_term(0, a, cutoff)
-    if n_max is not None:
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {n_max}")
-        for n in range(1, n_max + 1):
-            total += weight * _mode_term(n, a, cutoff)
-        bound = _tail_bound(n_max, a, cutoff, weight)
-        if tol is not None and not bound <= rel_tol * abs(total):
-            raise NotConverged(
-                f"remainder bound {bound} exceeds tolerance at n_max = {n_max}"
-            )
-        return ModeSumResult(total, bound, n_max)
+    x, q, one_minus_q, A, B, C = _tower(geom, cutoff, weight)
+    head = C / 2 if field is FieldKind.ELECTROMAGNETIC else mpf(0)
+    u = ldexp(mpf(1), -mp.prec)
+    # Keeps the computed rho_n above the exact one despite its roundings.
+    q_up = q * (1 + 8 * u)
 
-    for n in range(1, _AUTO_N_CAP + 1):
-        total += weight * _mode_term(n, a, cutoff)
-        # Checking every step is cheap next to the mpf exponentials.
-        bound = _tail_bound(n, a, cutoff, weight)
-        if bound <= rel_tol * abs(total):
-            return ModeSumResult(total, bound, n)
-    raise NotConverged(
-        f"remainder bound not below {rel_tol} within {_AUTO_N_CAP} modes"
-    )
+    def tail(n: int, term_next: mpf) -> mpf:
+        # The quadratic's parts grow by at most ((k+1)/k)^2 per step, so
+        # every ratio term_{k+1}/term_k with k > n is at most rho_n.
+        rho = q_up * (mpf(n + 2) / (n + 1)) ** 2
+        return term_next / (1 - rho) if rho < 1 else mpf("inf")
+
+    def drift_per_unit(n: int) -> mpf:
+        return _DRIFT_C * (n + 2) * u
+
+    if n_max is None:
+        if q_up >= 1:
+            raise NotConverged(f"mode terms do not decay at {mp.prec}-bit precision")
+        # The geometric moments sum q^n, n q^n and n^2 q^n give the whole
+        # sum, which bounds every partial sum.  Past the first n with
+        # rho_n < 1 the tail is decreasing in n (a decreasing term over a
+        # growing 1 - rho_n), so the first n that can meet the stopping
+        # rule is found by bisection.
+        whole = head + q / one_minus_q * (
+            A * (1 + q) / one_minus_q**2 + B / one_minus_q + C
+        )
+
+        def meets(n: int) -> bool:
+            m = n + 1
+            return tail(n, exp(m * x) * ((A * m + B) * m + C)) <= rel_tol * whole
+
+        lo, hi = 0, _AUTO_N_CAP
+        while not meets(hi):
+            lo, hi = hi, 2 * hi
+        predicted = _first_true(meets, lo, hi)
+        if predicted > _AUTO_N_CAP:
+            raise NotConverged(
+                f"predicted stopping index {predicted} for relative tolerance "
+                f"{mp.nstr(rel_tol, 3)} exceeds the cap of {_AUTO_N_CAP} modes"
+            )
+        if drift_per_unit(predicted) >= rel_tol:
+            raise NotConverged(
+                f"relative tolerance {mp.nstr(rel_tol, 3)} is below the rounding "
+                f"drift {mp.nstr(drift_per_unit(predicted), 3)} of {mp.prec}-bit "
+                f"arithmetic at the predicted stopping index {predicted}"
+            )
+        start = max(1, predicted - _CHECK_MARGIN)
+    else:
+        start = n_max
+
+    total = head
+    q_n, p, dp, d2 = mpf(1), C, A + B, 2 * A  # q^0, p(0), p(1) - p(0), p''
+    n = 0
+    while True:
+        q_n *= q
+        p += dp
+        dp += d2
+        term = q_n * p  # term_{n+1}
+        if n >= start:
+            t = tail(n, term)
+            bound = t + drift_per_unit(n) * (total + t)
+            if n_max is not None:
+                if tol is not None and not bound <= rel_tol * total:
+                    raise NotConverged(
+                        f"remainder bound {bound} exceeds tolerance at n_max = {n}"
+                    )
+                return ModeSumResult(total, bound, n)
+            if bound <= rel_tol * total:
+                return ModeSumResult(total, bound, n)
+            if n >= _AUTO_N_CAP or drift_per_unit(n) >= rel_tol:
+                raise NotConverged(
+                    f"remainder bound not below {rel_tol} within {n} modes"
+                )
+        total += term
+        n += 1
 
 
 def energy_closed_form(

@@ -7,9 +7,10 @@ normalization and wall conditions.
 """
 
 import random
+import re
 
 import pytest
-from mpmath import exp, inf, mp, mpf, pi, quad, sqrt
+from mpmath import exp, inf, mp, mpf, nan, pi, quad, sqrt
 
 from casimir_cutoff.errors import (
     CutoffDomain,
@@ -19,6 +20,7 @@ from casimir_cutoff.errors import (
     NotConverged,
 )
 from casimir_cutoff.modesum import (
+    _DRIFT_C,
     CutoffParams,
     FieldKind,
     ModeIndex,
@@ -140,6 +142,78 @@ class TestEnergyModeSum:
         cutoff = CutoffParams(mpf("0.3"), 0)
         with pytest.raises(NotConverged):
             energy_mode_sum(geom, cutoff, n_max=3, tol=mpf("1e-40"))
+
+    def test_rejects_non_positive_tolerance(self):
+        geom = PlateGeometry(1)
+        cutoff = CutoffParams(mpf("0.1"), 0)
+        for tol in (0, mpf("-1e-20"), nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                energy_mode_sum(geom, cutoff, tol=tol)
+            with pytest.raises(ValueError, match="tolerance"):
+                energy_mode_sum(geom, cutoff, n_max=10, tol=tol)
+
+    def test_auto_n_max_is_the_first_index_meeting_the_rule(self):
+        # The predicted start of the per-step check must not skip the
+        # first index whose bound meets the tolerance.
+        rng = random.Random(7)
+        tol = mpf("1e-30")
+        for _ in range(4):
+            geom = PlateGeometry(mpf(rng.uniform(0.5, 2.0)))
+            cutoff = CutoffParams(mpf(rng.uniform(0.05, 0.5)), mpf(rng.uniform(0.0, 0.9)))
+            for field in FieldKind:
+                res = energy_mode_sum(geom, cutoff, field=field, tol=tol)
+                fixed = energy_mode_sum(geom, cutoff, field=field, n_max=res.n_max, tol=tol)
+                assert (fixed.value, fixed.remainder_bound) == (res.value, res.remainder_bound)
+                with pytest.raises(NotConverged):
+                    energy_mode_sum(geom, cutoff, field=field, n_max=res.n_max - 1, tol=tol)
+
+    def test_recurrence_matches_termwise_sum_within_drift(self):
+        a, eps, lam = mpf("1.3"), mpf("0.07"), mpf("0.45")
+        geom, cutoff = PlateGeometry(a), CutoffParams(eps, lam)
+        for field, weight, head in (
+            (FieldKind.ELECTROMAGNETIC, 1, mpf(1) / 2),
+            (FieldKind.SCALAR, mpf(1) / 2, 0),
+        ):
+            for n_max in (1, 7, 60, 200):
+                res = energy_mode_sum(geom, cutoff, field=field, n_max=n_max)
+                with mp.workdps(2 * mp.dps):
+                    ref = head * transverse_integral(0, eps) + weight * sum(
+                        transverse_integral(n * pi / a, eps) * exp(lam * eps * n * pi / a)
+                        for n in range(1, n_max + 1)
+                    )
+                drift = _DRIFT_C * (n_max + 2) * mpf(2) ** -mp.prec * ref
+                assert abs(res.value - ref) <= drift
+
+    @pytest.mark.parametrize("dps", [15, 20, 30, 50])
+    def test_bound_holds_at_every_precision(self, dps):
+        rng = random.Random(dps)
+        with mp.workdps(dps):
+            tol = mpf(10) ** -(2 * dps // 3)
+            for _ in range(3):
+                geom = PlateGeometry(mpf(rng.uniform(0.5, 2.0)))
+                cutoff = CutoffParams(mpf(rng.uniform(0.05, 0.5)), mpf(rng.uniform(0.0, 0.9)))
+                for field in FieldKind:
+                    res = energy_mode_sum(geom, cutoff, field=field, tol=tol)
+                    with mp.workdps(2 * dps):
+                        exact = energy_closed_form(geom, cutoff, field=field)
+                        assert abs(res.value - exact) <= res.remainder_bound
+
+    def test_tolerance_below_rounding_floor_fails_up_front(self):
+        # At 15 digits the default 1e-30 cannot be certified; the sum
+        # used to return it with a bound 15 orders too small.
+        with mp.workdps(15):
+            geom = PlateGeometry(1)
+            cutoff = CutoffParams(mpf("0.01"), mpf("0.3"))
+            with pytest.raises(NotConverged, match="rounding drift"):
+                energy_mode_sum(geom, cutoff)
+
+    def test_cap_failure_is_predicted_up_front(self):
+        geom = PlateGeometry(1)
+        cutoff = CutoffParams(mpf("1e-4"), 0)
+        with pytest.raises(NotConverged, match="cap of 50000 modes") as info:
+            energy_mode_sum(geom, cutoff)
+        predicted = int(re.search(r"stopping index (\d+)", str(info.value)).group(1))
+        assert 2 * 10**5 < predicted < 3 * 10**5
 
     def test_scalar_halves_the_massive_tower(self):
         # Scalar = (EM - half the n=0 term) / 2: one polarization per
