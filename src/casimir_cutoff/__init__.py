@@ -15,7 +15,6 @@ from .errors import (
     CothPole,
     CutoffDomain,
     DivisionByZeroSeries,
-    FitSingular,
     InvalidMode,
     LightlikeSeparation,
     NonPositiveEpsilon,
@@ -71,6 +70,7 @@ from .expansion import (
     ReferenceCoefficients,
     casimir_pressure,
     energy_laurent,
+    pressure_from_energy,
     reference_coefficients,
     subtract_outer,
 )

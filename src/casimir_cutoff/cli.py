@@ -30,6 +30,7 @@ from .errors import CasimirError, LightlikeSeparation, NotConverged
 from .expansion import (
     casimir_pressure,
     energy_laurent,
+    pressure_from_energy,
     reference_coefficients,
     subtract_outer,
 )
@@ -345,7 +346,7 @@ def _run_scan(cfg: ScanConfig):
         for lam in cfg.lam_values:
             def point(a=a, lam=lam):
                 sub = subtract_outer(energy_laurent(a, lam))
-                pr = casimir_pressure(a, lam)
+                pr = pressure_from_energy(sub)
                 d = em_stress(PlateGeometry(a), CutoffParams(eps_sep.length, lam), eps_sep)
                 return [
                     _fmt(extract_coefficient(sub.series, -2)),

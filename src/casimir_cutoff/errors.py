@@ -46,12 +46,6 @@ class InvalidMode(CasimirError):
     """Mode label outside the admissible spectrum (e.g. n=0, polarization 1)."""
 
 
-# ---- expansion / fitting ----
-
-class FitSingular(CasimirError):
-    """Degenerate plate-separation grid in the coefficient fit."""
-
-
 # ---- point-split stress ----
 
 class NonPositiveSeparation(CasimirError):

@@ -9,21 +9,23 @@ numeric for given (a, lambda).
 Physically only the part of each coefficient that decays with the plate
 separation is observable: the experiment compares the region between
 the plates against the outer region (separation L - a with L large), so
-anything constant or linear in a cancels.  That subtraction is
-implemented as an exact per-coefficient fit of the a-dependence on a
-four-point doubling grid, after which the constant and linear parts are
-discarded.  The surviving epsilon^0 part gives the finite pressure; the
-surviving epsilon^-2 part is a genuinely regulator-shaped divergence
-and is reported separately, never summed into the finite answer.
+anything constant or linear in a cancels.  Dimensional analysis fixes
+that a-dependence exactly: E = a^-3 f(epsilon/a, lambda), so the
+epsilon^k coefficient is a pure power c_k a^-(k+3).  The subtraction
+therefore drops the k = -4 (linear) and k = -3 (constant) coefficients
+and keeps every other one whole.  The surviving epsilon^0 part gives the
+finite pressure; the surviving epsilon^-2 part is a genuinely
+regulator-shaped divergence and is reported separately, never summed
+into the finite answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, pi
+from mpmath import mpf, pi
 
-from .errors import CutoffDomain, FitSingular, NonPositiveSeparation
+from .errors import CutoffDomain, NonPositiveSeparation
 from .laurent import (
     LaurentSeries,
     extract_coefficient,
@@ -94,6 +96,33 @@ def _validate_domain(a, lam) -> tuple[mpf, mpf]:
     return a, lam
 
 
+def _frozen_coth_expansion(
+    c: mpf, lam: mpf, order: int, pref: mpf
+) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:
+    """Frozen-copy second derivative of P(eps) coth((eps - lambda eps') c).
+
+    P = pref / eps, and the caller passes c = pi/2a.  The product rule
+    leaves derivatives acting on the eps in the coth argument, each
+    contributing a factor c; setting eps' = eps afterwards collapses
+    every coth derivative to argument (1 - lambda) c eps.  Returns
+    (k0, k1, f2): the scaled coth and coth' series and the second
+    derivative itself, all built from one coth series truncated at
+    order + 4.
+    """
+    scale = (1 - lam) * c
+    base = series_coth(order + 4)
+    d1 = series_differentiate(base)
+    k0 = series_scale_arg(base, scale)
+    k1 = series_scale_arg(d1, scale)
+    k2 = series_scale_arg(series_differentiate(d1), scale)
+    # P' = -pref eps^-2 and P'' = 2 pref eps^-3.
+    f2 = series_add(
+        series_add(shift_scale(k0, 2 * pref, -3), shift_scale(k1, -2 * pref * c, -2)),
+        shift_scale(k2, pref * c * c, -1),
+    )
+    return k0, k1, f2
+
+
 def energy_laurent(
     a,
     lam,
@@ -104,29 +133,11 @@ def energy_laurent(
 
     The energy is the frozen-copy second derivative of
     P(eps) * coth((eps - lambda*eps') c) with P = 1/(4 pi eps) and
-    c = pi/2a.  Expanding the product rule and then setting eps' = eps
-    leaves derivatives acting on the coth argument alone, each
-    contributing a factor c, with the frozen combination collapsing to
-    (1 - lambda) c eps inside every coth derivative.
+    c = pi/2a.
     """
     a, lam = _validate_domain(a, lam)
-    c = pi / (2 * a)
-    scale = (1 - lam) * c
-    base = series_coth(order + 4)
-    d1 = series_differentiate(base)
-    d2 = series_differentiate(d1)
-    c0 = series_scale_arg(base, scale)
-    c1 = series_scale_arg(d1, scale)
-    c2 = series_scale_arg(d2, scale)
-    # P = (1/4pi) eps^-1, so P' = -(1/4pi) eps^-2 and P'' = (1/2pi) eps^-3.
     inv4pi = 1 / (4 * pi)
-    series = series_add(
-        series_add(
-            shift_scale(c0, 2 * inv4pi, -3),
-            shift_scale(c1, -2 * c * inv4pi, -2),
-        ),
-        shift_scale(c2, c * c * inv4pi, -1),
-    )
+    _, _, series = _frozen_coth_expansion(pi / (2 * a), lam, order, inv4pi)
     if field is FieldKind.SCALAR:
         # Half of every mode term, minus the n = 0 half the full sum
         # contains: a pure 1/(4 pi eps^3) monomial, independent of a.
@@ -137,51 +148,26 @@ def energy_laurent(
     return EnergyExpansion(series=series, a=a, lam=lam, field=field)
 
 
-def _fit_exponents(power: int) -> tuple[int, int, int, int]:
-    # The physical coefficients (eps^-4 .. eps^0) sit on pure a-powers
-    # drawn from {a, 1, 1/a, 1/a^3}.  A guard coefficient at eps^k with
-    # k >= 1 scales as a^-(3+k) by dimensional analysis, so its basis
-    # replaces the decaying members accordingly; keeping the literal
-    # low-order basis there would smear a true a^-(3+k) term across
-    # wrong powers.
-    if power <= 0:
-        return (0, 1, -1, -3)
-    return (0, 1, -(3 + power), -(5 + power))
-
-
 def subtract_outer(e: EnergyExpansion) -> EnergyExpansion:
     """Remove the parts of each coefficient that the outer region cancels.
 
-    Evaluates the expansion on the doubling grid a*{1, 2, 4, 8}, solves
-    the exact four-point system for each coefficient's a-dependence,
-    and keeps only the decaying terms.  Constant parts are separation-
-    independent vacuum energy; linear parts are bulk energy density
-    that the region beyond the plates returns with opposite sign when
-    the total size is held fixed.
+    By dimensional analysis the epsilon^k coefficient is exactly
+    c_k a^-(k+3), so the k = -4 coefficient is linear in a and the
+    k = -3 one constant; both are set to zero and every other
+    coefficient is kept as it is, as one decaying part.  Constant parts
+    are separation-independent vacuum energy; linear parts are bulk
+    energy density that the region beyond the plates returns with
+    opposite sign when the total size is held fixed.
     """
     if e.subtracted:
         raise ValueError("expansion is already subtracted")
-    order = e.series.truncation_order - 1
-    grid = [e.a * 2**i for i in range(4)]
-    series_at = [e.series] + [
-        energy_laurent(ai, e.lam, order, e.field).series for ai in grid[1:]
-    ]
     coeffs: list[mpf] = []
     decay: DecayParts = {}
-    for k in range(e.series.min_degree, e.series.truncation_order):
-        exps = _fit_exponents(k)
-        m = mp.matrix(4, 4)
-        for i in range(4):
-            for j in range(4):
-                m[i, j] = grid[i] ** exps[j]
-        rhs = mp.matrix([extract_coefficient(s, k) for s in series_at])
-        try:
-            sol = mp.lu_solve(m, rhs)
-        except ZeroDivisionError as exc:
-            raise FitSingular(f"degenerate separation grid at power {k}") from exc
-        parts = tuple((-exps[j], sol[j]) for j in range(4) if exps[j] < 0)
-        decay[k] = parts
-        coeffs.append(sum((q * e.a ** (-j) for j, q in parts), mpf(0)))
+    for k, c in e.series.terms():
+        # c = q / a**(k+3) with q independent of a: it decays iff k > -3.
+        keep = k + 3 > 0
+        coeffs.append(c if keep else mpf(0))
+        decay[k] = ((k + 3, c * e.a ** (k + 3)),) if keep else ()
     return EnergyExpansion(
         series=LaurentSeries(e.series.min_degree, tuple(coeffs)),
         a=e.a,
@@ -206,26 +192,34 @@ def reference_coefficients(a, lam) -> ReferenceCoefficients:
     return ReferenceCoefficients(c_minus2=c_minus2, c_0=c_0)
 
 
-def casimir_pressure(
-    a, lam, field: FieldKind = FieldKind.ELECTROMAGNETIC
-) -> PressureResult:
-    """Pressure on the plates from the subtracted energy.
+def pressure_from_energy(sub: EnergyExpansion) -> PressureResult:
+    """Pressure on the plates from an already subtracted energy.
 
-    Differentiates the kept decaying terms analytically in a and
-    negates: a term q / a**j contributes j q / a**(j+1).  The scalar
-    field halves both outputs, which falls out of the fit because its
-    expansion is half the electromagnetic one up to an a-independent
-    monomial the subtraction discards.
+    Negates the a-gradient of each kept coefficient: c_k is a pure power
+    a^-(k+3), so -d c_k/da = (k+3) c_k / a.  Only k = 0 (finite) and
+    k = -2 (the 1/epsilon^2 coefficient) are reported.
     """
-    sub = subtract_outer(energy_laurent(a, lam, DEFAULT_ORDER, field))
-    aa = sub.a
+    if not sub.subtracted:
+        raise ValueError("pressure needs a subtracted expansion")
 
     def neg_gradient(power: int) -> mpf:
-        return sum(
-            (j * q * aa ** (-j - 1) for j, q in sub.decay_parts.get(power, ())),
-            mpf(0),
-        )
+        return (power + 3) * extract_coefficient(sub.series, power) / sub.a
 
     return PressureResult(
         finite_part=neg_gradient(0), divergent_coeff=neg_gradient(-2)
+    )
+
+
+def casimir_pressure(
+    a, lam, field: FieldKind = FieldKind.ELECTROMAGNETIC
+) -> PressureResult:
+    """Pressure on the plates from the subtracted energy at (a, lambda).
+
+    Builds and subtracts the expansion once, then differentiates it in
+    a with ``pressure_from_energy``.  The scalar field halves both
+    outputs, because its expansion is half the electromagnetic one up
+    to an a-independent monomial the subtraction discards.
+    """
+    return pressure_from_energy(
+        subtract_outer(energy_laurent(a, lam, DEFAULT_ORDER, field))
     )

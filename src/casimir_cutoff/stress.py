@@ -30,13 +30,13 @@ from .errors import (
     NonPositiveSeparation,
     WallContact,
 )
+from .expansion import _frozen_coth_expansion
 from .laurent import (
     LaurentSeries,
     extract_coefficient,
     from_terms,
     monomial,
     series_add,
-    series_coth,
     series_differentiate,
     series_div,
     series_exp,
@@ -282,18 +282,13 @@ def _em_radial_series(a, lam, order: int = 4) -> tuple[LaurentSeries, LaurentSer
     """
     a = to_mpf(a)
     lam = to_mpf(lam)
+    # The energy expansion's kernel with P = 1/(4 pi a s): f2 is the
+    # electromagnetic energy series divided by a, f1 the first derivative.
     c = pi / (2 * a)
-    scale = (1 - lam) * c
-    trunc = order + 4
-    base = series_coth(trunc)
-    d1 = series_differentiate(base)
-    d2 = series_differentiate(d1)
-    c0 = series_scale_arg(base, scale)
-    c1 = series_scale_arg(d1, scale)
-    c2 = series_scale_arg(d2, scale)
     pref = 1 / (4 * pi * a)
+    k0, k1, f2 = _frozen_coth_expansion(c, lam, order, pref)
+    f1 = series_add(shift_scale(k0, -pref, -2), shift_scale(k1, pref * c, -1))
     one_m = 1 - lam
-    f1 = series_add(shift_scale(c0, -pref, -2), shift_scale(c1, pref * c, -1))
     g1 = series_sub(
         f1,
         monomial(
@@ -301,12 +296,6 @@ def _em_radial_series(a, lam, order: int = 4) -> tuple[LaurentSeries, LaurentSer
             -3,
             truncation_order=f1.truncation_order,
         ),
-    )
-    f2 = series_add(
-        series_add(
-            shift_scale(c0, 2 * pref, -3), shift_scale(c1, -2 * pref * c, -2)
-        ),
-        shift_scale(c2, pref * c * c, -1),
     )
     g2 = series_sub(
         f2,

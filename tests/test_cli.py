@@ -12,8 +12,10 @@ import json
 import pytest
 from mpmath import mp, mpf, pi
 
+import casimir_cutoff.cli
+import casimir_cutoff.expansion
 from casimir_cutoff.cli import ScanConfig, UsageError, main, parse_args, run
-from casimir_cutoff.expansion import casimir_pressure
+from casimir_cutoff.expansion import casimir_pressure, energy_laurent
 from casimir_cutoff.modesum import (
     CutoffParams,
     FieldKind,
@@ -260,6 +262,28 @@ class TestOutputs:
             "A", "B_finite", "B_div_eps2",
         ]
         assert len(rows) == 40
+
+    def test_scan_builds_one_expansion_per_point(self, capsys, monkeypatch):
+        # The energy and pressure columns share one subtracted expansion.
+        args = ("scan", "--a", "0.5:1.5:2", "--lambda", "0:0.6:3")
+        _, before, _ = run_cli(capsys, *args)
+        builds = []
+
+        def counted(*a, **kw):
+            builds.append(a)
+            return energy_laurent(*a, **kw)
+
+        for module in (casimir_cutoff.cli, casimir_cutoff.expansion):
+            monkeypatch.setattr(module, "energy_laurent", counted)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert len(builds) == 6
+        assert out == before
+        header, rows = parse_csv(out)
+        for row in (dict(zip(header, r)) for r in rows):
+            p = casimir_pressure(mpf(row["a"]), mpf(row["lambda"]))
+            assert abs(mpf(row["finite_part"]) - p.finite_part) < mpf("1e-35")
+            assert abs(mpf(row["divergent_coeff"]) - p.divergent_coeff) < mpf("1e-35")
 
     def test_covariance_residuals_and_determinism(self, capsys):
         args = (

@@ -7,12 +7,13 @@ known special values.
 """
 
 import pytest
-from mpmath import mpf, pi
+from mpmath import mp, mpf, pi
 
 from casimir_cutoff.errors import CutoffDomain, NonPositiveSeparation
 from casimir_cutoff.expansion import (
     casimir_pressure,
     energy_laurent,
+    pressure_from_energy,
     reference_coefficients,
     subtract_outer,
 )
@@ -77,8 +78,31 @@ class TestEnergyLaurent:
         assert errs[1] / errs[0] < mpf("1e-5")
 
 
+class TestDimensionalScaling:
+    """The pure power law c_k(a) ~ a^-(k+3) the subtraction relies on."""
+
+    @pytest.mark.parametrize("dps", [50, 200])
+    @pytest.mark.parametrize("field", list(FieldKind))
+    def test_coefficients_scale_on_doubling_grid(self, dps, field):
+        # E = a^-3 f(eps/a, lambda), so doubling a multiplies the eps^k
+        # coefficient by exactly 2^-(k+3).  Checked on the raw series,
+        # relative where the coefficient is nonzero, absolute where it
+        # vanishes (the odd powers).
+        tol = mpf("1e-45")
+        with mp.workdps(dps):
+            for lam in (mpf(0), mpf("0.3"), mpf("0.7")):
+                grid = [energy_laurent(a, lam, field=field).series
+                        for a in (mpf("0.5"), mpf(1), mpf(2), mpf(4))]
+                for lo, hi in zip(grid, grid[1:]):
+                    assert lo.min_degree == hi.min_degree == -4
+                    for k, c in lo.terms():
+                        expected = c / mpf(2) ** (k + 3)
+                        err = abs(extract_coefficient(hi, k) - expected)
+                        assert err <= tol * max(abs(expected), tol), (lam, k)
+
+
 class TestSubtraction:
-    """Separation-grid fit and removal of bulk terms."""
+    """Removal of the bulk terms a power law in a identifies."""
 
     def test_matches_references_on_grid(self):
         for a in (mpf("0.5"), mpf(2)):
@@ -120,6 +144,36 @@ class TestSubtraction:
         for p, parts in sub.decay_parts.items():
             total = sum((q * sub.a ** (-j) for j, q in parts), mpf(0))
             assert abs(total - extract_coefficient(sub.series, p)) < mpf("1e-40")
+
+    @pytest.mark.parametrize("field", list(FieldKind))
+    def test_keeps_decaying_coefficients_exactly(self, field):
+        raw = energy_laurent(mpf("1.3"), mpf("0.45"), field=field)
+        sub = subtract_outer(raw)
+        assert sub.subtracted and not raw.subtracted
+        assert sub.series.min_degree == raw.series.min_degree
+        assert sub.series.truncation_order == raw.series.truncation_order
+        for k, c in raw.series.terms():
+            if k in (-4, -3):
+                assert extract_coefficient(sub.series, k) == 0
+                assert sub.decay_parts[k] == ()
+            else:
+                assert extract_coefficient(sub.series, k) == c
+                ((j, _),) = sub.decay_parts[k]
+                assert j == k + 3
+
+    @pytest.mark.parametrize("order", [0, 2, 6])
+    @pytest.mark.parametrize("field", list(FieldKind))
+    def test_matches_references_at_cli_orders(self, order, field):
+        half = mpf(1) / 2 if field is FieldKind.SCALAR else mpf(1)
+        for a in (mpf("0.5"), mpf("1.7")):
+            for lam in (mpf(0), mpf("0.6")):
+                sub = subtract_outer(energy_laurent(a, lam, order, field))
+                ref = reference_coefficients(a, lam)
+                assert sub.series.truncation_order == order + 1
+                assert abs(
+                    extract_coefficient(sub.series, -2) - half * ref.c_minus2
+                ) < COEFF_TOL
+                assert abs(extract_coefficient(sub.series, 0) - half * ref.c_0) < COEFF_TOL
 
 
 class TestReferences:
@@ -168,6 +222,10 @@ class TestPressure:
         p2 = casimir_pressure(2, lam)
         assert abs(p2.finite_part - p1.finite_part / 16) < COEFF_TOL
         assert abs(p2.divergent_coeff - p1.divergent_coeff / 4) < COEFF_TOL
+
+    def test_from_energy_needs_subtraction(self):
+        with pytest.raises(ValueError):
+            pressure_from_energy(energy_laurent(1, "0.2"))
 
     def test_divergent_coefficient_tracks_lambda(self):
         for lam in (mpf("0.1"), mpf("0.8")):
