@@ -22,8 +22,9 @@ into the finite answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from mpmath import mpf, pi
+from mpmath import mp, mpf, pi
 
 from .errors import CutoffDomain, NonPositiveSeparation
 from .laurent import (
@@ -44,16 +45,14 @@ from .precision import to_mpf
 # even guard orders above that detect assembly drift.
 DEFAULT_ORDER = 4
 
-DecayParts = dict[int, tuple[tuple[int, mpf], ...]]
-
 
 @dataclass(frozen=True, eq=False)
 class EnergyExpansion:
     """Laurent expansion of the plate energy at fixed (a, lambda).
 
-    ``decay_parts`` exists only on subtracted expansions: for each
-    epsilon power it lists (j, q) pairs meaning a term q / a**j, which
-    is what analytic differentiation in a needs.
+    On a subtracted expansion the epsilon^k coefficient is the pure
+    power c_k a^-(k+3), so differentiating in a needs nothing beyond
+    the series itself.
     """
 
     series: LaurentSeries
@@ -61,7 +60,6 @@ class EnergyExpansion:
     lam: mpf
     field: FieldKind
     subtracted: bool = False
-    decay_parts: DecayParts | None = None
 
 
 @dataclass(frozen=True)
@@ -96,6 +94,19 @@ def _validate_domain(a, lam) -> tuple[mpf, mpf]:
     return a, lam
 
 
+@lru_cache(maxsize=16)
+def _coth_tower(
+    truncation: int, prec: int
+) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:
+    # coth, coth' and coth'' around zero from series_coth(truncation).
+    # They depend on nothing else, so one build serves every (a, lambda);
+    # prec (which the caller passes as mp.prec) is in the key only so
+    # that a tower is never reused at another working precision.
+    base = series_coth(truncation)
+    d1 = series_differentiate(base)
+    return base, d1, series_differentiate(d1)
+
+
 def _frozen_coth_expansion(
     c: mpf, lam: mpf, order: int, pref: mpf
 ) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:
@@ -107,14 +118,15 @@ def _frozen_coth_expansion(
     every coth derivative to argument (1 - lambda) c eps.  Returns
     (k0, k1, f2): the scaled coth and coth' series and the second
     derivative itself, all built from one coth series truncated at
-    order + 4.
+    order + 4.  That series and its two derivatives are cached per
+    (order, working precision), so energy_laurent and em_stress build
+    them once per precision rather than once per call.
     """
     scale = (1 - lam) * c
-    base = series_coth(order + 4)
-    d1 = series_differentiate(base)
+    base, d1, d2 = _coth_tower(order + 4, mp.prec)
     k0 = series_scale_arg(base, scale)
     k1 = series_scale_arg(d1, scale)
-    k2 = series_scale_arg(series_differentiate(d1), scale)
+    k2 = series_scale_arg(d2, scale)
     # P' = -pref eps^-2 and P'' = 2 pref eps^-3.
     f2 = series_add(
         series_add(shift_scale(k0, 2 * pref, -3), shift_scale(k1, -2 * pref * c, -2)),
@@ -154,27 +166,21 @@ def subtract_outer(e: EnergyExpansion) -> EnergyExpansion:
     By dimensional analysis the epsilon^k coefficient is exactly
     c_k a^-(k+3), so the k = -4 coefficient is linear in a and the
     k = -3 one constant; both are set to zero and every other
-    coefficient is kept as it is, as one decaying part.  Constant parts
+    coefficient is kept as it is.  Constant parts
     are separation-independent vacuum energy; linear parts are bulk
     energy density that the region beyond the plates returns with
     opposite sign when the total size is held fixed.
     """
     if e.subtracted:
         raise ValueError("expansion is already subtracted")
-    coeffs: list[mpf] = []
-    decay: DecayParts = {}
-    for k, c in e.series.terms():
-        # c = q / a**(k+3) with q independent of a: it decays iff k > -3.
-        keep = k + 3 > 0
-        coeffs.append(c if keep else mpf(0))
-        decay[k] = ((k + 3, c * e.a ** (k + 3)),) if keep else ()
+    # c_k = q / a**(k+3) with q independent of a: it decays iff k > -3.
+    coeffs = tuple(c if k + 3 > 0 else mpf(0) for k, c in e.series.terms())
     return EnergyExpansion(
-        series=LaurentSeries(e.series.min_degree, tuple(coeffs)),
+        series=LaurentSeries(e.series.min_degree, coeffs),
         a=e.a,
         lam=e.lam,
         field=e.field,
         subtracted=True,
-        decay_parts=decay,
     )
 
 

@@ -114,10 +114,6 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _transpose(a: Matrix) -> Matrix:
-    return tuple(tuple(a[j][i] for j in range(DIM)) for i in range(DIM))
-
-
 @dataclass(frozen=True)
 class LorentzTransform:
     """Metric-preserving linear map, validated at construction.
@@ -125,7 +121,10 @@ class LorentzTransform:
     The defect max |(L^T g L - g)_{ij}| must stay below a tolerance tied
     to the working precision; exact inputs (integer entries, or matrices
     built by boost/rotation_xy at current precision) pass with room to
-    spare.
+    spare.  Every construction runs the check, including the results of
+    ``compose`` and ``inverse``.  Because g is diagonal, (L^T g L)_{ij}
+    is the sum over k of m[k][i] (g_k m[k][j]); it is symmetric in
+    (i, j), so only the upper triangle is formed.
     """
 
     matrix: Matrix
@@ -133,11 +132,15 @@ class LorentzTransform:
     def __post_init__(self):
         m = _as_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        g = metric()
-        defect = _mat_mul(_transpose(m), _mat_mul(g, m))
-        worst = max(
-            fabs(defect[i][j] - g[i][j]) for i in range(DIM) for j in range(DIM)
-        )
+        # g m: g = diag(-1, 1, 1, 1) only negates the t row, exactly.
+        gm = (tuple(-e for e in m[0]),) + m[1:]
+        worst = mpf(0)
+        for i in range(DIM):
+            for j in range(i, DIM):
+                acc = mpf(0)
+                for k in range(DIM):
+                    acc += m[k][i] * gm[k][j]
+                worst = max(worst, fabs(acc - METRIC_DIAG[i] if i == j else acc))
         if worst > _validation_tol():
             raise ValueError(
                 f"matrix does not preserve the metric: defect {mp.nstr(worst, 8)}"
@@ -157,10 +160,21 @@ class LorentzTransform:
         return LorentzTransform(_mat_mul(self.matrix, other.matrix))
 
     def inverse(self) -> "LorentzTransform":
-        # For metric-preserving L the inverse is g L^T g, which is exact
-        # in the stored entries; no linear solve needed.
-        g = metric()
-        return LorentzTransform(_mat_mul(g, _mat_mul(_transpose(self.matrix), g)))
+        """The inverse g L^T g, entry (i, j) = g_i m[j][i] g_j.
+
+        Every g_i is +-1, so each entry is a stored entry with at most a
+        sign flip: exact, with no product or linear solve.
+        """
+        m = self.matrix
+        return LorentzTransform(
+            tuple(
+                tuple(
+                    m[j][i] if METRIC_DIAG[i] == METRIC_DIAG[j] else -m[j][i]
+                    for j in range(DIM)
+                )
+                for i in range(DIM)
+            )
+        )
 
 
 def boost(rapidity) -> LorentzTransform:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import cos, coth, csch, exp, factorial, mpf, pi, sin, sqrt
+from mpmath import cos, coth, csch, exp, factorial, ldexp, mp, mpf, pi, sin, sqrt
 
 from .errors import (
     CothPole,
@@ -59,8 +59,16 @@ from .precision import to_mpf
 # Metric restricted to the (t, x, y) subspace the splitting lives in.
 _H_DIAG = (mpf(-1), mpf(1), mpf(1), mpf(0))
 
-# Below this squared length a separation is treated as lightlike.
-_LIGHTLIKE_TOL = mpf("1e-30")
+# Diagonal of S1 = g/4 - zhat zhat; dyadic, so exact at any precision.
+_S1_DIAG = (-mpf(1) / 4, mpf(1) / 4, mpf(1) / 4, -mpf(3) / 4)
+
+
+def _split_tol() -> mpf:
+    # Relative tolerance for the splitting: s^2 is formed by cancellation
+    # with a rounding error of a few ulps of t^2 + x^2 + y^2, so asking
+    # s^2 to exceed 2^(-prec/2) of that sum keeps at least half of the
+    # working bits in s^2, and hence in s, whatever the vector's size.
+    return ldexp(mpf(1), -(mp.prec // 2))
 
 
 @dataclass(frozen=True)
@@ -93,17 +101,42 @@ class StressDecomposition:
     z: mpf | None = None
 
     def tensor(self) -> SymTensor4:
-        """Assemble the full symmetric traceless tensor at this splitting."""
+        """Assemble the full symmetric traceless tensor at this splitting.
+
+        One pass of A * S1_ij + b * S2_ij: the same products and sums as
+        scaling the two structures and adding them, without the
+        intermediate tensors.  S1 is diagonal, so off the diagonal only
+        the S2 term is left.
+        """
         b_total = self.B_divergent_eps2 / self.separation_length**2 + self.B_finite
-        return s1_structure().scale(self.A) + s2_structure(self.direction).scale(
-            b_total
+        s2 = _s2_rows(self.direction)
+        return SymTensor4(
+            tuple(
+                tuple(
+                    self.A * _S1_DIAG[i] + b_total * s2[i][j] if i == j
+                    else b_total * s2[i][j]
+                    for j in range(DIM)
+                )
+                for i in range(DIM)
+            )
         )
 
 
 def s1_structure() -> SymTensor4:
     """Traceless structure g/4 - zhat zhat."""
-    return SymTensor4.diagonal(
-        -mpf(1) / 4, mpf(1) / 4, mpf(1) / 4, -mpf(3) / 4
+    return SymTensor4.diagonal(*_S1_DIAG)
+
+
+def _s2_rows(direction: SeparationVector) -> tuple[tuple[mpf, ...], ...]:
+    v = direction.vector
+    s2 = mink_dot(v, v)
+    comps = v.components()
+    return tuple(
+        tuple(
+            (_H_DIAG[i] if i == j else mpf(0)) - 3 * comps[i] * comps[j] / s2
+            for j in range(DIM)
+        )
+        for i in range(DIM)
     )
 
 
@@ -113,17 +146,7 @@ def s2_structure(direction: SeparationVector) -> SymTensor4:
     The direction is normalized internally, so any spacelike vector
     along the intended ray gives the same structure.
     """
-    v = direction.vector
-    s2 = mink_dot(v, v)
-    comps = v.components()
-    rows = []
-    for i in range(DIM):
-        row = []
-        for j in range(DIM):
-            val = _H_DIAG[i] if i == j else mpf(0)
-            row.append(val - 3 * comps[i] * comps[j] / s2)
-        rows.append(tuple(row))
-    return SymTensor4(tuple(rows))
+    return SymTensor4(_s2_rows(direction))
 
 
 def propagator_kernel(m, s) -> RadialKernel:
@@ -210,12 +233,13 @@ def bulk_kernel(s, s_frozen, lam) -> RadialKernel:
 
 def _check_subspace(eps: SeparationVector) -> mpf:
     # Returns the invariant length after checking the splitting is a
-    # genuinely spacelike (t, x, y) vector.
+    # genuinely spacelike (t, x, y) vector: s^2 must be a safe fraction
+    # of t^2 + x^2 + y^2, so the bound scales with the vector.
     v = eps.vector
     if v.z != 0:
         raise ValueError("splitting vector must lie in the t-x-y subspace (z component 0)")
     s2 = mink_dot(v, v)
-    if s2 <= _LIGHTLIKE_TOL:
+    if s2 <= _split_tol() * (v.t * v.t + v.x * v.x + v.y * v.y):
         raise LightlikeSeparation(f"squared splitting length {s2} is not safely spacelike")
     return sqrt(s2)
 
@@ -231,7 +255,7 @@ def second_derivative_tensor(kernel: RadialKernel, eps: SeparationVector) -> Sym
     the radial operator f'' + (2/s) f'.
     """
     s = _check_subspace(eps)
-    if abs(kernel.s - s) > _LIGHTLIKE_TOL * (1 + abs(s)):
+    if abs(kernel.s - s) > _split_tol() * s:
         raise ValueError(
             f"kernel evaluated at s = {kernel.s} but splitting has length {s}"
         )

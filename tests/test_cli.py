@@ -156,6 +156,86 @@ class TestExitCodes:
         assert all(v == "" for v in rows[0][3:])
         assert all(v != "" for v in rows[1])
 
+    def test_short_spatial_splitting_exits_zero(self, capsys):
+        # The lightlike margin scales with the splitting, so a length of
+        # 1e-16 is an ordinary spacelike point.
+        code, out, _ = run_cli(capsys, "stress", "--eps-vec=0,1e-16,0,0")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert all(v != "" for v in rows[0][4:])
+
+
+# Printed by an earlier release on the same inputs; the covariance path
+# may get faster but must not change a digit.
+_SPLIT = "--eps-vec=0.01,0.1,0.02,0"
+_PINNED = [
+    (
+        ("covariance", "--a", "1.2", "--lambda", "0.4", _SPLIT, "--rapidity", "2",
+         "--trials", "3", "--seed", "7"),
+        "residual",
+        [
+            "3.207317652110634775368643760581778254578e-50",
+            "8.018294130276586938421609401454445636446e-51",
+            "1.603658826055317387684321880290889127289e-50",
+        ],
+    ),
+    (
+        ("covariance", "--field", "scalar", "--a", "1.2", "--z", "0.5", "--lambda",
+         "0.4", _SPLIT, "--rapidity", "2", "--trials", "2", "--seed", "7"),
+        "residual",
+        [
+            "2.672764710092195646140536467151481878815e-50",
+            "5.34552942018439129228107293430296375763e-51",
+        ],
+    ),
+    (
+        ("covariance", "--precision", "200", "--a", "1.2", "--lambda", "0.4", _SPLIT,
+         "--rapidity", "2", "--trials", "2", "--seed", "7"),
+        "residual",
+        [
+            "8.165126103939127325090367746133807423080536433026331004770862342382277"
+            "366949374743827235295123251293509798475538638444494210217247777176284"
+            "581102664244217353241804557680362014710449695931626e-201",
+            "6.532100883151301860072294196907045938464429146421064803816689873905821"
+            "893559499795061788236098601034807838780430910755595368173798221741027"
+            "664882131395373882593443646144289611768359756745301e-201",
+        ],
+    ),
+    (
+        ("stress", "--a", "0.8", "--lambda", "0.2:0.8:2", _SPLIT),
+        "Ttt",
+        [
+            "1.277512050778533037991943086218231073842",
+            "5.202181167312269076207957347498847704476",
+        ],
+    ),
+    (
+        ("stress", "--a", "0.8", "--lambda", "0.2:0.8:2", _SPLIT),
+        "trace_residual",
+        [
+            "1.002286766284573367302701175181805704556e-51",
+            "1.703887502683774724414591997809069697745e-50",
+        ],
+    ),
+    (
+        ("stress", "--field", "scalar", "--a", "1.2", "--z", "0.5", "--lambda", "0.4",
+         _SPLIT),
+        "Ttt",
+        ["-1.29354499376415834510297216325536890147"],
+    ),
+]
+
+
+class TestPinnedOutputs:
+    """Covariance residuals and stress components, digit for digit."""
+
+    @pytest.mark.parametrize("argv, column, expected", _PINNED)
+    def test_column_unchanged(self, capsys, argv, column, expected):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert [r[header.index(column)] for r in rows] == expected
+
 
 class TestOutputs:
     """Schemas, values, and round-trip precision."""

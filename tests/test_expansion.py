@@ -11,13 +11,19 @@ from mpmath import mp, mpf, pi
 
 from casimir_cutoff.errors import CutoffDomain, NonPositiveSeparation
 from casimir_cutoff.expansion import (
+    _coth_tower,
     casimir_pressure,
     energy_laurent,
     pressure_from_energy,
     reference_coefficients,
     subtract_outer,
 )
-from casimir_cutoff.laurent import evaluate, extract_coefficient
+from casimir_cutoff.laurent import (
+    evaluate,
+    extract_coefficient,
+    series_coth,
+    series_differentiate,
+)
 from casimir_cutoff.modesum import CutoffParams, FieldKind, PlateGeometry, energy_closed_form
 
 COEFF_TOL = mpf("1e-30")
@@ -101,6 +107,32 @@ class TestDimensionalScaling:
                         assert err <= tol * max(abs(expected), tol), (lam, k)
 
 
+class TestCothTower:
+    """The per-precision cache of coth and its first two derivatives."""
+
+    def test_never_reused_across_precisions(self):
+        _coth_tower.cache_clear()
+        with mp.workdps(50):
+            low = _coth_tower(8, mp.prec)
+        with mp.workdps(200):
+            high = _coth_tower(8, mp.prec)
+            fresh = series_coth(8)
+            d1 = series_differentiate(fresh)
+            expected = (fresh, d1, series_differentiate(d1))
+        for got, want in zip(high, expected):
+            assert got.min_degree == want.min_degree
+            assert got.coeffs == want.coeffs
+        assert low[0].coeffs != high[0].coeffs
+
+    def test_cached_build_matches_cold_build(self):
+        energy_laurent(mpf("0.7"), mpf("0.35"))
+        with mp.workdps(200):
+            warm = energy_laurent(mpf("0.7"), mpf("0.35"))
+            _coth_tower.cache_clear()
+            cold = energy_laurent(mpf("0.7"), mpf("0.35"))
+        assert warm.series.coeffs == cold.series.coeffs
+
+
 class TestSubtraction:
     """Removal of the bulk terms a power law in a identifies."""
 
@@ -139,12 +171,6 @@ class TestSubtraction:
         with pytest.raises(ValueError):
             subtract_outer(sub)
 
-    def test_decay_parts_reassemble_coefficients(self):
-        sub = subtracted(mpf("0.8"), mpf("0.4"))
-        for p, parts in sub.decay_parts.items():
-            total = sum((q * sub.a ** (-j) for j, q in parts), mpf(0))
-            assert abs(total - extract_coefficient(sub.series, p)) < mpf("1e-40")
-
     @pytest.mark.parametrize("field", list(FieldKind))
     def test_keeps_decaying_coefficients_exactly(self, field):
         raw = energy_laurent(mpf("1.3"), mpf("0.45"), field=field)
@@ -155,11 +181,8 @@ class TestSubtraction:
         for k, c in raw.series.terms():
             if k in (-4, -3):
                 assert extract_coefficient(sub.series, k) == 0
-                assert sub.decay_parts[k] == ()
             else:
                 assert extract_coefficient(sub.series, k) == c
-                ((j, _),) = sub.decay_parts[k]
-                assert j == k + 3
 
     @pytest.mark.parametrize("order", [0, 2, 6])
     @pytest.mark.parametrize("field", list(FieldKind))

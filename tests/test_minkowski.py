@@ -10,9 +10,11 @@ import random
 import pytest
 from mpmath import cos, cosh, mp, mpf, pi, sin, sinh
 
+import casimir_cutoff.minkowski
 from casimir_cutoff.errors import LightlikeSeparation
 from casimir_cutoff.minkowski import (
     DIM,
+    METRIC_DIAG,
     FourVector,
     LorentzTransform,
     SeparationVector,
@@ -139,6 +141,60 @@ class TestLorentzTransform:
         assert all(
             abs(a - b) < TIGHT for a, b in zip(back.components(), v.components())
         )
+
+    def test_inverse_is_signed_transpose_exactly(self):
+        ell = rotation_xy(mpf("0.3")).compose(boost(mpf("-1.7")))
+        m, inv = ell.matrix, ell.inverse().matrix
+        for i in range(DIM):
+            for j in range(DIM):
+                assert inv[i][j] == METRIC_DIAG[i] * m[j][i] * METRIC_DIAG[j]
+
+    @pytest.mark.parametrize(
+        "pos", [(i, j) for i in range(DIM) for j in range(DIM) if i != j]
+    )
+    def test_single_off_diagonal_defect_rejected(self, pos):
+        # Identity plus delta at one off-diagonal slot: L^T g L differs
+        # from g by +-delta off the diagonal and only delta^2 on it, so
+        # the off-diagonal entries alone decide, wherever delta sits.
+        i, j = pos
+        rows = [[mpf(int(r == c)) for c in range(DIM)] for r in range(DIM)]
+        rows[i][j] = mpf("1e-20")
+        with pytest.raises(ValueError, match="defect 1.0e-20"):
+            LorentzTransform(tuple(tuple(r) for r in rows))
+        rows[i][j] = mpf("1e-35")
+        LorentzTransform(tuple(tuple(r) for r in rows))
+
+    def test_defect_is_worst_entry_of_full_product(self):
+        rng = random.Random(5)
+        rows = tuple(
+            tuple(mpf(rng.uniform(-1, 1)) for _ in range(DIM)) for _ in range(DIM)
+        )
+        g = metric()
+        worst = max(
+            abs(
+                sum((rows[k][i] * (g[k][k] * rows[k][j]) for k in range(DIM)), mpf(0))
+                - g[i][j]
+            )
+            for i in range(DIM)
+            for j in range(DIM)
+        )
+        with pytest.raises(ValueError, match=f"defect {mp.nstr(worst, 8)}$"):
+            LorentzTransform(rows)
+
+    def test_compose_and_inverse_are_validated(self, monkeypatch):
+        calls = []
+        real = casimir_cutoff.minkowski._validation_tol
+
+        def counted():
+            calls.append(1)
+            return real()
+
+        ell = boost(mpf("0.4"))
+        monkeypatch.setattr(casimir_cutoff.minkowski, "_validation_tol", counted)
+        ell.compose(ell)
+        assert len(calls) == 1
+        ell.inverse()
+        assert len(calls) == 2
 
 
 class TestSymTensor4:

@@ -370,6 +370,51 @@ class TestEMStress:
         with pytest.raises(ValueError):
             em_stress(geom, cutoff, SeparationVector(FourVector(0, mpf("0.1"), 0, mpf("0.01"))))
 
+    def test_tiny_spatial_splitting_accepted(self):
+        # The lightlike margin is relative to t^2 + x^2 + y^2, so a short
+        # but plainly spacelike splitting is fine, and its coefficients
+        # are the ones any other length gives.
+        cutoff = CutoffParams(mpf("0.1"), mpf("0.3"))
+        ref = em_stress(self.geometry(), cutoff, spacelike(0, mpf("0.1"), 0))
+        d = em_stress(self.geometry(), cutoff, spacelike(0, mpf("1e-16"), 0))
+        assert d.separation_length == mpf("1e-16")
+        assert (d.A, d.B_finite, d.B_divergent_eps2) == (
+            ref.A, ref.B_finite, ref.B_divergent_eps2
+        )
+        t = d.tensor()
+        assert abs(t.trace()) < mpf("1e-45") * abs(t[1, 1])
+
+    @pytest.mark.parametrize("x", [mpf("1e-16"), mpf("0.1"), mpf("1e10")])
+    def test_near_lightlike_rejected_at_any_scale(self, x):
+        eps = SeparationVector(FourVector(x * (1 - mpf("1e-45")), x, 0, 0))
+        with pytest.raises(LightlikeSeparation):
+            em_stress(self.geometry(), CutoffParams(mpf("0.1"), 0), eps)
+
+    def test_kernel_length_compared_relatively(self):
+        eps = spacelike(0, mpf("1e-16"), 0)
+        s = eps.length
+        second_derivative_tensor(propagator_kernel(1, s), eps)
+        with pytest.raises(ValueError, match="kernel evaluated"):
+            second_derivative_tensor(
+                propagator_kernel(1, s * (1 + mpf("1e-20"))), eps
+            )
+
+    def test_tensor_is_one_pass_of_both_structures(self):
+        # The assembly must equal scale-then-add bit for bit.
+        rng = random.Random(19)
+        geom = self.geometry(mpf("1.2"))
+        for field in FieldKind:
+            for _ in range(5):
+                cutoff = CutoffParams(mpf("0.1"), mpf(rng.uniform(0, 0.9)))
+                eps = random_spacelike(rng)
+                if field is FieldKind.SCALAR:
+                    d = scalar_stress(geom, cutoff, eps, mpf("0.37"))
+                else:
+                    d = em_stress(geom, cutoff, eps)
+                b = d.B_divergent_eps2 / d.separation_length**2 + d.B_finite
+                two_step = s1_structure().scale(d.A) + s2_structure(d.direction).scale(b)
+                assert d.tensor().matrix == two_step.matrix
+
 
 class TestScalarStress:
     """Wall-pinned field coefficients, both construction routes."""
