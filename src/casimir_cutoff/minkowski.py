@@ -32,9 +32,10 @@ def metric() -> tuple[tuple[mpf, ...], ...]:
 
 
 def _validation_tol() -> mpf:
-    # Ten digits of slack below working precision, but never looser
-    # than 1e-30: composed transforms accumulate rounding.
-    return mpf(10) ** max(-30, 10 - mp.dps)
+    # Relative tolerance: ten digits of slack below working precision,
+    # for the rounding that composed transforms accumulate.  Callers
+    # scale it by the size of the entries they check.
+    return mpf(10) ** (10 - mp.dps)
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,10 @@ def _as_matrix(rows) -> Matrix:
     return tuple(tuple(to_mpf(e) for e in row) for row in rows)
 
 
+def _largest(m: Matrix) -> mpf:
+    return max(fabs(e) for row in m for e in row)
+
+
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum((a[i][k] * b[k][j] for k in range(DIM)), mpf(0)) for j in range(DIM))
@@ -141,7 +146,10 @@ class LorentzTransform:
                 for k in range(DIM):
                     acc += m[k][i] * gm[k][j]
                 worst = max(worst, fabs(acc - METRIC_DIAG[i] if i == j else acc))
-        if worst > _validation_tol():
+        # Each entry of L^T g L sums products of two entries of L, so the
+        # tolerance scales with max(1, max |L|)^2, which is at least 1.
+        tol = _validation_tol()
+        if worst > tol and worst > tol * max(1, _largest(m)) ** 2:
             raise ValueError(
                 f"matrix does not preserve the metric: defect {mp.nstr(worst, 8)}"
             )
@@ -217,7 +225,8 @@ class SymTensor4:
         worst = max(
             fabs(m[i][j] - m[j][i]) for i in range(DIM) for j in range(i + 1, DIM)
         )
-        if worst > _validation_tol():
+        # Relative to the largest entry; exact symmetry needs no scale.
+        if worst > 0 and worst > _validation_tol() * _largest(m):
             raise ValueError(f"tensor is not symmetric: defect {mp.nstr(worst, 8)}")
 
     def __getitem__(self, idx: tuple[int, int]) -> mpf:

@@ -12,12 +12,15 @@ bound rather than a heuristic one.
 
 Each term is q^n times a quadratic in n, with q = exp((lambda - 1)
 epsilon pi / a), so the sum runs as a recurrence that needs a single
-exponential for all its terms.  The same structure gives the infinite
-sum in closed form, from which the index where the bound meets the
-tolerance is predicted before any summing; parameters that would need
-more modes than the cap fail at once.  The bound also covers the
-rounding drift of the recurrence, so it holds at every working
-precision.
+exponential for all its terms, on Python integers rather than mpf
+objects: a renormalised mantissa for q^n, exact forward differences for
+the quadratic and a fixed-point partial sum.  The same structure gives
+the infinite sum in closed form, from which the index where the bound
+meets the tolerance is predicted before any summing, estimated in
+double precision and confirmed by two exact probes; parameters that
+would need more modes than the cap fail at once.  The bound also covers
+the rounding drift of the recurrence, and the default tolerance follows
+the working precision, so a sum is certified at every precision.
 
 The same energy has a closed form: a second derivative of a coth
 expression in which the lambda occurrence of the cutoff is held frozen
@@ -28,6 +31,7 @@ invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,26 +50,40 @@ from .precision import to_mpf
 # it signals parameters too close to the convergence boundary for
 # direct summation.
 _AUTO_N_CAP = 50_000
-_DEFAULT_REL_TOL = mpf("1e-30")
 # Rounding drift of the recurrence: c in c (n + 2) u (S_n + tail_n),
-# with u = 2^-prec.  Each operation rounds to nearest (relative error at
-# most u), q, A, B, C enter within u of their exact values (_tower), and
-# every quantity is positive, so errors compound multiplicatively; while
-# n u <= 1e-4, k roundings cost at most 1.0001 k u.  Counting them:
-# - q^n: n from the rounding of q, n - 1 from the products;
-# - p(n) by forward differences: any part passes through at most n + 2
-#   (its input, the chain of p' and the chain of p);
-# - term_n = q^n p(n): 3n + 2 with the product;
-# - S_n: the running sum adds n - k + 1 to term k, so at most 3n + 3;
-# - tail_n = term_{n+1} / (1 - rho_n): 3n + 7, where rho_n is formed
-#   from q (1 + 8u), which keeps it above the exact ratio bound.
-# So |E - S_n| <= tail_n + (3n + 8) u (S_n + tail_n), and c = 5 leaves
+# with u = 2^-prec.  q, A, B, C enter within u of their exact values
+# (_tower).  From there the recurrence runs on integers of F = prec + G
+# bits (G = _GUARD), whose truncations are at most w = 2^-F = u 2^-G
+# relative each; the checked steps round to prec bits (u each) and the
+# bound is formed in mpf.  Every quantity is positive, so errors
+# compound multiplicatively; while n u <= 1e-4, k roundings cost at
+# most 1.0001 times their sum.  Counting them:
+# - q^n: n u from the rounding of q, and n - 1 truncated products of
+#   two mantissas of at least F - 1 bits, each below 4w;
+# - p(n): exact integer forward differences from A, B, C, so u;
+# - S_n: the terms' own (n + 1) u + 4 (n - 1) w; the fixed-point sum
+#   drops under one unit, at most 2^-F of the larger of term_1 and the
+#   head, so at most w S_n, at each of its n + 1 additions (the head
+#   included); u to round it to prec bits.  In all
+#   (n + 2) u + (5n - 3) w;
+# - tail_n = term_{n+1} / (1 - rho_n): (n + 2) u + 4n w for the term,
+#   u to round it, u each for 1 - rho_n and the division, where rho_n
+#   is formed from q (1 + 8u), which keeps it above the exact ratio
+#   bound; (n + 5) u + 4n w.
+# So |E - S_n| <= tail_n + ((n + 5) u + 5n w) (S_n + tail_n) up to the
+# factor 1.0001.  G = 2 makes 5n w <= 1.25 n u, so the drift stays
+# below (3n + 8) u (S_n + tail_n) at every n, and c = 5 leaves
 # (2n + 2) u (S_n + tail_n) for rounding the bound itself.
 _DRIFT_C = 5
+_GUARD = 2
 # The per-step stopping rule starts this many modes below the predicted
 # index.  Rounding moves the prediction by a relative O(n u), far less
 # than the per-mode decay 1 - rho_n of the tail it is read from.
 _CHECK_MARGIN = 2
+# The double-precision estimate of the stopping index searches no
+# further than this; exact probes widen past it if they must.
+_ESTIMATE_LIMIT = 1 << 62
+_LN2 = math.log(2)
 
 
 class FieldKind(Enum):
@@ -167,16 +185,23 @@ def _tower(geom: PlateGeometry, cutoff: CutoffParams, weight: mpf):
     A, B and C.  Everything is evaluated with guard bits and rounded
     once, so each value is within 2^-prec relative of its exact value,
     as _DRIFT_C assumes; rounding x itself would cost |x| units in the
-    last place of q, hence guard bits that grow with the size of x.
+    last place of q, hence guard bits that grow with the size of x.  The
+    smaller of q and 1 - q comes from the exponential and the other by
+    subtraction, which then cancels at most one bit.
     """
     eps = cutoff.epsilon
     x = (cutoff.lam - 1) * eps * pi / geom.a
     with mp.extraprec(20 + max(0, mag(x))):
         x = (cutoff.lam - 1) * eps * pi / geom.a
-        one_minus_q = -expm1(x)
+        if x < -_LN2:
+            q = exp(x)
+            one_minus_q = 1 - q
+        else:
+            one_minus_q = -expm1(x)
+            q = 1 - one_minus_q
         k = pi / geom.a
         f = weight / (2 * pi * eps)
-        parts = (x, 1 - one_minus_q, one_minus_q, f * k * k, 2 * f * k / eps, 2 * f / eps**2)
+        parts = (x, q, one_minus_q, f * k * k, 2 * f * k / eps, 2 * f / eps**2)
     return tuple(+v for v in parts)
 
 
@@ -189,6 +214,76 @@ def _first_true(ok, lo: int, hi: int) -> int:
         else:
             lo = mid
     return hi
+
+
+def _default_tol() -> mpf:
+    """1e-30, or 10^(10 - dps) where the working digits cannot spare ten below 1e-30."""
+    return max(mpf("1e-30"), mpf(10) ** (10 - mp.dps))
+
+
+def _tail(n: int, term_next: mpf, q_up: mpf) -> mpf:
+    """Geometric bound term_{n+1} / (1 - rho_n) on the terms past n.
+
+    The quadratic's parts grow by at most ((k+1)/k)^2 per step, so every
+    ratio term_{k+1}/term_k with k > n is at most rho_n = q_up ((n + 2) /
+    (n + 1))^2, where q_up lies above q by more than its rounding.
+    """
+    rho = q_up * (mpf(n + 2) / (n + 1)) ** 2
+    return term_next / (1 - rho) if rho < 1 else mpf("inf")
+
+
+def _ln(v: mpf) -> float:
+    """Natural logarithm of a positive mpf as a float, at any exponent."""
+    return math.log(v.man) + v.exp * _LN2
+
+
+def _predict_stop(x, q_up, A, B, C, limit) -> int:
+    """First n >= 1 with tail_n <= limit, where term_n = e^(n x) (A n^2 + B n + C).
+
+    Past the first n with rho_n < 1 the tail is decreasing in n (a
+    decreasing term over a growing 1 - rho_n), so the condition is
+    monotone.  Its crossing is estimated in double precision from
+    logarithms, which cost no exp; exact probes then confirm it from
+    both sides, widening the bracket while a probe fails, and bisect
+    whatever bracket remains.  An exact estimate costs two exp calls.
+    """
+
+    def meets(n: int) -> bool:
+        m = n + 1
+        return _tail(n, exp(m * x) * ((A * m + B) * m + C), q_up) <= limit
+
+    # p(m) = s (a m^2 + b m + c) with max(a, b, c) = 1 keeps the floats
+    # in range whatever the size of A, B, C.
+    s = max(A, B, C)
+    a, b, c = float(A / s), float(B / s), float(C / s)
+    # ln q_up = x + ln(1 + 8u), kept accurate even when q is near 1.
+    xf = float(x)
+    ln_q_up, goal = xf + 8 * 2.0**-mp.prec, _ln(limit) - _ln(s)
+
+    def meets_estimate(n: int) -> bool:
+        m = n + 1
+        ln_rho = ln_q_up + 2 * math.log1p(1 / m)
+        if ln_rho >= 0:
+            return False
+        ln_p = math.log((a * m + b) * m + c)
+        return m * xf + ln_p - math.log(-math.expm1(ln_rho)) <= goal
+
+    hi = 1
+    while hi < _ESTIMATE_LIMIT and not meets_estimate(hi):
+        hi *= 2
+    n = _first_true(meets_estimate, hi // 2, hi)
+    step = 1
+    if meets(n):
+        lo, hi = n - 1, n
+        while lo > 0 and meets(lo):
+            lo, hi = max(0, lo - step), lo
+            step *= 2
+    else:
+        lo, hi = n, n + 1
+        while not meets(hi):
+            lo, hi = hi, hi + step
+            step *= 2
+    return _first_true(meets, lo, hi)
 
 
 def energy_mode_sum(
@@ -206,23 +301,29 @@ def energy_mode_sum(
     n = 0 entirely.
 
     Term n is q^n (A n^2 + B n + C) with q = exp((lambda - 1) eps pi / a),
-    so the sum runs as a recurrence: q^n advances by one product per
-    mode and the quadratic by forward differences.  The remainder bound
-    is the geometric tail term_{n+1} / (1 - rho_n), with
-    rho_n = q ((n + 2) / (n + 1))^2, plus the rounding drift
-    5 (n + 2) 2^-prec (S_n + tail) of the recurrence itself.
+    so the sum runs as a recurrence on Python integers: q^n is a
+    mantissa of a few bits more than prec, renormalised after each
+    product so that late, tiny terms keep their relative precision; the
+    quadratic advances by exact integer forward differences; and the
+    partial sum is a fixed-point integer.  Only the checked steps form
+    mpf values.  The remainder bound is the geometric tail
+    term_{n+1} / (1 - rho_n), with rho_n = q ((n + 2) / (n + 1))^2, plus
+    the rounding drift 5 (n + 2) 2^-prec (S_n + tail) of the recurrence
+    itself.
 
     With n_max given, sums exactly that range and reports the bound
     (NotConverged only if a tolerance is also given and the bound
     misses it).  With n_max omitted, returns the first n whose bound is
-    within the relative tolerance (default 1e-30) of the partial sum.
-    That index is predicted before summing, from the closed-form
-    geometric moments of the infinite sum; NotConverged is raised at
-    once if it exceeds the 50 000-mode cap, or if the rounding drift
-    there already exceeds the tolerance.  A tolerance that is not
-    positive raises ValueError.
+    within the relative tolerance of the partial sum; the default is
+    1e-30, or 10^(10 - dps) where the working precision cannot reach
+    1e-30.  That index is predicted before summing, from the
+    closed-form geometric moments of the infinite sum: a
+    double-precision estimate confirmed by two exact probes.
+    NotConverged is raised at once if it exceeds the 50 000-mode cap,
+    or if the rounding drift there already exceeds the tolerance.  A
+    tolerance that is not positive raises ValueError.
     """
-    rel_tol = _DEFAULT_REL_TOL if tol is None else to_mpf(tol)
+    rel_tol = _default_tol() if tol is None else to_mpf(tol)
     if not rel_tol > 0:
         raise ValueError(f"tolerance must be positive, got {rel_tol}")
     if n_max is not None and n_max < 1:
@@ -240,12 +341,6 @@ def energy_mode_sum(
     # Keeps the computed rho_n above the exact one despite its roundings.
     q_up = q * (1 + 8 * u)
 
-    def tail(n: int, term_next: mpf) -> mpf:
-        # The quadratic's parts grow by at most ((k+1)/k)^2 per step, so
-        # every ratio term_{k+1}/term_k with k > n is at most rho_n.
-        rho = q_up * (mpf(n + 2) / (n + 1)) ** 2
-        return term_next / (1 - rho) if rho < 1 else mpf("inf")
-
     def drift_per_unit(n: int) -> mpf:
         return _DRIFT_C * (n + 2) * u
 
@@ -253,22 +348,11 @@ def energy_mode_sum(
         if q_up >= 1:
             raise NotConverged(f"mode terms do not decay at {mp.prec}-bit precision")
         # The geometric moments sum q^n, n q^n and n^2 q^n give the whole
-        # sum, which bounds every partial sum.  Past the first n with
-        # rho_n < 1 the tail is decreasing in n (a decreasing term over a
-        # growing 1 - rho_n), so the first n that can meet the stopping
-        # rule is found by bisection.
+        # sum, which bounds every partial sum.
         whole = head + q / one_minus_q * (
             A * (1 + q) / one_minus_q**2 + B / one_minus_q + C
         )
-
-        def meets(n: int) -> bool:
-            m = n + 1
-            return tail(n, exp(m * x) * ((A * m + B) * m + C)) <= rel_tol * whole
-
-        lo, hi = 0, _AUTO_N_CAP
-        while not meets(hi):
-            lo, hi = hi, 2 * hi
-        predicted = _first_true(meets, lo, hi)
+        predicted = _predict_stop(x, q_up, A, B, C, rel_tol * whole)
         if predicted > _AUTO_N_CAP:
             raise NotConverged(
                 f"predicted stopping index {predicted} for relative tolerance "
@@ -284,30 +368,48 @@ def energy_mode_sum(
     else:
         start = n_max
 
-    total = head
-    q_n, p, dp, d2 = mpf(1), C, A + B, 2 * A  # q^0, p(0), p(1) - p(0), p''
+    # q = qm 2^(-F-k) with qm of exactly F bits; k = 0 for q >= 1/2.
+    F = mp.prec + _GUARD
+    qm, k = q.man << (F - q.bc), -q.exp - q.bc
+    # A, B, C = (a, b, c) 2^e_p exactly, with p(1) = a + b + c >= 4.
+    e_p = min(A.exp, B.exp, C.exp) - 2
+    a, b, c = (int(ldexp(v, -e_p)) for v in (A, B, C))
+    # The sum's unit 2^e_s is at most 2^-F of term_1 and of the head,
+    # and S_n is at least either.
+    e_s = (qm * (a + b + c)).bit_length() - 1 - k - 2 * F + e_p
+    if head:
+        e_s = max(e_s, head.exp + head.bc - 1 - F)
+    # Term n is (mant p) 2^(e_s - sh), mant the F-bit mantissa of q^n.
+    mant, sh, low = 1 << F, e_s - e_p + F, 1 << (F - 1)
+    total = int(ldexp(head, -e_s))
+    p, dp, d2 = c, a + b, 2 * a  # p(0), p(1) - p(0), p''
     n = 0
     while True:
-        q_n *= q
+        mant = mant * qm >> F
+        if mant < low:
+            mant <<= 1
+            sh += 1
+        sh += k
         p += dp
         dp += d2
-        term = q_n * p  # term_{n+1}
+        prod = mant * p  # term_{n+1} = prod 2^(e_s - sh)
         if n >= start:
-            t = tail(n, term)
-            bound = t + drift_per_unit(n) * (total + t)
+            term, partial = mpf((prod, e_s - sh)), mpf((total, e_s))
+            t = _tail(n, term, q_up)
+            bound = t + drift_per_unit(n) * (partial + t)
             if n_max is not None:
-                if tol is not None and not bound <= rel_tol * total:
+                if tol is not None and not bound <= rel_tol * partial:
                     raise NotConverged(
                         f"remainder bound {bound} exceeds tolerance at n_max = {n}"
                     )
-                return ModeSumResult(total, bound, n)
-            if bound <= rel_tol * total:
-                return ModeSumResult(total, bound, n)
+                return ModeSumResult(partial, bound, n)
+            if bound <= rel_tol * partial:
+                return ModeSumResult(partial, bound, n)
             if n >= _AUTO_N_CAP or drift_per_unit(n) >= rel_tol:
                 raise NotConverged(
                     f"remainder bound not below {rel_tol} within {n} modes"
                 )
-        total += term
+        total += prod >> sh
         n += 1
 
 

@@ -156,6 +156,33 @@ class TestExitCodes:
         assert all(v == "" for v in rows[0][3:])
         assert all(v != "" for v in rows[1])
 
+    def test_low_precision_energy_sum_exits_zero(self, capsys):
+        # The default tolerance follows the working precision (1e-5 at
+        # 15 digits), so the sum is certified instead of refused.
+        code, out, _ = run_cli(
+            capsys, "energy-sum", "--epsilon", "0.01", "--lambda", "0.3",
+            "--precision", "15",
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        with mp.workdps(30):
+            cutoff = CutoffParams(mpf(row["epsilon"]), mpf(row["lambda"]))
+            exact = energy_closed_form(PlateGeometry(1), cutoff)
+            energy, bound = mpf(row["energy"]), mpf(row["remainder_bound"])
+            assert abs(energy - exact) <= bound <= mpf("1e-5") * energy
+
+    def test_tiny_tilted_splitting_covariance_exits_zero(self, capsys):
+        # Stress entries near 1e31: the symmetry check is relative to
+        # their size, so rounding at the 1e-21 level is no defect.
+        code, out, _ = run_cli(
+            capsys, "covariance", "--a", "1", "--lambda", "0.5",
+            "--eps-vec=0.3e-16,1e-16,0.5e-16,0",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 20 and all(v != "" for row in rows for v in row)
+
     def test_short_spatial_splitting_exits_zero(self, capsys):
         # The lightlike margin scales with the splitting, so a length of
         # 1e-16 is an ordinary spacelike point.

@@ -161,8 +161,21 @@ class TestLorentzTransform:
         rows[i][j] = mpf("1e-20")
         with pytest.raises(ValueError, match="defect 1.0e-20"):
             LorentzTransform(tuple(tuple(r) for r in rows))
-        rows[i][j] = mpf("1e-35")
+        rows[i][j] = mpf("1e-45")
         LorentzTransform(tuple(tuple(r) for r in rows))
+
+    def test_small_defect_rejected_at_high_precision(self):
+        mp.dps = 200
+        rows = [[mpf(int(r == c)) for c in range(DIM)] for r in range(DIM)]
+        rows[0][1] = mpf("1e-35")
+        with pytest.raises(ValueError, match="defect 1.0e-35"):
+            LorentzTransform(tuple(tuple(r) for r in rows))
+
+    def test_defect_tolerance_scales_with_entries(self):
+        # cosh^2 - sinh^2 at rapidity 20 cancels products near 6e16, so
+        # its rounding is far above 1e-40 but small relative to them.
+        ell = rotation_xy(mpf("0.3")).compose(boost(20))
+        assert ell.inverse().matrix[1][0] == -ell.matrix[0][1]
 
     def test_defect_is_worst_entry_of_full_product(self):
         rng = random.Random(5)
@@ -204,6 +217,17 @@ class TestSymTensor4:
         rows = [[mpf(0)] * DIM for _ in range(DIM)]
         rows[0][1] = mpf(1)
         with pytest.raises(ValueError):
+            SymTensor4(tuple(tuple(r) for r in rows))
+
+    def test_symmetry_tolerance_is_relative(self):
+        # Entries near 1e31 may differ by rounding at 1e-15, but an
+        # asymmetry of 1e-38 in entries of order one is a defect.
+        rows = [[mpf("1e31")] * DIM for _ in range(DIM)]
+        rows[0][1] += mpf("1e-15")
+        SymTensor4(tuple(tuple(r) for r in rows))
+        rows = [[mpf(1)] * DIM for _ in range(DIM)]
+        rows[0][1] += mpf("1e-38")
+        with pytest.raises(ValueError, match="not symmetric"):
             SymTensor4(tuple(tuple(r) for r in rows))
 
     def test_diagonal_and_trace(self):

@@ -19,8 +19,13 @@ from casimir_cutoff.errors import (
     NonPositiveSeparation,
     NotConverged,
 )
+import casimir_cutoff.modesum
 from casimir_cutoff.modesum import (
+    _AUTO_N_CAP,
     _DRIFT_C,
+    _predict_stop,
+    _tail,
+    _tower,
     CutoffParams,
     FieldKind,
     ModeIndex,
@@ -170,19 +175,50 @@ class TestEnergyModeSum:
     def test_recurrence_matches_termwise_sum_within_drift(self):
         a, eps, lam = mpf("1.3"), mpf("0.07"), mpf("0.45")
         geom, cutoff = PlateGeometry(a), CutoffParams(eps, lam)
-        for field, weight, head in (
-            (FieldKind.ELECTROMAGNETIC, 1, mpf(1) / 2),
-            (FieldKind.SCALAR, mpf(1) / 2, 0),
+        for dps, n_maxes in (
+            (15, (1, 7, 60, 200, 20000)),
+            (50, (1, 7, 60, 200, 20000)),
+            (200, (1, 7, 60, 200)),
         ):
-            for n_max in (1, 7, 60, 200):
-                res = energy_mode_sum(geom, cutoff, field=field, n_max=n_max)
-                with mp.workdps(2 * mp.dps):
-                    ref = head * transverse_integral(0, eps) + weight * sum(
-                        transverse_integral(n * pi / a, eps) * exp(lam * eps * n * pi / a)
-                        for n in range(1, n_max + 1)
-                    )
-                drift = _DRIFT_C * (n_max + 2) * mpf(2) ** -mp.prec * ref
-                assert abs(res.value - ref) <= drift
+            with mp.workdps(dps):
+                u = mpf(2) ** -mp.prec
+            with mp.workdps(2 * dps):
+                # Terms fall monotonically past the first few, so once one
+                # is below 2^-20 u of the sum, the rest of 20 000 add less
+                # than u / 32 of it and the reference stops there.
+                tiny = u * mpf(2) ** -20
+                partial, sums = mpf(0), {}
+                for n in range(1, max(n_maxes) + 1):
+                    term = transverse_integral(n * pi / a, eps) * exp(lam * eps * n * pi / a)
+                    partial += term
+                    if n in n_maxes:
+                        sums[n] = partial
+                    if term < tiny * partial:
+                        break
+                head = transverse_integral(0, eps) / 2
+            with mp.workdps(dps):
+                for n_max in n_maxes:
+                    terms = sums.get(n_max, partial)
+                    for field, ref in (
+                        (FieldKind.ELECTROMAGNETIC, head + terms),
+                        (FieldKind.SCALAR, terms / 2),
+                    ):
+                        res = energy_mode_sum(geom, cutoff, field=field, n_max=n_max)
+                        drift = _DRIFT_C * (n_max + 2) * u * ref
+                        assert abs(res.value - ref) <= drift
+
+    def test_long_slow_sum_within_drift_at_low_precision(self):
+        # At eps = 0.003 thousands of terms matter at 15 digits, and the
+        # terms past 20 000 are below 1e-40 of the sum, so the closed form
+        # is the reference for the partial sum and the bound is all drift.
+        with mp.workdps(15):
+            geom, cutoff = PlateGeometry(mpf("1.3")), CutoffParams(mpf("0.003"), mpf("0.2"))
+            for field in FieldKind:
+                res = energy_mode_sum(geom, cutoff, field=field, n_max=20000)
+                with mp.workdps(30):
+                    exact = energy_closed_form(geom, cutoff, field=field)
+                    assert abs(res.value - exact) <= res.remainder_bound
+                    assert res.remainder_bound < 1e-10 * exact
 
     @pytest.mark.parametrize("dps", [15, 20, 30, 50])
     def test_bound_holds_at_every_precision(self, dps):
@@ -199,13 +235,13 @@ class TestEnergyModeSum:
                         assert abs(res.value - exact) <= res.remainder_bound
 
     def test_tolerance_below_rounding_floor_fails_up_front(self):
-        # At 15 digits the default 1e-30 cannot be certified; the sum
+        # At 15 digits a tolerance of 1e-30 cannot be certified; the sum
         # used to return it with a bound 15 orders too small.
         with mp.workdps(15):
             geom = PlateGeometry(1)
             cutoff = CutoffParams(mpf("0.01"), mpf("0.3"))
             with pytest.raises(NotConverged, match="rounding drift"):
-                energy_mode_sum(geom, cutoff)
+                energy_mode_sum(geom, cutoff, tol=mpf("1e-30"))
 
     def test_cap_failure_is_predicted_up_front(self):
         geom = PlateGeometry(1)
@@ -214,6 +250,85 @@ class TestEnergyModeSum:
             energy_mode_sum(geom, cutoff)
         predicted = int(re.search(r"stopping index (\d+)", str(info.value)).group(1))
         assert 2 * 10**5 < predicted < 3 * 10**5
+
+    def test_fast_decay_keeps_q_to_full_precision(self):
+        # q = e^-126 vanishes beside 1 at 20 digits, so it is taken from
+        # the exponential, not from 1 - (1 - q).  The scalar sum is then
+        # about q p(1), which the closed form resolves only at high
+        # precision, after cancelling about 60 digits.
+        with mp.workdps(20):
+            geom, cutoff = PlateGeometry(mpf("0.5")), CutoffParams(20, 0)
+            for n_max in (None, 2):
+                res = energy_mode_sum(geom, cutoff, field=FieldKind.SCALAR, n_max=n_max)
+                with mp.workdps(120):
+                    exact = energy_closed_form(geom, cutoff, field=FieldKind.SCALAR)
+                    assert abs(res.value - exact) <= res.remainder_bound < 1e-15 * exact
+
+    def test_head_dominated_sum_keeps_its_integers_small(self):
+        # At eps = 1e300 the massive terms are below 2^-(10^300) of the
+        # n = 0 head; the fixed-point unit follows the head, not term_1.
+        geom, cutoff = PlateGeometry(1), CutoffParams(mpf("1e300"), 0)
+        res = energy_mode_sum(geom, cutoff)
+        assert res.n_max == 1
+        assert abs(res.value - energy_closed_form(geom, cutoff)) <= res.remainder_bound
+
+    def test_predicted_index_matches_plain_bisection(self):
+        def plain(x, q_up, A, B, C, limit):
+            def meets(n):
+                m = n + 1
+                return _tail(n, exp(m * x) * ((A * m + B) * m + C), q_up) <= limit
+
+            lo, hi = 0, _AUTO_N_CAP
+            while not meets(hi):
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+            return hi
+
+        rng = random.Random(11)
+        cases = [
+            (50, rng.uniform(0.5, 2.0), rng.uniform(0.05, 0.5), rng.uniform(0.0, 0.9), "1e-30")
+            for _ in range(6)
+        ] + [
+            (50, 1, "1e-4", 0, "1e-30"),  # past the cap
+            (50, 1, "1e-7", "0.5", "1e-30"),  # far past the cap
+            (50, "0.5", 20, 0, "1e-30"),  # the first mode decides
+            (50, 1, "0.1", "0.999", "1e-30"),  # lambda near 1
+            (15, 1, "0.05", "0.3", "1e-5"),
+            (15, 2, "0.5", "0.9", "0.5"),  # a loose tolerance
+            (200, 1, "0.01", "0.6", "1e-150"),
+            (200, "0.7", "0.2", 0, "1e-190"),
+        ]
+        for dps, a, eps, lam, tol in cases:
+            with mp.workdps(dps):
+                geom, cutoff = PlateGeometry(mpf(a)), CutoffParams(mpf(eps), mpf(lam))
+                x, q, _, A, B, C = _tower(geom, cutoff, mpf(1))
+                q_up = q * (1 + 8 * mpf(2) ** -mp.prec)
+                limit = mpf(tol) * energy_closed_form(geom, cutoff)
+                expected = plain(x, q_up, A, B, C, limit)
+                assert _predict_stop(x, q_up, A, B, C, limit) == expected
+
+    def test_auto_call_makes_at_most_four_exponentials(self, monkeypatch):
+        calls = []
+        for name in ("exp", "expm1"):
+            real = getattr(casimir_cutoff.modesum, name)
+
+            def counted(*args, real=real):
+                calls.append(1)
+                return real(*args)
+
+            monkeypatch.setattr(casimir_cutoff.modesum, name, counted)
+        rng = random.Random(3)
+        for dps in (15, 50, 200):
+            with mp.workdps(dps):
+                for _ in range(4):
+                    geom = PlateGeometry(mpf(rng.uniform(0.5, 2.0)))
+                    cutoff = CutoffParams(mpf(rng.uniform(0.01, 0.5)), mpf(rng.uniform(0.0, 0.9)))
+                    for field in FieldKind:
+                        calls.clear()
+                        energy_mode_sum(geom, cutoff, field=field)
+                        assert 1 <= len(calls) <= 4
 
     def test_scalar_halves_the_massive_tower(self):
         # Scalar = (EM - half the n=0 term) / 2: one polarization per
