@@ -13,7 +13,7 @@ hashable and survive precision changes without silent rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from mpmath import mp, mpf, cosh, sinh, cos, sin, sqrt, fabs
+from mpmath import mp, mpf, cosh, sinh, cos, sin, sqrt, fabs, fprod
 
 from .precision import to_mpf
 
@@ -119,17 +119,43 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
+def _check_metric(m: Matrix, factors: tuple[Matrix, ...] = ()) -> None:
+    """Raise ValueError unless m preserves the metric to within rounding.
+
+    g is diagonal, so (m^T g m)_{ij} is the sum over k of m[k][i] (g_k
+    m[k][j]); it is symmetric, so only the upper triangle is formed.  Its
+    entries sum products of two entries of m, so the tolerance scales
+    with max(1, max |m|)^2; for a product, whose entries carry the
+    rounding of its factors' entries, also with the product of
+    max(1, max |f|) over the factors, the larger when the product
+    cancels, as boost(r) after boost(-r) does.
+    """
+    # g m: g = diag(-1, 1, 1, 1) only negates the t row, exactly.
+    gm = (tuple(-e for e in m[0]),) + m[1:]
+    worst = mpf(0)
+    for i in range(DIM):
+        for j in range(i, DIM):
+            acc = mpf(0)
+            for k in range(DIM):
+                acc += m[k][i] * gm[k][j]
+            worst = max(worst, fabs(acc - METRIC_DIAG[i] if i == j else acc))
+    tol = _validation_tol()
+    if worst > tol and worst > tol * max(
+        max(1, _largest(m)) ** 2, fprod(max(1, _largest(f)) for f in factors)
+    ):
+        raise ValueError(f"matrix does not preserve the metric: defect {mp.nstr(worst, 8)}")
+
+
 @dataclass(frozen=True)
 class LorentzTransform:
     """Metric-preserving linear map, validated at construction.
 
     The defect max |(L^T g L - g)_{ij}| must stay below a tolerance tied
-    to the working precision; exact inputs (integer entries, or matrices
-    built by boost/rotation_xy at current precision) pass with room to
-    spare.  Every construction runs the check, including the results of
-    ``compose`` and ``inverse``.  Because g is diagonal, (L^T g L)_{ij}
-    is the sum over k of m[k][i] (g_k m[k][j]); it is symmetric in
-    (i, j), so only the upper triangle is formed.
+    to the working precision and scaled by the size of the entries
+    (_check_metric); exact inputs (integer entries, or matrices built by
+    boost/rotation_xy at current precision) pass with room to spare.
+    Every construction runs the check, including the results of
+    ``compose``, which scales it by its factors, and ``inverse``.
     """
 
     matrix: Matrix
@@ -137,22 +163,7 @@ class LorentzTransform:
     def __post_init__(self):
         m = _as_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        # g m: g = diag(-1, 1, 1, 1) only negates the t row, exactly.
-        gm = (tuple(-e for e in m[0]),) + m[1:]
-        worst = mpf(0)
-        for i in range(DIM):
-            for j in range(i, DIM):
-                acc = mpf(0)
-                for k in range(DIM):
-                    acc += m[k][i] * gm[k][j]
-                worst = max(worst, fabs(acc - METRIC_DIAG[i] if i == j else acc))
-        # Each entry of L^T g L sums products of two entries of L, so the
-        # tolerance scales with max(1, max |L|)^2, which is at least 1.
-        tol = _validation_tol()
-        if worst > tol and worst > tol * max(1, _largest(m)) ** 2:
-            raise ValueError(
-                f"matrix does not preserve the metric: defect {mp.nstr(worst, 8)}"
-            )
+        _check_metric(m)
 
     def apply(self, v: FourVector) -> FourVector:
         comps = v.components()
@@ -165,7 +176,11 @@ class LorentzTransform:
 
     def compose(self, other: "LorentzTransform") -> "LorentzTransform":
         """self after other: (self.compose(other)).apply(v) = self(other(v))."""
-        return LorentzTransform(_mat_mul(self.matrix, other.matrix))
+        m = _mat_mul(self.matrix, other.matrix)
+        _check_metric(m, (self.matrix, other.matrix))
+        product = object.__new__(LorentzTransform)
+        object.__setattr__(product, "matrix", m)
+        return product
 
     def inverse(self) -> "LorentzTransform":
         """The inverse g L^T g, entry (i, j) = g_i m[j][i] g_j.

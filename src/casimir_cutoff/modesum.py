@@ -11,15 +11,14 @@ dominated by a geometric series, which gives a certified remainder
 bound rather than a heuristic one.
 
 Each term is q^n times a quadratic in n, with q = exp((lambda - 1)
-epsilon pi / a), so the sum runs as a recurrence that needs a single
-exponential for all its terms, on Python integers rather than mpf
-objects: a renormalised mantissa for q^n, exact forward differences for
-the quadratic and a fixed-point partial sum.  The same structure gives
-the infinite sum in closed form, from which the index where the bound
-meets the tolerance is predicted before any summing, estimated in
-double precision and confirmed by two exact probes; parameters that
-would need more modes than the cap fail at once.  The bound also covers
-the rounding drift of the recurrence, and the default tolerance follows
+epsilon pi / a), so one exponential serves every term, and the
+geometric moments of q^n give both the infinite sum and, as its
+difference with the terms past n, every partial sum in closed form:
+the cost of a sum does not depend on how many modes it holds.  The
+index where the bound meets the tolerance is estimated in double
+precision and confirmed by two exact evaluations of the closed form;
+parameters that would need more modes than the cap fail at once.  The
+bound also covers the rounding drift, and the default tolerance follows
 the working precision, so a sum is certified at every precision.
 
 The same energy has a closed form: a second derivative of a coth
@@ -35,7 +34,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from mpmath import cos, coth, csch, exp, expm1, ldexp, mag, mp, mpc, mpf, pi, sin, sqrt
+from mpmath import cos, coth, csch, exp, ldexp, mag, mp, mpc, mpf, pi, sin, sqrt
 
 from .errors import (
     CutoffDomain,
@@ -46,42 +45,29 @@ from .errors import (
 )
 from .precision import to_mpf
 
-# Iteration cap for the self-extending mode sum; a stopping index past
-# it signals parameters too close to the convergence boundary for
-# direct summation.
+# Cap on the automatic stopping index; past it the parameters are too
+# close to the convergence boundary for a mode sum.
 _AUTO_N_CAP = 50_000
-# Rounding drift of the recurrence: c in c (n + 2) u (S_n + tail_n),
-# with u = 2^-prec.  q, A, B, C enter within u of their exact values
-# (_tower).  From there the recurrence runs on integers of F = prec + G
-# bits (G = _GUARD), whose truncations are at most w = 2^-F = u 2^-G
-# relative each; the checked steps round to prec bits (u each) and the
-# bound is formed in mpf.  Every quantity is positive, so errors
-# compound multiplicatively; while n u <= 1e-4, k roundings cost at
-# most 1.0001 times their sum.  Counting them:
-# - q^n: n u from the rounding of q, and n - 1 truncated products of
-#   two mantissas of at least F - 1 bits, each below 4w;
-# - p(n): exact integer forward differences from A, B, C, so u;
-# - S_n: the terms' own (n + 1) u + 4 (n - 1) w; the fixed-point sum
-#   drops under one unit, at most 2^-F of the larger of term_1 and the
-#   head, so at most w S_n, at each of its n + 1 additions (the head
-#   included); u to round it to prec bits.  In all
-#   (n + 2) u + (5n - 3) w;
-# - tail_n = term_{n+1} / (1 - rho_n): (n + 2) u + 4n w for the term,
-#   u to round it, u each for 1 - rho_n and the division, where rho_n
+# Rounding drift: c in c (n + 2) u (S_n + tail_n), with u = 2^-prec.
+# q, A, B, C enter within u of their exact values (_tower) and are then
+# taken as exact: _partial_sums evaluates the partial sum of the series
+# they define at prec + g bits and rounds it once to prec.  Every
+# quantity is positive, so errors compound multiplicatively; while
+# n u <= 1e-4, k roundings cost at most 1.0001 times their sum.
+# Counting them:
+# - S_n: term m carries m u from q^m and u from p(m), the head u, so
+#   the partial sum of the rounded series is within (n + 1) u of the
+#   exact one; its evaluation at prec + g bits stays within 2^-20 u
+#   (_partial_sums), and rounding it to prec costs u;
+# - tail_n = term_{n+1} / (1 - rho_n): (n + 2) u from the inputs, u to
+#   round the term, u each for 1 - rho_n and the division, where rho_n
 #   is formed from q (1 + 8u), which keeps it above the exact ratio
-#   bound; (n + 5) u + 4n w.
-# So |E - S_n| <= tail_n + ((n + 5) u + 5n w) (S_n + tail_n) up to the
-# factor 1.0001.  G = 2 makes 5n w <= 1.25 n u, so the drift stays
-# below (3n + 8) u (S_n + tail_n) at every n, and c = 5 leaves
-# (2n + 2) u (S_n + tail_n) for rounding the bound itself.
+#   bound; (n + 5) u.
+# So |E - S_n| <= tail_n + (n + 6) u (S_n + tail_n) up to the factor
+# 1.0001, and c = 5 leaves (4n + 4) u (S_n + tail_n) for rounding the
+# bound itself.
 _DRIFT_C = 5
-_GUARD = 2
-# The per-step stopping rule starts this many modes below the predicted
-# index.  Rounding moves the prediction by a relative O(n u), far less
-# than the per-mode decay 1 - rho_n of the tail it is read from.
-_CHECK_MARGIN = 2
-# The double-precision estimate of the stopping index searches no
-# further than this; exact probes widen past it if they must.
+# The float estimate of the stopping index searches no further.
 _ESTIMATE_LIMIT = 1 << 62
 _LN2 = math.log(2)
 
@@ -179,30 +165,67 @@ def transverse_integral(m, epsilon) -> mpf:
 
 
 def _tower(geom: PlateGeometry, cutoff: CutoffParams, weight: mpf):
-    """x = log q, q, 1 - q and (A, B, C): term_n = q^n (A n^2 + B n + C).
+    """x = log q, q and (A, B, C): term_n = q^n (A n^2 + B n + C).
 
     The weight and the 1/2pi of the transverse integral are folded into
     A, B and C.  Everything is evaluated with guard bits and rounded
     once, so each value is within 2^-prec relative of its exact value,
     as _DRIFT_C assumes; rounding x itself would cost |x| units in the
-    last place of q, hence guard bits that grow with the size of x.  The
-    smaller of q and 1 - q comes from the exponential and the other by
-    subtraction, which then cancels at most one bit.
+    last place of q, hence guard bits that grow with the size of x.
     """
     eps = cutoff.epsilon
     x = (cutoff.lam - 1) * eps * pi / geom.a
     with mp.extraprec(20 + max(0, mag(x))):
         x = (cutoff.lam - 1) * eps * pi / geom.a
-        if x < -_LN2:
-            q = exp(x)
-            one_minus_q = 1 - q
-        else:
-            one_minus_q = -expm1(x)
-            q = 1 - one_minus_q
+        q = exp(x)
         k = pi / geom.a
         f = weight / (2 * pi * eps)
-        parts = (x, q, one_minus_q, f * k * k, 2 * f * k / eps, 2 * f / eps**2)
+        parts = (x, q, f * k * k, 2 * f * k / eps, 2 * f / eps**2)
     return tuple(+v for v in parts)
+
+
+def _partial_sums(q: mpf, A: mpf, B: mpf, C: mpf, head: mpf):
+    """Whole sum U and n -> (S_n, term_{n+1}) for head + sum q^n p(n), n >= 1.
+
+    p(n) = A n^2 + B n + C, q <= 1, and q, A, B, C are taken as exact.
+    The geometric moments of q^n give U = head + q r (A (1 + q) r^2 +
+    B r + C), with r = 1 / (1 - q), and the terms past n, with N = n + 1:
+    T_n = q^N [p(N) r + (2 A N + B) q r^2 + A q (1 + q) r^3], every part
+    positive.  So S_n = U - T_n whatever n is, from one integer power.
+    Since S_n >= head + term_1, the difference cancels at most
+    U / (head + term_1) < 2^(d + 2), with d the difference of their
+    magnitudes; working at prec + g bits, g = 30 + d, keeps the few
+    dozen roundings of U and T_n, each 2^-(prec + g) of U, below
+    2^-20 u of S_n.  Each value is rounded once to prec bits.
+    """
+    if q == 1:  # rounded to 1: U is infinite, and S_n a sum of powers of n
+
+        def flat(n: int) -> tuple[mpf, mpf]:
+            N = n + 1
+            return head + n * ((A * (2 * n + 1) / 3 + B) * N / 2 + C), (A * N + B) * N + C
+
+        return mpf("inf"), flat
+
+    def moments():
+        r = 1 / (1 - q)
+        qr, a1 = q * r, A * (1 + q) * r
+        return r, qr, a1, head + qr * ((a1 + B) * r + C)
+
+    U = moments()[3]
+    g = 30 + max(0, mag(U) - mag(head + q * (A + B + C)))
+    with mp.extraprec(g):
+        r, qr, a1, U_g = moments()
+
+    def at(n: int) -> tuple[mpf, mpf]:
+        N = n + 1
+        with mp.extraprec(g):
+            qN, an = q**N, A * N
+            p = (an + B) * N + C
+            S = U_g - qN * r * (p + qr * (an + an + B + a1))
+            term = qN * p
+        return +S, +term
+
+    return U, at
 
 
 def _first_true(ok, lo: int, hi: int) -> int:
@@ -238,20 +261,13 @@ def _ln(v: mpf) -> float:
 
 
 def _predict_stop(x, q_up, A, B, C, limit) -> int:
-    """First n >= 1 with tail_n <= limit, where term_n = e^(n x) (A n^2 + B n + C).
+    """Estimate of the first n >= 1 with tail_n <= limit, where term_n = e^(n x) p(n).
 
     Past the first n with rho_n < 1 the tail is decreasing in n (a
     decreasing term over a growing 1 - rho_n), so the condition is
-    monotone.  Its crossing is estimated in double precision from
-    logarithms, which cost no exp; exact probes then confirm it from
-    both sides, widening the bracket while a probe fails, and bisect
-    whatever bracket remains.  An exact estimate costs two exp calls.
+    monotone.  Its crossing is found in double precision from
+    logarithms, which cost no exp, by doubling and bisection.
     """
-
-    def meets(n: int) -> bool:
-        m = n + 1
-        return _tail(n, exp(m * x) * ((A * m + B) * m + C), q_up) <= limit
-
     # p(m) = s (a m^2 + b m + c) with max(a, b, c) = 1 keeps the floats
     # in range whatever the size of A, B, C.
     s = max(A, B, C)
@@ -260,7 +276,7 @@ def _predict_stop(x, q_up, A, B, C, limit) -> int:
     xf = float(x)
     ln_q_up, goal = xf + 8 * 2.0**-mp.prec, _ln(limit) - _ln(s)
 
-    def meets_estimate(n: int) -> bool:
+    def meets(n: int) -> bool:
         m = n + 1
         ln_rho = ln_q_up + 2 * math.log1p(1 / m)
         if ln_rho >= 0:
@@ -269,9 +285,18 @@ def _predict_stop(x, q_up, A, B, C, limit) -> int:
         return m * xf + ln_p - math.log(-math.expm1(ln_rho)) <= goal
 
     hi = 1
-    while hi < _ESTIMATE_LIMIT and not meets_estimate(hi):
+    while hi < _ESTIMATE_LIMIT and not meets(hi):
         hi *= 2
-    n = _first_true(meets_estimate, hi // 2, hi)
+    return _first_true(meets, hi // 2, hi)
+
+
+def _search_from(meets, n: int) -> int:
+    """First m >= 1 with meets(m), for meets monotone, probing n and n - 1 first.
+
+    A probe on the wrong side of the crossing widens the bracket outward,
+    doubling its step, and the bracket left is bisected.  Returns an
+    index past _AUTO_N_CAP if meets holds nowhere up to the cap.
+    """
     step = 1
     if meets(n):
         lo, hi = n - 1, n
@@ -281,6 +306,8 @@ def _predict_stop(x, q_up, A, B, C, limit) -> int:
     else:
         lo, hi = n, n + 1
         while not meets(hi):
+            if hi > _AUTO_N_CAP:
+                return hi
             lo, hi = hi, hi + step
             step *= 2
     return _first_true(meets, lo, hi)
@@ -301,27 +328,24 @@ def energy_mode_sum(
     n = 0 entirely.
 
     Term n is q^n (A n^2 + B n + C) with q = exp((lambda - 1) eps pi / a),
-    so the sum runs as a recurrence on Python integers: q^n is a
-    mantissa of a few bits more than prec, renormalised after each
-    product so that late, tiny terms keep their relative precision; the
-    quadratic advances by exact integer forward differences; and the
-    partial sum is a fixed-point integer.  Only the checked steps form
-    mpf values.  The remainder bound is the geometric tail
-    term_{n+1} / (1 - rho_n), with rho_n = q ((n + 2) / (n + 1))^2, plus
-    the rounding drift 5 (n + 2) 2^-prec (S_n + tail) of the recurrence
-    itself.
+    so S_n is the whole sum less the terms past n, both in closed form
+    from the geometric moments of q^n (_partial_sums): one exponential
+    and one integer power of q, whatever n is.  The remainder bound is
+    the geometric tail term_{n+1} / (1 - rho_n), with rho_n = q ((n + 2)
+    / (n + 1))^2, plus the rounding drift 5 (n + 2) 2^-prec (S_n + tail).
 
     With n_max given, sums exactly that range and reports the bound
     (NotConverged only if a tolerance is also given and the bound
     misses it).  With n_max omitted, returns the first n whose bound is
-    within the relative tolerance of the partial sum; the default is
-    1e-30, or 10^(10 - dps) where the working precision cannot reach
-    1e-30.  That index is predicted before summing, from the
-    closed-form geometric moments of the infinite sum: a
-    double-precision estimate confirmed by two exact probes.
-    NotConverged is raised at once if it exceeds the 50 000-mode cap,
-    or if the rounding drift there already exceeds the tolerance.  A
-    tolerance that is not positive raises ValueError.
+    within the relative tolerance of S_n; the default is 1e-30, or
+    10^(10 - dps) where the working precision cannot reach 1e-30.  That
+    index is estimated in double precision from the whole sum, then the
+    rule is evaluated at the estimate and one below it, the same
+    evaluation a given n_max makes, so both give the same result.
+    NotConverged is raised before any such probe if the estimate exceeds
+    the 50 000-mode cap, if the rounding drift there already exceeds the
+    tolerance, or if q rounds so close to 1 that the terms no longer
+    decay.  A tolerance that is not positive raises ValueError.
     """
     rel_tol = _default_tol() if tol is None else to_mpf(tol)
     if not rel_tol > 0:
@@ -335,23 +359,32 @@ def energy_mode_sum(
     else:
         raise InvalidMode(f"unknown field kind: {field!r}")
 
-    x, q, one_minus_q, A, B, C = _tower(geom, cutoff, weight)
+    x, q, A, B, C = _tower(geom, cutoff, weight)
     head = C / 2 if field is FieldKind.ELECTROMAGNETIC else mpf(0)
     u = ldexp(mpf(1), -mp.prec)
     # Keeps the computed rho_n above the exact one despite its roundings.
     q_up = q * (1 + 8 * u)
+    if n_max is None and q_up >= 1:
+        raise NotConverged(f"mode terms do not decay at {mp.prec}-bit precision")
 
     def drift_per_unit(n: int) -> mpf:
         return _DRIFT_C * (n + 2) * u
 
+    whole, partial = _partial_sums(q, A, B, C, head)
+    checked = {}
+
+    def bounded(n: int) -> tuple[mpf, mpf]:
+        if n not in checked:
+            s, term = partial(n)
+            t = _tail(n, term, q_up)
+            checked[n] = s, t + drift_per_unit(n) * (s + t)
+        return checked[n]
+
+    def meets(n: int) -> bool:
+        s, bound = bounded(n)
+        return bound <= rel_tol * s
+
     if n_max is None:
-        if q_up >= 1:
-            raise NotConverged(f"mode terms do not decay at {mp.prec}-bit precision")
-        # The geometric moments sum q^n, n q^n and n^2 q^n give the whole
-        # sum, which bounds every partial sum.
-        whole = head + q / one_minus_q * (
-            A * (1 + q) / one_minus_q**2 + B / one_minus_q + C
-        )
         predicted = _predict_stop(x, q_up, A, B, C, rel_tol * whole)
         if predicted > _AUTO_N_CAP:
             raise NotConverged(
@@ -364,53 +397,16 @@ def energy_mode_sum(
                 f"drift {mp.nstr(drift_per_unit(predicted), 3)} of {mp.prec}-bit "
                 f"arithmetic at the predicted stopping index {predicted}"
             )
-        start = max(1, predicted - _CHECK_MARGIN)
-    else:
-        start = n_max
-
-    # q = qm 2^(-F-k) with qm of exactly F bits; k = 0 for q >= 1/2.
-    F = mp.prec + _GUARD
-    qm, k = q.man << (F - q.bc), -q.exp - q.bc
-    # A, B, C = (a, b, c) 2^e_p exactly, with p(1) = a + b + c >= 4.
-    e_p = min(A.exp, B.exp, C.exp) - 2
-    a, b, c = (int(ldexp(v, -e_p)) for v in (A, B, C))
-    # The sum's unit 2^e_s is at most 2^-F of term_1 and of the head,
-    # and S_n is at least either.
-    e_s = (qm * (a + b + c)).bit_length() - 1 - k - 2 * F + e_p
-    if head:
-        e_s = max(e_s, head.exp + head.bc - 1 - F)
-    # Term n is (mant p) 2^(e_s - sh), mant the F-bit mantissa of q^n.
-    mant, sh, low = 1 << F, e_s - e_p + F, 1 << (F - 1)
-    total = int(ldexp(head, -e_s))
-    p, dp, d2 = c, a + b, 2 * a  # p(0), p(1) - p(0), p''
-    n = 0
-    while True:
-        mant = mant * qm >> F
-        if mant < low:
-            mant <<= 1
-            sh += 1
-        sh += k
-        p += dp
-        dp += d2
-        prod = mant * p  # term_{n+1} = prod 2^(e_s - sh)
-        if n >= start:
-            term, partial = mpf((prod, e_s - sh)), mpf((total, e_s))
-            t = _tail(n, term, q_up)
-            bound = t + drift_per_unit(n) * (partial + t)
-            if n_max is not None:
-                if tol is not None and not bound <= rel_tol * partial:
-                    raise NotConverged(
-                        f"remainder bound {bound} exceeds tolerance at n_max = {n}"
-                    )
-                return ModeSumResult(partial, bound, n)
-            if bound <= rel_tol * partial:
-                return ModeSumResult(partial, bound, n)
-            if n >= _AUTO_N_CAP or drift_per_unit(n) >= rel_tol:
-                raise NotConverged(
-                    f"remainder bound not below {rel_tol} within {n} modes"
-                )
-        total += prod >> sh
-        n += 1
+        n_max = _search_from(meets, predicted)
+        if n_max > _AUTO_N_CAP:
+            raise NotConverged(
+                f"remainder bound not below {rel_tol} within {_AUTO_N_CAP} modes"
+            )
+    elif tol is not None and not meets(n_max):
+        raise NotConverged(
+            f"remainder bound {bounded(n_max)[1]} exceeds tolerance at n_max = {n_max}"
+        )
+    return ModeSumResult(*bounded(n_max), n_max)
 
 
 def energy_closed_form(

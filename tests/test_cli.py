@@ -264,6 +264,134 @@ class TestPinnedOutputs:
         assert [r[header.index(column)] for r in rows] == expected
 
 
+# energy-sum rows printed by the integer-recurrence release of the mode
+# sum: the auto path at 50, 100 and 200 digits and given n_max at 50,
+# for both fields.  However the sum is formed, no printed digit moves.
+_PINNED_ENERGY_SUM = [
+    (
+        ("--a", "1.2", "--lambda", "0.45", "--epsilon", "0.05:0.2:2"),
+        "em",
+        [
+            "1.2,0.45,0.05,1062,216594.0658845397815771958942818714263804,2.1411612385113"
+            "51641801650935581790818176e-25",
+            "1.2,0.45,0.2,266,845.3310310151447540575861452285594466223,6.522318302498951"
+            "894896262778423770689283e-28",
+        ],
+    ),
+    (
+        ("--a", "1.2", "--lambda", "0.45", "--epsilon", "0.05:0.2:2"),
+        "scalar",
+        [
+            "1.2,0.45,0.05,1062,107660.4131699023094455224120874456557421,1.0705806192556"
+            "75820855564640479490858748e-25",
+            "1.2,0.45,0.2,266,412.718331564328918543237837403497575684,3.2611591512494759"
+            "47270001958416296477584e-28",
+        ],
+    ),
+    (
+        ("--a", "0.7", "--lambda", "0.3", "--epsilon", "0.1", "--precision", "100"),
+        "em",
+        [
+            "0.7,0.3,0.1,243,4524.8267179527782266809407298203189790945183635539549411440"
+            "5572021960370023766366940944178,0.000000000000000000000000003774934901936956"
+            "14866942476933255214406219048566437926569452656690329084484422853506024452",
+        ],
+    ),
+    (
+        ("--a", "0.7", "--lambda", "0.3", "--epsilon", "0.1", "--precision", "100"),
+        "scalar",
+        [
+            "0.7,0.3,0.1,243,2182.8358874304414454560284832239023085300293589067492461981"
+            "9418808035345130171856715966399,0.000000000000000000000000001887467450968478"
+            "07433471238466627607203109524283218963284726328345164472603988243159772316",
+        ],
+    ),
+    (
+        ("--a", "1.5", "--lambda", "0.8", "--epsilon", "0.2", "--precision", "200"),
+        "em",
+        [
+            "1.5,0.8,0.2,918,14722.121406098716874849514252181422576768832768300129543571"
+            "3821895417196015198033954992846941676559445444037319193793113167557939237856"
+            "9466097156340665899869536577132211164217478050513747764,0.000000000000000000"
+            "0000000138478766283088848312895274155212212899587649900830149157627044272675"
+            "3179021055931429371249332862950553456969043500763208217007414766076485683888"
+            "129037304199917597134921209971093639222192825",
+        ],
+    ),
+    (
+        ("--a", "1.5", "--lambda", "0.8", "--epsilon", "0.2", "--precision", "200"),
+        "scalar",
+        [
+            "1.5,0.8,0.2,918,7351.1135191061149789392018908799291407572626562912862437389"
+            "6188576717875090776253930651023441093715439994731328926728328107208997151068"
+            "616468090874015876810773105816312223302004193520958901,0.0000000000000000000"
+            "0000000692393831415444241564476370776061064497938249504150745788135221363376"
+            "5895105279657146856246664314752767284845217503816041085037073830382428419440"
+            "645186520999587985674606012494263009306763541",
+        ],
+    ),
+    (
+        ("--a", "1.3", "--lambda", "0.2", "--epsilon", "0.003", "--n-max", "1"),
+        "em",
+        [
+            "1.3,0.2,0.003,1,17700988.23598299381823308241698986174994,+inf",
+        ],
+    ),
+    (
+        ("--a", "1.3", "--lambda", "0.2", "--epsilon", "0.003", "--n-max", "1"),
+        "scalar",
+        [
+            "1.3,0.2,0.003,1,5903180.357030472172655730775670590837295,+inf",
+        ],
+    ),
+    (
+        ("--a", "1.3", "--lambda", "0.2", "--epsilon", "0.003", "--n-max", "200"),
+        "em",
+        [
+            "1.3,0.2,0.003,200,2577811424.318870950337506365692306019161,+inf",
+        ],
+    ),
+    (
+        ("--a", "1.3", "--lambda", "0.2", "--epsilon", "0.003", "--n-max", "200"),
+        "scalar",
+        [
+            "1.3,0.2,0.003,200,1285958398.398474450432292372413328669543,+inf",
+        ],
+    ),
+    (
+        ("--a", "1.3", "--lambda", "0.2", "--epsilon", "0.003", "--n-max", "20000"),
+        "em",
+        [
+            "1.3,0.2,0.003,20000,7749583705.543876548409107698785206224379,1.128019553730"
+            "489655665545901180915659891e-36",
+        ],
+    ),
+    (
+        ("--a", "1.3", "--lambda", "0.2", "--epsilon", "0.003", "--n-max", "20000"),
+        "scalar",
+        [
+            "1.3,0.2,0.003,20000,3871844539.010977249468093038959778772152,5.636158636673"
+            "70491899231452452313860149e-37",
+        ],
+    ),
+]
+
+
+class TestPinnedEnergySum:
+    """energy-sum stdout and exit codes, digit for digit."""
+
+    @pytest.mark.parametrize("args, field, expected", _PINNED_ENERGY_SUM)
+    def test_rows_unchanged(self, capsys, args, field, expected):
+        code, out, _ = run_cli(capsys, "energy-sum", *args, "--field", field)
+        assert code == 0
+        assert out.splitlines() == ["a,lambda,epsilon,n_max,energy,remainder_bound"] + expected
+
+    def test_cap_failure_unchanged(self, capsys):
+        code, out, _ = run_cli(capsys, "energy-sum", "--epsilon", "1e-4", "--lambda", "0")
+        assert code == 3
+        assert out == "a,lambda,epsilon,n_max,energy,remainder_bound\n1.0,0.0,0.0001,,,\n"
+
+
 class TestOutputs:
     """Schemas, values, and round-trip precision."""
 

@@ -177,6 +177,26 @@ class TestLorentzTransform:
         ell = rotation_xy(mpf("0.3")).compose(boost(20))
         assert ell.inverse().matrix[1][0] == -ell.matrix[0][1]
 
+    @pytest.mark.parametrize("r", [13, 20])
+    def test_cancelling_boosts_compose(self, r):
+        # The product is the identity, but its entries carry the rounding
+        # of cosh(r)^2 - sinh(r)^2, far above 1e-40 at r >= 13.
+        both = boost(r).compose(boost(-r))
+        assert max(abs(both.matrix[i][i] - 1) for i in range(DIM)) < mpf("1e-30")
+
+    @pytest.mark.parametrize("r", [13, 20])
+    def test_compose_still_rejects_a_real_defect(self, r, monkeypatch):
+        real = casimir_cutoff.minkowski._mat_mul
+
+        def perturbed(a, b):
+            rows = [list(row) for row in real(a, b)]
+            rows[0][1] += mpf("1e-20")
+            return tuple(tuple(row) for row in rows)
+
+        monkeypatch.setattr(casimir_cutoff.minkowski, "_mat_mul", perturbed)
+        with pytest.raises(ValueError, match="defect"):
+            boost(r).compose(boost(-r))
+
     def test_defect_is_worst_entry_of_full_product(self):
         rng = random.Random(5)
         rows = tuple(

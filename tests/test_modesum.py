@@ -9,6 +9,7 @@ normalization and wall conditions.
 import random
 import re
 
+import mpmath
 import pytest
 from mpmath import exp, inf, mp, mpf, nan, pi, quad, sqrt
 
@@ -23,9 +24,7 @@ import casimir_cutoff.modesum
 from casimir_cutoff.modesum import (
     _AUTO_N_CAP,
     _DRIFT_C,
-    _predict_stop,
-    _tail,
-    _tower,
+    _search_from,
     CutoffParams,
     FieldKind,
     ModeIndex,
@@ -264,23 +263,90 @@ class TestEnergyModeSum:
                     exact = energy_closed_form(geom, cutoff, field=FieldKind.SCALAR)
                     assert abs(res.value - exact) <= res.remainder_bound < 1e-15 * exact
 
-    def test_head_dominated_sum_keeps_its_integers_small(self):
+    def test_short_sum_near_q_one_within_drift(self):
+        # With q near 1 and few modes the whole sum exceeds S_n by 2^12
+        # at eps = 1e-3 and 2^42 at 1e-12, so S_n = U - T_n cancels more
+        # than a fixed 30 guard bits could hold, and must still keep the
+        # drift bound against the term-by-term sum.
+        for dps in (15, 50, 200):
+            with mp.workdps(dps):
+                u = mpf(2) ** -mp.prec
+                for text in ("1e-3", "1e-4", "1e-5", "1e-6", "1e-9", "1e-12"):
+                    geom, cutoff = PlateGeometry(mpf("1.3")), CutoffParams(mpf(text), mpf("0.45"))
+                    a, eps, lam = geom.a, cutoff.epsilon, cutoff.lam
+                    with mp.workdps(2 * dps):
+                        head = transverse_integral(0, eps) / 2
+                        terms = [
+                            transverse_integral(n * pi / a, eps) * exp(lam * eps * n * pi / a)
+                            for n in range(1, 51)
+                        ]
+                    for n_max in (1, 5, 50):
+                        with mp.workdps(2 * dps):
+                            partial = sum(terms[:n_max])
+                        for field, ref in (
+                            (FieldKind.ELECTROMAGNETIC, head + partial),
+                            (FieldKind.SCALAR, partial / 2),
+                        ):
+                            res = energy_mode_sum(geom, cutoff, field=field, n_max=n_max)
+                            drift = _DRIFT_C * (n_max + 2) * u * ref
+                            assert abs(res.value - ref) <= drift
+
+    def test_head_dominated_sum_matches_closed_form(self):
         # At eps = 1e300 the massive terms are below 2^-(10^300) of the
-        # n = 0 head; the fixed-point unit follows the head, not term_1.
+        # n = 0 head, yet the scalar sum is made of nothing else.  Their
+        # exponent, about 1e300, takes 1000 bits beyond the working ones.
         geom, cutoff = PlateGeometry(1), CutoffParams(mpf("1e300"), 0)
+        eps = cutoff.epsilon
+        u = mpf(2) ** -mp.prec
+        with mp.extraprec(mp.prec + 1000):
+            head = transverse_integral(0, eps) / 2
+            terms = [transverse_integral(n * pi, eps) for n in (1, 2, 3)]
         res = energy_mode_sum(geom, cutoff)
         assert res.n_max == 1
         assert abs(res.value - energy_closed_form(geom, cutoff)) <= res.remainder_bound
+        for n_max in (1, 3):
+            for field, ref in (
+                (FieldKind.ELECTROMAGNETIC, head + sum(terms[:n_max])),
+                (FieldKind.SCALAR, sum(terms[:n_max]) / 2),
+            ):
+                res = energy_mode_sum(geom, cutoff, field=field, n_max=n_max)
+                assert abs(res.value - ref) <= _DRIFT_C * (n_max + 2) * u * ref
+
+    def test_q_rounded_to_one_still_sums_a_given_range(self):
+        # At eps = 1e-60, q = 1 - 1e-60 is 1 at 50 digits: the whole sum is
+        # infinite, but a given n_max still gets its partial sum, with an
+        # infinite bound, while the auto path refuses.
+        geom, cutoff = PlateGeometry(1), CutoffParams(mpf("1e-60"), mpf("0.5"))
+        eps, lam = cutoff.epsilon, cutoff.lam
+        u = mpf(2) ** -mp.prec
+        with mp.workdps(2 * mp.dps):
+            head = transverse_integral(0, eps) / 2
+            terms = [
+                transverse_integral(n * pi, eps) * exp(lam * eps * n * pi) for n in range(1, 8)
+            ]
+        for n_max in (1, 7):
+            for field, ref in (
+                (FieldKind.ELECTROMAGNETIC, head + sum(terms[:n_max])),
+                (FieldKind.SCALAR, sum(terms[:n_max]) / 2),
+            ):
+                res = energy_mode_sum(geom, cutoff, field=field, n_max=n_max)
+                assert res.remainder_bound == inf
+                assert abs(res.value - ref) <= _DRIFT_C * (n_max + 2) * u * ref
+        with pytest.raises(NotConverged, match="do not decay"):
+            energy_mode_sum(geom, cutoff)
 
     def test_predicted_index_matches_plain_bisection(self):
-        def plain(x, q_up, A, B, C, limit):
+        # The auto n_max is the first index where the full rule, bound
+        # within tol of the partial sum, holds; found here by bisecting
+        # the rule as a given n_max evaluates it.
+        def plain(geom, cutoff, tol):
             def meets(n):
-                m = n + 1
-                return _tail(n, exp(m * x) * ((A * m + B) * m + C), q_up) <= limit
+                res = energy_mode_sum(geom, cutoff, n_max=n)
+                return res.remainder_bound <= tol * res.value
 
+            if not meets(_AUTO_N_CAP):
+                return None
             lo, hi = 0, _AUTO_N_CAP
-            while not meets(hi):
-                lo, hi = hi, 2 * hi
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 lo, hi = (lo, mid) if meets(mid) else (mid, hi)
@@ -303,22 +369,41 @@ class TestEnergyModeSum:
         for dps, a, eps, lam, tol in cases:
             with mp.workdps(dps):
                 geom, cutoff = PlateGeometry(mpf(a)), CutoffParams(mpf(eps), mpf(lam))
-                x, q, _, A, B, C = _tower(geom, cutoff, mpf(1))
-                q_up = q * (1 + 8 * mpf(2) ** -mp.prec)
-                limit = mpf(tol) * energy_closed_form(geom, cutoff)
-                expected = plain(x, q_up, A, B, C, limit)
-                assert _predict_stop(x, q_up, A, B, C, limit) == expected
+                expected = plain(geom, cutoff, mpf(tol))
+                if expected is None:
+                    with pytest.raises(NotConverged, match="cap of 50000 modes"):
+                        energy_mode_sum(geom, cutoff, tol=mpf(tol))
+                else:
+                    assert energy_mode_sum(geom, cutoff, tol=mpf(tol)).n_max == expected
 
-    def test_auto_call_makes_at_most_four_exponentials(self, monkeypatch):
+    def test_search_from_any_estimate(self):
+        # The float estimate is usually exact, so the widening branches
+        # are exercised here on a plain threshold.
+        for first in (1, 2, 7, 1000, _AUTO_N_CAP):
+            starts = {1, max(1, first - 3), max(1, first - 1), first, first + 1, first + 50, 40000}
+            for start in starts:
+                probes = []
+
+                def meets(n, first=first):
+                    probes.append(n)
+                    return n >= first
+
+                assert _search_from(meets, start) == first
+                assert len(probes) <= 2 * abs(first - start).bit_length() + 3
+                if start == first > 1:
+                    assert probes == [first, first - 1]
+        assert _search_from(lambda n: False, 10) > _AUTO_N_CAP
+
+    def test_each_call_makes_one_exponential(self, monkeypatch):
         calls = []
         for name in ("exp", "expm1"):
-            real = getattr(casimir_cutoff.modesum, name)
+            real = getattr(mpmath, name)
 
             def counted(*args, real=real):
                 calls.append(1)
                 return real(*args)
 
-            monkeypatch.setattr(casimir_cutoff.modesum, name, counted)
+            monkeypatch.setattr(casimir_cutoff.modesum, name, counted, raising=False)
         rng = random.Random(3)
         for dps in (15, 50, 200):
             with mp.workdps(dps):
@@ -326,9 +411,10 @@ class TestEnergyModeSum:
                     geom = PlateGeometry(mpf(rng.uniform(0.5, 2.0)))
                     cutoff = CutoffParams(mpf(rng.uniform(0.01, 0.5)), mpf(rng.uniform(0.0, 0.9)))
                     for field in FieldKind:
-                        calls.clear()
-                        energy_mode_sum(geom, cutoff, field=field)
-                        assert 1 <= len(calls) <= 4
+                        for n_max in (None, 1, 200, 20000):
+                            calls.clear()
+                            energy_mode_sum(geom, cutoff, field=field, n_max=n_max)
+                            assert len(calls) == 1
 
     def test_scalar_halves_the_massive_tower(self):
         # Scalar = (EM - half the n=0 term) / 2: one polarization per
