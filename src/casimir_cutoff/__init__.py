@@ -33,7 +33,6 @@ from .minkowski import (
     boost,
     mink_dot,
     rotation_xy,
-    tensor_dot,
     transform_tensor,
 )
 from .laurent import (
@@ -86,7 +85,6 @@ from .stress import (
     scalar_stress,
     second_derivative_tensor,
     s1_structure,
-    s2_structure,
     stress_from_kernel,
 )
 

@@ -38,7 +38,7 @@ from .laurent import extract_coefficient
 from .minkowski import FourVector, SeparationVector, boost, rotation_xy
 from .modesum import CutoffParams, FieldKind, PlateGeometry, energy_mode_sum
 from .precision import configure_precision, to_mpf
-from .stress import covariance_check, em_stress, scalar_stress
+from .stress import _stress_for, covariance_check, em_stress
 
 COMMANDS = ("energy-sum", "energy-expansion", "pressure", "stress", "covariance", "scan")
 
@@ -296,10 +296,7 @@ def _run_stress(cfg: ScanConfig):
             for z in zs:
                 def point(a=a, lam=lam, z=z):
                     cut = CutoffParams(eps_sep.length, lam)
-                    if cfg.field is FieldKind.SCALAR:
-                        d = scalar_stress(PlateGeometry(a), cut, eps_sep, z)
-                    else:
-                        d = em_stress(PlateGeometry(a), cut, eps_sep)
+                    d = _stress_for(cfg.field, PlateGeometry(a), cut, eps_sep, z)
                     t = d.tensor()
                     return [
                         _fmt(d.A), _fmt(d.B_finite), _fmt(d.B_divergent_eps2),

@@ -23,14 +23,6 @@ DIM = 4
 METRIC_DIAG = (mpf(-1), mpf(1), mpf(1), mpf(1))
 
 
-def metric() -> tuple[tuple[mpf, ...], ...]:
-    """Metric tensor g_{mu nu} as a 4x4 tuple matrix."""
-    return tuple(
-        tuple(METRIC_DIAG[i] if i == j else mpf(0) for j in range(DIM))
-        for i in range(DIM)
-    )
-
-
 def _validation_tol() -> mpf:
     # Relative tolerance: ten digits of slack below working precision,
     # for the rounding that composed transforms accumulate.  Callers
@@ -53,12 +45,6 @@ class FourVector:
 
     def components(self) -> tuple[mpf, mpf, mpf, mpf]:
         return (self.t, self.x, self.y, self.z)
-
-    def __add__(self, other: "FourVector") -> "FourVector":
-        return FourVector(*(a + b for a, b in zip(self.components(), other.components())))
-
-    def __sub__(self, other: "FourVector") -> "FourVector":
-        return FourVector(*(a - b for a, b in zip(self.components(), other.components())))
 
     def scale(self, factor) -> "FourVector":
         c = to_mpf(factor)
@@ -94,11 +80,6 @@ class SeparationVector:
     def length(self) -> mpf:
         """Invariant length s = sqrt(g_{mu nu} eps^mu eps^nu) > 0."""
         return sqrt(mink_dot(self.vector, self.vector))
-
-    @staticmethod
-    def spatial(x, y, z) -> "SeparationVector":
-        """Separation at equal times."""
-        return SeparationVector(FourVector(0, x, y, z))
 
 
 Matrix = tuple[tuple[mpf, ...], ...]
@@ -248,22 +229,6 @@ class SymTensor4:
         i, j = idx
         return self.matrix[i][j]
 
-    def __add__(self, other: "SymTensor4") -> "SymTensor4":
-        return SymTensor4(
-            tuple(
-                tuple(self.matrix[i][j] + other.matrix[i][j] for j in range(DIM))
-                for i in range(DIM)
-            )
-        )
-
-    def __sub__(self, other: "SymTensor4") -> "SymTensor4":
-        return SymTensor4(
-            tuple(
-                tuple(self.matrix[i][j] - other.matrix[i][j] for j in range(DIM))
-                for i in range(DIM)
-            )
-        )
-
     def scale(self, factor) -> "SymTensor4":
         c = to_mpf(factor)
         return SymTensor4(
@@ -285,21 +250,6 @@ class SymTensor4:
                 for i in range(DIM)
             )
         )
-
-    @staticmethod
-    def zero() -> "SymTensor4":
-        return SymTensor4.diagonal(0, 0, 0, 0)
-
-
-def outer(u: FourVector, v: FourVector) -> SymTensor4:
-    """Symmetrized outer product (u^mu v^nu + v^mu u^nu) / 2."""
-    uc, vc = u.components(), v.components()
-    return SymTensor4(
-        tuple(
-            tuple((uc[i] * vc[j] + vc[i] * uc[j]) / 2 for j in range(DIM))
-            for i in range(DIM)
-        )
-    )
 
 
 def transform_tensor(transform: LorentzTransform, tensor: SymTensor4) -> SymTensor4:
@@ -323,12 +273,3 @@ def transform_tensor(transform: LorentzTransform, tensor: SymTensor4) -> SymTens
             out[i][j] = acc
             out[j][i] = acc
     return SymTensor4(tuple(tuple(row) for row in out))
-
-
-def tensor_dot(s: SymTensor4, t: SymTensor4) -> mpf:
-    """Double metric contraction g_{ma} g_{nb} S^{mn} T^{ab}."""
-    total = mpf(0)
-    for i in range(DIM):
-        for j in range(DIM):
-            total += METRIC_DIAG[i] * METRIC_DIAG[j] * s.matrix[i][j] * t.matrix[i][j]
-    return total

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from mpmath import cos, coth, csch, exp, ldexp, mag, mp, mpc, mpf, pi, sin, sqrt
 
@@ -102,23 +103,19 @@ class CutoffParams:
 
 @dataclass(frozen=True)
 class PlateGeometry:
-    """Plates at z = 0 and z = a inside an outer box of size L.
+    """Plates at z = 0 and z = a, with a positive and finite.
 
-    The outer box only matters conceptually (its modes supply the
-    subtraction when a is varied); computations here use a alone, so L
-    defaults to infinity.
+    The outer region enters only through expansion.subtract_outer.
     """
 
     a: mpf
-    L: mpf = mpf("inf")
 
     def __post_init__(self):
         object.__setattr__(self, "a", to_mpf(self.a))
-        object.__setattr__(self, "L", to_mpf(self.L))
         if self.a <= 0:
             raise NonPositiveSeparation(f"plate separation must be positive, got {self.a}")
-        if self.L <= self.a:
-            raise NonPositiveSeparation("outer box must be larger than the plate separation")
+        if self.a == mpf("inf"):
+            raise NonPositiveSeparation("plate separation must be finite")
 
 
 @dataclass(frozen=True)
@@ -239,9 +236,12 @@ def _first_true(ok, lo: int, hi: int) -> int:
     return hi
 
 
-def _default_tol() -> mpf:
-    """1e-30, or 10^(10 - dps) where the working digits cannot spare ten below 1e-30."""
-    return max(mpf("1e-30"), mpf(10) ** (10 - mp.dps))
+@lru_cache(maxsize=16)
+def _default_tol(dps: int, prec: int) -> mpf:
+    # 1e-30, or 10^(10 - dps) where the digits cannot spare ten below
+    # 1e-30; the caller passes mp.prec, so a value rounded at one
+    # precision is never reused at another.
+    return max(mpf("1e-30"), mpf(10) ** (10 - dps))
 
 
 def _tail(n: int, term_next: mpf, q_up: mpf) -> mpf:
@@ -347,7 +347,7 @@ def energy_mode_sum(
     tolerance, or if q rounds so close to 1 that the terms no longer
     decay.  A tolerance that is not positive raises ValueError.
     """
-    rel_tol = _default_tol() if tol is None else to_mpf(tol)
+    rel_tol = _default_tol(mp.dps, mp.prec) if tol is None else to_mpf(tol)
     if not rel_tol > 0:
         raise ValueError(f"tolerance must be positive, got {rel_tol}")
     if n_max is not None and n_max < 1:

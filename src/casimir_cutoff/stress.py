@@ -128,6 +128,8 @@ def s1_structure() -> SymTensor4:
 
 
 def _s2_rows(direction: SeparationVector) -> tuple[tuple[mpf, ...], ...]:
+    # S2 = g - 3 eps eps / eps^2 - zhat zhat, the same for any spacelike
+    # vector along the ray.
     v = direction.vector
     s2 = mink_dot(v, v)
     comps = v.components()
@@ -138,15 +140,6 @@ def _s2_rows(direction: SeparationVector) -> tuple[tuple[mpf, ...], ...]:
         )
         for i in range(DIM)
     )
-
-
-def s2_structure(direction: SeparationVector) -> SymTensor4:
-    """Traceless structure g - 3 eps eps / eps^2 - zhat zhat.
-
-    The direction is normalized internally, so any spacelike vector
-    along the intended ray gives the same structure.
-    """
-    return SymTensor4(_s2_rows(direction))
 
 
 def propagator_kernel(m, s) -> RadialKernel:
@@ -437,7 +430,6 @@ def scalar_stress(
     cutoff: CutoffParams,
     eps: SeparationVector,
     z,
-    method: str = "closed_form",
 ) -> StressDecomposition:
     """Subtracted stress of a field vanishing on the walls.
 
@@ -446,9 +438,9 @@ def scalar_stress(
     and 1/sin^4(pi z/a) toward the walls whenever lambda is nonzero,
     which is why z = 0 and z = a are rejected rather than evaluated.
 
-    method="closed_form" uses the directly coded coefficient formulas;
-    method="mode_assembly" rebuilds them from the mode sums as an
-    independent cross-check.
+    The coefficients are the directly coded closed forms;
+    _scalar_mode_assembly rebuilds them from the mode sums, and the
+    tests compare the two as an independent cross-check.
     """
     z = to_mpf(z)
     a = geom.a
@@ -456,20 +448,15 @@ def scalar_stress(
         raise WallContact(f"z must lie strictly between the walls, got {z}")
     s = _check_subspace(eps)
     lam = cutoff.lam
-    if method == "closed_form":
-        sz = sin(pi * z / a)
-        a_coeff = (1 - lam) * pi**2 / (360 * a**4)
-        b_div = (lam / 48) * (3 / sz**2 - 1) / a**2
-        b_fin = (
-            (lam / 48)
-            * (pi**2 / (4 * a**4))
-            * (1 - lam**2)
-            * ((3 - 2 * sz**2) / sz**4 - mpf(1) / 15)
-        )
-    elif method == "mode_assembly":
-        a_coeff, b_div, b_fin = _scalar_mode_assembly(a, lam, z)
-    else:
-        raise ValueError(f"unknown method: {method!r}")
+    sz = sin(pi * z / a)
+    a_coeff = (1 - lam) * pi**2 / (360 * a**4)
+    b_div = (lam / 48) * (3 / sz**2 - 1) / a**2
+    b_fin = (
+        (lam / 48)
+        * (pi**2 / (4 * a**4))
+        * (1 - lam**2)
+        * ((3 - 2 * sz**2) / sz**4 - mpf(1) / 15)
+    )
     unit = SeparationVector(eps.vector.scale(1 / s))
     return StressDecomposition(
         A=a_coeff,

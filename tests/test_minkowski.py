@@ -20,11 +20,8 @@ from casimir_cutoff.minkowski import (
     SeparationVector,
     SymTensor4,
     boost,
-    metric,
     mink_dot,
-    outer,
     rotation_xy,
-    tensor_dot,
     transform_tensor,
 )
 
@@ -35,11 +32,7 @@ class TestMetricAndVectors:
     """Signature conventions and inner products."""
 
     def test_metric_diagonal(self):
-        g = metric()
-        for i in range(DIM):
-            for j in range(DIM):
-                expected = (-1 if i == 0 else 1) if i == j else 0
-                assert g[i][j] == expected
+        assert METRIC_DIAG == (-1, 1, 1, 1)
 
     def test_mink_dot_signature(self):
         u = FourVector(1, 0, 0, 0)
@@ -50,9 +43,7 @@ class TestMetricAndVectors:
 
     def test_vector_arithmetic(self):
         u = FourVector(1, 2, 3, 4)
-        v = FourVector(5, 6, 7, 8)
-        w = (u + v) - v
-        assert all(abs(a - b) == 0 for a, b in zip(w.components(), u.components()))
+        assert u.components() == (1, 2, 3, 4)
         s = u.scale(3)
         assert s.t == 3 and s.z == 12
 
@@ -67,11 +58,6 @@ class TestMetricAndVectors:
     def test_separation_length(self):
         s = SeparationVector(FourVector("0.3", "0.5", 0, 0))
         assert abs(s.length**2 - (mpf("0.25") - mpf("0.09"))) < TIGHT
-
-    def test_spatial_constructor(self):
-        s = SeparationVector.spatial("0.1", "0.2", 0)
-        assert s.vector.t == 0
-        assert s.vector.x == mpf("0.1")
 
 
 class TestLorentzTransform:
@@ -202,11 +188,10 @@ class TestLorentzTransform:
         rows = tuple(
             tuple(mpf(rng.uniform(-1, 1)) for _ in range(DIM)) for _ in range(DIM)
         )
-        g = metric()
         worst = max(
             abs(
-                sum((rows[k][i] * (g[k][k] * rows[k][j]) for k in range(DIM)), mpf(0))
-                - g[i][j]
+                sum((rows[k][i] * (METRIC_DIAG[k] * rows[k][j]) for k in range(DIM)), mpf(0))
+                - (METRIC_DIAG[i] if i == j else 0)
             )
             for i in range(DIM)
             for j in range(DIM)
@@ -258,26 +243,18 @@ class TestSymTensor4:
 
     def test_algebra(self):
         t = SymTensor4.diagonal(1, 2, 3, 4)
-        u = SymTensor4.diagonal(10, 20, 30, 40)
-        assert (t + u)[2, 2] == 33
-        assert (u - t)[0, 0] == 9
         assert t.scale(-2)[3, 3] == -8
-        assert SymTensor4.zero()[1, 2] == 0
-
-    def test_outer_is_symmetrized(self):
-        u = FourVector(1, 2, 0, 0)
-        v = FourVector(0, 0, 3, 4)
-        t = outer(u, v)
-        assert t[0, 2] == t[2, 0]
-        assert abs(t[0, 2] - mpf(3) / 2) < TIGHT
 
     def test_transform_tensor_matches_componentwise(self):
         rng = random.Random(23)
         ell = rotation_xy(mpf(rng.uniform(0, 6))).compose(
             boost(mpf(rng.uniform(-1.5, 1.5)))
         )
-        u = FourVector(*[mpf(rng.uniform(-1, 1)) for _ in range(4)])
-        t = outer(u, u)
+        rows = [[mpf(0)] * DIM for _ in range(DIM)]
+        for i in range(DIM):
+            for j in range(i, DIM):
+                rows[i][j] = rows[j][i] = mpf(rng.uniform(-1, 1))
+        t = SymTensor4(tuple(tuple(r) for r in rows))
         moved = transform_tensor(ell, t)
         m = ell.matrix
         for i in range(DIM):
@@ -293,14 +270,6 @@ class TestSymTensor4:
         ell = boost(mpf("1.3"))
         t = SymTensor4.diagonal(1, "0.5", "0.25", "0.125")
         assert abs(transform_tensor(ell, t).trace() - t.trace()) < TIGHT
-
-    def test_tensor_dot_invariant(self):
-        ell = rotation_xy(mpf("0.9")).compose(boost(mpf("-0.6")))
-        t = SymTensor4.diagonal(3, 1, 4, 1)
-        u = outer(FourVector(1, "0.2", "0.3", "0.4"), FourVector("0.5", 1, 0, 2))
-        before = tensor_dot(t, u)
-        after = tensor_dot(transform_tensor(ell, t), transform_tensor(ell, u))
-        assert abs(before - after) < mpf("1e-43")
 
     def test_validation_tolerance_scales_with_precision(self):
         # A matrix that is an isometry only to 30 digits must be rejected

@@ -24,6 +24,7 @@ import casimir_cutoff.modesum
 from casimir_cutoff.modesum import (
     _AUTO_N_CAP,
     _DRIFT_C,
+    _default_tol,
     _search_from,
     CutoffParams,
     FieldKind,
@@ -56,6 +57,8 @@ class TestDomainValidation:
             PlateGeometry(0)
         with pytest.raises(NonPositiveSeparation):
             PlateGeometry(-2)
+        with pytest.raises(NonPositiveSeparation):
+            PlateGeometry(inf)
 
     def test_mode_index_domain(self):
         ModeIndex(0, 2, (mpf("0.3"), mpf("0.4")))
@@ -155,6 +158,17 @@ class TestEnergyModeSum:
                 energy_mode_sum(geom, cutoff, tol=tol)
             with pytest.raises(ValueError, match="tolerance"):
                 energy_mode_sum(geom, cutoff, n_max=10, tol=tol)
+
+    def test_default_tolerance_cache_matches_fresh_value(self):
+        # Bit for bit the uncached expression at 15, 30, 50 and 200
+        # digits, after switching away and back, and at 171 bits, which
+        # is also 50 digits but rounds 1e-30 differently from 169.
+        for prec in (53, 103, 169, 667, 53, 171, 169, 667, 103):
+            mp.prec = prec
+            fresh = max(mpf("1e-30"), mpf(10) ** (10 - mp.dps))
+            cached = _default_tol(mp.dps, mp.prec)
+            assert cached._mpf_ == fresh._mpf_
+            assert _default_tol(mp.dps, mp.prec) is cached
 
     def test_auto_n_max_is_the_first_index_meeting_the_rule(self):
         # The predicted start of the per-step check must not skip the

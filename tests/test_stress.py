@@ -23,12 +23,15 @@ from casimir_cutoff.minkowski import (
     DIM,
     FourVector,
     SeparationVector,
+    SymTensor4,
     boost,
     rotation_xy,
 )
 from casimir_cutoff.modesum import CutoffParams, FieldKind, PlateGeometry
 from casimir_cutoff.stress import (
     RadialKernel,
+    _s2_rows,
+    _scalar_mode_assembly,
     angular_average,
     bulk_kernel,
     covariance_check,
@@ -36,7 +39,6 @@ from casimir_cutoff.stress import (
     generating_function,
     propagator_kernel,
     s1_structure,
-    s2_structure,
     scalar_stress,
     second_derivative_tensor,
     stress_from_kernel,
@@ -268,20 +270,20 @@ class TestStructures:
         rng = random.Random(31)
         for _ in range(10):
             d = random_spacelike(rng)
-            s2 = s2_structure(d)
-            assert abs(s2.trace()) < mpf("1e-44")
-            scaled = s2_structure(SeparationVector(d.vector.scale(7)))
+            s2 = _s2_rows(d)
+            assert abs(SymTensor4(s2).trace()) < mpf("1e-44")
+            scaled = _s2_rows(SeparationVector(d.vector.scale(7)))
             diff = max(
-                abs(s2[i, j] - scaled[i, j]) for i in range(DIM) for j in range(DIM)
+                abs(s2[i][j] - scaled[i][j]) for i in range(DIM) for j in range(DIM)
             )
             assert diff < mpf("1e-44")
 
     def test_s2_axis_values(self):
-        s2 = s2_structure(spacelike(0, 1, 0))
-        assert s2[1, 1] == -2
-        assert s2[2, 2] == 1
-        assert s2[0, 0] == -1
-        assert s2[3, 3] == 0
+        s2 = _s2_rows(spacelike(0, 1, 0))
+        assert s2[1][1] == -2
+        assert s2[2][2] == 1
+        assert s2[0][0] == -1
+        assert s2[3][3] == 0
 
 
 class TestEMStress:
@@ -400,7 +402,8 @@ class TestEMStress:
             )
 
     def test_tensor_is_one_pass_of_both_structures(self):
-        # The assembly must equal scale-then-add bit for bit.
+        # The assembly must equal scaling S1 and S2 and adding them
+        # entrywise, bit for bit.
         rng = random.Random(19)
         geom = self.geometry(mpf("1.2"))
         for field in FieldKind:
@@ -412,8 +415,11 @@ class TestEMStress:
                 else:
                     d = em_stress(geom, cutoff, eps)
                 b = d.B_divergent_eps2 / d.separation_length**2 + d.B_finite
-                two_step = s1_structure().scale(d.A) + s2_structure(d.direction).scale(b)
-                assert d.tensor().matrix == two_step.matrix
+                s1, s2 = s1_structure().scale(d.A), _s2_rows(d.direction)
+                two_step = tuple(
+                    tuple(s1[i, j] + b * s2[i][j] for j in range(DIM)) for i in range(DIM)
+                )
+                assert d.tensor().matrix == two_step
 
 
 class TestScalarStress:
@@ -444,25 +450,18 @@ class TestScalarStress:
         assert abs(braces - mpf("201.7272")) < mpf("1e-3")
 
     def test_mode_assembly_agrees_with_closed_form(self):
-        geom = PlateGeometry(1)
-        eps = spacelike(0, mpf("0.05"), 0)
-        for lam in (mpf(0), mpf("0.3"), mpf("0.7")):
-            for z in (mpf("0.2"), mpf("0.5"), mpf("0.77")):
-                cutoff = CutoffParams(mpf("0.1"), lam)
-                closed = scalar_stress(geom, cutoff, eps, z, method="closed_form")
-                modes = scalar_stress(geom, cutoff, eps, z, method="mode_assembly")
-                assert abs(closed.A - modes.A) < STRESS_TOL
-                assert abs(closed.B_finite - modes.B_finite) < STRESS_TOL
-                assert abs(
-                    closed.B_divergent_eps2 - modes.B_divergent_eps2
-                ) < STRESS_TOL
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            scalar_stress(
-                PlateGeometry(1), CutoffParams(mpf("0.1"), 0),
-                spacelike(0, mpf("0.05"), 0), mpf("0.5"), method="guesswork",
-            )
+        for dps in (50, 200):
+            mp.dps = dps
+            tol = mpf(10) ** (22 - dps)  # STRESS_TOL at 50 digits
+            geom = PlateGeometry(1)
+            eps = spacelike(0, mpf("0.05"), 0)
+            for lam in (mpf(0), mpf("0.3"), mpf("0.7")):
+                for z in (mpf("0.2"), mpf("0.5"), mpf("0.77")):
+                    closed = scalar_stress(geom, CutoffParams(mpf("0.1"), lam), eps, z)
+                    a_coeff, b_div, b_fin = _scalar_mode_assembly(geom.a, lam, z)
+                    assert abs(closed.A - a_coeff) < tol
+                    assert abs(closed.B_finite - b_fin) < tol
+                    assert abs(closed.B_divergent_eps2 - b_div) < tol
 
     def test_wall_contact(self):
         geom = PlateGeometry(1)
