@@ -9,7 +9,7 @@ depend on the regulator's shape parameter, and the package exposes both
 the finite and the regulator-shaped divergent coefficients explicitly.
 """
 
-from .precision import DEFAULT_DPS, ENV_VAR, configure_precision, ensure_minimum_precision
+from .precision import DEFAULT_DPS, ENV_VAR, resolve_precision
 from .errors import (
     CasimirError,
     CothPole,
@@ -89,5 +89,3 @@ from .stress import (
 )
 
 __version__ = "0.1.0"
-
-ensure_minimum_precision()

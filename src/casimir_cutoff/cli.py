@@ -6,10 +6,13 @@ one row per grid point with a fixed column schema, as CSV or JSON.
 Numeric fields are printed with enough digits to re-parse to the same
 extended-precision value.
 
-Exit codes: 0 success; 1 usage error; 2 a grid point hit a domain error
-(its computed fields are left empty and the sweep continues, since
-sweeps legitimately approach singular corners like z -> 0); 3 a grid
-point failed to converge.
+The digit count (--precision, CASIMIR_PRECISION or 50) applies only
+inside parse_args and run; the caller's precision is left as it was.
+
+Exit codes: 0 success; 1 usage error, a NaN value included; 2 a grid
+point hit a domain error (its computed fields are left empty and the
+sweep continues, since sweeps legitimately approach singular corners
+like z -> 0); 3 a grid point failed to converge.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from mpmath import mp, mpf
+from mpmath import isnan, mp, mpf
 
 from .errors import CasimirError, LightlikeSeparation, NotConverged
 from .expansion import (
@@ -37,7 +40,7 @@ from .expansion import (
 from .laurent import extract_coefficient
 from .minkowski import FourVector, SeparationVector, boost, rotation_xy
 from .modesum import CutoffParams, FieldKind, PlateGeometry, energy_mode_sum
-from .precision import configure_precision, to_mpf
+from .precision import resolve_precision, to_mpf
 from .stress import _stress_for, covariance_check, em_stress
 
 COMMANDS = ("energy-sum", "energy-expansion", "pressure", "stress", "covariance", "scan")
@@ -96,9 +99,12 @@ def _fmt(x) -> str:
 
 def _parse_number(text: str, flag: str) -> mpf:
     try:
-        return to_mpf(text.strip())
+        x = to_mpf(text.strip())
     except Exception as exc:
         raise UsageError(f"{flag}: cannot parse number {text!r}") from exc
+    if isnan(x):
+        raise UsageError(f"{flag}: {text!r} is not a number")
+    return x
 
 
 def _parse_range(text: str, flag: str) -> tuple[mpf, ...]:
@@ -177,52 +183,54 @@ def _check_single(values: tuple[mpf, ...], flag: str, low, high, low_open: bool)
 def parse_args(argv: list[str]) -> ScanConfig:
     ns = _build_parser().parse_args(argv)
     try:
-        precision = configure_precision(ns.precision)
+        precision = resolve_precision(ns.precision)
     except ValueError as exc:
         raise UsageError(f"--precision: {exc}") from exc
+    # Numbers are parsed at the run's precision, inside its scope only.
+    with mp.workdps(precision):
+        a_values = _parse_range(ns.a, "--a")
+        lam_values = _parse_range(ns.lam, "--lambda")
+        eps_values = _parse_range(ns.epsilon, "--epsilon")
+        z_values = _parse_range(ns.z, "--z") if ns.z is not None else None
+        _check_single(a_values, "--a", mpf(0), None, True)
+        _check_single(lam_values, "--lambda", mpf(0), mpf(1), False)
+        _check_single(eps_values, "--epsilon", mpf(0), None, True)
 
-    a_values = _parse_range(ns.a, "--a")
-    lam_values = _parse_range(ns.lam, "--lambda")
-    eps_values = _parse_range(ns.epsilon, "--epsilon")
-    z_values = _parse_range(ns.z, "--z") if ns.z is not None else None
-    _check_single(a_values, "--a", mpf(0), None, True)
-    _check_single(lam_values, "--lambda", mpf(0), mpf(1), False)
-    _check_single(eps_values, "--epsilon", mpf(0), None, True)
+        field = FieldKind(ns.field)
+        if ns.n_max is not None and ns.n_max < 1:
+            raise UsageError("--n-max: must be >= 1")
+        if ns.order < 0:
+            raise UsageError("--order: must be >= 0")
+        if ns.trials < 1:
+            raise UsageError("--trials: must be >= 1")
+        rapidity = _parse_number(ns.rapidity, "--rapidity")
 
-    field = FieldKind(ns.field)
-    if ns.n_max is not None and ns.n_max < 1:
-        raise UsageError("--n-max: must be >= 1")
-    if ns.order < 0:
-        raise UsageError("--order: must be >= 0")
-    if ns.trials < 1:
-        raise UsageError("--trials: must be >= 1")
-    rapidity = _parse_number(ns.rapidity, "--rapidity")
+        scalar = field is FieldKind.SCALAR
+        if ns.command in ("stress", "covariance") and scalar and z_values is None:
+            raise UsageError(f"--z: required for {ns.command} with --field scalar")
+        if ns.command == "covariance":
+            for flag, vals in (("--a", a_values), ("--lambda", lam_values),
+                               ("--epsilon", eps_values), ("--z", z_values or (mpf(0),))):
+                if len(vals) != 1:
+                    raise UsageError(f"{flag}: covariance takes a single value, not a range")
 
-    if ns.command in ("stress", "covariance") and field is FieldKind.SCALAR and z_values is None:
-        raise UsageError(f"--z: required for {ns.command} with --field scalar")
-    if ns.command == "covariance":
-        for flag, vals in (("--a", a_values), ("--lambda", lam_values),
-                           ("--epsilon", eps_values), ("--z", z_values or (mpf(0),))):
-            if len(vals) != 1:
-                raise UsageError(f"{flag}: covariance takes a single value, not a range")
-
-    return ScanConfig(
-        command=ns.command,
-        a_values=a_values,
-        lam_values=lam_values,
-        eps_values=eps_values,
-        z_values=z_values,
-        eps_vec=_parse_eps_vec(ns.eps_vec),
-        field=field,
-        n_max=ns.n_max,
-        order=ns.order,
-        out_format=ns.out_format,
-        output=ns.output,
-        seed=ns.seed,
-        rapidity=rapidity,
-        trials=ns.trials,
-        precision=precision,
-    )
+        return ScanConfig(
+            command=ns.command,
+            a_values=a_values,
+            lam_values=lam_values,
+            eps_values=eps_values,
+            z_values=z_values,
+            eps_vec=_parse_eps_vec(ns.eps_vec),
+            field=field,
+            n_max=ns.n_max,
+            order=ns.order,
+            out_format=ns.out_format,
+            output=ns.output,
+            seed=ns.seed,
+            rapidity=rapidity,
+            trials=ns.trials,
+            precision=precision,
+        )
 
 
 def _append_row(rows, prefix, pad: int, code: int, fn) -> int:
@@ -316,7 +324,6 @@ def _run_covariance(cfg: ScanConfig):
     lam = cfg.lam_values[0]
     eps_sep = SeparationVector(FourVector(*cfg.eps_vec))
     z = cfg.z_values[0] if cfg.z_values is not None else None
-    geom = PlateGeometry(a)
     max_rap = float(cfg.rapidity)
     for trial in range(cfg.trials):
         rap = mpf(rng.uniform(-max_rap, max_rap))
@@ -324,9 +331,8 @@ def _run_covariance(cfg: ScanConfig):
 
         def point(rap=rap, ang=ang):
             ell = rotation_xy(ang).compose(boost(rap))
-            res = covariance_check(
-                cfg.field, geom, CutoffParams(eps_sep.length, lam), eps_sep, ell, z
-            )
+            geom, cutoff = PlateGeometry(a), CutoffParams(eps_sep.length, lam)
+            res = covariance_check(cfg.field, geom, cutoff, eps_sep, ell, z)
             return [_fmt(res)]
 
         code = _append_row(rows, [str(trial), _fmt(rap), _fmt(ang)], 1, code, point)
@@ -385,10 +391,10 @@ def _emit(cfg: ScanConfig, header: list[str], rows) -> None:
 
 
 def run(cfg: ScanConfig) -> int:
-    """Execute a validated config; returns the process exit code."""
-    configure_precision(cfg.precision)
-    rows, code = _RUNNERS[cfg.command](cfg)
-    _emit(cfg, _HEADERS[cfg.command], rows)
+    """Execute a validated config at its precision; returns the exit code."""
+    with mp.workdps(cfg.precision):
+        rows, code = _RUNNERS[cfg.command](cfg)
+        _emit(cfg, _HEADERS[cfg.command], rows)
     return code
 
 

@@ -87,7 +87,7 @@ class PressureResult:
 def _validate_domain(a, lam) -> tuple[mpf, mpf]:
     a = to_mpf(a)
     lam = to_mpf(lam)
-    if a <= 0:
+    if not a > 0:
         raise NonPositiveSeparation(f"plate separation must be positive, got {a}")
     if not (0 <= lam < 1):
         raise CutoffDomain(f"lambda must lie in [0, 1), got {lam}")

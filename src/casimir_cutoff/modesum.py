@@ -95,7 +95,7 @@ class CutoffParams:
     def __post_init__(self):
         object.__setattr__(self, "epsilon", to_mpf(self.epsilon))
         object.__setattr__(self, "lam", to_mpf(self.lam))
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise CutoffDomain(f"epsilon must be positive, got {self.epsilon}")
         if not (0 <= self.lam < 1):
             raise CutoffDomain(f"lambda must lie in [0, 1), got {self.lam}")
@@ -112,7 +112,7 @@ class PlateGeometry:
 
     def __post_init__(self):
         object.__setattr__(self, "a", to_mpf(self.a))
-        if self.a <= 0:
+        if not self.a > 0:
             raise NonPositiveSeparation(f"plate separation must be positive, got {self.a}")
         if self.a == mpf("inf"):
             raise NonPositiveSeparation("plate separation must be finite")

@@ -1,9 +1,10 @@
-"""Working-precision control.
+"""Working-precision policy.
 
-All numerics run on the global mpmath context.  The package needs at
-least 50 significant digits: the acceptance tolerances (1e-28 .. 1e-40)
-leave no room for double precision, and several checks subtract terms
-that agree through their first dozen digits.
+The library computes at the caller's mpmath precision and never changes
+it; a caller that wants a given digit count works under
+``mp.workdps(dps)``.  The CLI resolves its digit count here and applies
+it only inside its own scope.  At least 15 digits are accepted; the
+acceptance tolerances (1e-28 .. 1e-40) assume the default of 50.
 
 Precedence for the digit count: explicit argument, then the
 CASIMIR_PRECISION environment variable, then DEFAULT_DPS.
@@ -13,31 +14,22 @@ from __future__ import annotations
 
 import os
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 DEFAULT_DPS = 50
 ENV_VAR = "CASIMIR_PRECISION"
 _MIN_DPS = 15
 
 
-def configure_precision(dps: int | None = None) -> int:
-    """Set the global working precision in decimal digits and return it."""
+def resolve_precision(dps: int | None = None) -> int:
+    """The working precision in decimal digits; sets nothing."""
     if dps is None:
         raw = os.environ.get(ENV_VAR, "")
         dps = int(raw) if raw.strip() else DEFAULT_DPS
     dps = int(dps)
     if dps < _MIN_DPS:
         raise ValueError(f"working precision must be >= {_MIN_DPS} digits, got {dps}")
-    mp.dps = dps
     return dps
-
-
-def ensure_minimum_precision() -> None:
-    """Raise the working precision to the configured floor, never lower it."""
-    raw = os.environ.get(ENV_VAR, "")
-    floor = int(raw) if raw.strip() else DEFAULT_DPS
-    if mp.dps < floor:
-        mp.dps = floor
 
 
 def to_mpf(x) -> mpf:

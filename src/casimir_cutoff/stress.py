@@ -19,7 +19,7 @@ reported as a separate coefficient, never hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from mpmath import cos, coth, csch, exp, factorial, ldexp, mp, mpf, pi, sin, sqrt
 
@@ -97,8 +97,6 @@ class StressDecomposition:
     B_divergent_eps2: mpf
     direction: SeparationVector
     separation_length: mpf
-    field: FieldKind
-    z: mpf | None = None
 
     def tensor(self) -> SymTensor4:
         """Assemble the full symmetric traceless tensor at this splitting.
@@ -237,6 +235,12 @@ def _check_subspace(eps: SeparationVector) -> mpf:
     return sqrt(s2)
 
 
+def _unit_splitting(eps: SeparationVector) -> tuple[SeparationVector, mpf]:
+    # The checked splitting as (unit direction, invariant length).
+    s = _check_subspace(eps)
+    return SeparationVector(eps.vector.scale(1 / s)), s
+
+
 def second_derivative_tensor(kernel: RadialKernel, eps: SeparationVector) -> SymTensor4:
     """Hessian of a radial function with respect to the splitting vector.
 
@@ -350,18 +354,15 @@ def em_stress(
     1440 a^4.  In the divergent coefficient's absence (lambda = 0) the
     zz component reduces to the classic -pi^2/240a^4.
     """
-    s = _check_subspace(eps)
+    unit, s = _unit_splitting(eps)
     g1, g2 = _em_radial_series(geom.a, cutoff.lam)
     a_series, b_series = _project_structures(g1, g2)
-    unit = SeparationVector(eps.vector.scale(1 / s))
     return StressDecomposition(
         A=extract_coefficient(a_series, 0),
         B_finite=extract_coefficient(b_series, 0),
         B_divergent_eps2=extract_coefficient(b_series, -2),
         direction=unit,
         separation_length=s,
-        field=FieldKind.ELECTROMAGNETIC,
-        z=None,
     )
 
 
@@ -446,7 +447,7 @@ def scalar_stress(
     a = geom.a
     if not 0 < z < a:
         raise WallContact(f"z must lie strictly between the walls, got {z}")
-    s = _check_subspace(eps)
+    unit, s = _unit_splitting(eps)
     lam = cutoff.lam
     sz = sin(pi * z / a)
     a_coeff = (1 - lam) * pi**2 / (360 * a**4)
@@ -457,15 +458,12 @@ def scalar_stress(
         * (1 - lam**2)
         * ((3 - 2 * sz**2) / sz**4 - mpf(1) / 15)
     )
-    unit = SeparationVector(eps.vector.scale(1 / s))
     return StressDecomposition(
         A=a_coeff,
         B_finite=b_fin,
         B_divergent_eps2=b_div,
         direction=unit,
         separation_length=s,
-        field=FieldKind.SCALAR,
-        z=z,
     )
 
 
@@ -489,16 +487,19 @@ def covariance_check(
 ) -> mpf:
     """Residual of the transformation law under a plate-preserving map.
 
-    Computes the stress at the back-transformed splitting, pushes the
+    Assembles the stress at the back-transformed splitting, pushes the
     tensor forward through the transform, and compares against the
-    stress at the original splitting.  The coefficients depend only on
-    the invariant splitting length, so the residual is rounding noise;
+    stress at the original splitting.  The coefficients do not depend
+    on the splitting, so one decomposition serves both and only its
+    direction and length change; the residual is rounding noise, and
     a frame-dependent regulator would show up here as a finite defect.
     """
-    direct = _stress_for(field, geom, cutoff, eps, z).tensor()
+    d = _stress_for(field, geom, cutoff, eps, z)
+    direct = d.tensor()
     back = SeparationVector(transform.inverse().apply(eps.vector))
+    unit, s = _unit_splitting(back)
     moved = transform_tensor(
-        transform, _stress_for(field, geom, cutoff, back, z).tensor()
+        transform, replace(d, direction=unit, separation_length=s).tensor()
     )
     return max(
         abs(moved[i, j] - direct[i, j]) for i in range(DIM) for j in range(DIM)

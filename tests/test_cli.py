@@ -8,13 +8,17 @@ determinism of the covariance trials.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf, pi
 
 import casimir_cutoff.cli
 import casimir_cutoff.expansion
-from casimir_cutoff.cli import ScanConfig, UsageError, main, parse_args, run
+from casimir_cutoff.cli import COMMANDS, ScanConfig, UsageError, main, parse_args, run
 from casimir_cutoff.expansion import casimir_pressure, energy_laurent
 from casimir_cutoff.modesum import (
     CutoffParams,
@@ -182,6 +186,26 @@ class TestExitCodes:
         assert code == 0
         _, rows = parse_csv(out)
         assert len(rows) == 20 and all(v != "" for row in rows for v in row)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "flag",
+        ["--a=nan", "--lambda=NaN", "--epsilon=0.1:nan:2", "--z=nan",
+         "--eps-vec=0,nan,0,0", "--rapidity=nan"],
+    )
+    def test_nan_is_a_usage_error(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command, flag)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag.split('=')[0]}: ")
+
+    def test_infinite_covariance_separation_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "covariance", "--a", "inf", "--trials", "3")
+        assert code == 2
+        assert err == ""
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["0", "1", "2"]
+        assert all(r[3] == "" for r in rows)
 
     def test_short_spatial_splitting_exits_zero(self, capsys):
         # The lightlike margin scales with the splitting, so a length of
@@ -555,6 +579,38 @@ class TestOutputs:
         finite = rows[0][3]
         mantissa = finite.lstrip("-0.").replace(".", "")
         assert len(mantissa) >= 60
+
+
+class TestPrecisionScope:
+    """The working precision applies inside a call and is never left set."""
+
+    def test_import_leaves_precision_alone(self):
+        env = {k: v for k, v in os.environ.items() if k != "CASIMIR_PRECISION"}
+        env["PYTHONPATH"] = str(Path(casimir_cutoff.cli.__file__).parents[1])
+        probe = "import casimir_cutoff, mpmath; print(mpmath.mp.dps)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "15\n"
+
+    def test_main_restores_caller_precision(self, capsys):
+        args = ("pressure", "--lambda", "0.3", "--precision", "80")
+        _, expected, _ = run_cli(capsys, *args)
+        with mp.workdps(20):
+            code, out, _ = run_cli(capsys, *args)
+            assert mp.dps == 20
+        assert code == 0
+        assert out == expected
+        assert mp.dps == 50
+
+    def test_parse_args_values_at_requested_precision(self):
+        cfg = parse_args(["pressure", "--a", "0.1", "--lambda", "0:0.3:4", "--precision", "80"])
+        assert mp.dps == 50
+        assert cfg.precision == 80
+        assert cfg.a_values[0] != mpf("0.1")
+        with mp.workdps(80):
+            assert cfg.a_values == (mpf("0.1"),)
+            assert cfg.lam_values[1] == mpf("0.3") / 3
 
 
 class TestRunConfigDirectly:

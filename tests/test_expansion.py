@@ -39,6 +39,8 @@ class TestEnergyLaurent:
     def test_domain_validation(self):
         with pytest.raises(NonPositiveSeparation):
             energy_laurent(0, 0)
+        with pytest.raises(NonPositiveSeparation):
+            energy_laurent("nan", 0)
         with pytest.raises(CutoffDomain):
             energy_laurent(1, 1)
         with pytest.raises(CutoffDomain):

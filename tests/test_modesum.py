@@ -50,6 +50,10 @@ class TestDomainValidation:
             CutoffParams(mpf("0.1"), 1)
         with pytest.raises(CutoffDomain):
             CutoffParams(mpf("0.1"), mpf("-0.2"))
+        with pytest.raises(CutoffDomain):
+            CutoffParams(nan, 0)
+        with pytest.raises(CutoffDomain):
+            CutoffParams(mpf("0.1"), nan)
 
     def test_geometry_domain(self):
         PlateGeometry(1)
@@ -59,6 +63,8 @@ class TestDomainValidation:
             PlateGeometry(-2)
         with pytest.raises(NonPositiveSeparation):
             PlateGeometry(inf)
+        with pytest.raises(NonPositiveSeparation):
+            PlateGeometry(nan)
 
     def test_mode_index_domain(self):
         ModeIndex(0, 2, (mpf("0.3"), mpf("0.4")))

@@ -12,6 +12,7 @@ import random
 import pytest
 from mpmath import exp, mp, mpf, pi, sin, zeta
 
+import casimir_cutoff.stress
 from casimir_cutoff.errors import (
     CothPole,
     CutoffDomain,
@@ -517,6 +518,25 @@ class TestCovariance:
         eps = spacelike(0, mpf("0.1"), 0)
         r = covariance_check(FieldKind.ELECTROMAGNETIC, geom, cutoff, eps, boost(0))
         assert r < mpf("1e-44")
+
+    def test_one_radial_series_per_trial(self, monkeypatch):
+        # The coefficients do not depend on the splitting, so the back-
+        # transformed splitting reuses the decomposition of the original.
+        builds = []
+        original = casimir_cutoff.stress._em_radial_series
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(casimir_cutoff.stress, "_em_radial_series", counted)
+        ell = rotation_xy(mpf("0.7")).compose(boost(mpf("1.3")))
+        r = covariance_check(
+            FieldKind.ELECTROMAGNETIC, PlateGeometry(1), CutoffParams(mpf("0.1"), mpf("0.4")),
+            spacelike(mpf("0.02"), mpf("0.1"), mpf("-0.04")), ell,
+        )
+        assert len(builds) == 1
+        assert r < mpf("1e-25")
 
     def test_scalar_requires_height(self):
         with pytest.raises(ValueError):
