@@ -21,7 +21,6 @@ from .errors import (
     NonPositiveSeparation,
     NotConverged,
     OutOfRange,
-    SingularComposition,
     WallContact,
     ZeroScale,
 )
@@ -45,7 +44,6 @@ from .laurent import (
     series_coth,
     series_differentiate,
     series_div,
-    series_exp,
     series_mul,
     series_scale_arg,
     series_sub,

@@ -9,10 +9,11 @@ extended-precision value.
 The digit count (--precision, CASIMIR_PRECISION or 50) applies only
 inside parse_args and run; the caller's precision is left as it was.
 
-Exit codes: 0 success; 1 usage error, a NaN value included; 2 a grid
-point hit a domain error (its computed fields are left empty and the
-sweep continues, since sweeps legitimately approach singular corners
-like z -> 0); 3 a grid point failed to converge.
+Exit codes: 0 success; 1 usage error, a NaN value or a non-finite
+--rapidity included; 2 a grid point hit a domain error (its computed
+fields are left empty and the sweep continues, since sweeps
+legitimately approach singular corners like z -> 0); 3 a grid point
+failed to converge.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
-from mpmath import isnan, mp, mpf
+from mpmath import isfinite, isnan, mp, mpf
 
 from .errors import CasimirError, LightlikeSeparation, NotConverged
 from .expansion import (
@@ -43,23 +45,6 @@ from .modesum import CutoffParams, FieldKind, PlateGeometry, energy_mode_sum
 from .precision import resolve_precision, to_mpf
 from .stress import _stress_for, covariance_check, em_stress
 
-COMMANDS = ("energy-sum", "energy-expansion", "pressure", "stress", "covariance", "scan")
-
-_HEADERS = {
-    "energy-sum": ["a", "lambda", "epsilon", "n_max", "energy", "remainder_bound"],
-    "energy-expansion": ["a", "lambda", "c_m4", "c_m2", "c_0", "c_m2_ref", "c_0_ref"],
-    "pressure": ["a", "lambda", "field", "finite_part", "divergent_coeff"],
-    "stress": [
-        "a", "lambda", "field", "z",
-        "A", "B_finite", "B_div_eps2", "Ttt", "Tzz", "trace_residual",
-    ],
-    "covariance": ["trial", "rapidity", "angle", "residual"],
-    "scan": [
-        "a", "lambda", "c_m2", "c_0", "finite_part", "divergent_coeff",
-        "A", "B_finite", "B_div_eps2",
-    ],
-}
-
 
 class UsageError(Exception):
     """Bad flags or values; maps to exit code 1."""
@@ -74,7 +59,7 @@ class ScanConfig:
     lam_values: tuple[mpf, ...]
     eps_values: tuple[mpf, ...]
     z_values: tuple[mpf, ...] | None
-    eps_vec: tuple[mpf, mpf, mpf, mpf]
+    split: SeparationVector
     field: FieldKind
     n_max: int | None
     order: int
@@ -121,14 +106,13 @@ def _parse_range(text: str, flag: str) -> tuple[mpf, ...]:
             raise UsageError(f"{flag}: count must be an integer") from exc
         if count < 1:
             raise UsageError(f"{flag}: count must be >= 1")
-        if count == 1:
-            return (start,)
-        step = (stop - start) / (count - 1)
-        return tuple(start + i * step for i in range(count))
+        step = (stop - start) / max(count - 1, 1)
+        # i = 0 is start itself: start + 0 * step is NaN for an infinite step.
+        return (start,) + tuple(start + i * step for i in range(1, count))
     return (_parse_number(text, flag),)
 
 
-def _parse_eps_vec(text: str) -> tuple[mpf, mpf, mpf, mpf]:
+def _parse_eps_vec(text: str) -> SeparationVector:
     parts = text.split(",")
     if len(parts) != 4:
         raise UsageError("--eps-vec expects four comma-separated components t,x,y,z")
@@ -136,10 +120,9 @@ def _parse_eps_vec(text: str) -> tuple[mpf, mpf, mpf, mpf]:
     if comps[3] != 0:
         raise UsageError("--eps-vec: z component must be 0 (splitting lies in t-x-y)")
     try:
-        SeparationVector(FourVector(*comps))
+        return SeparationVector(FourVector(*comps))
     except LightlikeSeparation as exc:
         raise UsageError(f"--eps-vec: {exc}") from exc
-    return comps
 
 
 def _build_parser() -> _Parser:
@@ -204,6 +187,8 @@ def parse_args(argv: list[str]) -> ScanConfig:
         if ns.trials < 1:
             raise UsageError("--trials: must be >= 1")
         rapidity = _parse_number(ns.rapidity, "--rapidity")
+        if not isfinite(rapidity):
+            raise UsageError(f"--rapidity: {ns.rapidity!r} is not finite")
 
         scalar = field is FieldKind.SCALAR
         if ns.command in ("stress", "covariance") and scalar and z_values is None:
@@ -220,7 +205,7 @@ def parse_args(argv: list[str]) -> ScanConfig:
             lam_values=lam_values,
             eps_values=eps_values,
             z_values=z_values,
-            eps_vec=_parse_eps_vec(ns.eps_vec),
+            split=_parse_eps_vec(ns.eps_vec),
             field=field,
             n_max=ns.n_max,
             order=ns.order,
@@ -233,96 +218,52 @@ def parse_args(argv: list[str]) -> ScanConfig:
         )
 
 
-def _append_row(rows, prefix, pad: int, code: int, fn) -> int:
-    """Run one grid point; on failure emit an empty-tail row and raise the code."""
-    try:
-        rows.append(prefix + fn())
-        return code
-    except NotConverged:
-        rows.append(prefix + [None] * pad)
-        return max(code, 3)
-    except CasimirError:
-        rows.append(prefix + [None] * pad)
-        return max(code, 2)
-
-
-def _run_energy_sum(cfg: ScanConfig):
-    rows, code = [], 0
-    for a in cfg.a_values:
-        for lam in cfg.lam_values:
-            for eps in cfg.eps_values:
-                def point(a=a, lam=lam, eps=eps):
-                    res = energy_mode_sum(
-                        PlateGeometry(a), CutoffParams(eps, lam), cfg.field, cfg.n_max
-                    )
-                    return [str(res.n_max), _fmt(res.value), _fmt(res.remainder_bound)]
-
-                code = _append_row(rows, [_fmt(a), _fmt(lam), _fmt(eps)], 3, code, point)
-    return rows, code
-
-
-def _run_energy_expansion(cfg: ScanConfig):
-    rows, code = [], 0
-    half = mpf(1) / 2 if cfg.field is FieldKind.SCALAR else mpf(1)
-    for a in cfg.a_values:
-        for lam in cfg.lam_values:
-            def point(a=a, lam=lam):
-                sub = subtract_outer(energy_laurent(a, lam, cfg.order, cfg.field))
-                ref = reference_coefficients(a, lam)
-                return [
-                    _fmt(extract_coefficient(sub.series, -4)),
-                    _fmt(extract_coefficient(sub.series, -2)),
-                    _fmt(extract_coefficient(sub.series, 0)),
-                    _fmt(half * ref.c_minus2),
-                    _fmt(half * ref.c_0),
-                ]
-
-            code = _append_row(rows, [_fmt(a), _fmt(lam)], 5, code, point)
-    return rows, code
-
-
-def _run_pressure(cfg: ScanConfig):
-    rows, code = [], 0
-    for a in cfg.a_values:
-        for lam in cfg.lam_values:
-            def point(a=a, lam=lam):
-                pr = casimir_pressure(a, lam, cfg.field)
-                return [_fmt(pr.finite_part), _fmt(pr.divergent_coeff)]
-
-            code = _append_row(
-                rows, [_fmt(a), _fmt(lam), cfg.field.value], 2, code, point
+def _energy_sum(cfg: ScanConfig):
+    for a, lam, eps in product(cfg.a_values, cfg.lam_values, cfg.eps_values):
+        def point(a=a, lam=lam, eps=eps):
+            res = energy_mode_sum(
+                PlateGeometry(a), CutoffParams(eps, lam), cfg.field, cfg.n_max
             )
-    return rows, code
+            return res.n_max, res.value, res.remainder_bound
+
+        yield (a, lam, eps), point
 
 
-def _run_stress(cfg: ScanConfig):
-    rows, code = [], 0
-    eps_sep = SeparationVector(FourVector(*cfg.eps_vec))
+def _energy_expansion(cfg: ScanConfig):
+    half = mpf(1) / 2 if cfg.field is FieldKind.SCALAR else mpf(1)
+    for a, lam in product(cfg.a_values, cfg.lam_values):
+        def point(a=a, lam=lam):
+            sub = subtract_outer(energy_laurent(a, lam, cfg.order, cfg.field))
+            ref = reference_coefficients(a, lam)
+            coeffs = [extract_coefficient(sub.series, k) for k in (-4, -2, 0)]
+            return *coeffs, half * ref.c_minus2, half * ref.c_0
+
+        yield (a, lam), point
+
+
+def _pressure(cfg: ScanConfig):
+    for a, lam in product(cfg.a_values, cfg.lam_values):
+        def point(a=a, lam=lam):
+            pr = casimir_pressure(a, lam, cfg.field)
+            return pr.finite_part, pr.divergent_coeff
+
+        yield (a, lam, cfg.field.value), point
+
+
+def _stress(cfg: ScanConfig):
     zs = cfg.z_values if cfg.field is FieldKind.SCALAR else (None,)
-    for a in cfg.a_values:
-        for lam in cfg.lam_values:
-            for z in zs:
-                def point(a=a, lam=lam, z=z):
-                    cut = CutoffParams(eps_sep.length, lam)
-                    d = _stress_for(cfg.field, PlateGeometry(a), cut, eps_sep, z)
-                    t = d.tensor()
-                    return [
-                        _fmt(d.A), _fmt(d.B_finite), _fmt(d.B_divergent_eps2),
-                        _fmt(t[0, 0]), _fmt(t[3, 3]), _fmt(abs(t.trace())),
-                    ]
+    for a, lam, z in product(cfg.a_values, cfg.lam_values, zs):
+        def point(a=a, lam=lam, z=z):
+            cut = CutoffParams(cfg.split.length, lam)
+            d = _stress_for(cfg.field, PlateGeometry(a), cut, cfg.split, z)
+            t = d.tensor()
+            return d.A, d.B_finite, d.B_divergent_eps2, t[0, 0], t[3, 3], abs(t.trace())
 
-                prefix = [_fmt(a), _fmt(lam), cfg.field.value,
-                          "" if z is None else _fmt(z)]
-                code = _append_row(rows, prefix, 6, code, point)
-    return rows, code
+        yield (a, lam, cfg.field.value, "" if z is None else z), point
 
 
-def _run_covariance(cfg: ScanConfig):
-    rows, code = [], 0
+def _covariance(cfg: ScanConfig):
     rng = random.Random(cfg.seed)
-    a = cfg.a_values[0]
-    lam = cfg.lam_values[0]
-    eps_sep = SeparationVector(FourVector(*cfg.eps_vec))
     z = cfg.z_values[0] if cfg.z_values is not None else None
     max_rap = float(cfg.rapidity)
     for trial in range(cfg.trials):
@@ -331,48 +272,77 @@ def _run_covariance(cfg: ScanConfig):
 
         def point(rap=rap, ang=ang):
             ell = rotation_xy(ang).compose(boost(rap))
-            geom, cutoff = PlateGeometry(a), CutoffParams(eps_sep.length, lam)
-            res = covariance_check(cfg.field, geom, cutoff, eps_sep, ell, z)
-            return [_fmt(res)]
+            geom = PlateGeometry(cfg.a_values[0])
+            cutoff = CutoffParams(cfg.split.length, cfg.lam_values[0])
+            return (covariance_check(cfg.field, geom, cutoff, cfg.split, ell, z),)
 
-        code = _append_row(rows, [str(trial), _fmt(rap), _fmt(ang)], 1, code, point)
-    return rows, code
+        yield (trial, rap, ang), point
 
 
-def _run_scan(cfg: ScanConfig):
+def _scan(cfg: ScanConfig):
     # Combined per-point summary of the three observable groups; the
     # electromagnetic field only, since the scalar columns would just
     # repeat everything halved.
-    rows, code = [], 0
-    eps_sep = SeparationVector(FourVector(*cfg.eps_vec))
-    for a in cfg.a_values:
-        for lam in cfg.lam_values:
-            def point(a=a, lam=lam):
-                sub = subtract_outer(energy_laurent(a, lam))
-                pr = pressure_from_energy(sub)
-                d = em_stress(PlateGeometry(a), CutoffParams(eps_sep.length, lam), eps_sep)
-                return [
-                    _fmt(extract_coefficient(sub.series, -2)),
-                    _fmt(extract_coefficient(sub.series, 0)),
-                    _fmt(pr.finite_part), _fmt(pr.divergent_coeff),
-                    _fmt(d.A), _fmt(d.B_finite), _fmt(d.B_divergent_eps2),
-                ]
+    for a, lam in product(cfg.a_values, cfg.lam_values):
+        def point(a=a, lam=lam):
+            sub = subtract_outer(energy_laurent(a, lam))
+            pr = pressure_from_energy(sub)
+            d = em_stress(PlateGeometry(a), CutoffParams(cfg.split.length, lam), cfg.split)
+            return (
+                extract_coefficient(sub.series, -2), extract_coefficient(sub.series, 0),
+                pr.finite_part, pr.divergent_coeff, d.A, d.B_finite, d.B_divergent_eps2,
+            )
 
-            code = _append_row(rows, [_fmt(a), _fmt(lam)], 7, code, point)
+        yield (a, lam), point
+
+
+# Subcommand -> (input columns, output columns, grid).  The grid yields,
+# in row order, each point's inputs and the function computing its outputs.
+_SUBCOMMANDS = {
+    "energy-sum": (
+        ("a", "lambda", "epsilon"), ("n_max", "energy", "remainder_bound"), _energy_sum
+    ),
+    "energy-expansion": (
+        ("a", "lambda"), ("c_m4", "c_m2", "c_0", "c_m2_ref", "c_0_ref"), _energy_expansion
+    ),
+    "pressure": (("a", "lambda", "field"), ("finite_part", "divergent_coeff"), _pressure),
+    "stress": (
+        ("a", "lambda", "field", "z"),
+        ("A", "B_finite", "B_div_eps2", "Ttt", "Tzz", "trace_residual"),
+        _stress,
+    ),
+    "covariance": (("trial", "rapidity", "angle"), ("residual",), _covariance),
+    "scan": (
+        ("a", "lambda"),
+        ("c_m2", "c_0", "finite_part", "divergent_coeff", "A", "B_finite", "B_div_eps2"),
+        _scan,
+    ),
+}
+
+COMMANDS = tuple(_SUBCOMMANDS)
+
+
+def _cell(value):
+    if value is None or isinstance(value, str):
+        return value
+    return str(value) if isinstance(value, int) else _fmt(value)
+
+
+def _sweep(cfg: ScanConfig, width: int, grid) -> tuple[list, int]:
+    """Run every grid point; a failed point keeps its inputs, empties its outputs."""
+    rows, code = [], 0
+    for inputs, point in grid(cfg):
+        try:
+            outputs = point()
+        except NotConverged:
+            outputs, code = (None,) * width, max(code, 3)
+        except CasimirError:
+            outputs, code = (None,) * width, max(code, 2)
+        rows.append([_cell(v) for v in (*inputs, *outputs)])
     return rows, code
 
 
-_RUNNERS = {
-    "energy-sum": _run_energy_sum,
-    "energy-expansion": _run_energy_expansion,
-    "pressure": _run_pressure,
-    "stress": _run_stress,
-    "covariance": _run_covariance,
-    "scan": _run_scan,
-}
-
-
-def _emit(cfg: ScanConfig, header: list[str], rows) -> None:
+def _emit(cfg: ScanConfig, header: tuple[str, ...], rows) -> None:
     if cfg.out_format == "json":
         objects = [dict(zip(header, row)) for row in rows]
         payload = objects[0] if len(objects) == 1 else objects
@@ -393,8 +363,9 @@ def _emit(cfg: ScanConfig, header: list[str], rows) -> None:
 def run(cfg: ScanConfig) -> int:
     """Execute a validated config at its precision; returns the exit code."""
     with mp.workdps(cfg.precision):
-        rows, code = _RUNNERS[cfg.command](cfg)
-        _emit(cfg, _HEADERS[cfg.command], rows)
+        inputs, outputs, grid = _SUBCOMMANDS[cfg.command]
+        rows, code = _sweep(cfg, len(outputs), grid)
+        _emit(cfg, inputs + outputs, rows)
     return code
 
 

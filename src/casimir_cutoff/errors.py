@@ -20,10 +20,6 @@ class ZeroScale(CasimirError):
     """Argument rescaling by an exactly zero factor."""
 
 
-class SingularComposition(CasimirError):
-    """Composition (e.g. exp) applied to a series with negative powers."""
-
-
 class OutOfRange(CasimirError):
     """Requested coefficient lies outside the retained power window."""
 

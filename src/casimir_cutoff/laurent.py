@@ -1,7 +1,7 @@
 """Truncated Laurent-series arithmetic in one expansion variable.
 
 The small-cutoff expansions of the regulated vacuum energy and stress
-are assembled symbolically from a few primitive series (coth, exp,
+are assembled symbolically from a few primitive series (coth and
 monomial prefactors) before any number is evaluated.  A series here is
 a finite window of coefficients: powers below ``min_degree`` are
 exactly zero, powers at or above ``truncation_order`` are unknown.
@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from mpmath import exp as mp_exp, factorial, mpf
+from mpmath import factorial, mpf
 
-from .errors import DivisionByZeroSeries, OutOfRange, SingularComposition, ZeroScale
+from .errors import DivisionByZeroSeries, OutOfRange, ZeroScale
 from .precision import to_mpf
 
 
@@ -194,38 +194,3 @@ def series_coth(order: int) -> LaurentSeries:
     for p in range(0, n, 2):
         cosh_part[p] = 1 / factorial(p)
     return series_div(LaurentSeries(0, tuple(cosh_part)), LaurentSeries(1, tuple(sinh_part)))
-
-
-def series_exp(x: LaurentSeries) -> LaurentSeries:
-    """Compose exp with a series that has no singular part.
-
-    A constant term factors out as an ordinary exponential; any nonzero
-    negative power makes the composition leave the Laurent ring.
-    """
-    constant = mpf(0)
-    positive: list[tuple[int, mpf]] = []
-    for p, c in x.terms():
-        if p < 0:
-            if c != 0:
-                raise SingularComposition(
-                    "exp of a series with negative powers is not a Laurent series"
-                )
-        elif p == 0:
-            constant = c
-        elif c != 0:
-            positive.append((p, c))
-    trunc = x.truncation_order
-    if trunc < 1:
-        raise SingularComposition("window ends before the linear term; exp is undetermined")
-    acc = monomial(1, 0, truncation_order=trunc)
-    if positive:
-        base = LaurentSeries(1, tuple(_coeff(x, p) for p in range(1, trunc)))
-        # exp(S) = sum_k S^k / k!; S has min degree >= 1, so powers of S
-        # beyond the window contribute nothing inside it.
-        power_term = acc
-        for k in range(1, trunc):
-            power_term = series_mul(power_term, base)
-            acc = series_add(acc, shift_scale(power_term, 1 / factorial(k), 0))
-    if constant != 0:
-        acc = shift_scale(acc, mp_exp(constant), 0)
-    return acc

@@ -13,7 +13,7 @@ hashable and survive precision changes without silent rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from mpmath import mp, mpf, cosh, sinh, cos, sin, sqrt, fabs, fprod
+from mpmath import mp, mpf, cosh, sinh, cos, sin, sqrt, fabs, fprod, isnan
 
 from .precision import to_mpf
 
@@ -113,17 +113,24 @@ def _check_metric(m: Matrix, factors: tuple[Matrix, ...] = ()) -> None:
     """
     # g m: g = diag(-1, 1, 1, 1) only negates the t row, exactly.
     gm = (tuple(-e for e in m[0]),) + m[1:]
-    worst = mpf(0)
+    defects = []
     for i in range(DIM):
         for j in range(i, DIM):
             acc = mpf(0)
             for k in range(DIM):
                 acc += m[k][i] * gm[k][j]
-            worst = max(worst, fabs(acc - METRIC_DIAG[i] if i == j else acc))
+            defects.append(fabs(acc - METRIC_DIAG[i] if i == j else acc))
+    # Every defect meets a comparison, so a NaN one fails both tests.  An
+    # infinite entry makes some defect infinite or NaN, and the strict
+    # bound rejects an infinite defect even when its scale is infinite.
     tol = _validation_tol()
-    if worst > tol and worst > tol * max(
+    if all(d <= tol for d in defects):
+        return
+    bound = tol * max(
         max(1, _largest(m)) ** 2, fprod(max(1, _largest(f)) for f in factors)
-    ):
+    )
+    if not all(d < bound for d in defects):
+        worst = next((d for d in defects if isnan(d)), max(defects))
         raise ValueError(f"matrix does not preserve the metric: defect {mp.nstr(worst, 8)}")
 
 

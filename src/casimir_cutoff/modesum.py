@@ -84,7 +84,7 @@ class FieldKind(Enum):
 class CutoffParams:
     """Regulator pair (epsilon, lambda).
 
-    epsilon > 0 is the cutoff length; lambda in [0, 1) deforms the
+    A finite epsilon > 0 is the cutoff length; lambda in [0, 1) deforms the
     regulator shape.  At lambda >= 1 the regulated sum diverges term by
     term, so that region is a hard error, not a NaN.
     """
@@ -95,8 +95,8 @@ class CutoffParams:
     def __post_init__(self):
         object.__setattr__(self, "epsilon", to_mpf(self.epsilon))
         object.__setattr__(self, "lam", to_mpf(self.lam))
-        if not self.epsilon > 0:
-            raise CutoffDomain(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < mpf("inf"):
+            raise CutoffDomain(f"epsilon must be positive and finite, got {self.epsilon}")
         if not (0 <= self.lam < 1):
             raise CutoffDomain(f"lambda must lie in [0, 1), got {self.lam}")
 

@@ -34,12 +34,10 @@ from .expansion import _frozen_coth_expansion
 from .laurent import (
     LaurentSeries,
     extract_coefficient,
-    from_terms,
     monomial,
     series_add,
     series_differentiate,
     series_div,
-    series_exp,
     series_mul,
     series_scale_arg,
     series_sub,
@@ -389,7 +387,7 @@ def _scalar_mode_assembly(a, lam, z, order: int = 6) -> tuple[mpf, mpf, mpf]:
         monomial(1, -1, truncation_order=trunc - 2),
     )
 
-    q = series_exp(from_terms([(1, -1)], truncation_order=trunc))
+    q = LaurentSeries(0, tuple((-1) ** j / factorial(j) for j in range(trunc)))
     cth = cos(theta)
     qsq = series_mul(q, q)
     numer = series_sub(shift_scale(q, cth, 0), qsq)

@@ -76,6 +76,12 @@ class TestParseArgs:
         with pytest.raises(UsageError, match="--a"):
             parse_args(["pressure", "--a", "abc"])
 
+    def test_infinite_range_endpoint_keeps_start(self):
+        # The first point is start itself, not start + 0 * inf = NaN.
+        cfg = parse_args(["pressure", "--a", "1:inf:2", "--epsilon", "2:-inf:3"])
+        assert cfg.a_values == (mpf(1), mpf("inf"))
+        assert cfg.eps_values[:2] == (mpf(2), mpf("-inf"))
+
     def test_single_point_range(self):
         cfg = parse_args(["pressure", "--a", "1:5:1"])
         assert cfg.a_values == (mpf(1),)
@@ -198,6 +204,22 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {flag.split('=')[0]}: ")
+
+    @pytest.mark.parametrize("epsilon", ["inf", "0.1:inf:2"])
+    def test_infinite_epsilon_row_exits_two(self, capsys, epsilon):
+        code, out, err = run_cli(capsys, "energy-sum", "--epsilon", epsilon)
+        assert code == 2
+        assert err == ""
+        _, rows = parse_csv(out)
+        assert rows[-1] == ["1.0", "0.0", "+inf", "", "", ""]
+        assert all(v != "" for row in rows[:-1] for v in row)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_non_finite_rapidity_is_a_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "covariance", f"--rapidity={value}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --rapidity: ")
 
     def test_infinite_covariance_separation_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "covariance", "--a", "inf", "--trials", "3")
@@ -414,6 +436,128 @@ class TestPinnedEnergySum:
         code, out, _ = run_cli(capsys, "energy-sum", "--epsilon", "1e-4", "--lambda", "0")
         assert code == 3
         assert out == "a,lambda,epsilon,n_max,energy,remainder_bound\n1.0,0.0,0.0001,,,\n"
+
+
+# Whole stdout and exit code of the other sweeps, recorded when each
+# subcommand still had its own hand-written runner: failed points
+# (empty CSV cells, JSON null), the EM stress "z" cell, JSON objects
+# and arrays.  However the sweep is driven, no byte moves.
+_PINNED_SWEEPS = [
+    (
+        ("energy-expansion", "--a", "0.5:1.5:2", "--lambda", "0:0.6:2"),
+        0,
+        [
+            "a,lambda,c_m4,c_m2,c_0,c_m2_ref,c_0_ref",
+            "0.5,0.0,0.0,3.340955887615244557675670583939352348519e-52,-0.109662271123215"
+            "0957648276777764016792813,0.0,-0.1096622711232150957648276777764016792813",
+            "0.5,0.6,0.0,-0.1,-0.08597522056060063507962489937669891655651,-0.1,-0.085975"
+            "22056060063507962489937669891655651",
+            "1.5,0.0,0.0,0.0,-0.004061565597156114657956580658385247380788,0.0,-0.0040615"
+            "65597156114657956580658385247380788",
+            "1.5,0.6,0.0,-0.03333333333333333333333333333333333333333,-0.0031842674281703"
+            "93891837959236174033946537,-0.03333333333333333333333333333333333333333,-0.0"
+            "03184267428170393891837959236174033946537",
+        ],
+    ),
+    (
+        ("energy-expansion", "--a", "1", "--lambda", "0.4", "--field", "scalar",
+         "--order", "6"),
+        0,
+        [
+            "a,lambda,c_m4,c_m2,c_0,c_m2_ref,c_0_ref",
+            "1.0,0.4,0.0,-0.01666666666666666666666666666666666666667,-0.0064152428607080"
+            "83102242419149919498237954,-0.01666666666666666666666666666666666666667,-0.0"
+            "06415242860708083102242419149919498237954",
+        ],
+    ),
+    (
+        ("pressure", "--a", "0:1:3", "--lambda", "0.3", "--field", "scalar"),
+        2,
+        [
+            "a,lambda,field,finite_part,divergent_coeff",
+            "0.0,0.3,scalar,,",
+            "0.5,0.3,scalar,-0.320104169408664864537531991429316501822,-0.05",
+            "1.0,0.3,scalar,-0.02000651058804155403359574946433228136388,-0.0125",
+        ],
+    ),
+    (
+        ("scan", "--a", "0.8:1.2:2", "--lambda", "0.2", _SPLIT),
+        0,
+        [
+            "a,lambda,c_m2,c_0,finite_part,divergent_coeff,A,B_finite,B_div_eps2",
+            "0.8,0.2,-0.02083333333333333333333333333333333333333,-0.02655883128765365600"
+            "554420321147228170093,-0.09959561732870121002079076204302105637849,-0.026041"
+            "66666666666666666666666666666666667,0.10709206164376474195783952907851726492"
+            "31,-0.003212761849312942258735185872355517947693,-0.013020833333333333333333"
+            "33333333333333333",
+            "1.2,0.2,-0.01388888888888888888888888888888888888889,-0.00786928334448997214"
+            "9790875025621416800276,-0.01967320836122493037447718756405354200069,-0.01157"
+            "407407407407407407407407407407407407,0.0211539874851880971768571909290898301"
+            "0827,-0.0006346196245556429153057157278726949032481,-0.005787037037037037037"
+            "037037037037037037037",
+        ],
+    ),
+    (
+        ("stress", "--field", "scalar", "--z", "0:0.5:2", "--lambda", "0.5", "--format", "json"),
+        2,
+        [
+            "[",
+            "  {",
+            "    \"a\": \"1.0\",",
+            "    \"lambda\": \"0.5\",",
+            "    \"field\": \"scalar\",",
+            "    \"z\": \"0.0\",",
+            "    \"A\": null,",
+            "    \"B_finite\": null,",
+            "    \"B_div_eps2\": null,",
+            "    \"Ttt\": null,",
+            "    \"Tzz\": null,",
+            "    \"trace_residual\": null",
+            "  },",
+            "  {",
+            "    \"a\": \"1.0\",",
+            "    \"lambda\": \"0.5\",",
+            "    \"field\": \"scalar\",",
+            "    \"z\": \"0.5\",",
+            "    \"A\": \"0.01370778389040188697060345972205020991016\",",
+            "    \"B_finite\": \"0.01799146635615247664891704088519090050708\",",
+            "    \"B_div_eps2\": \"0.02083333333333333333333333333333333333333\",",
+            "    \"Ttt\": \"-2.104751745662086281724901239149036786318\",",
+            "    \"Tzz\": \"-0.01028083791780141522795259479153765743262\",",
+            "    \"trace_residual\": \"4.238837782411841532551007053373053292183e-51\"",
+            "  }",
+            "]",
+        ],
+    ),
+    (
+        ("stress", "--a", "1.2", "--lambda", "0.4", _SPLIT, "--format", "json"),
+        0,
+        [
+            "{",
+            "  \"a\": \"1.2\",",
+            "  \"lambda\": \"0.4\",",
+            "  \"field\": \"em\",",
+            "  \"z\": \"\",",
+            "  \"A\": \"0.0158654906138910728826428931968173725812\",",
+            "  \"B_finite\": \"-0.001110584342972375101785002523777216080684\",",
+            "  \"B_div_eps2\": \"-0.01157407407407407407407407407407407407407\",",
+            "  \"Ttt\": \"1.153602095475011623322350604448285350859\",",
+            "  \"Tzz\": \"-0.0118991179604183046619821698976130294359\",",
+            "  \"trace_residual\": \"4.927909934232485722571614111310544714066e-51\"",
+            "}",
+        ],
+    ),
+]
+
+
+class TestPinnedSweeps:
+    """Stdout and exit code of every other subcommand, byte for byte."""
+
+    @pytest.mark.parametrize("argv, expected_code, expected", _PINNED_SWEEPS)
+    def test_stdout_unchanged(self, capsys, argv, expected_code, expected):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == expected_code
+        assert out == "".join(line + "\n" for line in expected)
 
 
 class TestOutputs:

@@ -9,12 +9,11 @@ mpmath's own transcendental functions.
 import random
 
 import pytest
-from mpmath import coth, exp, factorial, mp, mpf
+from mpmath import coth, mpf
 
 from casimir_cutoff.errors import (
     DivisionByZeroSeries,
     OutOfRange,
-    SingularComposition,
     ZeroScale,
 )
 from casimir_cutoff.laurent import (
@@ -27,7 +26,6 @@ from casimir_cutoff.laurent import (
     series_coth,
     series_differentiate,
     series_div,
-    series_exp,
     series_mul,
     series_scale_arg,
     series_sub,
@@ -261,7 +259,7 @@ class TestCalculus:
 
 
 class TestSpecialSeries:
-    """coth and exp expansions against mpmath evaluations."""
+    """coth expansions against mpmath evaluations."""
 
     def test_coth_window(self):
         c = series_coth(8)
@@ -300,35 +298,3 @@ class TestSpecialSeries:
     def test_coth_order_validated(self):
         with pytest.raises(ValueError):
             series_coth(0)
-
-    def test_exp_polynomial_numeric(self):
-        s = from_terms([(1, "0.5"), (2, "-0.25")], truncation_order=20)
-        e = series_exp(s)
-        v = mpf("0.05")
-        exact = exp(mpf("0.5") * v - mpf("0.25") * v**2)
-        assert abs(evaluate(e, v) - exact) < mpf("1e-24")
-
-    def test_exp_factors_constant(self):
-        s = from_terms([(0, 2), (1, 1)], truncation_order=6)
-        e = series_exp(s)
-        assert abs(extract_coefficient(e, 0) - exp(mpf(2))) < mpf("1e-45")
-        assert abs(extract_coefficient(e, 3) - exp(mpf(2)) / factorial(3)) < mpf(
-            "1e-44"
-        )
-
-    def test_exp_functional_equation(self):
-        s = from_terms([(1, "0.3"), (3, "0.2")], truncation_order=9)
-        neg = shift_scale(s, -1, 0)
-        prod = series_mul(series_exp(s), series_exp(neg))
-        assert abs(extract_coefficient(prod, 0) - 1) < mpf("1e-38")
-        for p in range(1, prod.truncation_order):
-            assert abs(extract_coefficient(prod, p)) < mpf("1e-38")
-
-    def test_exp_rejects_negative_powers(self):
-        with pytest.raises(SingularComposition):
-            series_exp(monomial(1, -1, truncation_order=3))
-
-    def test_exp_of_structural_zero_pole_allowed(self):
-        s = LaurentSeries(-1, (mpf(0), mpf(0), mpf(1)))
-        e = series_exp(s)
-        assert abs(extract_coefficient(e, 0) - 1) < mpf("1e-45")

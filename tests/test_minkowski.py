@@ -8,7 +8,7 @@ transformation of rank-2 tensors.
 import random
 
 import pytest
-from mpmath import cos, cosh, mp, mpf, pi, sin, sinh
+from mpmath import cos, cosh, inf, mp, mpf, nan, pi, sin, sinh
 
 import casimir_cutoff.minkowski
 from casimir_cutoff.errors import LightlikeSeparation
@@ -149,6 +149,23 @@ class TestLorentzTransform:
             LorentzTransform(tuple(tuple(r) for r in rows))
         rows[i][j] = mpf("1e-45")
         LorentzTransform(tuple(tuple(r) for r in rows))
+
+    @pytest.mark.parametrize("rapidity", [nan, inf, -inf], ids=str)
+    def test_non_finite_boost_rejected(self, rapidity):
+        with pytest.raises(ValueError, match="defect"):
+            boost(rapidity)
+
+    @pytest.mark.parametrize("pos", [(0, 0), (3, 3), (1, 2)], ids=str)
+    @pytest.mark.parametrize("fill", [0, mpf("1e-60")], ids=["sparse", "dense"])
+    def test_infinite_entry_rejected(self, pos, fill):
+        # Beside a zero the infinite entry gives a NaN defect (0 * inf).
+        # In a dense matrix every defect it touches is infinite, and the
+        # tolerance, scaled by the largest entry, is infinite too, so
+        # only the strict comparison rejects it.
+        rows = [[mpf(1) if r == c else mpf(fill) for c in range(DIM)] for r in range(DIM)]
+        rows[pos[0]][pos[1]] = inf
+        with pytest.raises(ValueError, match="defect"):
+            LorentzTransform(tuple(tuple(r) for r in rows))
 
     def test_small_defect_rejected_at_high_precision(self):
         mp.dps = 200

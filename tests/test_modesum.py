@@ -53,6 +53,10 @@ class TestDomainValidation:
         with pytest.raises(CutoffDomain):
             CutoffParams(nan, 0)
         with pytest.raises(CutoffDomain):
+            CutoffParams(inf, 0)
+        with pytest.raises(CutoffDomain):
+            CutoffParams(-inf, 0)
+        with pytest.raises(CutoffDomain):
             CutoffParams(mpf("0.1"), nan)
 
     def test_geometry_domain(self):
