@@ -7,83 +7,65 @@ two-parameter exponential regulator, at extended precision.  The
 headline physics: the finite Casimir observables pick up terms that
 depend on the regulator's shape parameter, and the package exposes both
 the finite and the regulator-shaped divergent coefficients explicitly.
+
+Every exported name is imported from its module on first access
+(PEP 562), so ``import casimir_cutoff`` loads none of the modules and a
+CLI subcommand loads only the ones it calls.
 """
 
-from .precision import DEFAULT_DPS, ENV_VAR, resolve_precision
-from .errors import (
-    CasimirError,
-    CothPole,
-    CutoffDomain,
-    DivisionByZeroSeries,
-    InvalidMode,
-    LightlikeSeparation,
-    NonPositiveEpsilon,
-    NonPositiveSeparation,
-    NotConverged,
-    OutOfRange,
-    WallContact,
-    ZeroScale,
-)
-from .minkowski import (
-    FourVector,
-    LorentzTransform,
-    SeparationVector,
-    SymTensor4,
-    boost,
-    mink_dot,
-    rotation_xy,
-    transform_tensor,
-)
-from .laurent import (
-    LaurentSeries,
-    evaluate,
-    extract_coefficient,
-    from_terms,
-    monomial,
-    series_add,
-    series_coth,
-    series_differentiate,
-    series_div,
-    series_mul,
-    series_scale_arg,
-    series_sub,
-    shift_scale,
-)
-from .modesum import (
-    CutoffParams,
-    FieldKind,
-    ModeIndex,
-    ModeSumResult,
-    PlateGeometry,
-    check_boundary_conditions,
-    eigenmode,
-    energy_closed_form,
-    energy_mode_sum,
-    transverse_integral,
-)
-from .expansion import (
-    EnergyExpansion,
-    PressureResult,
-    ReferenceCoefficients,
-    casimir_pressure,
-    energy_laurent,
-    pressure_from_energy,
-    reference_coefficients,
-    subtract_outer,
-)
-from .stress import (
-    RadialKernel,
-    StressDecomposition,
-    angular_average,
-    bulk_kernel,
-    covariance_check,
-    em_stress,
-    generating_function,
-    propagator_kernel,
-    scalar_stress,
-    second_derivative_tensor,
-    s1_structure,
-    stress_from_kernel,
-)
+from importlib import import_module
 
+# Defining module -> the names the package exports from it.
+_EXPORTS = {
+    "precision": ("DEFAULT_DPS", "ENV_VAR", "resolve_precision"),
+    "errors": (
+        "CasimirError", "CothPole", "CutoffDomain", "DivisionByZeroSeries",
+        "InvalidMode", "LightlikeSeparation", "NonPositiveEpsilon",
+        "NonPositiveSeparation", "NotConverged", "OutOfRange", "WallContact",
+        "ZeroScale",
+    ),
+    "minkowski": (
+        "FourVector", "LorentzTransform", "SeparationVector", "SymTensor4",
+        "boost", "mink_dot", "rotation_xy", "transform_tensor",
+    ),
+    "laurent": (
+        "LaurentSeries", "evaluate", "extract_coefficient", "from_terms",
+        "monomial", "series_add", "series_coth", "series_differentiate",
+        "series_div", "series_mul", "series_scale_arg", "series_sub",
+        "shift_scale",
+    ),
+    "modesum": (
+        "CutoffParams", "FieldKind", "ModeIndex", "ModeSumResult",
+        "PlateGeometry", "check_boundary_conditions", "eigenmode",
+        "energy_closed_form", "energy_mode_sum", "transverse_integral",
+    ),
+    "expansion": (
+        "EnergyExpansion", "PressureResult", "ReferenceCoefficients",
+        "casimir_pressure", "energy_laurent", "pressure_from_energy",
+        "reference_coefficients", "subtract_outer",
+    ),
+    "stress": (
+        "RadialKernel", "StressDecomposition", "angular_average",
+        "bulk_kernel", "covariance_check", "em_stress", "generating_function",
+        "propagator_kernel", "scalar_stress", "second_derivative_tensor",
+        "s1_structure", "stress_from_kernel",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

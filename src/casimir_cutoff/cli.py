@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import random
 import sys
@@ -32,18 +31,12 @@ from pathlib import Path
 from mpmath import isfinite, isnan, mp, mpf
 
 from .errors import CasimirError, LightlikeSeparation, NotConverged
-from .expansion import (
-    casimir_pressure,
-    energy_laurent,
-    pressure_from_energy,
-    reference_coefficients,
-    subtract_outer,
-)
-from .laurent import extract_coefficient
 from .minkowski import FourVector, SeparationVector, boost, rotation_xy
 from .modesum import CutoffParams, FieldKind, PlateGeometry, energy_mode_sum
 from .precision import resolve_precision, to_mpf
-from .stress import _stress_for, covariance_check, em_stress
+
+# parse_args needs only the modules above; each grid generator imports
+# the further layers it calls, so a subcommand loads only what it uses.
 
 
 class UsageError(Exception):
@@ -107,8 +100,12 @@ def _parse_range(text: str, flag: str) -> tuple[mpf, ...]:
         if count < 1:
             raise UsageError(f"{flag}: count must be >= 1")
         step = (stop - start) / max(count - 1, 1)
-        # i = 0 is start itself: start + 0 * step is NaN for an infinite step.
-        return (start,) + tuple(start + i * step for i in range(1, count))
+        points = [start] + [start + i * step for i in range(1, count)]
+        if count > 1 and not isfinite(step):
+            # start + 0 * inf and -inf + inf are NaN: the range ends on stop
+            # itself.  A finite step keeps start + i * step, rounding included.
+            points[-1] = stop
+        return tuple(points)
     return (_parse_number(text, flag),)
 
 
@@ -230,6 +227,9 @@ def _energy_sum(cfg: ScanConfig):
 
 
 def _energy_expansion(cfg: ScanConfig):
+    from .expansion import energy_laurent, reference_coefficients, subtract_outer
+    from .laurent import extract_coefficient
+
     half = mpf(1) / 2 if cfg.field is FieldKind.SCALAR else mpf(1)
     for a, lam in product(cfg.a_values, cfg.lam_values):
         def point(a=a, lam=lam):
@@ -242,6 +242,8 @@ def _energy_expansion(cfg: ScanConfig):
 
 
 def _pressure(cfg: ScanConfig):
+    from .expansion import casimir_pressure
+
     for a, lam in product(cfg.a_values, cfg.lam_values):
         def point(a=a, lam=lam):
             pr = casimir_pressure(a, lam, cfg.field)
@@ -251,6 +253,8 @@ def _pressure(cfg: ScanConfig):
 
 
 def _stress(cfg: ScanConfig):
+    from .stress import _stress_for
+
     zs = cfg.z_values if cfg.field is FieldKind.SCALAR else (None,)
     for a, lam, z in product(cfg.a_values, cfg.lam_values, zs):
         def point(a=a, lam=lam, z=z):
@@ -263,6 +267,8 @@ def _stress(cfg: ScanConfig):
 
 
 def _covariance(cfg: ScanConfig):
+    from .stress import covariance_check
+
     rng = random.Random(cfg.seed)
     z = cfg.z_values[0] if cfg.z_values is not None else None
     max_rap = float(cfg.rapidity)
@@ -283,6 +289,10 @@ def _scan(cfg: ScanConfig):
     # Combined per-point summary of the three observable groups; the
     # electromagnetic field only, since the scalar columns would just
     # repeat everything halved.
+    from .expansion import energy_laurent, pressure_from_energy, subtract_outer
+    from .laurent import extract_coefficient
+    from .stress import em_stress
+
     for a, lam in product(cfg.a_values, cfg.lam_values):
         def point(a=a, lam=lam):
             sub = subtract_outer(energy_laurent(a, lam))
@@ -344,6 +354,8 @@ def _sweep(cfg: ScanConfig, width: int, grid) -> tuple[list, int]:
 
 def _emit(cfg: ScanConfig, header: tuple[str, ...], rows) -> None:
     if cfg.out_format == "json":
+        import json
+
         objects = [dict(zip(header, row)) for row in rows]
         payload = objects[0] if len(objects) == 1 else objects
         text = json.dumps(payload, indent=2) + "\n"

@@ -82,6 +82,17 @@ class TestParseArgs:
         assert cfg.a_values == (mpf(1), mpf("inf"))
         assert cfg.eps_values[:2] == (mpf(2), mpf("-inf"))
 
+    def test_infinite_start_reaches_stop(self):
+        # -inf + inf is NaN, so an infinite step ends on stop itself.
+        cfg = parse_args(["pressure", "--a=-inf:1:2", "--epsilon=-inf:inf:2"])
+        assert cfg.a_values == (mpf("-inf"), mpf(1))
+        assert cfg.eps_values == (mpf("-inf"), mpf("inf"))
+        # A finite step keeps start + i * step, even where it rounds off stop.
+        cfg = parse_args(["pressure", "--a", "0.1:1:4"])
+        step = (mpf(1) - mpf("0.1")) / 3
+        assert cfg.a_values == tuple(mpf("0.1") + i * step for i in range(4))
+        assert cfg.a_values[-1] != 1
+
     def test_single_point_range(self):
         cfg = parse_args(["pressure", "--a", "1:5:1"])
         assert cfg.a_values == (mpf(1),)
@@ -676,8 +687,8 @@ class TestOutputs:
             builds.append(a)
             return energy_laurent(*a, **kw)
 
-        for module in (casimir_cutoff.cli, casimir_cutoff.expansion):
-            monkeypatch.setattr(module, "energy_laurent", counted)
+        # scan reads energy_laurent from the expansion module when it runs.
+        monkeypatch.setattr(casimir_cutoff.expansion, "energy_laurent", counted)
         code, out, _ = run_cli(capsys, *args)
         assert code == 0
         assert len(builds) == 6

@@ -1,0 +1,111 @@
+"""Start-up loads only what is used.
+
+``casimir_cutoff`` imports its exports on first access, and each CLI
+subcommand imports the layers past parsing only when its grid runs.
+The subprocess tests read ``sys.modules`` in a fresh interpreter; the
+in-process tests check that every export still resolves.
+"""
+
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import casimir_cutoff
+
+SRC = Path(casimir_cutoff.__file__).parents[1]
+
+# (defining module, name) for every name the package exports, in order.
+EXPORTS = [
+    ("precision", "DEFAULT_DPS"), ("precision", "ENV_VAR"),
+    ("precision", "resolve_precision"),
+    ("errors", "CasimirError"), ("errors", "CothPole"), ("errors", "CutoffDomain"),
+    ("errors", "DivisionByZeroSeries"), ("errors", "InvalidMode"),
+    ("errors", "LightlikeSeparation"), ("errors", "NonPositiveEpsilon"),
+    ("errors", "NonPositiveSeparation"), ("errors", "NotConverged"),
+    ("errors", "OutOfRange"), ("errors", "WallContact"), ("errors", "ZeroScale"),
+    ("minkowski", "FourVector"), ("minkowski", "LorentzTransform"),
+    ("minkowski", "SeparationVector"), ("minkowski", "SymTensor4"),
+    ("minkowski", "boost"), ("minkowski", "mink_dot"), ("minkowski", "rotation_xy"),
+    ("minkowski", "transform_tensor"),
+    ("laurent", "LaurentSeries"), ("laurent", "evaluate"),
+    ("laurent", "extract_coefficient"), ("laurent", "from_terms"),
+    ("laurent", "monomial"), ("laurent", "series_add"), ("laurent", "series_coth"),
+    ("laurent", "series_differentiate"), ("laurent", "series_div"),
+    ("laurent", "series_mul"), ("laurent", "series_scale_arg"),
+    ("laurent", "series_sub"), ("laurent", "shift_scale"),
+    ("modesum", "CutoffParams"), ("modesum", "FieldKind"), ("modesum", "ModeIndex"),
+    ("modesum", "ModeSumResult"), ("modesum", "PlateGeometry"),
+    ("modesum", "check_boundary_conditions"), ("modesum", "eigenmode"),
+    ("modesum", "energy_closed_form"), ("modesum", "energy_mode_sum"),
+    ("modesum", "transverse_integral"),
+    ("expansion", "EnergyExpansion"), ("expansion", "PressureResult"),
+    ("expansion", "ReferenceCoefficients"), ("expansion", "casimir_pressure"),
+    ("expansion", "energy_laurent"), ("expansion", "pressure_from_energy"),
+    ("expansion", "reference_coefficients"), ("expansion", "subtract_outer"),
+    ("stress", "RadialKernel"), ("stress", "StressDecomposition"),
+    ("stress", "angular_average"), ("stress", "bulk_kernel"),
+    ("stress", "covariance_check"), ("stress", "em_stress"),
+    ("stress", "generating_function"), ("stress", "propagator_kernel"),
+    ("stress", "scalar_stress"), ("stress", "second_derivative_tensor"),
+    ("stress", "s1_structure"), ("stress", "stress_from_kernel"),
+]
+
+# Prints the package modules loaded by the code in argv[1], run with argv[2:].
+PROBE = """
+import sys
+code = 0
+exec(sys.argv[1])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("casimir_cutoff"))))
+sys.exit(code)
+"""
+RUN_CLI = "from casimir_cutoff.cli import main; code = main(sys.argv[2:])"
+
+
+def loaded_modules(code: str, *argv: str) -> set[str]:
+    env = {k: v for k, v in os.environ.items() if k != "CASIMIR_PRECISION"}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, code, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_bare_import_loads_no_module():
+    assert loaded_modules("import casimir_cutoff") == {"casimir_cutoff"}
+
+
+def test_energy_sum_skips_the_expansion_layers():
+    loaded = loaded_modules(RUN_CLI, "energy-sum", "--a", "1")
+    assert "casimir_cutoff.modesum" in loaded
+    assert not loaded & {
+        "casimir_cutoff.expansion", "casimir_cutoff.laurent", "casimir_cutoff.stress"
+    }
+
+
+@pytest.mark.parametrize("command", ["energy-expansion", "pressure"])
+def test_energy_routes_skip_stress(command):
+    loaded = loaded_modules(RUN_CLI, command, "--a", "1")
+    assert "casimir_cutoff.expansion" in loaded
+    assert "casimir_cutoff.stress" not in loaded
+
+
+def test_all_is_the_pinned_export_list():
+    assert casimir_cutoff.__all__ == [name for _, name in EXPORTS]
+
+
+@pytest.mark.parametrize("module, name", EXPORTS, ids=lambda x: x)
+def test_export_resolves_to_its_definition(module, name):
+    defined = getattr(import_module(f"casimir_cutoff.{module}"), name)
+    assert getattr(casimir_cutoff, name) is defined
+    assert name in dir(casimir_cutoff)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        casimir_cutoff.no_such_name
