@@ -10,15 +10,7 @@ class CasimirError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# ---- series arithmetic ----
-
-class DivisionByZeroSeries(CasimirError):
-    """Divisor series has no nonzero retained coefficient."""
-
-
-class ZeroScale(CasimirError):
-    """Argument rescaling by an exactly zero factor."""
-
+# ---- series windows ----
 
 class OutOfRange(CasimirError):
     """Requested coefficient lies outside the retained power window."""

@@ -1,10 +1,11 @@
 """Small-cutoff expansion of the plate energy and the Casimir pressure.
 
-The closed-form energy is expanded symbolically around epsilon = 0 with
-the Laurent engine: the coth factor becomes a series in its argument,
-the frozen-copy second derivative turns into three terms by the product
-rule, and monomial prefactors shift the window.  Coefficients come out
-numeric for given (a, lambda).
+The closed-form energy is the frozen-copy second derivative of
+P(eps) coth((eps - lambda eps') c), and coth has the Laurent series
+coth u = sum_n beta_n u^(2n-1) with beta_n = 2^(2n) B_2n / (2n)!.  The
+product rule therefore gives every coefficient of the expansion around
+epsilon = 0 in closed form (see ``_frozen_coth_term``); they come out
+numeric for given (a, lambda), and the odd powers vanish exactly.
 
 Physically only the part of each coefficient that decays with the plate
 separation is observable: the experiment compares the region between
@@ -24,25 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mpmath import mp, mpf, pi
+from mpmath import bernoulli, factorial, ldexp, mp, mpf, pi
 
 from .errors import CutoffDomain, NonPositiveSeparation
-from .laurent import (
-    LaurentSeries,
-    extract_coefficient,
-    monomial,
-    series_add,
-    series_coth,
-    series_differentiate,
-    series_scale_arg,
-    series_sub,
-    shift_scale,
-)
+from .laurent import LaurentSeries, extract_coefficient
 from .modesum import FieldKind
 from .precision import to_mpf
 
-# Window eps^-4 .. eps^4: the physics needs eps^-4 .. eps^0 and two
-# even guard orders above that detect assembly drift.
+# Window eps^-4 .. eps^4: the physics needs eps^-4 .. eps^0, and the two
+# even orders above that make ``evaluate`` good to O(eps^6) at finite eps.
 DEFAULT_ORDER = 4
 
 
@@ -94,45 +85,26 @@ def _validate_domain(a, lam) -> tuple[mpf, mpf]:
     return a, lam
 
 
-@lru_cache(maxsize=16)
-def _coth_tower(
-    truncation: int, prec: int
-) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:
-    # coth, coth' and coth'' around zero from series_coth(truncation).
-    # They depend on nothing else, so one build serves every (a, lambda);
+@lru_cache(maxsize=64)
+def _coth_coefficient(n: int, prec: int) -> mpf:
+    # beta_n = 2^(2n) B_2n / (2n)!, the u^(2n-1) coefficient of coth u.
+    # It depends on nothing else, so one value serves every (a, lambda);
     # prec (which the caller passes as mp.prec) is in the key only so
-    # that a tower is never reused at another working precision.
-    base = series_coth(truncation)
-    d1 = series_differentiate(base)
-    return base, d1, series_differentiate(d1)
+    # that a value is never reused at another working precision.
+    return ldexp(bernoulli(2 * n), 2 * n) / factorial(2 * n)
 
 
-def _frozen_coth_expansion(
-    c: mpf, lam: mpf, order: int, pref: mpf
-) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:
-    """Frozen-copy second derivative of P(eps) coth((eps - lambda eps') c).
+def _frozen_coth_term(c: mpf, mu: mpf, m: int) -> mpf:
+    """Common factor beta_n c^m mu^(m-2) of the frozen-copy coth terms.
 
-    P = pref / eps, and the caller passes c = pi/2a.  The product rule
-    leaves derivatives acting on the eps in the coth argument, each
-    contributing a factor c; setting eps' = eps afterwards collapses
-    every coth derivative to argument (1 - lambda) c eps.  Returns
-    (k0, k1, f2): the scaled coth and coth' series and the second
-    derivative itself, all built from one coth series truncated at
-    order + 4.  That series and its two derivatives are cached per
-    (order, working precision), so energy_laurent and em_stress build
-    them once per precision rather than once per call.
+    For odd m = 2n - 1, mu = 1 - lambda and the caller's c = pi/2a: the
+    k-th eps-derivative of coth((eps - lambda eps') c), taken with eps'
+    frozen and then set to eps, is
+    sum_n beta_n c^m m (m-1) ... (m-k+1) mu^(m-k) eps^(m-k).  So for
+    k = 0, 1, 2 the coefficients of eps^m, eps^(m-1) and eps^(m-2) are
+    this factor times mu^2, m mu and m(m-1).
     """
-    scale = (1 - lam) * c
-    base, d1, d2 = _coth_tower(order + 4, mp.prec)
-    k0 = series_scale_arg(base, scale)
-    k1 = series_scale_arg(d1, scale)
-    k2 = series_scale_arg(d2, scale)
-    # P' = -pref eps^-2 and P'' = 2 pref eps^-3.
-    f2 = series_add(
-        series_add(shift_scale(k0, 2 * pref, -3), shift_scale(k1, -2 * pref * c, -2)),
-        shift_scale(k2, pref * c * c, -1),
-    )
-    return k0, k1, f2
+    return _coth_coefficient((m + 1) // 2, mp.prec) * c**m * mu ** (m - 2)
 
 
 def energy_laurent(
@@ -141,23 +113,36 @@ def energy_laurent(
     order: int = DEFAULT_ORDER,
     field: FieldKind = FieldKind.ELECTROMAGNETIC,
 ) -> EnergyExpansion:
-    """Expand the closed-form energy around epsilon = 0.
+    """Expand the closed-form energy around epsilon = 0, window [-4, order + 1).
 
     The energy is the frozen-copy second derivative of
     P(eps) * coth((eps - lambda*eps') c) with P = 1/(4 pi eps) and
-    c = pi/2a.
+    c = pi/2a.  P'' K + 2 P' K' + P K'' puts the coth terms of power m
+    at eps^(m-3), so with m = k + 3 the eps^k coefficient is
+    beta_n c^m mu^(m-2) [2 mu^2 - 2 m mu + m(m-1)] / 4 pi for odd m and
+    zero for even m.  The bracket is evaluated as
+    m(m-1) - 2 mu (lambda + (m - 1)), with m - 1 added to lambda as an
+    integer: the m = 1 coefficient, -2 lambda mu, then keeps its
+    relative accuracy as lambda -> 0 and is exactly zero at lambda = 0.
     """
     a, lam = _validate_domain(a, lam)
+    c, mu = pi / (2 * a), 1 - lam
     inv4pi = 1 / (4 * pi)
-    _, _, series = _frozen_coth_expansion(pi / (2 * a), lam, order, inv4pi)
-    if field is FieldKind.SCALAR:
-        # Half of every mode term, minus the n = 0 half the full sum
-        # contains: a pure 1/(4 pi eps^3) monomial, independent of a.
-        series = series_sub(
-            shift_scale(series, mpf(1) / 2, 0),
-            monomial(inv4pi, -3, truncation_order=series.truncation_order),
-        )
-    return EnergyExpansion(series=series, a=a, lam=lam, field=field)
+    coeffs = []
+    for k in range(-4, order + 1):
+        m = k + 3
+        coeff = mpf(0)
+        if m % 2:
+            bracket = m * (m - 1) - 2 * mu * (lam + (m - 1))
+            coeff = _frozen_coth_term(c, mu, m) * bracket * inv4pi
+        if field is FieldKind.SCALAR:
+            # Half of every mode term, minus the n = 0 half the full sum
+            # contains: a pure 1/(4 pi eps^3) monomial, independent of a.
+            coeff = coeff / 2 - (inv4pi if k == -3 else 0)
+        coeffs.append(coeff)
+    return EnergyExpansion(
+        series=LaurentSeries(-4, tuple(coeffs)), a=a, lam=lam, field=field
+    )
 
 
 def subtract_outer(e: EnergyExpansion) -> EnergyExpansion:
@@ -188,7 +173,7 @@ def reference_coefficients(a, lam) -> ReferenceCoefficients:
     """Independently coded values of the two surviving coefficients.
 
     These are transcribed analytic formulas, kept deliberately separate
-    from the Laurent engine so the two can check each other: the
+    from the general-m closed form so the two can check each other: the
     1/epsilon^2 coefficient -lambda/12a and the finite coefficient
     -(1-lambda) pi^2/720a^3 + lambda(lambda^2-1) pi^2/720a^3.
     """

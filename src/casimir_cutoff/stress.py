@@ -14,14 +14,16 @@ structures: S1 = g/4 - zhat zhat, whose coefficient A is a pure number
 over a^4, and S2 = g - 3 eps eps / eps^2 - zhat zhat, whose coefficient
 keeps a 1/eps^2 divergence proportional to the regulator shape
 parameter lambda.  The divergence is the point of the exercise and is
-reported as a separate coefficient, never hidden.
+reported as a separate coefficient, never hidden.  The electromagnetic
+coefficients are closed forms in the Bernoulli numbers, from the same
+frozen-copy coth terms as the energy expansion (``_em_coefficients``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from mpmath import cos, coth, csch, exp, factorial, ldexp, mp, mpf, pi, sin, sqrt
+from mpmath import coth, csch, exp, ldexp, mp, mpf, pi, sin, sqrt
 
 from .errors import (
     CothPole,
@@ -30,19 +32,7 @@ from .errors import (
     NonPositiveSeparation,
     WallContact,
 )
-from .expansion import _frozen_coth_expansion
-from .laurent import (
-    LaurentSeries,
-    extract_coefficient,
-    monomial,
-    series_add,
-    series_differentiate,
-    series_div,
-    series_mul,
-    series_scale_arg,
-    series_sub,
-    shift_scale,
-)
+from .expansion import _frozen_coth_term
 from .minkowski import (
     DIM,
     LorentzTransform,
@@ -290,52 +280,27 @@ def stress_from_kernel(kernel: RadialKernel, eps: SeparationVector) -> SymTensor
     return SymTensor4(tuple(rows))
 
 
-def _em_radial_series(a, lam, order: int = 4) -> tuple[LaurentSeries, LaurentSeries]:
-    """Subtracted frozen-copy kernel derivatives as series in s.
+def _em_coefficients(a: mpf, lam: mpf) -> tuple[mpf, mpf, mpf]:
+    """(A, B_finite, B_divergent_eps2) from the frozen-copy coth terms.
 
-    Returns (g1, g2): the small-s expansions of the first and second
-    frozen-s' derivatives of (generating_function - bulk_kernel), with
-    s' set equal to s after differentiation.  g1 contains only odd
-    powers, g2 only even ones; the bulk subtraction cancels the leading
-    1/s^3 and 1/s^4 terms exactly.
+    The kernel is the energy's with P = 1/(4 pi a s): its first and
+    second frozen-s' derivatives g1 and g2, minus the bulk kernel's,
+    which cancels exactly the n = 0 terms.  The derivative structure
+    applied to a radial kernel decomposes as A(s) S1 + B(s) S2 with
+    A(s) = -(4/3) (g2 + 2 g1 / s) and B(s) = (g2 - g1 / s) / 3, so the
+    s^(m-3) coefficients, in the notation of ``_frozen_coth_term`` and
+    with pref = 1/(4 pi a), are
+    A = -(4/3) pref beta_n c^m mu^(m-2) m(m-1) and
+    B = pref beta_n c^m mu^(m-2) [3 mu^2 - 3 m mu + m(m-1)] / 3.
+    s^0 is m = 3 and s^-2 is m = 1.  At m = 3, -(4/3) m(m-1) = -8; B's
+    bracket over 3 factors as lambda (1 + lambda) at m = 3 and as
+    -lambda mu at m = 1, so neither cancels near lambda = 0 and both are
+    exact zeros at lambda = 0.
     """
-    a = to_mpf(a)
-    lam = to_mpf(lam)
-    # The energy expansion's kernel with P = 1/(4 pi a s): f2 is the
-    # electromagnetic energy series divided by a, f1 the first derivative.
-    c = pi / (2 * a)
+    c, mu = pi / (2 * a), 1 - lam
     pref = 1 / (4 * pi * a)
-    k0, k1, f2 = _frozen_coth_expansion(c, lam, order, pref)
-    f1 = series_add(shift_scale(k0, -pref, -2), shift_scale(k1, pref * c, -1))
-    one_m = 1 - lam
-    g1 = series_sub(
-        f1,
-        monomial(
-            -(1 / one_m + 1 / one_m**2) / (2 * pi**2),
-            -3,
-            truncation_order=f1.truncation_order,
-        ),
-    )
-    g2 = series_sub(
-        f2,
-        monomial(
-            (1 / one_m + 1 / one_m**2 + 1 / one_m**3) / pi**2,
-            -4,
-            truncation_order=f2.truncation_order,
-        ),
-    )
-    return g1, g2
-
-
-def _project_structures(
-    g1: LaurentSeries, g2: LaurentSeries
-) -> tuple[LaurentSeries, LaurentSeries]:
-    # The derivative structure applied to a radial kernel decomposes
-    # exactly as A(s) S1 + B(s) S2 with
-    #   A(s) = -(4/3) (g2 + 2 g1 / s),   B(s) = (g2 - g1 / s) / 3.
-    a_series = shift_scale(series_add(g2, shift_scale(g1, 2, -1)), -mpf(4) / 3, 0)
-    b_series = shift_scale(series_sub(g2, shift_scale(g1, 1, -1)), mpf(1) / 3, 0)
-    return a_series, b_series
+    t3 = pref * _frozen_coth_term(c, mu, 3)
+    return -8 * t3, t3 * lam * (1 + lam), -pref * _frozen_coth_term(c, mu, 1) * lam * mu
 
 
 def em_stress(
@@ -353,74 +318,13 @@ def em_stress(
     zz component reduces to the classic -pi^2/240a^4.
     """
     unit, s = _unit_splitting(eps)
-    g1, g2 = _em_radial_series(geom.a, cutoff.lam)
-    a_series, b_series = _project_structures(g1, g2)
+    a_coeff, b_fin, b_div = _em_coefficients(geom.a, cutoff.lam)
     return StressDecomposition(
-        A=extract_coefficient(a_series, 0),
-        B_finite=extract_coefficient(b_series, 0),
-        B_divergent_eps2=extract_coefficient(b_series, -2),
+        A=a_coeff,
+        B_finite=b_fin,
+        B_divergent_eps2=b_div,
         direction=unit,
         separation_length=s,
-    )
-
-
-def _scalar_mode_assembly(a, lam, z, order: int = 6) -> tuple[mpf, mpf, mpf]:
-    """Scalar coefficients rebuilt from the mode sums.
-
-    Starting from the improved (traceless) scalar stress form, the mode
-    sums collapse into two kernels in the variable tau = (1 - lambda)
-    (pi/a) s: a z-independent smooth sum, which gets the continuum
-    (bulk) subtraction and becomes 1/(e^tau - 1) - 1/tau, and a
-    z-dependent cosine sum that resums to a rational function of
-    q = e^{-tau} and is kept whole - only smooth sums acquire the
-    subtraction.  The difference of the two is odd in tau, which is why
-    the resulting B series carries only even powers of s.
-    """
-    trunc = order + 6
-    c1 = pi / a
-    karg = (1 - lam) * c1
-    theta = 2 * pi * z / a
-
-    expm1 = LaurentSeries(1, tuple(1 / factorial(j) for j in range(1, trunc)))
-    smooth = series_sub(
-        series_div(monomial(1, 0, truncation_order=trunc), expm1),
-        monomial(1, -1, truncation_order=trunc - 2),
-    )
-
-    q = LaurentSeries(0, tuple((-1) ** j / factorial(j) for j in range(trunc)))
-    cth = cos(theta)
-    qsq = series_mul(q, q)
-    numer = series_sub(shift_scale(q, cth, 0), qsq)
-    denom = series_add(
-        series_sub(monomial(1, 0, truncation_order=trunc), shift_scale(q, 2 * cth, 0)),
-        qsq,
-    )
-    cosine = series_div(numer, denom)
-
-    dw = series_sub(smooth, cosine)
-    dw1 = series_differentiate(dw)
-    dw2 = series_differentiate(dw1)
-    b_series = shift_scale(
-        series_add(
-            series_add(
-                shift_scale(series_scale_arg(dw, karg), 3, -3),
-                shift_scale(series_scale_arg(dw1, karg), -3 * c1, -2),
-            ),
-            shift_scale(series_scale_arg(dw2, karg), c1 * c1, -1),
-        ),
-        1 / (12 * pi * a),
-        0,
-    )
-
-    smooth2 = series_differentiate(series_differentiate(smooth))
-    phi2 = shift_scale(
-        series_scale_arg(smooth2, karg), c1 * c1 / (2 * pi * a), -1
-    )
-    a_coeff = -mpf(2) / 3 * extract_coefficient(phi2, 0)
-    return (
-        a_coeff,
-        extract_coefficient(b_series, -2),
-        extract_coefficient(b_series, 0),
     )
 
 
@@ -438,8 +342,9 @@ def scalar_stress(
     which is why z = 0 and z = a are rejected rather than evaluated.
 
     The coefficients are the directly coded closed forms;
-    _scalar_mode_assembly rebuilds them from the mode sums, and the
-    tests compare the two as an independent cross-check.
+    ``_scalar_mode_assembly`` in ``tests/series_reference.py`` rebuilds
+    them from the mode sums, and the tests compare the two as an
+    independent cross-check.
     """
     z = to_mpf(z)
     a = geom.a

@@ -1,0 +1,328 @@
+"""Reference derivation of the series coefficients by general series arithmetic.
+
+``casimir_cutoff.expansion`` and ``casimir_cutoff.stress`` write every
+energy and electromagnetic-stress coefficient in closed form from the
+Bernoulli numbers.  This module rebuilds the same coefficients the long
+way, so the tests have an independent derivation to compare against:
+truncated Laurent-series arithmetic (sum, product, quotient,
+derivative, argument scaling) with pessimistic windows, coth built as
+the quotient of the cosh and sinh series rather than from tabulated
+coefficients, and the frozen-copy product rule applied series by
+series.  ``_scalar_mode_assembly`` rebuilds the scalar stress
+coefficients from the mode sums for ``scalar_stress``'s closed forms.
+
+Truncation bookkeeping is pessimistic on purpose.  Every operation
+derives the tightest window that is provably correct from its inputs'
+windows, so a stored coefficient is always a true coefficient.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import Iterable
+
+from mpmath import cos, factorial, mp, mpf, pi
+
+from casimir_cutoff.laurent import LaurentSeries, extract_coefficient, monomial
+from casimir_cutoff.modesum import FieldKind
+from casimir_cutoff.precision import to_mpf
+
+
+def from_terms(
+    terms: Iterable[tuple[int, object]], truncation_order: int | None = None
+) -> LaurentSeries:
+    """Build a series from sparse (power, value) pairs.
+
+    The default window ends just past the highest given power; pass a
+    larger ``truncation_order`` to assert that the omitted higher
+    coefficients are exactly zero.
+    """
+    table: dict[int, mpf] = {}
+    for power, value in terms:
+        table[int(power)] = table.get(int(power), mpf(0)) + to_mpf(value)
+    if not table:
+        raise ValueError("at least one term is required")
+    lo = min(table)
+    hi = max(table) + 1
+    if truncation_order is not None:
+        if truncation_order < hi:
+            raise ValueError("truncation order cuts off a given term")
+        hi = truncation_order
+    return LaurentSeries(lo, tuple(table.get(p, mpf(0)) for p in range(lo, hi)))
+
+
+def _coeff(x: LaurentSeries, power: int) -> mpf:
+    # Internal read: powers below the window are structurally zero.
+    k = power - x.min_degree
+    return x.coeffs[k] if 0 <= k < len(x.coeffs) else mpf(0)
+
+
+def series_add(x: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
+    lo = min(x.min_degree, y.min_degree)
+    hi = min(x.truncation_order, y.truncation_order)
+    return LaurentSeries(lo, tuple(_coeff(x, p) + _coeff(y, p) for p in range(lo, hi)))
+
+
+def series_sub(x: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
+    lo = min(x.min_degree, y.min_degree)
+    hi = min(x.truncation_order, y.truncation_order)
+    return LaurentSeries(lo, tuple(_coeff(x, p) - _coeff(y, p) for p in range(lo, hi)))
+
+
+def series_mul(x: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
+    # The product is unknown from the power where one factor's unknown
+    # tail first meets the other's leading term.
+    lo = x.min_degree + y.min_degree
+    hi = min(x.min_degree + y.truncation_order, y.min_degree + x.truncation_order)
+    out = [mpf(0)] * (hi - lo)
+    for i, cx in x.terms():
+        if cx == 0:
+            continue
+        for j, cy in y.terms():
+            p = i + j
+            if p >= hi:
+                break
+            out[p - lo] += cx * cy
+    return LaurentSeries(lo, tuple(out))
+
+
+def series_div(x: LaurentSeries, y: LaurentSeries) -> LaurentSeries:
+    """Divide by a series with a nonzero leading coefficient.
+
+    Exact zero leading coefficients of y are stripped (they arise
+    structurally, e.g. the sinh series has no constant term); the first
+    nonzero coefficient then defines the unit part to invert.
+    """
+    lead = next((k for k, c in enumerate(y.coeffs) if c != 0), None)
+    if lead is None:
+        raise ValueError("every retained coefficient of the divisor is zero")
+    m = y.min_degree + lead
+    unit = y.coeffs[lead:]
+    n = len(unit)
+    recip = [mpf(0)] * n
+    recip[0] = 1 / unit[0]
+    for k in range(1, n):
+        acc = mpf(0)
+        for j in range(1, k + 1):
+            acc += unit[j] * recip[k - j]
+        recip[k] = -acc / unit[0]
+    return series_mul(x, LaurentSeries(-m, tuple(recip)))
+
+
+def series_differentiate(x: LaurentSeries) -> LaurentSeries:
+    """Term-wise d/d eps; the window slides down one power."""
+    return LaurentSeries(x.min_degree - 1, tuple(p * c for p, c in x.terms()))
+
+
+def series_scale_arg(x: LaurentSeries, c) -> LaurentSeries:
+    """Substitute eps -> c * eps."""
+    factor = to_mpf(c)
+    if factor == 0:
+        raise ValueError("argument scale must be nonzero")
+    return LaurentSeries(x.min_degree, tuple(factor**p * v for p, v in x.terms()))
+
+
+def shift_scale(x: LaurentSeries, value, power: int) -> LaurentSeries:
+    """Multiply by the exact monomial value * eps**power.
+
+    A monomial prefactor carries no truncation of its own, so the
+    window shifts without shrinking; series_mul with a one-term series
+    would lose an order.
+    """
+    v = to_mpf(value)
+    return LaurentSeries(x.min_degree + power, tuple(v * c for c in x.coeffs))
+
+
+def series_coth(order: int) -> LaurentSeries:
+    """Laurent expansion of coth around zero, window [-1, order).
+
+    Computed as the ratio of the exponential-defined even and odd
+    series rather than from tabulated coefficients, so the division
+    routine itself is exercised on every call.
+    """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    n = order + 2
+    sinh_part = [mpf(0)] * (n - 1)
+    for p in range(1, n, 2):
+        sinh_part[p - 1] = 1 / factorial(p)
+    cosh_part = [mpf(0)] * n
+    for p in range(0, n, 2):
+        cosh_part[p] = 1 / factorial(p)
+    return series_div(LaurentSeries(0, tuple(cosh_part)), LaurentSeries(1, tuple(sinh_part)))
+
+
+@lru_cache(maxsize=16)
+def _coth_tower(
+    truncation: int, prec: int
+) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:
+    # coth, coth' and coth'' around zero from series_coth(truncation).
+    # They depend on nothing else, so one build serves every (a, lambda);
+    # prec (which the caller passes as mp.prec) is in the key only so
+    # that a tower is never reused at another working precision.
+    base = series_coth(truncation)
+    d1 = series_differentiate(base)
+    return base, d1, series_differentiate(d1)
+
+
+def _frozen_coth_expansion(
+    c: mpf, lam: mpf, order: int, pref: mpf
+) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:
+    """Frozen-copy second derivative of P(eps) coth((eps - lambda eps') c).
+
+    P = pref / eps, and the caller passes c = pi/2a.  The product rule
+    leaves derivatives acting on the eps in the coth argument, each
+    contributing a factor c; setting eps' = eps afterwards collapses
+    every coth derivative to argument (1 - lambda) c eps.  Returns
+    (k0, k1, f2): the scaled coth and coth' series and the second
+    derivative itself, all built from one coth series truncated at
+    order + 4.  That series and its two derivatives are cached per
+    (order, working precision), so energy_series and em_coefficients
+    build them once per precision rather than once per call.
+    """
+    scale = (1 - lam) * c
+    base, d1, d2 = _coth_tower(order + 4, mp.prec)
+    k0 = series_scale_arg(base, scale)
+    k1 = series_scale_arg(d1, scale)
+    k2 = series_scale_arg(d2, scale)
+    # P' = -pref eps^-2 and P'' = 2 pref eps^-3.
+    f2 = series_add(
+        series_add(shift_scale(k0, 2 * pref, -3), shift_scale(k1, -2 * pref * c, -2)),
+        shift_scale(k2, pref * c * c, -1),
+    )
+    return k0, k1, f2
+
+
+def _em_radial_series(a, lam, order: int = 4) -> tuple[LaurentSeries, LaurentSeries]:
+    """Subtracted frozen-copy kernel derivatives as series in s.
+
+    Returns (g1, g2): the small-s expansions of the first and second
+    frozen-s' derivatives of (generating_function - bulk_kernel), with
+    s' set equal to s after differentiation.  g1 contains only odd
+    powers, g2 only even ones; the bulk subtraction cancels the leading
+    1/s^3 and 1/s^4 terms exactly.
+    """
+    a = to_mpf(a)
+    lam = to_mpf(lam)
+    # The energy expansion's kernel with P = 1/(4 pi a s): f2 is the
+    # electromagnetic energy series divided by a, f1 the first derivative.
+    c = pi / (2 * a)
+    pref = 1 / (4 * pi * a)
+    k0, k1, f2 = _frozen_coth_expansion(c, lam, order, pref)
+    f1 = series_add(shift_scale(k0, -pref, -2), shift_scale(k1, pref * c, -1))
+    one_m = 1 - lam
+    g1 = series_sub(
+        f1,
+        monomial(
+            -(1 / one_m + 1 / one_m**2) / (2 * pi**2),
+            -3,
+            truncation_order=f1.truncation_order,
+        ),
+    )
+    g2 = series_sub(
+        f2,
+        monomial(
+            (1 / one_m + 1 / one_m**2 + 1 / one_m**3) / pi**2,
+            -4,
+            truncation_order=f2.truncation_order,
+        ),
+    )
+    return g1, g2
+
+
+def _project_structures(
+    g1: LaurentSeries, g2: LaurentSeries
+) -> tuple[LaurentSeries, LaurentSeries]:
+    # The derivative structure applied to a radial kernel decomposes
+    # exactly as A(s) S1 + B(s) S2 with
+    #   A(s) = -(4/3) (g2 + 2 g1 / s),   B(s) = (g2 - g1 / s) / 3.
+    a_series = shift_scale(series_add(g2, shift_scale(g1, 2, -1)), -mpf(4) / 3, 0)
+    b_series = shift_scale(series_sub(g2, shift_scale(g1, 1, -1)), mpf(1) / 3, 0)
+    return a_series, b_series
+
+
+def _scalar_mode_assembly(a, lam, z, order: int = 6) -> tuple[mpf, mpf, mpf]:
+    """Scalar coefficients rebuilt from the mode sums.
+
+    Starting from the improved (traceless) scalar stress form, the mode
+    sums collapse into two kernels in the variable tau = (1 - lambda)
+    (pi/a) s: a z-independent smooth sum, which gets the continuum
+    (bulk) subtraction and becomes 1/(e^tau - 1) - 1/tau, and a
+    z-dependent cosine sum that resums to a rational function of
+    q = e^{-tau} and is kept whole - only smooth sums acquire the
+    subtraction.  The difference of the two is odd in tau, which is why
+    the resulting B series carries only even powers of s.
+    """
+    trunc = order + 6
+    c1 = pi / a
+    karg = (1 - lam) * c1
+    theta = 2 * pi * z / a
+
+    expm1 = LaurentSeries(1, tuple(1 / factorial(j) for j in range(1, trunc)))
+    smooth = series_sub(
+        series_div(monomial(1, 0, truncation_order=trunc), expm1),
+        monomial(1, -1, truncation_order=trunc - 2),
+    )
+
+    q = LaurentSeries(0, tuple((-1) ** j / factorial(j) for j in range(trunc)))
+    cth = cos(theta)
+    qsq = series_mul(q, q)
+    numer = series_sub(shift_scale(q, cth, 0), qsq)
+    denom = series_add(
+        series_sub(monomial(1, 0, truncation_order=trunc), shift_scale(q, 2 * cth, 0)),
+        qsq,
+    )
+    cosine = series_div(numer, denom)
+
+    dw = series_sub(smooth, cosine)
+    dw1 = series_differentiate(dw)
+    dw2 = series_differentiate(dw1)
+    b_series = shift_scale(
+        series_add(
+            series_add(
+                shift_scale(series_scale_arg(dw, karg), 3, -3),
+                shift_scale(series_scale_arg(dw1, karg), -3 * c1, -2),
+            ),
+            shift_scale(series_scale_arg(dw2, karg), c1 * c1, -1),
+        ),
+        1 / (12 * pi * a),
+        0,
+    )
+
+    smooth2 = series_differentiate(series_differentiate(smooth))
+    phi2 = shift_scale(
+        series_scale_arg(smooth2, karg), c1 * c1 / (2 * pi * a), -1
+    )
+    a_coeff = -mpf(2) / 3 * extract_coefficient(phi2, 0)
+    return (
+        a_coeff,
+        extract_coefficient(b_series, -2),
+        extract_coefficient(b_series, 0),
+    )
+
+
+def energy_series(
+    a, lam, order: int = 4, field: FieldKind = FieldKind.ELECTROMAGNETIC
+) -> LaurentSeries:
+    """The energy's Laurent series, window [-4, order + 1), by series arithmetic."""
+    a = to_mpf(a)
+    lam = to_mpf(lam)
+    inv4pi = 1 / (4 * pi)
+    _, _, series = _frozen_coth_expansion(pi / (2 * a), lam, order, inv4pi)
+    if field is FieldKind.SCALAR:
+        series = series_sub(
+            shift_scale(series, mpf(1) / 2, 0),
+            monomial(inv4pi, -3, truncation_order=series.truncation_order),
+        )
+    return series
+
+
+def em_coefficients(a, lam) -> tuple[mpf, mpf, mpf]:
+    """(A, B_finite, B_divergent_eps2) of the electromagnetic stress, by series arithmetic."""
+    g1, g2 = _em_radial_series(a, lam)
+    a_series, b_series = _project_structures(g1, g2)
+    return (
+        extract_coefficient(a_series, 0),
+        extract_coefficient(b_series, 0),
+        extract_coefficient(b_series, -2),
+    )

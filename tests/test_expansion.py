@@ -1,9 +1,10 @@
 """Tests for the energy expansion, subtraction, and pressure.
 
-The Laurent engine's subtracted coefficients are compared against
+The subtracted closed-form coefficients are compared against
 independently transcribed analytic references, the unsubtracted
 series against the numeric closed form, and the pressure against its
-known special values.
+known special values.  ``test_closed_form`` compares every coefficient
+with the series-arithmetic reference.
 """
 
 import pytest
@@ -11,19 +12,14 @@ from mpmath import mp, mpf, pi
 
 from casimir_cutoff.errors import CutoffDomain, NonPositiveSeparation
 from casimir_cutoff.expansion import (
-    _coth_tower,
+    _coth_coefficient,
     casimir_pressure,
     energy_laurent,
     pressure_from_energy,
     reference_coefficients,
     subtract_outer,
 )
-from casimir_cutoff.laurent import (
-    evaluate,
-    extract_coefficient,
-    series_coth,
-    series_differentiate,
-)
+from casimir_cutoff.laurent import evaluate, extract_coefficient
 from casimir_cutoff.modesum import CutoffParams, FieldKind, PlateGeometry, energy_closed_form
 
 COEFF_TOL = mpf("1e-30")
@@ -110,27 +106,25 @@ class TestDimensionalScaling:
 
 
 class TestCothTower:
-    """The per-precision cache of coth and its first two derivatives."""
+    """The per-precision cache of coth's Laurent coefficients beta_n."""
 
     def test_never_reused_across_precisions(self):
-        _coth_tower.cache_clear()
+        _coth_coefficient.cache_clear()
         with mp.workdps(50):
-            low = _coth_tower(8, mp.prec)
+            low = _coth_coefficient(2, mp.prec)
         with mp.workdps(200):
-            high = _coth_tower(8, mp.prec)
-            fresh = series_coth(8)
-            d1 = series_differentiate(fresh)
-            expected = (fresh, d1, series_differentiate(d1))
-        for got, want in zip(high, expected):
-            assert got.min_degree == want.min_degree
-            assert got.coeffs == want.coeffs
-        assert low[0].coeffs != high[0].coeffs
+            high = _coth_coefficient(2, mp.prec)
+            cold = _coth_coefficient.__wrapped__(2, mp.prec)
+            # beta_2 = 2^4 B_4 / 4! = -1/45; a 50-digit value is off by ~1e-52.
+            assert abs(high + mpf(1) / 45) < mpf("1e-199")
+        assert high == cold
+        assert low != high
 
     def test_cached_build_matches_cold_build(self):
         energy_laurent(mpf("0.7"), mpf("0.35"))
         with mp.workdps(200):
             warm = energy_laurent(mpf("0.7"), mpf("0.35"))
-            _coth_tower.cache_clear()
+            _coth_coefficient.cache_clear()
             cold = energy_laurent(mpf("0.7"), mpf("0.35"))
         assert warm.series.coeffs == cold.series.coeffs
 

@@ -1,9 +1,12 @@
-"""Tests for the truncated Laurent series arithmetic.
+"""Tests for the Laurent series container and the reference arithmetic.
 
-The ring operations are checked against brute-force convolution
-oracles on random inputs, the calculus operations against finite
-differences and classical identities, and the special series against
-mpmath's own transcendental functions.
+The container and its read-outs come from the package.  The series
+arithmetic is the reference engine in ``series_reference``, which the
+closed-form coefficients are compared against: its ring operations are
+checked against brute-force convolution oracles on random inputs, the
+calculus operations against finite differences and classical
+identities, and the special series against mpmath's own
+transcendental functions.
 """
 
 import random
@@ -11,17 +14,10 @@ import random
 import pytest
 from mpmath import coth, mpf
 
-from casimir_cutoff.errors import (
-    DivisionByZeroSeries,
-    OutOfRange,
-    ZeroScale,
-)
-from casimir_cutoff.laurent import (
-    LaurentSeries,
-    evaluate,
-    extract_coefficient,
+from casimir_cutoff.errors import OutOfRange
+from casimir_cutoff.laurent import LaurentSeries, evaluate, extract_coefficient, monomial
+from series_reference import (
     from_terms,
-    monomial,
     series_add,
     series_coth,
     series_differentiate,
@@ -177,7 +173,7 @@ class TestRingOperations:
 
     def test_div_by_zero_series(self):
         z = LaurentSeries(0, (mpf(0), mpf(0)))
-        with pytest.raises(DivisionByZeroSeries):
+        with pytest.raises(ValueError):
             series_div(monomial(1, 0), z)
 
     def test_ring_axioms_on_random_inputs(self):
@@ -241,7 +237,7 @@ class TestCalculus:
         )
 
     def test_scale_arg_rejects_zero(self):
-        with pytest.raises(ZeroScale):
+        with pytest.raises(ValueError):
             series_scale_arg(monomial(1, 0), 0)
 
     def test_shift_scale_keeps_window_width(self):

@@ -32,7 +32,6 @@ from casimir_cutoff.modesum import CutoffParams, FieldKind, PlateGeometry
 from casimir_cutoff.stress import (
     RadialKernel,
     _s2_rows,
-    _scalar_mode_assembly,
     angular_average,
     bulk_kernel,
     covariance_check,
@@ -44,6 +43,7 @@ from casimir_cutoff.stress import (
     second_derivative_tensor,
     stress_from_kernel,
 )
+from series_reference import _scalar_mode_assembly
 
 STRESS_TOL = mpf("1e-28")
 
@@ -523,13 +523,13 @@ class TestCovariance:
         # The coefficients do not depend on the splitting, so the back-
         # transformed splitting reuses the decomposition of the original.
         builds = []
-        original = casimir_cutoff.stress._em_radial_series
+        original = casimir_cutoff.stress._em_coefficients
 
         def counted(*args, **kwargs):
             builds.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(casimir_cutoff.stress, "_em_radial_series", counted)
+        monkeypatch.setattr(casimir_cutoff.stress, "_em_coefficients", counted)
         ell = rotation_xy(mpf("0.7")).compose(boost(mpf("1.3")))
         r = covariance_check(
             FieldKind.ELECTROMAGNETIC, PlateGeometry(1), CutoffParams(mpf("0.1"), mpf("0.4")),
