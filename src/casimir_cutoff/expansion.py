@@ -27,9 +27,9 @@ from functools import lru_cache
 
 from mpmath import bernoulli, factorial, ldexp, mp, mpf, pi
 
-from .errors import CutoffDomain, NonPositiveSeparation
+from .errors import CutoffDomain
 from .laurent import LaurentSeries, extract_coefficient
-from .modesum import FieldKind
+from .modesum import FieldKind, PlateGeometry
 from .precision import to_mpf
 
 # Window eps^-4 .. eps^4: the physics needs eps^-4 .. eps^0, and the two
@@ -76,10 +76,10 @@ class PressureResult:
 
 
 def _validate_domain(a, lam) -> tuple[mpf, mpf]:
-    a = to_mpf(a)
+    # PlateGeometry rejects a zero, negative, NaN or infinite separation;
+    # at a = inf, c = pi/2a is 0 and the eps^-4 term c^-1 is undefined.
+    a = PlateGeometry(a).a
     lam = to_mpf(lam)
-    if not a > 0:
-        raise NonPositiveSeparation(f"plate separation must be positive, got {a}")
     if not (0 <= lam < 1):
         raise CutoffDomain(f"lambda must lie in [0, 1), got {lam}")
     return a, lam

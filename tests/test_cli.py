@@ -225,6 +225,20 @@ class TestExitCodes:
         assert rows[-1] == ["1.0", "0.0", "+inf", "", "", ""]
         assert all(v != "" for row in rows[:-1] for v in row)
 
+    @pytest.mark.parametrize("command", ["energy-expansion", "pressure", "scan"])
+    @pytest.mark.parametrize("a", ["inf", "1:inf:2"])
+    def test_infinite_separation_row_exits_two(self, capsys, command, a):
+        # At a = inf the scale pi/2a is 0, so the expansion has no
+        # eps^-4 term: a domain error, not a traceback.
+        code, out, err = run_cli(capsys, command, "--a", a)
+        assert code == 2
+        assert err == ""
+        header, rows = parse_csv(out)
+        n_inputs = 3 if command == "pressure" else 2
+        assert rows[-1][:n_inputs] == ["+inf", "0.0", "em"][:n_inputs]
+        assert rows[-1][n_inputs:] == [""] * (len(header) - n_inputs)
+        assert all(v != "" for row in rows[:-1] for v in row)
+
     @pytest.mark.parametrize("value", ["inf", "-inf"])
     def test_non_finite_rapidity_is_a_usage_error(self, capsys, value):
         code, out, err = run_cli(capsys, "covariance", f"--rapidity={value}")
@@ -250,9 +264,9 @@ class TestExitCodes:
 
 
 # Printed by an earlier release on the same inputs; the covariance path
-# may get faster but must not change a digit.  The residual and
-# trace_residual columns are rounding noise, so they move whenever the
-# last bits of A or B do.
+# may get faster but must not change a digit of Ttt.  The residual and
+# trace_residual columns are rounding noise: they move whenever the last
+# bits of A or B do, so they pin the current rounding, not a value.
 _SPLIT = "--eps-vec=0.01,0.1,0.02,0"
 _PINNED = [
     (

@@ -37,6 +37,8 @@ class TestEnergyLaurent:
             energy_laurent(0, 0)
         with pytest.raises(NonPositiveSeparation):
             energy_laurent("nan", 0)
+        with pytest.raises(NonPositiveSeparation):
+            energy_laurent("inf", 0.3)
         with pytest.raises(CutoffDomain):
             energy_laurent(1, 1)
         with pytest.raises(CutoffDomain):
