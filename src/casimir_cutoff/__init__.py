@@ -27,7 +27,7 @@ _EXPORTS = {
         "FourVector", "LorentzTransform", "SeparationVector", "SymTensor4",
         "boost", "mink_dot", "rotation_xy", "transform_tensor",
     ),
-    "laurent": ("LaurentSeries", "evaluate", "extract_coefficient", "monomial"),
+    "laurent": ("LaurentSeries", "evaluate", "extract_coefficient"),
     "modesum": (
         "CutoffParams", "FieldKind", "ModeIndex", "ModeSumResult",
         "PlateGeometry", "check_boundary_conditions", "eigenmode",

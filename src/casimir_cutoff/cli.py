@@ -24,7 +24,6 @@ import io
 import math
 import random
 import sys
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from mpmath import isfinite, isnan, mp, mpf
 from .errors import CasimirError, LightlikeSeparation, NotConverged
 from .minkowski import FourVector, SeparationVector, boost, rotation_xy
 from .modesum import CutoffParams, FieldKind, PlateGeometry, energy_mode_sum
-from .precision import resolve_precision, to_mpf
+from .precision import resolve_precision, to_mpf, value_type
 
 # parse_args needs only the modules above; each grid generator imports
 # the further layers it calls, so a subcommand loads only what it uses.
@@ -43,25 +42,16 @@ class UsageError(Exception):
     """Bad flags or values; maps to exit code 1."""
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(
+    value_type(
+        "ScanConfig",
+        "command a_values lam_values eps_values z_values split field n_max order"
+        " out_format output seed rapidity trials precision",
+    )
+):
     """Validated run description, with all numbers at final precision."""
 
-    command: str
-    a_values: tuple[mpf, ...]
-    lam_values: tuple[mpf, ...]
-    eps_values: tuple[mpf, ...]
-    z_values: tuple[mpf, ...] | None
-    split: SeparationVector
-    field: FieldKind
-    n_max: int | None
-    order: int
-    out_format: str
-    output: str | None
-    seed: int
-    rapidity: mpf
-    trials: int
-    precision: int
+    __slots__ = ()
 
 
 class _Parser(argparse.ArgumentParser):

@@ -22,7 +22,6 @@ into the finite answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import bernoulli, factorial, ldexp, mp, mpf, pi
@@ -30,39 +29,34 @@ from mpmath import bernoulli, factorial, ldexp, mp, mpf, pi
 from .errors import CutoffDomain
 from .laurent import LaurentSeries, extract_coefficient
 from .modesum import FieldKind, PlateGeometry
-from .precision import to_mpf
+from .precision import to_mpf, value_type
 
 # Window eps^-4 .. eps^4: the physics needs eps^-4 .. eps^0, and the two
 # even orders above that make ``evaluate`` good to O(eps^6) at finite eps.
 DEFAULT_ORDER = 4
 
 
-@dataclass(frozen=True, eq=False)
-class EnergyExpansion:
+class EnergyExpansion(
+    value_type("EnergyExpansion", "series a lam field subtracted", defaults=(False,))
+):
     """Laurent expansion of the plate energy at fixed (a, lambda).
 
     On a subtracted expansion the epsilon^k coefficient is the pure
     power c_k a^-(k+3), so differentiating in a needs nothing beyond
-    the series itself.
+    the series itself.  Like its series, it equals only itself.
     """
 
-    series: LaurentSeries
-    a: mpf
-    lam: mpf
-    field: FieldKind
-    subtracted: bool = False
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
-@dataclass(frozen=True)
-class ReferenceCoefficients:
+class ReferenceCoefficients(value_type("ReferenceCoefficients", "c_minus2 c_0")):
     """Directly coded analytic values of the two physical coefficients."""
 
-    c_minus2: mpf
-    c_0: mpf
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PressureResult:
+class PressureResult(value_type("PressureResult", "finite_part divergent_coeff")):
     """Negative a-gradient of the subtracted energy, split by character.
 
     ``finite_part`` is the cutoff-independent pressure (negative means
@@ -71,8 +65,7 @@ class PressureResult:
     as metadata and must never be added to the finite part.
     """
 
-    finite_part: mpf
-    divergent_coeff: mpf
+    __slots__ = ()
 
 
 def _validate_domain(a, lam) -> tuple[mpf, mpf]:

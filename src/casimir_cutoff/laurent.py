@@ -12,31 +12,30 @@ same coefficients independently lives with the tests, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from mpmath import mpf
 
 from .errors import OutOfRange
-from .precision import to_mpf
+from .precision import to_mpf, value_type
 
 
-@dataclass(frozen=True, eq=False)
-class LaurentSeries:
+class LaurentSeries(value_type("LaurentSeries", "min_degree coeffs")):
     """Window [min_degree, truncation_order) of a Laurent series.
 
     ``coeffs[k]`` is the coefficient of the power ``min_degree + k``.
-    The window is never empty.
+    The window is never empty.  Two series compare equal only if they
+    are the same object.
     """
 
-    min_degree: int
-    coeffs: tuple[mpf, ...]
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self):
-        vals = tuple(to_mpf(c) for c in self.coeffs)
+    def __new__(cls, min_degree: int, coeffs: tuple[mpf, ...]):
+        vals = tuple(to_mpf(c) for c in coeffs)
         if not vals:
             raise ValueError("series window must be non-empty")
-        object.__setattr__(self, "coeffs", vals)
+        return super().__new__(cls, min_degree, vals)
 
     @property
     def truncation_order(self) -> int:
@@ -47,19 +46,6 @@ class LaurentSeries:
         """Iterate (power, coefficient) in ascending power order."""
         for k, c in enumerate(self.coeffs):
             yield self.min_degree + k, c
-
-
-def monomial(value, power: int, truncation_order: int | None = None) -> LaurentSeries:
-    """Single-term series value * eps**power.
-
-    The default window holds just that power; pass a larger
-    ``truncation_order`` to assert that the higher coefficients are
-    exactly zero.
-    """
-    hi = power + 1 if truncation_order is None else truncation_order
-    if hi <= power:
-        raise ValueError("truncation order cuts off the term")
-    return LaurentSeries(power, (value,) + (0,) * (hi - power - 1))
 
 
 def extract_coefficient(x: LaurentSeries, power: int) -> mpf:

@@ -7,15 +7,16 @@ plates sit at fixed z, so boosts and rotations that preserve the plate
 geometry act only in the (t, x, y) block.
 
 Everything is stored as tuples of mpf, so instances are immutable and
-hashable and survive precision changes without silent rounding.
+hashable and survive precision changes without silent rounding.  Each
+value type is itself a tuple of its fields (``value_type``), validated
+on construction and by ``_replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from mpmath import mp, mpf, cosh, sinh, cos, sin, sqrt, fabs, fprod, isnan
 
-from .precision import to_mpf
+from .precision import to_mpf, value_type
 
 DIM = 4
 
@@ -30,18 +31,13 @@ def _validation_tol() -> mpf:
     return mpf(10) ** (10 - mp.dps)
 
 
-@dataclass(frozen=True)
-class FourVector:
+class FourVector(value_type("FourVector", "t x y z")):
     """Contravariant four-vector with components (t, x, y, z)."""
 
-    t: mpf
-    x: mpf
-    y: mpf
-    z: mpf
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("t", "x", "y", "z"):
-            object.__setattr__(self, name, to_mpf(getattr(self, name)))
+    def __new__(cls, t: mpf, x: mpf, y: mpf, z: mpf):
+        return super().__new__(cls, to_mpf(t), to_mpf(x), to_mpf(y), to_mpf(z))
 
     def components(self) -> tuple[mpf, mpf, mpf, mpf]:
         return (self.t, self.x, self.y, self.z)
@@ -56,8 +52,7 @@ def mink_dot(u: FourVector, v: FourVector) -> mpf:
     return -u.t * v.t + u.x * v.x + u.y * v.y + u.z * v.z
 
 
-@dataclass(frozen=True)
-class SeparationVector:
+class SeparationVector(value_type("SeparationVector", "vector")):
     """Spacelike point-splitting vector.
 
     The regulated two-point functions are expanded around coincidence
@@ -65,16 +60,17 @@ class SeparationVector:
     no invariant length to expand in, so construction rejects it.
     """
 
-    vector: FourVector
+    __slots__ = ()
 
-    def __post_init__(self):
-        if mink_dot(self.vector, self.vector) <= 0:
+    def __new__(cls, vector: FourVector):
+        if mink_dot(vector, vector) <= 0:
             from .errors import LightlikeSeparation
 
             raise LightlikeSeparation(
                 "point-splitting vector must be spacelike: "
-                f"squared length {mp.nstr(mink_dot(self.vector, self.vector), 8)}"
+                f"squared length {mp.nstr(mink_dot(vector, vector), 8)}"
             )
+        return super().__new__(cls, vector)
 
     @property
     def length(self) -> mpf:
@@ -134,8 +130,7 @@ def _check_metric(m: Matrix, factors: tuple[Matrix, ...] = ()) -> None:
         raise ValueError(f"matrix does not preserve the metric: defect {mp.nstr(worst, 8)}")
 
 
-@dataclass(frozen=True)
-class LorentzTransform:
+class LorentzTransform(value_type("LorentzTransform", "matrix")):
     """Metric-preserving linear map, validated at construction.
 
     The defect max |(L^T g L - g)_{ij}| must stay below a tolerance tied
@@ -146,12 +141,12 @@ class LorentzTransform:
     ``compose``, which scales it by its factors, and ``inverse``.
     """
 
-    matrix: Matrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = _as_matrix(self.matrix)
-        object.__setattr__(self, "matrix", m)
+    def __new__(cls, matrix: Matrix):
+        m = _as_matrix(matrix)
         _check_metric(m)
+        return super().__new__(cls, m)
 
     def apply(self, v: FourVector) -> FourVector:
         comps = v.components()
@@ -166,9 +161,8 @@ class LorentzTransform:
         """self after other: (self.compose(other)).apply(v) = self(other(v))."""
         m = _mat_mul(self.matrix, other.matrix)
         _check_metric(m, (self.matrix, other.matrix))
-        product = object.__new__(LorentzTransform)
-        object.__setattr__(product, "matrix", m)
-        return product
+        # Already checked against its factors' scale: skip __new__'s check.
+        return tuple.__new__(LorentzTransform, (m,))
 
     def inverse(self) -> "LorentzTransform":
         """The inverse g L^T g, entry (i, j) = g_i m[j][i] g_j.
@@ -216,21 +210,23 @@ def rotation_xy(angle) -> LorentzTransform:
     )
 
 
-@dataclass(frozen=True)
-class SymTensor4:
-    """Symmetric rank-2 tensor with upper indices, stored as a full matrix."""
+class SymTensor4(value_type("SymTensor4", "matrix")):
+    """Symmetric rank-2 tensor with upper indices, stored as a full matrix.
 
-    matrix: Matrix
+    ``t[i, j]`` is the entry in row i, column j.
+    """
 
-    def __post_init__(self):
-        m = _as_matrix(self.matrix)
-        object.__setattr__(self, "matrix", m)
+    __slots__ = ()
+
+    def __new__(cls, matrix: Matrix):
+        m = _as_matrix(matrix)
         worst = max(
             fabs(m[i][j] - m[j][i]) for i in range(DIM) for j in range(i + 1, DIM)
         )
         # Relative to the largest entry; exact symmetry needs no scale.
         if worst > 0 and worst > _validation_tol() * _largest(m):
             raise ValueError(f"tensor is not symmetric: defect {mp.nstr(worst, 8)}")
+        return super().__new__(cls, m)
 
     def __getitem__(self, idx: tuple[int, int]) -> mpf:
         i, j = idx

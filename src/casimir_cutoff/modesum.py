@@ -31,7 +31,6 @@ invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -44,7 +43,7 @@ from .errors import (
     NonPositiveSeparation,
     NotConverged,
 )
-from .precision import to_mpf
+from .precision import to_mpf, value_type
 
 # Cap on the automatic stopping index; past it the parameters are too
 # close to the convergence boundary for a mode sum.
@@ -80,8 +79,7 @@ class FieldKind(Enum):
     SCALAR = "scalar"
 
 
-@dataclass(frozen=True)
-class CutoffParams:
+class CutoffParams(value_type("CutoffParams", "epsilon lam")):
     """Regulator pair (epsilon, lambda).
 
     A finite epsilon > 0 is the cutoff length; lambda in [0, 1) deforms the
@@ -89,60 +87,54 @@ class CutoffParams:
     term, so that region is a hard error, not a NaN.
     """
 
-    epsilon: mpf
-    lam: mpf
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", to_mpf(self.epsilon))
-        object.__setattr__(self, "lam", to_mpf(self.lam))
-        if not 0 < self.epsilon < mpf("inf"):
-            raise CutoffDomain(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not (0 <= self.lam < 1):
-            raise CutoffDomain(f"lambda must lie in [0, 1), got {self.lam}")
+    def __new__(cls, epsilon: mpf, lam: mpf):
+        epsilon, lam = to_mpf(epsilon), to_mpf(lam)
+        if not 0 < epsilon < mpf("inf"):
+            raise CutoffDomain(f"epsilon must be positive and finite, got {epsilon}")
+        if not (0 <= lam < 1):
+            raise CutoffDomain(f"lambda must lie in [0, 1), got {lam}")
+        return super().__new__(cls, epsilon, lam)
 
 
-@dataclass(frozen=True)
-class PlateGeometry:
+class PlateGeometry(value_type("PlateGeometry", "a")):
     """Plates at z = 0 and z = a, with a positive and finite.
 
     The outer region enters only through expansion.subtract_outer.
     """
 
-    a: mpf
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", to_mpf(self.a))
-        if not self.a > 0:
-            raise NonPositiveSeparation(f"plate separation must be positive, got {self.a}")
-        if self.a == mpf("inf"):
+    def __new__(cls, a: mpf):
+        a = to_mpf(a)
+        if not a > 0:
+            raise NonPositiveSeparation(f"plate separation must be positive, got {a}")
+        if a == mpf("inf"):
             raise NonPositiveSeparation("plate separation must be finite")
+        return super().__new__(cls, a)
 
 
-@dataclass(frozen=True)
-class ModeIndex:
+class ModeIndex(value_type("ModeIndex", "n polarization k")):
     """Standing-wave label: discrete n, polarization 1 or 2, transverse k."""
 
-    n: int
-    polarization: int
-    k: tuple[mpf, mpf]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", (to_mpf(self.k[0]), to_mpf(self.k[1])))
-        if self.n < 0:
-            raise InvalidMode(f"mode number must be non-negative, got {self.n}")
-        if self.polarization not in (1, 2):
-            raise InvalidMode(f"polarization must be 1 or 2, got {self.polarization}")
-        if self.n == 0 and self.polarization == 1:
+    def __new__(cls, n: int, polarization: int, k: tuple[mpf, mpf]):
+        k = (to_mpf(k[0]), to_mpf(k[1]))
+        if n < 0:
+            raise InvalidMode(f"mode number must be non-negative, got {n}")
+        if polarization not in (1, 2):
+            raise InvalidMode(f"polarization must be 1 or 2, got {polarization}")
+        if n == 0 and polarization == 1:
             raise InvalidMode("n = 0 supports only polarization 2")
+        return super().__new__(cls, n, polarization, k)
 
 
-@dataclass(frozen=True)
-class ModeSumResult:
+class ModeSumResult(value_type("ModeSumResult", "value remainder_bound n_max")):
     """Partial sum with a certified bound on the omitted tail."""
 
-    value: mpf
-    remainder_bound: mpf
-    n_max: int
+    __slots__ = ()
 
 
 def transverse_integral(m, epsilon) -> mpf:
@@ -266,7 +258,11 @@ def _predict_stop(x, q_up, A, B, C, limit) -> int:
     Past the first n with rho_n < 1 the tail is decreasing in n (a
     decreasing term over a growing 1 - rho_n), so the condition is
     monotone.  Its crossing is found in double precision from
-    logarithms, which cost no exp, by doubling and bisection.
+    logarithms, which cost no exp: a first guess, widened around by
+    _search_from.  The guess only sets how many probes that takes; past
+    about 10^15, where doubles no longer resolve consecutive indices and
+    the float condition is monotone only up to rounding, it can also
+    move the estimate by a few units in its last digits.
     """
     # p(m) = s (a m^2 + b m + c) with max(a, b, c) = 1 keeps the floats
     # in range whatever the size of A, B, C.
@@ -275,27 +271,41 @@ def _predict_stop(x, q_up, A, B, C, limit) -> int:
     # ln q_up = x + ln(1 + 8u), kept accurate even when q is near 1.
     xf = float(x)
     ln_q_up, goal = xf + 8 * 2.0**-mp.prec, _ln(limit) - _ln(s)
+    if ln_q_up >= 0:  # rho_n >= 1 at every n: the condition never holds
+        return _ESTIMATE_LIMIT
+
+    def ln_rho(m) -> float:
+        return ln_q_up + 2 * math.log1p(1 / m)
 
     def meets(n: int) -> bool:
         m = n + 1
-        ln_rho = ln_q_up + 2 * math.log1p(1 / m)
-        if ln_rho >= 0:
+        lr = ln_rho(m)
+        if lr >= 0:
             return False
         ln_p = math.log((a * m + b) * m + c)
-        return m * xf + ln_p - math.log(-math.expm1(ln_rho)) <= goal
+        return m * xf + ln_p - math.log(-math.expm1(lr)) <= goal
 
-    hi = 1
-    while hi < _ESTIMATE_LIMIT and not meets(hi):
-        hi *= 2
-    return _first_true(meets, hi // 2, hi)
+    # The tail at m = n + 1 is e^(m x) e^r(m), r = ln p(m) - ln(1 - rho),
+    # so the crossing solves m = (goal - r(m)) / x.  Start from r = 0 and
+    # take two fixed-point steps: r varies like ln m, so each step gains
+    # a factor of about m |x| / 2 in accuracy.
+    m = goal / xf
+    for _ in range(2):
+        m = max(m, 1.0)
+        r, lr = math.log((a * m + b) * m + c), ln_rho(m)
+        if lr < 0:
+            r -= math.log(-math.expm1(lr))
+        m = (goal - r) / xf
+    guess = math.ceil(min(max(m, 1.0), _ESTIMATE_LIMIT)) - 1
+    return _search_from(meets, max(guess, 1), _ESTIMATE_LIMIT)
 
 
-def _search_from(meets, n: int) -> int:
-    """First m >= 1 with meets(m), for meets monotone, probing n and n - 1 first.
+def _search_from(meets, n: int, limit: int = _AUTO_N_CAP + 1) -> int:
+    """First m in [1, limit) with meets(m), for meets monotone, probing n and n - 1 first.
 
     A probe on the wrong side of the crossing widens the bracket outward,
-    doubling its step, and the bracket left is bisected.  Returns an
-    index past _AUTO_N_CAP if meets holds nowhere up to the cap.
+    doubling its step, and the bracket left is bisected.  Returns limit,
+    which is never probed, if meets holds nowhere below it.
     """
     step = 1
     if meets(n):
@@ -305,10 +315,8 @@ def _search_from(meets, n: int) -> int:
             step *= 2
     else:
         lo, hi = n, n + 1
-        while not meets(hi):
-            if hi > _AUTO_N_CAP:
-                return hi
-            lo, hi = hi, hi + step
+        while hi < limit and not meets(hi):
+            lo, hi = hi, min(hi + step, limit)
             step *= 2
     return _first_true(meets, lo, hi)
 

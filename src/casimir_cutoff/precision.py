@@ -8,11 +8,15 @@ acceptance tolerances (1e-28 .. 1e-40) assume the default of 50.
 
 Precedence for the digit count: explicit argument, then the
 CASIMIR_PRECISION environment variable, then DEFAULT_DPS.
+
+Values are held in immutable ``value_type`` records that convert their
+numbers to mpf on construction (``to_mpf``).
 """
 
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 
 from mpmath import mpf
 
@@ -37,3 +41,16 @@ def to_mpf(x) -> mpf:
     if isinstance(x, mpf):
         return x
     return mpf(x)
+
+
+def value_type(name: str, fields: str, defaults=()):
+    """namedtuple base for an immutable, validated value type.
+
+    A subclass sets ``__slots__ = ()`` and converts and validates its
+    fields in ``__new__``.  namedtuple's own ``_make``, which ``_replace``
+    calls, builds the tuple directly and would skip that; here it calls
+    the class, so a replaced field is converted and checked as well.
+    """
+    base = namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base

@@ -21,8 +21,6 @@ frozen-copy coth terms as the energy expansion (``_em_coefficients``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from mpmath import coth, csch, exp, ldexp, mp, mpf, pi, sin, sqrt
 
 from .errors import (
@@ -42,7 +40,7 @@ from .minkowski import (
     transform_tensor,
 )
 from .modesum import CutoffParams, FieldKind, PlateGeometry
-from .precision import to_mpf
+from .precision import to_mpf, value_type
 
 # Metric restricted to the (t, x, y) subspace the splitting lives in.
 _H_DIAG = (mpf(-1), mpf(1), mpf(1), mpf(0))
@@ -59,18 +57,18 @@ def _split_tol() -> mpf:
     return ldexp(mpf(1), -(mp.prec // 2))
 
 
-@dataclass(frozen=True)
-class RadialKernel:
+class RadialKernel(value_type("RadialKernel", "s value first second")):
     """Value and first two radial derivatives of a kernel at separation s."""
 
-    s: mpf
-    value: mpf
-    first: mpf
-    second: mpf
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StressDecomposition:
+class StressDecomposition(
+    value_type(
+        "StressDecomposition",
+        "A B_finite B_divergent_eps2 direction separation_length",
+    )
+):
     """Subtracted stress in the two-structure form.
 
     The assembled tensor is A * S1 + (B_divergent_eps2 / s^2 +
@@ -80,11 +78,7 @@ class StressDecomposition:
     enters only through the S2 structure itself.
     """
 
-    A: mpf
-    B_finite: mpf
-    B_divergent_eps2: mpf
-    direction: SeparationVector
-    separation_length: mpf
+    __slots__ = ()
 
     def tensor(self) -> SymTensor4:
         """Assemble the full symmetric traceless tensor at this splitting.
@@ -402,7 +396,7 @@ def covariance_check(
     back = SeparationVector(transform.inverse().apply(eps.vector))
     unit, s = _unit_splitting(back)
     moved = transform_tensor(
-        transform, replace(d, direction=unit, separation_length=s).tensor()
+        transform, d._replace(direction=unit, separation_length=s).tensor()
     )
     return max(
         abs(moved[i, j] - direct[i, j]) for i in range(DIM) for j in range(DIM)

@@ -23,7 +23,7 @@ from typing import Iterable
 
 from mpmath import cos, factorial, mp, mpf, pi
 
-from casimir_cutoff.laurent import LaurentSeries, extract_coefficient, monomial
+from casimir_cutoff.laurent import LaurentSeries, extract_coefficient
 from casimir_cutoff.modesum import FieldKind
 from casimir_cutoff.precision import to_mpf
 
@@ -49,6 +49,19 @@ def from_terms(
             raise ValueError("truncation order cuts off a given term")
         hi = truncation_order
     return LaurentSeries(lo, tuple(table.get(p, mpf(0)) for p in range(lo, hi)))
+
+
+def monomial(value, power: int, truncation_order: int | None = None) -> LaurentSeries:
+    """Single-term series value * eps**power.
+
+    The default window holds just that power; pass a larger
+    ``truncation_order`` to assert that the higher coefficients are
+    exactly zero.
+    """
+    hi = power + 1 if truncation_order is None else truncation_order
+    if hi <= power:
+        raise ValueError("truncation order cuts off the term")
+    return LaurentSeries(power, (value,) + (0,) * (hi - power - 1))
 
 
 def _coeff(x: LaurentSeries, power: int) -> mpf:

@@ -15,9 +15,10 @@ import pytest
 from mpmath import coth, mpf
 
 from casimir_cutoff.errors import OutOfRange
-from casimir_cutoff.laurent import LaurentSeries, evaluate, extract_coefficient, monomial
+from casimir_cutoff.laurent import LaurentSeries, evaluate, extract_coefficient
 from series_reference import (
     from_terms,
+    monomial,
     series_add,
     series_coth,
     series_differentiate,

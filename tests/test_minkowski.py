@@ -298,3 +298,51 @@ class TestSymTensor4:
         rows[0][0] += fuzz
         with pytest.raises(ValueError):
             LorentzTransform(tuple(tuple(r) for r in rows))
+
+
+class TestValueTypes:
+    """The value types are tuples, immutable and validated by ``_replace`` too."""
+
+    IDENTITY = tuple(tuple(int(i == j) for j in range(DIM)) for i in range(DIM))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FourVector(1, 2, 3, 0),
+            lambda: SeparationVector(FourVector(0, 1, 0, 0)),
+            lambda: boost(mpf("0.3")),
+            lambda: SymTensor4.diagonal(1, 2, 3, 4),
+        ],
+        ids=["FourVector", "SeparationVector", "LorentzTransform", "SymTensor4"],
+    )
+    def test_rejects_attribute_assignment(self, make):
+        value = make()
+        field = value._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_four_vector_replace_converts(self, check_replace):
+        # FourVector has no invalid value; a string that is no number
+        # fails in the conversion, as it does in the constructor.
+        check_replace(FourVector(1, 2, 3, 0), "x", "not a number", "0.5")
+
+    def test_separation_replace_validates(self, check_replace):
+        check_replace(
+            SeparationVector(FourVector(0, 1, 0, 0)),
+            "vector", FourVector(1, 1, 0, 0), FourVector("0.3", 1, 0, 0),
+        )
+
+    def test_lorentz_replace_validates(self, check_replace):
+        stretched = ((2, 0, 0, 0),) + self.IDENTITY[1:]
+        check_replace(boost(mpf("0.3")), "matrix", stretched, self.IDENTITY)
+
+    def test_tensor_replace_validates(self, check_replace):
+        skew = ((0, 1, 0, 0),) + self.IDENTITY[1:]
+        check_replace(SymTensor4.diagonal(1, 2, 3, 4), "matrix", skew, self.IDENTITY)
+
+    def test_compose_result_is_a_transform(self):
+        ell = rotation_xy(mpf("0.2")).compose(boost(mpf("0.5")))
+        assert type(ell) is LorentzTransform
+        assert ell._replace(matrix=ell.matrix) == ell

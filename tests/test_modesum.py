@@ -6,6 +6,7 @@ certified remainder bound, and the eigenmodes against their
 normalization and wall conditions.
 """
 
+import math
 import random
 import re
 
@@ -418,6 +419,31 @@ class TestEnergyModeSum:
                     assert probes == [first, first - 1]
         assert _search_from(lambda n: False, 10) > _AUTO_N_CAP
 
+    def test_prediction_starts_at_the_crossing(self, monkeypatch):
+        # The float search starts from a guess at the crossing, not from
+        # n = 1: two guess steps, then the probes at n and n - 1, where
+        # doubling and bisection from 1 took 16 or more.
+        counts = []
+        real_log1p, real_predict = math.log1p, casimir_cutoff.modesum._predict_stop
+
+        def counted_log1p(v):
+            counts[-1] += 1
+            return real_log1p(v)
+
+        def counted_predict(*args):
+            counts.append(0)
+            return real_predict(*args)
+
+        monkeypatch.setattr(math, "log1p", counted_log1p)
+        monkeypatch.setattr(casimir_cutoff.modesum, "_predict_stop", counted_predict)
+        rng = random.Random(5)
+        for _ in range(60):
+            geom = PlateGeometry(mpf(rng.uniform(0.5, 2.0)))
+            cutoff = CutoffParams(mpf(rng.uniform(0.01, 0.5)), mpf(rng.uniform(0.0, 0.9)))
+            energy_mode_sum(geom, cutoff, field=rng.choice(list(FieldKind)))
+        assert sorted(counts)[len(counts) // 2] == 4
+        assert max(counts) < 16
+
     def test_each_call_makes_one_exponential(self, monkeypatch):
         calls = []
         for name in ("exp", "expm1"):
@@ -532,3 +558,78 @@ class TestEigenmodes:
             [0, geom.a],
         )
         assert abs(norm - 1) < mpf("1e-30")
+
+
+def _value_types():
+    # One instance of every public value type outside minkowski, built
+    # the way the package builds it.
+    from casimir_cutoff.cli import parse_args
+    from casimir_cutoff.expansion import (
+        casimir_pressure, energy_laurent, reference_coefficients,
+    )
+    from casimir_cutoff.minkowski import FourVector, SeparationVector
+    from casimir_cutoff.stress import em_stress, propagator_kernel
+
+    geom, cutoff = PlateGeometry(1), CutoffParams(mpf("0.1"), mpf("0.5"))
+    expansion = energy_laurent(1, mpf("0.5"))
+    split = SeparationVector(FourVector(0, mpf("0.1"), 0, 0))
+    return {
+        "CutoffParams": cutoff,
+        "PlateGeometry": geom,
+        "ModeIndex": ModeIndex(1, 2, (mpf("0.3"), mpf("0.4"))),
+        "ModeSumResult": energy_mode_sum(geom, cutoff, n_max=10),
+        "LaurentSeries": expansion.series,
+        "EnergyExpansion": expansion,
+        "ReferenceCoefficients": reference_coefficients(1, mpf("0.5")),
+        "PressureResult": casimir_pressure(1, mpf("0.5")),
+        "RadialKernel": propagator_kernel(1, mpf("0.1")),
+        "StressDecomposition": em_stress(geom, cutoff, split),
+        "ScanConfig": parse_args(["energy-sum"]),
+    }
+
+
+class TestValueTypes:
+    """The value types are tuples, immutable and validated by ``_replace`` too."""
+
+    @pytest.mark.parametrize("name", list(_value_types()))
+    def test_rejects_attribute_assignment(self, name):
+        value = _value_types()[name]
+        assert type(value).__name__ == name
+        field = value._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_cutoff_replace_validates(self, check_replace):
+        cutoff = CutoffParams(mpf("0.1"), mpf("0.5"))
+        check_replace(cutoff, "lam", 2, "0.25")
+        check_replace(cutoff, "epsilon", inf, 1)
+
+    def test_geometry_replace_validates(self, check_replace):
+        check_replace(PlateGeometry(1), "a", -2, "1.5")
+
+    def test_mode_index_replace_validates(self, check_replace):
+        idx = ModeIndex(1, 2, (mpf("0.3"), mpf("0.4")))
+        check_replace(idx, "k", ("x", 0), (1, "0.5"))
+        with pytest.raises(InvalidMode, match="polarization must be 1 or 2"):
+            idx._replace(polarization=3)
+        with pytest.raises(InvalidMode, match="only polarization 2"):
+            idx._replace(n=0, polarization=1)
+
+    def test_mode_sum_result_unpacks(self):
+        res = energy_mode_sum(PlateGeometry(1), CutoffParams(mpf("0.1"), 0), n_max=10)
+        value, bound, n_max = res
+        assert (value, bound, n_max) == (res.value, res.remainder_bound, 10)
+        assert res == (res.value, res.remainder_bound, res.n_max)
+
+    def test_series_and_expansion_compare_by_identity(self):
+        from casimir_cutoff.expansion import energy_laurent
+        from casimir_cutoff.laurent import LaurentSeries
+
+        first, again = energy_laurent(1, mpf("0.5")), energy_laurent(1, mpf("0.5"))
+        twin = LaurentSeries(first.series.min_degree, first.series.coeffs)
+        for x, y in ((first, again), (first.series, again.series), (first.series, twin)):
+            assert x == x and not x != x
+            assert x != y and not x == y
+            assert len({x, y}) == 2

@@ -3,7 +3,8 @@
 ``casimir_cutoff`` imports its exports on first access, and each CLI
 subcommand imports the layers past parsing only when its grid runs.
 The subprocess tests read ``sys.modules`` in a fresh interpreter; the
-in-process tests check that every export still resolves.
+in-process tests check that every export still resolves.  No start loads
+``dataclasses``: the value types are namedtuples.
 """
 
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import casimir_cutoff
+from casimir_cutoff.cli import COMMANDS
 
 SRC = Path(casimir_cutoff.__file__).parents[1]
 
@@ -31,7 +33,7 @@ EXPORTS = [
     ("minkowski", "boost"), ("minkowski", "mink_dot"), ("minkowski", "rotation_xy"),
     ("minkowski", "transform_tensor"),
     ("laurent", "LaurentSeries"), ("laurent", "evaluate"),
-    ("laurent", "extract_coefficient"), ("laurent", "monomial"),
+    ("laurent", "extract_coefficient"),
     ("modesum", "CutoffParams"), ("modesum", "FieldKind"), ("modesum", "ModeIndex"),
     ("modesum", "ModeSumResult"), ("modesum", "PlateGeometry"),
     ("modesum", "check_boundary_conditions"), ("modesum", "eigenmode"),
@@ -49,12 +51,14 @@ EXPORTS = [
     ("stress", "s1_structure"), ("stress", "stress_from_kernel"),
 ]
 
-# Prints the package modules loaded by the code in argv[1], run with argv[2:].
+# Prints the package modules loaded by the code in argv[1], run with
+# argv[2:], and which of the stdlib modules no start needs it loaded.
 PROBE = """
 import sys
 code = 0
 exec(sys.argv[1])
-print(" ".join(sorted(m for m in sys.modules if m.startswith("casimir_cutoff"))))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("casimir_cutoff")
+                      or m in ("dataclasses", "inspect"))))
 sys.exit(code)
 """
 RUN_CLI = "from casimir_cutoff.cli import main; code = main(sys.argv[2:])"
@@ -88,6 +92,15 @@ def test_energy_routes_skip_stress(command):
     loaded = loaded_modules(RUN_CLI, command, "--a", "1")
     assert "casimir_cutoff.expansion" in loaded
     assert "casimir_cutoff.stress" not in loaded
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_start_loads_dataclasses(command):
+    # dataclasses costs ~11 ms a start and pulls in inspect, ast, dis and
+    # tokenize; the value types are namedtuples, so no layer needs it.
+    loaded = loaded_modules(RUN_CLI, command, "--a", "1", "--trials", "2")
+    assert "casimir_cutoff.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_all_is_the_pinned_export_list():
