@@ -9,8 +9,8 @@ acceptance tolerances (1e-28 .. 1e-40) assume the default of 50.
 Precedence for the digit count: explicit argument, then the
 CASIMIR_PRECISION environment variable, then DEFAULT_DPS.
 
-Values are held in immutable ``value_type`` records that convert their
-numbers to mpf on construction (``to_mpf``).
+``value_type`` is the immutable namedtuple base of the package's value
+types, which convert their numbers with ``to_mpf`` on construction.
 """
 
 from __future__ import annotations
