@@ -9,8 +9,8 @@ extended-precision value.
 The digit count (--precision, CASIMIR_PRECISION or 50) applies only
 inside parse_args and run; the caller's precision is left as it was.
 
-Exit codes: 0 success; 1 usage error, a NaN value or a non-finite
---rapidity included; 2 a grid point hit a domain error (its computed
+Exit codes: 0 success; 1 usage error, a NaN value or a --rapidity
+beyond the double range included; 2 a grid point hit a domain error (its computed
 fields are left empty and the sweep continues, since sweeps
 legitimately approach singular corners like z -> 0); 3 a grid point
 failed to converge.
@@ -176,6 +176,9 @@ def parse_args(argv: list[str]) -> ScanConfig:
         rapidity = _parse_number(ns.rapidity, "--rapidity")
         if not isfinite(rapidity):
             raise UsageError(f"--rapidity: {ns.rapidity!r} is not finite")
+        # Trials are drawn as doubles from [-r, r], whose width must be finite.
+        if not math.isfinite(2 * float(rapidity)):
+            raise UsageError(f"--rapidity: {ns.rapidity!r} exceeds the double range")
 
         scalar = field is FieldKind.SCALAR
         if ns.command in ("stress", "covariance") and scalar and z_values is None:

@@ -23,6 +23,8 @@ DIM = 4
 # Diagonal of the metric tensor, ordered (t, x, y, z).
 METRIC_DIAG = (mpf(-1), mpf(1), mpf(1), mpf(1))
 
+_ZERO = mpf(0)
+
 
 def _validation_tol() -> mpf:
     # Relative tolerance: ten digits of slack below working precision,
@@ -49,7 +51,9 @@ class FourVector(value_type("FourVector", "t x y z")):
 
 def mink_dot(u: FourVector, v: FourVector) -> mpf:
     """Minkowski inner product g_{mu nu} u^mu v^nu = -u^t v^t + u.v."""
-    return -u.t * v.t + u.x * v.x + u.y * v.y + u.z * v.z
+    ut, ux, uy, uz = u
+    vt, vx, vy, vz = v
+    return -ut * vt + ux * vx + uy * vy + uz * vz
 
 
 class SeparationVector(value_type("SeparationVector", "vector")):
@@ -89,10 +93,25 @@ def _largest(m: Matrix) -> mpf:
     return max(fabs(e) for row in m for e in row)
 
 
+def _sum(terms) -> mpf:
+    # sum(terms, mpf(0)) bit for bit, without its first addition: a term
+    # added to exact zero is only rounded again at its own precision.
+    terms = iter(terms)
+    return sum(terms, next(terms, _ZERO))
+
+
+def _nonzero(row) -> tuple[tuple[int, mpf], ...]:
+    # (index, entry) for the entries that are not exact zeros.  An mpf is
+    # false only when it is zero; that test is far cheaper than != 0.
+    return tuple((k, e) for k, e in enumerate(row) if e)
+
+
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    # Products with an exact-zero factor are skipped: adding them would
+    # leave each sum, taken in the same order over k, unchanged.
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(DIM)), mpf(0)) for j in range(DIM))
-        for i in range(DIM)
+        tuple(_sum(e * b[k][j] for k, e in nz if b[k][j]) for j in range(DIM))
+        for nz in map(_nonzero, a)
     )
 
 
@@ -100,8 +119,10 @@ def _check_metric(m: Matrix, factors: tuple[Matrix, ...] = ()) -> None:
     """Raise ValueError unless m preserves the metric to within rounding.
 
     g is diagonal, so (m^T g m)_{ij} is the sum over k of m[k][i] (g_k
-    m[k][j]); it is symmetric, so only the upper triangle is formed.  Its
-    entries sum products of two entries of m, so the tolerance scales
+    m[k][j]); it is symmetric, so only the upper triangle is formed.  A
+    product with an exact-zero factor is skipped, which leaves each sum,
+    taken in order of k, bit for bit as it was.  The entries sum
+    products of two entries of m, so the tolerance scales
     with max(1, max |m|)^2; for a product, whose entries carry the
     rounding of its factors' entries, also with the product of
     max(1, max |f|) over the factors, the larger when the product
@@ -110,11 +131,9 @@ def _check_metric(m: Matrix, factors: tuple[Matrix, ...] = ()) -> None:
     # g m: g = diag(-1, 1, 1, 1) only negates the t row, exactly.
     gm = (tuple(-e for e in m[0]),) + m[1:]
     defects = []
-    for i in range(DIM):
+    for i, col in enumerate(map(_nonzero, zip(*m))):
         for j in range(i, DIM):
-            acc = mpf(0)
-            for k in range(DIM):
-                acc += m[k][i] * gm[k][j]
+            acc = _sum(e * gm[k][j] for k, e in col if gm[k][j])
             defects.append(fabs(acc - METRIC_DIAG[i] if i == j else acc))
     # Every defect meets a comparison, so a NaN one fails both tests.  An
     # infinite entry makes some defect infinite or NaN, and the strict
@@ -149,13 +168,8 @@ class LorentzTransform(value_type("LorentzTransform", "matrix")):
         return super().__new__(cls, m)
 
     def apply(self, v: FourVector) -> FourVector:
-        comps = v.components()
-        return FourVector(
-            *(
-                sum((self.matrix[i][j] * comps[j] for j in range(DIM)), mpf(0))
-                for i in range(DIM)
-            )
-        )
+        (m,) = self
+        return FourVector(*(_sum(e * c for e, c in zip(row, v)) for row in m))
 
     def compose(self, other: "LorentzTransform") -> "LorentzTransform":
         """self after other: (self.compose(other)).apply(v) = self(other(v))."""
@@ -220,9 +234,9 @@ class SymTensor4(value_type("SymTensor4", "matrix")):
 
     def __new__(cls, matrix: Matrix):
         m = _as_matrix(matrix)
-        worst = max(
-            fabs(m[i][j] - m[j][i]) for i in range(DIM) for j in range(i + 1, DIM)
-        )
+        # A mirrored entry, the same object on both sides, has no defect.
+        pairs = ((m[i][j], m[j][i]) for i in range(DIM) for j in range(i + 1, DIM))
+        worst = max((fabs(u - v) for u, v in pairs if u is not v), default=_ZERO)
         # Relative to the largest entry; exact symmetry needs no scale.
         if worst > 0 and worst > _validation_tol() * _largest(m):
             raise ValueError(f"tensor is not symmetric: defect {mp.nstr(worst, 8)}")
@@ -256,23 +270,16 @@ class SymTensor4(value_type("SymTensor4", "matrix")):
 
 
 def transform_tensor(transform: LorentzTransform, tensor: SymTensor4) -> SymTensor4:
-    """Push a contravariant tensor forward: T'^{mu nu} = L^mu_a L^nu_b T^{ab}."""
-    lam = transform.matrix
-    t = tensor.matrix
-    # Fill the upper triangle and mirror it, so the result is symmetric
-    # to the last bit even when rounding differs between (i,j) orders.
-    out = [[mpf(0)] * DIM for _ in range(DIM)]
-    for i in range(DIM):
+    """Push a contravariant tensor forward: T'^{mu nu} = L^mu_a L^nu_b T^{ab}.
+
+    Formed as two matrix products, P = L T and then P L^T, skipping
+    exact zeros.  Only the upper triangle of P L^T is formed and it is
+    mirrored, so the result is symmetric to the last bit.
+    """
+    rows = tuple(map(_nonzero, transform.matrix))
+    p = _mat_mul(transform.matrix, tensor.matrix)
+    out = [[None] * DIM for _ in range(DIM)]
+    for i, p_row in enumerate(p):
         for j in range(i, DIM):
-            acc = mpf(0)
-            for a in range(DIM):
-                la = lam[i][a]
-                if la == 0:
-                    continue
-                for b in range(DIM):
-                    if lam[j][b] == 0:
-                        continue
-                    acc += la * lam[j][b] * t[a][b]
-            out[i][j] = acc
-            out[j][i] = acc
-    return SymTensor4(tuple(tuple(row) for row in out))
+            out[i][j] = out[j][i] = _sum(p_row[b] * e for b, e in rows[j])
+    return SymTensor4(out)

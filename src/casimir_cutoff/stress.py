@@ -86,20 +86,18 @@ class StressDecomposition(
         One pass of A * S1_ij + b * S2_ij: the same products and sums as
         scaling the two structures and adding them, without the
         intermediate tensors.  S1 is diagonal, so off the diagonal only
-        the S2 term is left.
+        the S2 term is left, and both are symmetric, so only the upper
+        triangle is formed.
         """
-        b_total = self.B_divergent_eps2 / self.separation_length**2 + self.B_finite
-        s2 = _s2_rows(self.direction)
-        return SymTensor4(
-            tuple(
-                tuple(
-                    self.A * _S1_DIAG[i] + b_total * s2[i][j] if i == j
-                    else b_total * s2[i][j]
-                    for j in range(DIM)
-                )
-                for i in range(DIM)
-            )
-        )
+        a, b_fin, b_div, direction, s = self
+        b_total = b_div / s**2 + b_fin
+        s2 = _s2_rows(direction)
+        rows = [[None] * DIM for _ in range(DIM)]
+        for i in range(DIM):
+            rows[i][i] = a * _S1_DIAG[i] + b_total * s2[i][i]
+            for j in range(i + 1, DIM):
+                rows[i][j] = rows[j][i] = b_total * s2[i][j]
+        return SymTensor4(rows)
 
 
 def s1_structure() -> SymTensor4:
@@ -109,17 +107,17 @@ def s1_structure() -> SymTensor4:
 
 def _s2_rows(direction: SeparationVector) -> tuple[tuple[mpf, ...], ...]:
     # S2 = g - 3 eps eps / eps^2 - zhat zhat, the same for any spacelike
-    # vector along the ray.
+    # vector along the ray.  3 eps_i / eps^2 is formed once per component,
+    # and the symmetric upper triangle is mirrored.
     v = direction.vector
     s2 = mink_dot(v, v)
-    comps = v.components()
-    return tuple(
-        tuple(
-            (_H_DIAG[i] if i == j else mpf(0)) - 3 * comps[i] * comps[j] / s2
-            for j in range(DIM)
-        )
-        for i in range(DIM)
-    )
+    rows = [[None] * DIM for _ in range(DIM)]
+    for i, (h, c) in enumerate(zip(_H_DIAG, v)):
+        w = 3 * c / s2
+        rows[i][i] = h - w * c
+        for j in range(i + 1, DIM):
+            rows[i][j] = rows[j][i] = -(w * v[j])
+    return tuple(map(tuple, rows))
 
 
 def propagator_kernel(m, s) -> RadialKernel:
@@ -209,10 +207,11 @@ def _check_subspace(eps: SeparationVector) -> mpf:
     # genuinely spacelike (t, x, y) vector: s^2 must be a safe fraction
     # of t^2 + x^2 + y^2, so the bound scales with the vector.
     v = eps.vector
-    if v.z != 0:
+    t, x, y, z = v
+    if z != 0:
         raise ValueError("splitting vector must lie in the t-x-y subspace (z component 0)")
     s2 = mink_dot(v, v)
-    if s2 <= _split_tol() * (v.t * v.t + v.x * v.x + v.y * v.y):
+    if s2 <= _split_tol() * (t * t + x * x + y * y):
         raise LightlikeSeparation(f"squared splitting length {s2} is not safely spacelike")
     return sqrt(s2)
 
@@ -398,9 +397,9 @@ def covariance_check(
     moved = transform_tensor(
         transform, d._replace(direction=unit, separation_length=s).tensor()
     )
-    return max(
-        abs(moved[i, j] - direct[i, j]) for i in range(DIM) for j in range(DIM)
-    )
+    m, t = moved.matrix, direct.matrix
+    # Both tensors are mirrored from their upper triangles, which decide.
+    return max(abs(m[i][j] - t[i][j]) for i in range(DIM) for j in range(i, DIM))
 
 
 def angular_average(d: StressDecomposition) -> SymTensor4:

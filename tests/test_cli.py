@@ -239,12 +239,21 @@ class TestExitCodes:
         assert rows[-1][n_inputs:] == [""] * (len(header) - n_inputs)
         assert all(v != "" for row in rows[:-1] for v in row)
 
-    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    # 1e400 is a finite mpf but an infinite double; the draws from
+    # [-1e308, 1e308] would span an infinite double width.
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "-1e400", "1e308"])
     def test_non_finite_rapidity_is_a_usage_error(self, capsys, value):
         code, out, err = run_cli(capsys, "covariance", f"--rapidity={value}")
         assert code == 1
         assert out == ""
         assert err.startswith("error: --rapidity: ")
+
+    def test_huge_finite_rapidity_row_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "covariance", "--rapidity=1e300", "--trials", "2")
+        assert code == 2
+        assert err == ""
+        _, rows = parse_csv(out)
+        assert [r[3] for r in rows] == ["", ""]
 
     def test_infinite_covariance_separation_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "covariance", "--a", "inf", "--trials", "3")
@@ -274,8 +283,8 @@ _PINNED = [
          "--trials", "3", "--seed", "7"),
         "residual",
         [
-            "2.672764710092195646140536467151481878815e-50",
-            "1.336382355046097823070268233575740939408e-50",
+            "2.405488239082976081526482820436333690934e-50",
+            "2.138211768073756516912429173721185503052e-50",
             "1.069105884036878258456214586860592751526e-50",
         ],
     ),
@@ -284,8 +293,8 @@ _PINNED = [
          "0.4", _SPLIT, "--rapidity", "2", "--trials", "2", "--seed", "7"),
         "residual",
         [
-            "2.672764710092195646140536467151481878815e-50",
-            "5.34552942018439129228107293430296375763e-51",
+            "3.207317652110634775368643760581778254578e-50",
+            "1.069105884036878258456214586860592751526e-50",
         ],
     ),
     (
@@ -293,12 +302,12 @@ _PINNED = [
          "--rapidity", "2", "--trials", "2", "--seed", "7"),
         "residual",
         [
-            "8.165126103939127325090367746133807423080536433026331004770862342382277"
-            "366949374743827235295123251293509798475538638444494210217247777176284"
-            "581102664244217353241804557680362014710449695931626e-201",
-            "6.532100883151301860072294196907045938464429146421064803816689873905821"
-            "893559499795061788236098601034807838780430910755595368173798221741027"
-            "664882131395373882593443646144289611768359756745301e-201",
+            "1.306420176630260372014458839381409187692885829284212960763337974781164"
+            "3787118999590123576472197202069615677560861821511190736347596443482055"
+            "3297642627907477651868872922885792235367195134906e-200",
+            "1.306420176630260372014458839381409187692885829284212960763337974781164"
+            "3787118999590123576472197202069615677560861821511190736347596443482055"
+            "3297642627907477651868872922885792235367195134906e-200",
         ],
     ),
     (
@@ -323,6 +332,30 @@ _PINNED = [
         "Ttt",
         ["-1.29354499376415834510297216325536890147"],
     ),
+]
+# The other printed columns of the two stress invocations above: only
+# trace_residual may move with the rounding.
+_PINNED += [
+    (("stress", "--a", "0.8", "--lambda", "0.2:0.8:2", _SPLIT), column, expected)
+    for column, expected in (
+        ("A", ["0.1070920616437647419578395290785172649231",
+               "0.02677301541094118548945988226962931623078"]),
+        ("B_finite", ["-0.003212761849312942258735185872355517947693",
+                      "-0.00481914277396941338810277880853327692154"]),
+        ("B_div_eps2", ["-0.01302083333333333333333333333333333333333",
+                        "-0.05208333333333333333333333333333333333333"]),
+        ("Tzz", ["-0.08031904623282355646837964680888794869233",
+                 "-0.02007976155820588911709491170222198717308"]),
+    )
+] + [
+    (("stress", "--field", "scalar", "--a", "1.2", "--z", "0.5", "--lambda", "0.4",
+      _SPLIT), column, [expected])
+    for column, expected in (
+        ("A", "0.007932745306945536441321446598408686290601"),
+        ("B_finite", "0.0102949897584725178889597854724510957463"),
+        ("B_div_eps2", "0.0128205457706798175791125225806107152586"),
+        ("Tzz", "-0.00594955898020915233099108494880651471795"),
+    )
 ]
 
 

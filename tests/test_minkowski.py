@@ -201,20 +201,53 @@ class TestLorentzTransform:
             boost(r).compose(boost(-r))
 
     def test_defect_is_worst_entry_of_full_product(self):
+        # A dense matrix, and a sparse one whose exact zeros the check
+        # skips: the defect is still the worst entry of the dense product.
         rng = random.Random(5)
-        rows = tuple(
+        dense = tuple(
             tuple(mpf(rng.uniform(-1, 1)) for _ in range(DIM)) for _ in range(DIM)
         )
-        worst = max(
-            abs(
-                sum((rows[k][i] * (METRIC_DIAG[k] * rows[k][j]) for k in range(DIM)), mpf(0))
-                - (METRIC_DIAG[i] if i == j else 0)
-            )
+        sparse = tuple(
+            tuple(mpf(rng.uniform(-1, 1)) if (i + j) % 3 else mpf(0) for j in range(DIM))
             for i in range(DIM)
-            for j in range(DIM)
         )
-        with pytest.raises(ValueError, match=f"defect {mp.nstr(worst, 8)}$"):
-            LorentzTransform(rows)
+        assert all(any(row[j] == 0 for row in sparse) for j in range(DIM))
+        for rows in (dense, sparse):
+            worst = max(
+                abs(
+                    sum(
+                        (rows[k][i] * (METRIC_DIAG[k] * rows[k][j]) for k in range(DIM)),
+                        mpf(0),
+                    )
+                    - (METRIC_DIAG[i] if i == j else 0)
+                )
+                for i in range(DIM)
+                for j in range(DIM)
+            )
+            with pytest.raises(ValueError, match=f"defect {mp.nstr(worst, 8)}$"):
+                LorentzTransform(rows)
+
+    def test_skipped_zeros_change_no_bit(self):
+        # Products and applications skip exact zeros; each entry must equal
+        # the dense left-to-right sum from zero exactly.
+        rng = random.Random(17)
+        for _ in range(50):
+            a, b = (
+                tuple(
+                    tuple(mpf(rng.uniform(-2, 2)) if rng.random() < 0.6 else mpf(0)
+                          for _ in range(DIM))
+                    for _ in range(DIM)
+                )
+                for _ in range(2)
+            )
+            dense = tuple(
+                tuple(sum((a[i][k] * b[k][j] for k in range(DIM)), mpf(0)) for j in range(DIM))
+                for i in range(DIM)
+            )
+            assert casimir_cutoff.minkowski._mat_mul(a, b) == dense
+            v = FourVector(*b[0])
+            applied = tuple.__new__(LorentzTransform, (a,)).apply(v)
+            assert applied == tuple(sum((row[k] * v[k] for k in range(DIM)), mpf(0)) for row in a)
 
     def test_compose_and_inverse_are_validated(self, monkeypatch):
         calls = []
@@ -264,24 +297,39 @@ class TestSymTensor4:
 
     def test_transform_tensor_matches_componentwise(self):
         rng = random.Random(23)
-        ell = rotation_xy(mpf(rng.uniform(0, 6))).compose(
+        plate = rotation_xy(mpf(rng.uniform(0, 6))).compose(
             boost(mpf(rng.uniform(-1.5, 1.5)))
         )
-        rows = [[mpf(0)] * DIM for _ in range(DIM)]
-        for i in range(DIM):
-            for j in range(i, DIM):
-                rows[i][j] = rows[j][i] = mpf(rng.uniform(-1, 1))
-        t = SymTensor4(tuple(tuple(r) for r in rows))
-        moved = transform_tensor(ell, t)
-        m = ell.matrix
-        for i in range(DIM):
-            for j in range(DIM):
-                direct = sum(
-                    m[i][k] * m[j][l] * t[k, l]
-                    for k in range(DIM)
-                    for l in range(DIM)
-                )
-                assert abs(moved[i, j] - direct) < TIGHT
+        # A boost along an oblique direction with a z component has no
+        # zero entry, so the transform skips nothing.
+        n = [mpf(rng.uniform(0.2, 1)) for _ in range(3)]
+        n = [c / mp.sqrt(sum(c * c for c in n)) for c in n]
+        r = mpf(rng.uniform(0.5, 1.5))
+        oblique = LorentzTransform(
+            [[cosh(r)] + [sinh(r) * c for c in n]]
+            + [
+                [sinh(r) * n[i]] + [int(i == j) + (cosh(r) - 1) * n[i] * n[j] for j in range(3)]
+                for i in range(3)
+            ]
+        )
+        assert all(e != 0 for row in oblique.matrix for e in row)
+        for ell in (plate, oblique):
+            rows = [[mpf(0)] * DIM for _ in range(DIM)]
+            for i in range(DIM):
+                for j in range(i, DIM):
+                    rows[i][j] = rows[j][i] = mpf(rng.uniform(-1, 1))
+            t = SymTensor4(tuple(tuple(r) for r in rows))
+            moved = transform_tensor(ell, t)
+            m = ell.matrix
+            for i in range(DIM):
+                for j in range(DIM):
+                    direct = sum(
+                        m[i][k] * m[j][l] * t[k, l]
+                        for k in range(DIM)
+                        for l in range(DIM)
+                    )
+                    assert abs(moved[i, j] - direct) < TIGHT
+                    assert moved[i, j] == moved[j, i]
 
     def test_transform_preserves_trace(self):
         ell = boost(mpf("1.3"))
