@@ -10,10 +10,10 @@ The digit count (--precision, CASIMIR_PRECISION or 50) applies only
 inside parse_args and run; the caller's precision is left as it was.
 
 Exit codes: 0 success; 1 usage error, a NaN value or a --rapidity
-beyond the double range included; 2 a grid point hit a domain error (its computed
-fields are left empty and the sweep continues, since sweeps
-legitimately approach singular corners like z -> 0); 3 a grid point
-failed to converge.
+beyond the double range included; 2 a grid point hit a domain error
+(its computed fields are left empty and the sweep continues, since
+sweeps legitimately approach singular corners like z -> 0); 3 a grid
+point failed to converge.
 """
 
 from __future__ import annotations
