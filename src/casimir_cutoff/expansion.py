@@ -100,6 +100,18 @@ def _frozen_coth_term(c: mpf, mu: mpf, m: int) -> mpf:
     return _coth_coefficient((m + 1) // 2, mp.prec) * c**m * mu ** (m - 2)
 
 
+def _odd_coefficient(m: int, c: mpf, mu: mpf, lam: mpf, inv4pi: mpf, field: FieldKind) -> mpf:
+    """The eps^(m-3) energy coefficient for odd m, halved for the scalar field.
+
+    beta_n c^m mu^(m-2) [2 mu^2 - 2 m mu + m(m-1)] / 4 pi, with the bracket
+    as m(m-1) - 2 mu (lambda + (m - 1)): the m = 1 one, -2 lambda mu, keeps
+    its relative accuracy as lambda -> 0 and is exactly zero at lambda = 0.
+    """
+    bracket = m * (m - 1) - 2 * mu * (lam + (m - 1))
+    coeff = _frozen_coth_term(c, mu, m) * bracket * inv4pi
+    return coeff / 2 if field is FieldKind.SCALAR else coeff
+
+
 def energy_laurent(
     a,
     lam,
@@ -112,27 +124,19 @@ def energy_laurent(
     P(eps) * coth((eps - lambda*eps') c) with P = 1/(4 pi eps) and
     c = pi/2a.  P'' K + 2 P' K' + P K'' puts the coth terms of power m
     at eps^(m-3), so with m = k + 3 the eps^k coefficient is
-    beta_n c^m mu^(m-2) [2 mu^2 - 2 m mu + m(m-1)] / 4 pi for odd m and
-    zero for even m.  The bracket is evaluated as
-    m(m-1) - 2 mu (lambda + (m - 1)), with m - 1 added to lambda as an
-    integer: the m = 1 coefficient, -2 lambda mu, then keeps its
-    relative accuracy as lambda -> 0 and is exactly zero at lambda = 0.
+    ``_odd_coefficient`` for odd m and zero for even m, except that the
+    scalar field drops the n = 0 half-term the full sum contains, which
+    gives its eps^-3 coefficient -1/(4 pi), independent of a.
     """
     a, lam = _validate_domain(a, lam)
-    c, mu = pi / (2 * a), 1 - lam
-    inv4pi = 1 / (4 * pi)
+    c, mu, inv4pi = pi / (2 * a), 1 - lam, 1 / (4 * pi)
     coeffs = []
     for k in range(-4, order + 1):
         m = k + 3
-        coeff = mpf(0)
         if m % 2:
-            bracket = m * (m - 1) - 2 * mu * (lam + (m - 1))
-            coeff = _frozen_coth_term(c, mu, m) * bracket * inv4pi
-        if field is FieldKind.SCALAR:
-            # Half of every mode term, minus the n = 0 half the full sum
-            # contains: a pure 1/(4 pi eps^3) monomial, independent of a.
-            coeff = coeff / 2 - (inv4pi if k == -3 else 0)
-        coeffs.append(coeff)
+            coeffs.append(_odd_coefficient(m, c, mu, lam, inv4pi, field))
+        else:
+            coeffs.append(-inv4pi if m == 0 and field is FieldKind.SCALAR else mpf(0))
     return EnergyExpansion(
         series=LaurentSeries(-4, tuple(coeffs)), a=a, lam=lam, field=field
     )
@@ -199,11 +203,13 @@ def casimir_pressure(
 ) -> PressureResult:
     """Pressure on the plates from the subtracted energy at (a, lambda).
 
-    Builds and subtracts the expansion once, then differentiates it in
-    a with ``pressure_from_energy``.  The scalar field halves both
-    outputs, because its expansion is half the electromagnetic one up
-    to an a-independent monomial the subtraction discards.
+    Evaluates only the two reported coefficients, eps^0 and eps^-2 (odd
+    m = 3 and 1, which the subtraction keeps whole), by the routine of
+    ``energy_laurent``, and takes -d c_k/da = (k+3) c_k / a with the
+    operations of ``pressure_from_energy`` in the same order: the result
+    equals it on the built and subtracted expansion, bit for bit.
     """
-    return pressure_from_energy(
-        subtract_outer(energy_laurent(a, lam, DEFAULT_ORDER, field))
-    )
+    a, lam = _validate_domain(a, lam)
+    c, mu, inv4pi = pi / (2 * a), 1 - lam, 1 / (4 * pi)
+    c_0, c_minus2 = (_odd_coefficient(m, c, mu, lam, inv4pi, field) for m in (3, 1))
+    return PressureResult(finite_part=3 * c_0 / a, divergent_coeff=1 * c_minus2 / a)

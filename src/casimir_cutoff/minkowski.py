@@ -236,9 +236,12 @@ class SymTensor4(value_type("SymTensor4", "matrix")):
         m = _as_matrix(matrix)
         # A mirrored entry, the same object on both sides, has no defect.
         pairs = ((m[i][j], m[j][i]) for i in range(DIM) for j in range(i + 1, DIM))
-        worst = max((fabs(u - v) for u, v in pairs if u is not v), default=_ZERO)
+        defects = [fabs(u - v) for u, v in pairs if u is not v]
+        # max passes over a NaN unless it comes first, so a NaN is taken
+        # first; it, like any defect over a NaN scale, fails the <= test.
         # Relative to the largest entry; exact symmetry needs no scale.
-        if worst > 0 and worst > _validation_tol() * _largest(m):
+        worst = next((d for d in defects if isnan(d)), max(defects, default=_ZERO))
+        if worst and not worst <= _validation_tol() * _largest(m):
             raise ValueError(f"tensor is not symmetric: defect {mp.nstr(worst, 8)}")
         return super().__new__(cls, m)
 

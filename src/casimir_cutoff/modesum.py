@@ -34,7 +34,7 @@ import math
 from enum import Enum
 from functools import lru_cache
 
-from mpmath import cos, coth, csch, exp, ldexp, mag, mp, mpc, mpf, pi, sin, sqrt
+from mpmath import cos, coth, csch, exp, inf, ldexp, mag, mp, mpc, mpf, pi, sin, sqrt
 
 from .errors import (
     CutoffDomain,
@@ -91,7 +91,7 @@ class CutoffParams(value_type("CutoffParams", "epsilon lam")):
 
     def __new__(cls, epsilon: mpf, lam: mpf):
         epsilon, lam = to_mpf(epsilon), to_mpf(lam)
-        if not 0 < epsilon < mpf("inf"):
+        if not 0 < epsilon < inf:
             raise CutoffDomain(f"epsilon must be positive and finite, got {epsilon}")
         if not (0 <= lam < 1):
             raise CutoffDomain(f"lambda must lie in [0, 1), got {lam}")
@@ -110,7 +110,7 @@ class PlateGeometry(value_type("PlateGeometry", "a")):
         a = to_mpf(a)
         if not a > 0:
             raise NonPositiveSeparation(f"plate separation must be positive, got {a}")
-        if a == mpf("inf"):
+        if a == inf:
             raise NonPositiveSeparation("plate separation must be finite")
         return super().__new__(cls, a)
 
@@ -193,7 +193,7 @@ def _partial_sums(q: mpf, A: mpf, B: mpf, C: mpf, head: mpf):
             N = n + 1
             return head + n * ((A * (2 * n + 1) / 3 + B) * N / 2 + C), (A * N + B) * N + C
 
-        return mpf("inf"), flat
+        return inf, flat
 
     def moments():
         r = 1 / (1 - q)
@@ -244,7 +244,7 @@ def _tail(n: int, term_next: mpf, q_up: mpf) -> mpf:
     (n + 1))^2, where q_up lies above q by more than its rounding.
     """
     rho = q_up * (mpf(n + 2) / (n + 1)) ** 2
-    return term_next / (1 - rho) if rho < 1 else mpf("inf")
+    return term_next / (1 - rho) if rho < 1 else inf
 
 
 def _ln(v: mpf) -> float:

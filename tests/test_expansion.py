@@ -252,3 +252,33 @@ class TestPressure:
         for lam in (mpf("0.1"), mpf("0.8")):
             p = casimir_pressure(mpf("1.5"), lam)
             assert abs(p.divergent_coeff + lam / (12 * mpf("1.5") ** 2)) < COEFF_TOL
+
+    @pytest.mark.parametrize("dps", [15, 50, 200])
+    @pytest.mark.parametrize("field", list(FieldKind), ids=lambda f: f.value)
+    def test_equals_route_through_subtracted_expansion(self, dps, field):
+        # Namedtuple equality compares both fields as mpf at one
+        # precision, so this is bit equality of each.
+        mp.dps = dps
+        for lam in (0, "1e-20", "0.5", "0.95"):
+            for a in ("0.37", 1, "2.5"):
+                built = pressure_from_energy(subtracted(a, lam, field))
+                assert casimir_pressure(a, lam, field) == built
+
+    @pytest.mark.parametrize(
+        "a, lam, error",
+        [
+            (0, "0.5", NonPositiveSeparation),
+            (-1, "0.5", NonPositiveSeparation),
+            ("inf", "0.5", NonPositiveSeparation),
+            ("nan", "0.5", NonPositiveSeparation),
+            (1, 1, CutoffDomain),
+            (1, "-0.1", CutoffDomain),
+        ],
+    )
+    @pytest.mark.parametrize("field", list(FieldKind), ids=lambda f: f.value)
+    def test_domain_errors_match_route_through_expansion(self, a, lam, error, field):
+        with pytest.raises(error) as direct:
+            casimir_pressure(a, lam, field)
+        with pytest.raises(error) as built:
+            pressure_from_energy(subtracted(a, lam, field))
+        assert type(direct.value) is type(built.value)

@@ -8,7 +8,7 @@ transformation of rank-2 tensors.
 import random
 
 import pytest
-from mpmath import cos, cosh, inf, mp, mpf, nan, pi, sin, sinh
+from mpmath import cos, cosh, inf, isnan, mp, mpf, nan, pi, sin, sinh
 
 import casimir_cutoff.minkowski
 from casimir_cutoff.errors import LightlikeSeparation
@@ -158,8 +158,8 @@ class TestLorentzTransform:
     @pytest.mark.parametrize("pos", [(0, 0), (3, 3), (1, 2)], ids=str)
     @pytest.mark.parametrize("fill", [0, mpf("1e-60")], ids=["sparse", "dense"])
     def test_infinite_entry_rejected(self, pos, fill):
-        # Beside a zero the infinite entry gives a NaN defect (0 * inf).
-        # In a dense matrix every defect it touches is infinite, and the
+        # Products with an exact-zero factor are skipped, so no 0 * inf
+        # is formed and every case fails with an infinite defect.  The
         # tolerance, scaled by the largest entry, is infinite too, so
         # only the strict comparison rejects it.
         rows = [[mpf(1) if r == c else mpf(fill) for c in range(DIM)] for r in range(DIM)]
@@ -284,6 +284,28 @@ class TestSymTensor4:
         rows[0][1] += mpf("1e-38")
         with pytest.raises(ValueError, match="not symmetric"):
             SymTensor4(tuple(tuple(r) for r in rows))
+
+    @pytest.mark.parametrize("nan_first", [True, False], ids=["nan-first", "nan-last"])
+    def test_nan_defect_rejected(self, nan_first):
+        # Distinct NaN entries in mirrored places: max keeps their NaN
+        # defect only when it comes first and passes over it after a
+        # finite one, here a defect far inside the tolerance.
+        rows = [[mpf(0)] * DIM for _ in range(DIM)]
+        (i, j), (k, l) = ((0, 1), (2, 3)) if nan_first else ((2, 3), (0, 1))
+        rows[i][j], rows[j][i] = nan + 1, nan * 2
+        rows[k][l], rows[l][k] = (mpf(1), mpf(2)) if nan_first else (mpf(1), 1 + mpf("1e-60"))
+        with pytest.raises(ValueError, match="not symmetric: defect nan"):
+            SymTensor4(tuple(tuple(r) for r in rows))
+
+    def test_nan_scale_does_not_hide_defect(self):
+        # A NaN entry first in the matrix makes the largest entry NaN, and
+        # a defect compared against a NaN tolerance must still fail.
+        rows = [[mpf(0)] * DIM for _ in range(DIM)]
+        rows[0][0], rows[0][1], rows[1][0] = nan, mpf(1), mpf(2)
+        with pytest.raises(ValueError, match="not symmetric: defect 1.0"):
+            SymTensor4(tuple(tuple(r) for r in rows))
+        rows[1][0] = mpf(1)
+        assert isnan(SymTensor4(tuple(tuple(r) for r in rows))[0, 0])
 
     def test_diagonal_and_trace(self):
         t = SymTensor4.diagonal(2, 3, 5, 7)
