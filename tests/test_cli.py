@@ -620,6 +620,146 @@ class TestPinnedSweeps:
         assert out == "".join(line + "\n" for line in expected)
 
 
+# Every column of the stress and covariance sweeps at splittings with
+# exact zeros: the CLI default (0, 0.1, 0, 0), a spatial splitting and
+# the covariance axis splitting, at 15 and 50 digits.  The splitting
+# path skips products with a zero factor; no printed byte may move,
+# rounding-noise columns included.
+_SPATIAL = "--eps-vec=0,0.07,-0.03,0"
+_PINNED_ZERO_SPLITS = [
+    (
+        ("stress", "--a", "0.8", "--lambda", "0.2:0.8:2", "--precision", "15"),
+        [
+            "a,lambda,field,z,A,B_finite,B_div_eps2,Ttt,Tzz,trace_residual",
+            "0.800000000000000044408920985006,0.200000000000000011102230246252,em,,0.107092"
+            "061643764738243511658311,-0.00321276184931294219934705402864,-0.01302083333333"
+            "33356462979679691,1.27852307977170509545317145239,-0.0803190462328235571520806"
+            "956869,4.16333634234433702658861875534e-17",
+            "0.800000000000000044408920985006,0.800000000000000044408920985006,em,,0.026773"
+            "0154109411776219840106705,-0.00481914277396941221481840855745,-0.0520833333333"
+            "333287074040640618,5.20645922225456558862788369879,-0.020079761558205882349126"
+            "2700145,9.36750677027475830982439219952e-17",
+        ],
+    ),
+    (
+        ("stress", "--a", "0.8", "--lambda", "0.2:0.8:2", "--precision", "50"),
+        [
+            "a,lambda,field,z,A,B_finite,B_div_eps2,Ttt,Tzz,trace_residual",
+            "0.8,0.2,em,,0.1070920616437647419578395290785172649231,-0.00321276184931294225"
+            "8735185872355517947693,-0.01302083333333333333333333333333333333333,1.27852307"
+            "977170509010260863693605953505,-0.08031904623282355646837964680888794869233,1."
+            "503430149426860050954051762772708556834e-51",
+            "0.8,0.8,em,,0.02677301541094118548945988226962931623078,-0.0048191427739694133"
+            "8810277880853327692154,-0.05208333333333333333333333333333333333333,5.20645922"
+            "2254567450349071141574459281197,-0.02007976155820588911709491170222198717308,4"
+            ".343242653899817924978371759121158053075e-51",
+        ],
+    ),
+    (
+        ("stress", "--a", "0.8", "--lambda", "0.2:0.8:2", _SPATIAL, "--precision", "15"),
+        [
+            "a,lambda,field,z,A,B_finite,B_div_eps2,Ttt,Tzz,trace_residual",
+            "0.800000000000000044408920985006,0.200000000000000011102230246252,em,,0.107092"
+            "061643764738243511658311,-0.00321276184931294219934705402864,-0.01302083333333"
+            "33356462979679691,2.22141101080618774687991390238,-0.0803190462328235571520806"
+            "956869,7.07767178198537294520065188408e-16",
+            "0.800000000000000044408920985006,0.800000000000000044408920985006,em,,0.026773"
+            "0154109411776219840106705,-0.00481914277396941221481840855745,-0.0520833333333"
+            "333287074040640618,8.97801094639249797069169289898,-0.020079761558205882349126"
+            "2700145,7.94503351997377649240661412477e-16",
+        ],
+    ),
+    (
+        ("stress", "--a", "0.8", "--lambda", "0.2:0.8:2", _SPATIAL, "--precision", "50"),
+        [
+            "a,lambda,field,z,A,B_finite,B_div_eps2,Ttt,Tzz,trace_residual",
+            "0.8,0.2,em,,0.1070920616437647419578395290785172649231,-0.00321276184931294225"
+            "8735185872355517947693,-0.01302083333333333333333333333333333333333,2.22141101"
+            "0806187848723298292108473328154,-0.08031904623282355646837964680888794869233,3"
+            ".842099270757531241327021171530255200797e-51",
+            "0.8,0.8,em,,0.02677301541094118548945988226962931623078,-0.0048191427739694133"
+            "8810277880853327692154,-0.05208333333333333333333333333333333333333,8.97801094"
+            "6392498484831829762264114453611,-0.02007976155820588911709491170222198717308,1"
+            ".703887502683774724414591997809069697745e-50",
+        ],
+    ),
+    (
+        ("stress", "--field", "scalar", "--a", "1.2", "--z", "0.5", "--lambda", "0.4", "--precision", "15"),
+        [
+            "a,lambda,field,z,A,B_finite,B_div_eps2,Ttt,Tzz,trace_residual",
+            "1.19999999999999995559107901499,0.400000000000000022204460492503,scalar,0.5,0."
+            "00793274530694553642318211927886,0.0102949897584725148791395810122,0.012820545"
+            "77067981600280166532,-1.29433275315319029630245495355,-0.005949558980209152317"
+            "38658945915,1.61329283265843059780308976769e-16",
+        ],
+    ),
+    (
+        ("stress", "--field", "scalar", "--a", "1.2", "--z", "0.5", "--lambda", "0.4", "--precision", "50"),
+        [
+            "a,lambda,field,z,A,B_finite,B_div_eps2,Ttt,Tzz,trace_residual",
+            "1.2,0.4,scalar,0.5,0.007932745306945536441321446598408686290601,0.010294989758"
+            "4725178889597854724510957463,0.0128205457706798175791125225806107152586,-1.294"
+            "332753153190659910542405183124793179,-0.00594955898020915233099108494880651471"
+            "795,4.802624088446914051658776464412819000996e-52",
+        ],
+    ),
+    (
+        ("stress", "--field", "scalar", "--a", "1.2", "--z", "0.5", "--lambda", "0.4", _SPATIAL, "--precision", "15"),
+        [
+            "a,lambda,field,z,A,B_finite,B_div_eps2,Ttt,Tzz,trace_residual",
+            "1.19999999999999995559107901499,0.400000000000000022204460492503,scalar,0.5,0."
+            "00793274530694553642318211927886,0.0102949897584725148791395810122,0.012820545"
+            "77067981600280166532,-2.22271710206448736002471378015,-0.005949558980209152317"
+            "38658945915,8.27463098040936984034487977624e-16",
+        ],
+    ),
+    (
+        ("stress", "--field", "scalar", "--a", "1.2", "--z", "0.5", "--lambda", "0.4", _SPATIAL, "--precision", "50"),
+        [
+            "a,lambda,field,z,A,B_finite,B_div_eps2,Ttt,Tzz,trace_residual",
+            "1.2,0.4,scalar,0.5,0.007932745306945536441321446598408686290601,0.010294989758"
+            "4725178889597854724510957463,0.0128205457706798175791125225806107152586,-2.222"
+            "717102064487794949725074813555898112,-0.00594955898020915233099108494880651471"
+            "795,1.021079643152409117939626822216464561516e-50",
+        ],
+    ),
+    (
+        ("covariance", "--a", "1.2", "--lambda", "0.4", "--eps-vec=0,0.1,0,0", "--rapidity", "2", "--trials", "3", "--seed", "7", "--precision", "15"),
+        [
+            "trial,rapidity,angle,residual",
+            "0,-0.704668940667350529594159525004,0.94781331320260842066005579909,7.03197670"
+            "006429505607110027859e-16",
+            "1,0.603737892159414979431630854378,0.455130612096153241985518889123,2.22044604"
+            "925031308084726333618e-15",
+            "2,0.143528017226756787749764043838,2.29769122974357387079180625733,4.440892098"
+            "50062616169452667236e-16",
+        ],
+    ),
+    (
+        ("covariance", "--a", "1.2", "--lambda", "0.4", "--eps-vec=0,0.1,0,0", "--rapidity", "2", "--trials", "3", "--seed", "7", "--precision", "50"),
+        [
+            "trial,rapidity,angle,residual",
+            "0,-0.7046689406673505295941595250042155385017,0.947813313202608420660055799089"
+            "6049886942,1.603658826055317387684321880290889127289e-50",
+            "1,0.603737892159414979431630854378454387188,0.45513061209615324198551888912334"
+            "10686255,5.34552942018439129228107293430296375763e-51",
+            "2,0.1435280172267567877497640438377857208252,2.2976912297435738707918062573298"
+            "81191254,1.069105884036878258456214586860592751526e-50",
+        ],
+    ),
+]
+
+
+class TestPinnedZeroSplits:
+    """Stress and covariance stdout at splittings with zero components, byte for byte."""
+
+    @pytest.mark.parametrize("argv, expected", _PINNED_ZERO_SPLITS)
+    def test_stdout_unchanged(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == "".join(line + "\n" for line in expected)
+
+
 class TestOutputs:
     """Schemas, values, and round-trip precision."""
 
