@@ -14,7 +14,9 @@ on construction and by ``_replace``.
 
 from __future__ import annotations
 
-from mpmath import mp, mpf, cosh, sinh, cos, sin, sqrt, fabs, fprod, isnan
+from functools import lru_cache
+
+from mpmath import mp, mpf, cosh, sinh, sqrt, fabs, fprod, isnan
 
 from .precision import to_mpf, value_type
 
@@ -23,14 +25,21 @@ DIM = 4
 # Diagonal of the metric tensor, ordered (t, x, y, z).
 METRIC_DIAG = (mpf(-1), mpf(1), mpf(1), mpf(1))
 
-_ZERO = mpf(0)
+_ZERO, _ONE = mpf(0), mpf(1)
 
 
 def _validation_tol() -> mpf:
     # Relative tolerance: ten digits of slack below working precision,
     # for the rounding that composed transforms accumulate.  Callers
     # scale it by the size of the entries they check.
-    return mpf(10) ** (10 - mp.dps)
+    return _tol_at(mp.dps, mp.prec)
+
+
+@lru_cache(maxsize=16)
+def _tol_at(dps: int, prec: int) -> mpf:
+    # Keyed on mp.prec too, so a value rounded at one precision is never
+    # reused at another.
+    return mpf(10) ** (10 - dps)
 
 
 class FourVector(value_type("FourVector", "t x y z")):
@@ -46,14 +55,18 @@ class FourVector(value_type("FourVector", "t x y z")):
 
     def scale(self, factor) -> "FourVector":
         c = to_mpf(factor)
-        return FourVector(*(c * a for a in self.components()))
+        return FourVector(*(c * a if c and a else _ZERO for a in self))
 
 
 def mink_dot(u: FourVector, v: FourVector) -> mpf:
-    """Minkowski inner product g_{mu nu} u^mu v^nu = -u^t v^t + u.v."""
+    """Minkowski inner product g_{mu nu} u^mu v^nu = -u^t v^t + u.v.
+
+    Products with an exact-zero factor are skipped, so the sum, taken
+    left to right, is bit for bit the dense one.
+    """
     ut, ux, uy, uz = u
     vt, vx, vy, vz = v
-    return -ut * vt + ux * vx + uy * vy + uz * vz
+    return _sum(a * b for a, b in ((-ut, vt), (ux, vx), (uy, vy), (uz, vz)) if a and b)
 
 
 class SeparationVector(value_type("SeparationVector", "vector")):
@@ -67,12 +80,13 @@ class SeparationVector(value_type("SeparationVector", "vector")):
     __slots__ = ()
 
     def __new__(cls, vector: FourVector):
-        if mink_dot(vector, vector) <= 0:
+        s2 = mink_dot(vector, vector)
+        # Not "s2 <= 0": a NaN square, as from -inf + inf, must fail too.
+        if not s2 > 0:
             from .errors import LightlikeSeparation
 
             raise LightlikeSeparation(
-                "point-splitting vector must be spacelike: "
-                f"squared length {mp.nstr(mink_dot(vector, vector), 8)}"
+                f"point-splitting vector must be spacelike: squared length {mp.nstr(s2, 8)}"
             )
         return super().__new__(cls, vector)
 
@@ -169,7 +183,7 @@ class LorentzTransform(value_type("LorentzTransform", "matrix")):
 
     def apply(self, v: FourVector) -> FourVector:
         (m,) = self
-        return FourVector(*(_sum(e * c for e, c in zip(row, v)) for row in m))
+        return FourVector(*(_sum(e * c for e, c in zip(row, v) if e and c) for row in m))
 
     def compose(self, other: "LorentzTransform") -> "LorentzTransform":
         """self after other: (self.compose(other)).apply(v) = self(other(v))."""
@@ -182,18 +196,13 @@ class LorentzTransform(value_type("LorentzTransform", "matrix")):
         """The inverse g L^T g, entry (i, j) = g_i m[j][i] g_j.
 
         Every g_i is +-1, so each entry is a stored entry with at most a
-        sign flip: exact, with no product or linear solve.
+        sign flip: exact, with no product or linear solve.  Only g_t is
+        -1, so the flipped entries are those with exactly one t index.
         """
-        m = self.matrix
-        return LorentzTransform(
-            tuple(
-                tuple(
-                    m[j][i] if METRIC_DIAG[i] == METRIC_DIAG[j] else -m[j][i]
-                    for j in range(DIM)
-                )
-                for i in range(DIM)
-            )
-        )
+        t, *spatial = zip(*self.matrix)  # the columns of m
+        rows = [(t[0],) + tuple(-e for e in t[1:])]
+        rows += [(-c[0],) + c[1:] for c in spatial]
+        return LorentzTransform(rows)
 
 
 def boost(rapidity) -> LorentzTransform:
@@ -202,24 +211,24 @@ def boost(rapidity) -> LorentzTransform:
     ch, sh = cosh(r), sinh(r)
     return LorentzTransform(
         (
-            (ch, sh, mpf(0), mpf(0)),
-            (sh, ch, mpf(0), mpf(0)),
-            (mpf(0), mpf(0), mpf(1), mpf(0)),
-            (mpf(0), mpf(0), mpf(0), mpf(1)),
+            (ch, sh, _ZERO, _ZERO),
+            (sh, ch, _ZERO, _ZERO),
+            (_ZERO, _ZERO, _ONE, _ZERO),
+            (_ZERO, _ZERO, _ZERO, _ONE),
         )
     )
 
 
 def rotation_xy(angle) -> LorentzTransform:
     """Rotation in the x-y plane; leaves t and z alone."""
-    a = to_mpf(angle)
-    c, s = cos(a), sin(a)
+    # cos_sin is bit for bit cos and sin: mpmath computes both in one call.
+    c, s = mp.cos_sin(to_mpf(angle))
     return LorentzTransform(
         (
-            (mpf(1), mpf(0), mpf(0), mpf(0)),
-            (mpf(0), c, -s, mpf(0)),
-            (mpf(0), s, c, mpf(0)),
-            (mpf(0), mpf(0), mpf(0), mpf(1)),
+            (_ONE, _ZERO, _ZERO, _ZERO),
+            (_ZERO, c, -s, _ZERO),
+            (_ZERO, s, c, _ZERO),
+            (_ZERO, _ZERO, _ZERO, _ONE),
         )
     )
 
@@ -256,10 +265,13 @@ class SymTensor4(value_type("SymTensor4", "matrix")):
         )
 
     def trace(self) -> mpf:
-        """Metric trace g_{mu nu} T^{mu nu}."""
-        return sum(
-            (METRIC_DIAG[i] * self.matrix[i][i] for i in range(DIM)), mpf(0)
-        )
+        """Metric trace g_{mu nu} T^{mu nu}.
+
+        Negating the t entry gives the bits of its product with g_t = -1;
+        the other g_i are +1 and need no product.
+        """
+        m = self.matrix
+        return -m[0][0] + m[1][1] + m[2][2] + m[3][3]
 
     @staticmethod
     def diagonal(tt, xx, yy, zz) -> "SymTensor4":

@@ -21,6 +21,8 @@ frozen-copy coth terms as the energy expansion (``_em_coefficients``).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from mpmath import coth, csch, exp, ldexp, mp, mpf, pi, sin, sqrt
 
 from .errors import (
@@ -32,10 +34,12 @@ from .errors import (
 )
 from .expansion import _frozen_coth_term
 from .minkowski import (
+    _ZERO,
     DIM,
     LorentzTransform,
     SeparationVector,
     SymTensor4,
+    _sum,
     mink_dot,
     transform_tensor,
 )
@@ -49,12 +53,14 @@ _H_DIAG = (mpf(-1), mpf(1), mpf(1), mpf(0))
 _S1_DIAG = (-mpf(1) / 4, mpf(1) / 4, mpf(1) / 4, -mpf(3) / 4)
 
 
-def _split_tol() -> mpf:
+@lru_cache(maxsize=16)
+def _split_tol(prec: int) -> mpf:
     # Relative tolerance for the splitting: s^2 is formed by cancellation
     # with a rounding error of a few ulps of t^2 + x^2 + y^2, so asking
     # s^2 to exceed 2^(-prec/2) of that sum keeps at least half of the
     # working bits in s^2, and hence in s, whatever the vector's size.
-    return ldexp(mpf(1), -(mp.prec // 2))
+    # The caller passes mp.prec, the only precision it depends on.
+    return ldexp(mpf(1), -(prec // 2))
 
 
 class RadialKernel(value_type("RadialKernel", "s value first second")):
@@ -87,16 +93,18 @@ class StressDecomposition(
         scaling the two structures and adding them, without the
         intermediate tensors.  S1 is diagonal, so off the diagonal only
         the S2 term is left, and both are symmetric, so only the upper
-        triangle is formed.
+        triangle is formed.  Products with an exact-zero factor and
+        additions to zero are skipped, which changes no bit; the two B
+        coefficients vanish together, at lambda = 0.
         """
         a, b_fin, b_div, direction, s = self
-        b_total = b_div / s**2 + b_fin
-        s2 = _s2_rows(direction)
-        rows = [[None] * DIM for _ in range(DIM)]
-        for i in range(DIM):
-            rows[i][i] = a * _S1_DIAG[i] + b_total * s2[i][i]
+        b = b_div / s**2 + b_fin if b_div else b_fin
+        rows = [[_ZERO] * DIM for _ in range(DIM)]
+        for i, s2 in enumerate(_s2_rows(direction)):
+            rows[i][i] = _sum(x * y for x, y in ((a, _S1_DIAG[i]), (b, s2[i])) if x and y)
             for j in range(i + 1, DIM):
-                rows[i][j] = rows[j][i] = b_total * s2[i][j]
+                if b and s2[j]:
+                    rows[i][j] = rows[j][i] = b * s2[j]
         return SymTensor4(rows)
 
 
@@ -108,15 +116,21 @@ def s1_structure() -> SymTensor4:
 def _s2_rows(direction: SeparationVector) -> tuple[tuple[mpf, ...], ...]:
     # S2 = g - 3 eps eps / eps^2 - zhat zhat, the same for any spacelike
     # vector along the ray.  3 eps_i / eps^2 is formed once per component,
-    # and the symmetric upper triangle is mirrored.
+    # and the symmetric upper triangle is mirrored.  A zero component
+    # leaves exact h on the diagonal and exact zeros off it, which is what
+    # the dense formula gives for it.
     v = direction.vector
     s2 = mink_dot(v, v)
-    rows = [[None] * DIM for _ in range(DIM)]
+    rows = [[_ZERO] * DIM for _ in range(DIM)]
     for i, (h, c) in enumerate(zip(_H_DIAG, v)):
+        if not c:
+            rows[i][i] = h
+            continue
         w = 3 * c / s2
         rows[i][i] = h - w * c
         for j in range(i + 1, DIM):
-            rows[i][j] = rows[j][i] = -(w * v[j])
+            if v[j]:
+                rows[i][j] = rows[j][i] = -(w * v[j])
     return tuple(map(tuple, rows))
 
 
@@ -206,12 +220,13 @@ def _check_subspace(eps: SeparationVector) -> mpf:
     # Returns the invariant length after checking the splitting is a
     # genuinely spacelike (t, x, y) vector: s^2 must be a safe fraction
     # of t^2 + x^2 + y^2, so the bound scales with the vector.
+    # The comparison fails for a NaN square, which is rejected too.
     v = eps.vector
     t, x, y, z = v
-    if z != 0:
+    if z:
         raise ValueError("splitting vector must lie in the t-x-y subspace (z component 0)")
     s2 = mink_dot(v, v)
-    if s2 <= _split_tol() * (t * t + x * x + y * y):
+    if not s2 > _split_tol(mp.prec) * _sum(c * c for c in (t, x, y) if c):
         raise LightlikeSeparation(f"squared splitting length {s2} is not safely spacelike")
     return sqrt(s2)
 
@@ -233,7 +248,7 @@ def second_derivative_tensor(kernel: RadialKernel, eps: SeparationVector) -> Sym
     the radial operator f'' + (2/s) f'.
     """
     s = _check_subspace(eps)
-    if abs(kernel.s - s) > _split_tol() * s:
+    if abs(kernel.s - s) > _split_tol(mp.prec) * s:
         raise ValueError(
             f"kernel evaluated at s = {kernel.s} but splitting has length {s}"
         )
@@ -346,14 +361,10 @@ def scalar_stress(
     unit, s = _unit_splitting(eps)
     lam = cutoff.lam
     sz = sin(pi * z / a)
-    a_coeff = (1 - lam) * pi**2 / (360 * a**4)
-    b_div = (lam / 48) * (3 / sz**2 - 1) / a**2
-    b_fin = (
-        (lam / 48)
-        * (pi**2 / (4 * a**4))
-        * (1 - lam**2)
-        * ((3 - 2 * sz**2) / sz**4 - mpf(1) / 15)
-    )
+    pi2, a4, lam48, sz2 = pi**2, a**4, lam / 48, sz**2
+    a_coeff = (1 - lam) * pi2 / (360 * a4)
+    b_div = lam48 * (3 / sz2 - 1) / a**2
+    b_fin = lam48 * (pi2 / (4 * a4)) * (1 - lam**2) * ((3 - 2 * sz2) / sz**4 - mpf(1) / 15)
     return StressDecomposition(
         A=a_coeff,
         B_finite=b_fin,
