@@ -208,7 +208,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flag",
         ["--a=nan", "--lambda=NaN", "--epsilon=0.1:nan:2", "--z=nan",
-         "--eps-vec=0,nan,0,0", "--rapidity=nan"],
+         "--eps-vec=0,nan,0,0", "--eps-vec=inf,inf,0,0", "--rapidity=nan"],
     )
     def test_nan_is_a_usage_error(self, capsys, command, flag):
         code, out, err = run_cli(capsys, command, flag)

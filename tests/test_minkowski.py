@@ -28,6 +28,23 @@ from casimir_cutoff.minkowski import (
 TIGHT = mpf("1e-45")
 
 
+# Dense references, every product formed and summed left to right as
+# the formulas are written: the zero-skipping code must match their bits.
+def dense_mink_dot(u, v):
+    return -u.t * v.t + u.x * v.x + u.y * v.y + u.z * v.z
+
+
+def dense_trace(m):
+    return sum((METRIC_DIAG[i] * m[i][i] for i in range(DIM)), mpf(0))
+
+
+def dense_inverse(m):
+    return tuple(
+        tuple(METRIC_DIAG[i] * m[j][i] * METRIC_DIAG[j] for j in range(DIM))
+        for i in range(DIM)
+    )
+
+
 class TestMetricAndVectors:
     """Signature conventions and inner products."""
 
@@ -54,6 +71,10 @@ class TestMetricAndVectors:
             SeparationVector(FourVector(1, 1, 0, 0))
         with pytest.raises(LightlikeSeparation):
             SeparationVector(FourVector(2, 1, 0, 0))
+        # A NaN square fails "> 0" as well as "<= 0"; it is not spacelike.
+        for t, x in ((nan, "0.1"), (inf, inf), (-inf, inf)):
+            with pytest.raises(LightlikeSeparation, match="squared length nan"):
+                SeparationVector(FourVector(t, x, 0, 0))
 
     def test_separation_length(self):
         s = SeparationVector(FourVector("0.3", "0.5", 0, 0))
@@ -263,6 +284,46 @@ class TestLorentzTransform:
         assert len(calls) == 1
         ell.inverse()
         assert len(calls) == 2
+
+
+class TestSkippedZeros:
+    """Zero-skipping arithmetic against the dense references, bit for bit."""
+
+    @pytest.mark.parametrize("dps", [15, 50, 200])
+    def test_vectors_and_traces(self, dps):
+        rng = random.Random(dps)
+        with mp.workdps(dps):
+
+            def entry():
+                # Full working precision, or an exact zero.
+                return mpf(rng.uniform(-2, 2)) / 7 if rng.random() < 0.6 else mpf(0)
+
+            for _ in range(200):
+                u, v = (FourVector(*(entry() for _ in range(DIM))) for _ in range(2))
+                c = entry()
+                assert mink_dot(u, v) == dense_mink_dot(u, v)
+                assert u.scale(c) == tuple(c * e for e in u)
+                rows = [[None] * DIM for _ in range(DIM)]
+                for i in range(DIM):
+                    for j in range(i, DIM):
+                        rows[i][j] = rows[j][i] = entry()
+                assert SymTensor4(rows).trace() == dense_trace(rows)
+
+    @pytest.mark.parametrize("dps", [15, 50, 200])
+    def test_inverse(self, dps):
+        # Products of boosts and rotations, whose exact zeros vary with
+        # the factors drawn.
+        rng = random.Random(dps)
+        with mp.workdps(dps):
+            draws = (
+                lambda: boost(mpf(rng.uniform(-2, 2)) / 7),
+                lambda: rotation_xy(mpf(rng.uniform(0, 44)) / 7),
+            )
+            for _ in range(30):
+                ell = rng.choice(draws)()
+                for _ in range(rng.randrange(3)):
+                    ell = ell.compose(rng.choice(draws)())
+                assert ell.inverse().matrix == dense_inverse(ell.matrix)
 
 
 class TestSymTensor4:

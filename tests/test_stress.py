@@ -8,9 +8,10 @@ route for the scalar field.
 """
 
 import random
+from itertools import product
 
 import pytest
-from mpmath import exp, mp, mpf, pi, sin, zeta
+from mpmath import exp, inf, mp, mpf, pi, sin, zeta
 
 import casimir_cutoff.stress
 from casimir_cutoff.errors import (
@@ -60,6 +61,33 @@ def random_spacelike(rng, scale=mpf("0.1")):
         t = mpf(rng.uniform(-0.5, 0.5))
         if x * x + y * y - t * t > mpf("0.05"):
             return spacelike(t * scale, x * scale, y * scale)
+
+
+def with_zeros(eps):
+    """The splitting, then its spatial (t = 0) and axis (t = y = 0) forms.
+
+    The random splittings have no zero component; these give the stress
+    path the exact zeros it skips.
+    """
+    _, x, y, _ = eps.vector
+    return eps, spacelike(0, x, y), spacelike(0, x, 0)
+
+
+def dense_s2(direction):
+    """S2 = h - 3 v v / v^2 with every product formed, the upper triangle mirrored.
+
+    The dense formula, left to right: v^2 is -t t + x x + y y + z z, and
+    entry (i, j) is h_ij - (3 v_i / v^2) v_j.
+    """
+    v = direction.vector
+    s2 = -v.t * v.t + v.x * v.x + v.y * v.y + v.z * v.z
+    h = (-1, 1, 1, 0)
+    upper = {
+        (i, j): (h[i] if i == j else 0) - 3 * v[i] / s2 * v[j]
+        for i in range(DIM)
+        for j in range(i, DIM)
+    }
+    return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(DIM)) for i in range(DIM))
 
 
 class TestPropagatorKernel:
@@ -373,6 +401,11 @@ class TestEMStress:
             em_stress(geom, cutoff, SeparationVector(FourVector(t, mpf("0.1"), 0, 0)))
         with pytest.raises(ValueError):
             em_stress(geom, cutoff, SeparationVector(FourVector(0, mpf("0.1"), 0, mpf("0.01"))))
+        # A NaN square (-inf + inf) fails every comparison, and is rejected
+        # even past SeparationVector's own check.
+        nan_square = tuple.__new__(SeparationVector, (FourVector(inf, inf, 0, 0),))
+        with pytest.raises(LightlikeSeparation, match="length nan"):
+            em_stress(geom, cutoff, nan_square)
 
     def test_tiny_spatial_splitting_accepted(self):
         # The lightlike margin is relative to t^2 + x^2 + y^2, so a short
@@ -404,24 +437,24 @@ class TestEMStress:
             )
 
     def test_tensor_is_one_pass_of_both_structures(self):
-        # The assembly must equal scaling S1 and S2 and adding them
-        # entrywise, bit for bit.
+        # The assembly must equal scaling S1 and the dense S2 and adding
+        # them entrywise, bit for bit, also where it skips exact zeros.
         rng = random.Random(19)
         geom = self.geometry(mpf("1.2"))
         for field in FieldKind:
             for _ in range(5):
                 cutoff = CutoffParams(mpf("0.1"), mpf(rng.uniform(0, 0.9)))
-                eps = random_spacelike(rng)
-                if field is FieldKind.SCALAR:
-                    d = scalar_stress(geom, cutoff, eps, mpf("0.37"))
-                else:
-                    d = em_stress(geom, cutoff, eps)
-                b = d.B_divergent_eps2 / d.separation_length**2 + d.B_finite
-                s1, s2 = s1_structure().scale(d.A), _s2_rows(d.direction)
-                two_step = tuple(
-                    tuple(s1[i, j] + b * s2[i][j] for j in range(DIM)) for i in range(DIM)
-                )
-                assert d.tensor().matrix == two_step
+                for eps in with_zeros(random_spacelike(rng)):
+                    if field is FieldKind.SCALAR:
+                        d = scalar_stress(geom, cutoff, eps, mpf("0.37"))
+                    else:
+                        d = em_stress(geom, cutoff, eps)
+                    b = d.B_divergent_eps2 / d.separation_length**2 + d.B_finite
+                    s1, s2 = s1_structure().scale(d.A), dense_s2(d.direction)
+                    two_step = tuple(
+                        tuple(s1[i, j] + b * s2[i][j] for j in range(DIM)) for i in range(DIM)
+                    )
+                    assert d.tensor().matrix == two_step
 
 
 class TestScalarStress:
@@ -501,17 +534,18 @@ class TestCovariance:
         rng = random.Random(7)
         geom = PlateGeometry(1)
         cutoff = CutoffParams(mpf("0.1"), mpf("0.4"))
-        eps = spacelike(mpf("0.02"), mpf("0.1"), mpf("-0.04"))
+        splits = with_zeros(spacelike(mpf("0.02"), mpf("0.1"), mpf("-0.04")))
         for _ in range(20):
             ell = rotation_xy(mpf(rng.uniform(0, 6.28))).compose(
                 boost(mpf(rng.uniform(-2, 2)))
             )
-            r_em = covariance_check(FieldKind.ELECTROMAGNETIC, geom, cutoff, eps, ell)
-            r_sc = covariance_check(
-                FieldKind.SCALAR, geom, cutoff, eps, ell, z=mpf("0.3")
-            )
-            assert r_em < mpf("1e-25")
-            assert r_sc < mpf("1e-25")
+            for eps in splits:
+                r_em = covariance_check(FieldKind.ELECTROMAGNETIC, geom, cutoff, eps, ell)
+                r_sc = covariance_check(
+                    FieldKind.SCALAR, geom, cutoff, eps, ell, z=mpf("0.3")
+                )
+                assert r_em < mpf("1e-25")
+                assert r_sc < mpf("1e-25")
 
     @pytest.mark.parametrize("dps", [15, 30, 200])
     def test_residual_is_rounding_at_every_precision(self, dps):
@@ -527,9 +561,12 @@ class TestCovariance:
                 ell = rotation_xy(mpf(rng.uniform(0, 6.28))).compose(
                     boost(mpf(rng.uniform(-2, 2)))
                 )
-                for field, z in ((FieldKind.ELECTROMAGNETIC, None), (FieldKind.SCALAR, mpf("0.3"))):
-                    r = covariance_check(field, geom, cutoff, eps, ell, z)
-                    t = _stress_for(field, geom, cutoff, eps, z).tensor()
+                for split, (field, z) in product(
+                    with_zeros(eps),
+                    ((FieldKind.ELECTROMAGNETIC, None), (FieldKind.SCALAR, mpf("0.3"))),
+                ):
+                    r = covariance_check(field, geom, cutoff, split, ell, z)
+                    t = _stress_for(field, geom, cutoff, split, z).tensor()
                     largest = max(abs(e) for row in t.matrix for e in row)
                     assert r < mpf(10) ** (3 - dps) * largest
 
