@@ -760,6 +760,212 @@ class TestPinnedZeroSplits:
         assert out == "".join(line + "\n" for line in expected)
 
 
+# Whole stdout and exit code of energy-expansion and scan at 15 and 200
+# digits, both fields, lambda from 0 to 0.999, a separation of 0 (exit-2
+# rows) and one JSON run.  Recorded while both subcommands still read
+# their coefficients from a built and subtracted Laurent window.
+_PINNED_ENERGY_ROUTE = [
+    (
+        ("energy-expansion", "--a", "0:1:3", "--lambda", "0:0.999:3", "--precision",
+         "15"),
+        2,
+        [
+            "a,lambda,c_m4,c_m2,c_0,c_m2_ref,c_0_ref",
+            "0.0,0.0,,,,,",
+            "0.0,0.49949999999999999955591079015,,,,,",
+            "0.0,0.9989999999999999991118215803,,,,,",
+            "0.5,0.0,0.0,0.0,-0.109662271123215082635482531259,0.0,-0.109662271123215082635"
+            "482531259",
+            "0.5,0.49949999999999999955591079015,0.0,-0.0832500000000000045519144009631,-0."
+            "0959955694748405308214245224008,-0.0832500000000000045519144009631,-0.09599556"
+            "94748405030658489067719",
+            "0.5,0.9989999999999999991118215803,0.0,-0.166500000000000009103828801926,-0.00"
+            "0328657936218547017635793761059,-0.166500000000000009103828801926,-0.000328657"
+            "936218543873449493553096",
+            "1.0,0.0,0.0,0.0,-0.0137077838904018853294353164074,0.0,-0.01370778389040188532"
+            "94353164074",
+            "1.0,0.49949999999999999955591079015,0.0,-0.0416250000000000022759572004816,-0."
+            "0119994461843550663526780653001,-0.0416250000000000022759572004816,-0.01199944"
+            "61843550628832311133465",
+            "1.0,0.9989999999999999991118215803,0.0,-0.0832500000000000045519144009631,-0.0"
+            "000410822420273183772044742201324,-0.0832500000000000045519144009631,-0.000041"
+            "082242027317984181186694137",
+        ],
+    ),
+    (
+        ("energy-expansion", "--a", "0:1:3", "--lambda", "0:0.999:3", "--field",
+         "scalar", "--precision", "15"),
+        2,
+        [
+            "a,lambda,c_m4,c_m2,c_0,c_m2_ref,c_0_ref",
+            "0.0,0.0,,,,,",
+            "0.0,0.49949999999999999955591079015,,,,,",
+            "0.0,0.9989999999999999991118215803,,,,,",
+            "0.5,0.0,0.0,0.0,-0.0548311355616075413177412656296,0.0,-0.05483113556160754131"
+            "77412656296",
+            "0.5,0.49949999999999999955591079015,0.0,-0.0416250000000000022759572004816,-0."
+            "0479977847374202654107122612004,-0.0416250000000000022759572004816,-0.04799778"
+            "47374202515329244533859",
+            "0.5,0.9989999999999999991118215803,0.0,-0.0832500000000000045519144009631,-0.0"
+            "00164328968109273508817896880529,-0.0832500000000000045519144009631,-0.0001643"
+            "28968109271936724746776548",
+            "1.0,0.0,0.0,0.0,-0.0068538919452009426647176582037,0.0,-0.00685389194520094266"
+            "47176582037",
+            "1.0,0.49949999999999999955591079015,0.0,-0.0208125000000000011379786002408,-0."
+            "00599972309217753317633903265005,-0.0208125000000000011379786002408,-0.0059997"
+            "2309217753144161555667324",
+            "1.0,0.9989999999999999991118215803,0.0,-0.0416250000000000022759572004816,-0.0"
+            "000205411210136591886022371100662,-0.0416250000000000022759572004816,-0.000020"
+            "5411210136589920905933470685",
+        ],
+    ),
+    (
+        ("energy-expansion", "--a", "0:1:2", "--lambda", "0:0.999:2", "--precision",
+         "200"),
+        2,
+        [
+            "a,lambda,c_m4,c_m2,c_0,c_m2_ref,c_0_ref",
+            "0.0,0.0,,,,,",
+            "0.0,0.999,,,,,",
+            "1.0,0.0,0.0,0.0,-0.01370778389040188697060345972205020991015791584338998698112"
+            "965191141672892002667394861357417183132254420003599135280992233023937239170839"
+            "823279252455275721897359777757806468837579375839060117,0.0,-0.0137077838904018"
+            "869706034597220502099101579158433899869811296519114167289200266739486135741718"
+            "313225442000359913528099223302393723917083982327925245527572189735977775780646"
+            "8837579375839060117",
+            "1.0,0.999,0.0,-0.08325,-0.0000410822420273183456527855393904442011509531839405"
+            "556343724325479081678479900488618506688304065526454962900520661203626900336497"
+            "2929732246121207742887713793802109151299923744912694226969039009,-0.08325,-0.0"
+            "000410822420273183456527855393904442011509531839405556343724325479081678479900"
+            "488618506688304065526454962900520661203626900336497292973224612120774288771379"
+            "3802109151299923744912694226969039009",
+        ],
+    ),
+    (
+        ("energy-expansion", "--a", "0:1:2", "--lambda", "0:0.999:2", "--field",
+         "scalar", "--precision", "200"),
+        2,
+        [
+            "a,lambda,c_m4,c_m2,c_0,c_m2_ref,c_0_ref",
+            "0.0,0.0,,,,,",
+            "0.0,0.999,,,,,",
+            "1.0,0.0,0.0,0.0,-0.00685389194520094348530172986102510495507895792169499349056"
+            "482595570836446001333697430678708591566127210001799567640496116511968619585419"
+            "9116396262276378609486798888789032344187896879195300584,0.0,-0.006853891945200"
+            "943485301729861025104955078957921694993490564825955708364460013336974306787085"
+            "915661272100017995676404961165119686195854199116396262276378609486798888789032"
+            "344187896879195300584",
+            "1.0,0.999,0.0,-0.041625,-0.000020541121013659172826392769695222100575476591970"
+            "277817186216273954083923995024430925334415203276322748145026033060181345016824"
+            "86464866123060603871443856896901054575649961872456347113484519504,-0.041625,-0"
+            ".00002054112101365917282639276969522210057547659197027781718621627395408392399"
+            "502443092533441520327632274814502603306018134501682486464866123060603871443856"
+            "896901054575649961872456347113484519504",
+        ],
+    ),
+    (
+        ("scan", "--a", "0:1:3", "--lambda", "0:0.999:3", "--precision", "15"),
+        2,
+        [
+            "a,lambda,c_m2,c_0,finite_part,divergent_coeff,A,B_finite,B_div_eps2",
+            "0.0,0.0,,,,,,,",
+            "0.0,0.49949999999999999955591079015,,,,,,,",
+            "0.0,0.9989999999999999991118215803,,,,,,,",
+            "0.5,0.0,0.0,-0.109662271123215082635482531259,-0.65797362673929049581289518755"
+            "5,0.0,0.877298168985720661083860250073,0.0,0.0",
+            "0.5,0.49949999999999999955591079015,-0.0832500000000000045519144009631,-0.0959"
+            "955694748405308214245224008,-0.575973416849043129417395903147,-0.1665000000000"
+            "00009103828801926,0.439087733577353200864479276788,-0.041109602777671366835576"
+            "8049878,-0.0832500000000000045519144009631",
+            "0.5,0.9989999999999999991118215803,-0.166500000000000009103828801926,-0.000328"
+            "657936218547017635793761059,-0.00197194761731128188897432806925,-0.33300000000"
+            "0000018207657603853,0.000877298168985721454719850509463,-0.0002189956650953318"
+            "49348339603445,-0.166499999999999981348253186297",
+            "1.0,0.0,0.0,-0.0137077838904018853294353164074,-0.0411233516712056559883059492"
+            "222,0.0,0.0548311355616075413177412656296,0.0,0.0",
+            "1.0,0.49949999999999999955591079015,-0.0416250000000000022759572004816,-0.0119"
+            "994461843550663526780653001,-0.0359983385530651955885872439467,-0.041625000000"
+            "0000022759572004816,0.0274429833485845750540299547993,-0.002569350173604460427"
+            "22355031174,-0.0208125000000000011379786002408",
+            "1.0,0.9989999999999999991118215803,-0.0832500000000000045519144009631,-0.00004"
+            "10822420273183772044742201324,-0.000123246726081955118060895504328,-0.08325000"
+            "00000000045519144009631,0.0000548311355616075909199906568414,-0.00001368722906"
+            "84582405842712252153,-0.0416249999999999953370632965743",
+        ],
+    ),
+    (
+        ("scan", "--a", "0:1:2", "--lambda", "0:0.999:2", "--precision", "200"),
+        2,
+        [
+            "a,lambda,c_m2,c_0,finite_part,divergent_coeff,A,B_finite,B_div_eps2",
+            "0.0,0.0,,,,,,,",
+            "0.0,0.999,,,,,,,",
+            "1.0,0.0,0.0,-0.013707783890401886970603459722050209910157915843389986981129651"
+            "911416728920026673948613574171831322544200035991352809922330239372391708398232"
+            "79252455275721897359777757806468837579375839060117,-0.041123351671205660911810"
+            "379166150629730473747530169960943388955734250186760080021845840722515493967632"
+            "600107974058429766990718117175125194698377573658271656920793332734194065127381"
+            "2751718035,0.0,0.0548311355616075478824138388882008396406316633735599479245186"
+            "076456669156801066957944542966873252901768001439654112396893209574895668335929"
+            "3117009821102887589439111031225875350317503356240467,0.0,0.0",
+            "1.0,0.999,-0.08325,-0.00004108224202731834565278553939044420115095318394055563"
+            "437243254790816784799004886185066883040655264549629005206612036269003364972929"
+            "732246121207742887713793802109151299923744912694226969039009,-0.00012324672608"
+            "195503695835661817133260345285955182166690311729764372450354397014658555200649"
+            "121965793648887015619836108807010094918789196738363623228663141381406327453899"
+            "77123473808268090711703,-0.08325,0.0000548311355616075478824138388882008396406"
+            "316633735599479245186076456669156801066957944542966873252901768001439654112396"
+            "8932095748956683359293117009821102887589439111031225875350317503356240467,-0.0"
+            "000136872290684582293410910398341969956203976340485828236956514479983755595350"
+            "110939510276281173606614760450080373837763838517051784528070314896424521621903"
+            "5952374686771058638037557425564989446,-0.041625",
+        ],
+    ),
+    (
+        ("scan", "--a", "1", "--lambda", "0:0.999:2", "--format", "json", "--precision",
+         "15"),
+        0,
+        [
+            "[",
+            "  {",
+            '    "a": "1.0",',
+            '    "lambda": "0.0",',
+            '    "c_m2": "0.0",',
+            '    "c_0": "-0.0137077838904018853294353164074",',
+            '    "finite_part": "-0.0411233516712056559883059492222",',
+            '    "divergent_coeff": "0.0",',
+            '    "A": "0.0548311355616075413177412656296",',
+            '    "B_finite": "0.0",',
+            '    "B_div_eps2": "0.0"',
+            "  },",
+            "  {",
+            '    "a": "1.0",',
+            '    "lambda": "0.9989999999999999991118215803",',
+            '    "c_m2": "-0.0832500000000000045519144009631",',
+            '    "c_0": "-0.0000410822420273183772044742201324",',
+            '    "finite_part": "-0.000123246726081955118060895504328",',
+            '    "divergent_coeff": "-0.0832500000000000045519144009631",',
+            '    "A": "0.0000548311355616075909199906568414",',
+            '    "B_finite": "-0.0000136872290684582405842712252153",',
+            '    "B_div_eps2": "-0.0416249999999999953370632965743"',
+            "  }",
+            "]",
+        ],
+    ),
+
+]
+
+
+class TestPinnedEnergyRoute:
+    """energy-expansion and scan stdout, byte for byte, at 15 and 200 digits."""
+
+    @pytest.mark.parametrize("argv, expected_code, expected", _PINNED_ENERGY_ROUTE)
+    def test_stdout_unchanged(self, capsys, argv, expected_code, expected):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == expected_code
+        assert out == "".join(line + "\n" for line in expected)
+
+
 class TestOutputs:
     """Schemas, values, and round-trip precision."""
 
