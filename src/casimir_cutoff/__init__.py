@@ -27,11 +27,11 @@ _EXPORTS = {
         "FourVector", "LorentzTransform", "SeparationVector", "SymTensor4",
         "boost", "mink_dot", "rotation_xy", "transform_tensor",
     ),
-    "laurent": ("LaurentSeries", "evaluate", "extract_coefficient"),
+    "laurent": ("LaurentSeries", "extract_coefficient"),
     "modesum": (
         "CutoffParams", "FieldKind", "ModeIndex", "ModeSumResult",
         "PlateGeometry", "check_boundary_conditions", "eigenmode",
-        "energy_closed_form", "energy_mode_sum", "transverse_integral",
+        "energy_closed_form", "energy_mode_sum",
     ),
     "expansion": (
         "EnergyExpansion", "PressureResult", "ReferenceCoefficients",

@@ -45,7 +45,7 @@ class UsageError(Exception):
 class ScanConfig(
     value_type(
         "ScanConfig",
-        "command a_values lam_values eps_values z_values split field n_max order"
+        "command a_values lam_values eps_values z_values split field n_max"
         " out_format output seed rapidity trials precision",
     )
 ):
@@ -128,7 +128,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--n-max", dest="n_max", type=int, default=None,
                        help="fixed mode count (default: extend until converged)")
         p.add_argument("--order", type=int, default=4,
-                       help="highest retained series power")
+                       help="highest retained series power; the printed"
+                            " coefficients do not depend on it")
         p.add_argument("--precision", type=int, default=None,
                        help="working digits (default: CASIMIR_PRECISION or 50)")
         p.add_argument("--format", dest="out_format", choices=["csv", "json"], default="csv")
@@ -198,7 +199,6 @@ def parse_args(argv: list[str]) -> ScanConfig:
             split=_parse_eps_vec(ns.eps_vec),
             field=field,
             n_max=ns.n_max,
-            order=ns.order,
             out_format=ns.out_format,
             output=ns.output,
             seed=ns.seed,
@@ -220,16 +220,15 @@ def _energy_sum(cfg: ScanConfig):
 
 
 def _energy_expansion(cfg: ScanConfig):
-    from .expansion import energy_laurent, reference_coefficients, subtract_outer
-    from .laurent import extract_coefficient
+    from .expansion import _reported_coefficients, reference_coefficients
 
     half = mpf(1) / 2 if cfg.field is FieldKind.SCALAR else mpf(1)
     for a, lam in product(cfg.a_values, cfg.lam_values):
         def point(a=a, lam=lam):
-            sub = subtract_outer(energy_laurent(a, lam, cfg.order, cfg.field))
+            _, c_minus2, c_0 = _reported_coefficients(a, lam, cfg.field)
             ref = reference_coefficients(a, lam)
-            coeffs = [extract_coefficient(sub.series, k) for k in (-4, -2, 0)]
-            return *coeffs, half * ref.c_minus2, half * ref.c_0
+            # The outer subtraction sets the eps^-4 coefficient to exactly zero.
+            return mpf(0), c_minus2, c_0, half * ref.c_minus2, half * ref.c_0
 
         yield (a, lam), point
 
@@ -282,18 +281,17 @@ def _scan(cfg: ScanConfig):
     # Combined per-point summary of the three observable groups; the
     # electromagnetic field only, since the scalar columns would just
     # repeat everything halved.
-    from .expansion import energy_laurent, pressure_from_energy, subtract_outer
-    from .laurent import extract_coefficient
+    from .expansion import _pressure_from_coefficients, _reported_coefficients
     from .stress import em_stress
 
     for a, lam in product(cfg.a_values, cfg.lam_values):
         def point(a=a, lam=lam):
-            sub = subtract_outer(energy_laurent(a, lam))
-            pr = pressure_from_energy(sub)
+            a, c_minus2, c_0 = _reported_coefficients(a, lam)
+            pr = _pressure_from_coefficients(a, c_minus2, c_0)
             d = em_stress(PlateGeometry(a), CutoffParams(cfg.split.length, lam), cfg.split)
             return (
-                extract_coefficient(sub.series, -2), extract_coefficient(sub.series, 0),
-                pr.finite_part, pr.divergent_coeff, d.A, d.B_finite, d.B_divergent_eps2,
+                c_minus2, c_0, pr.finite_part, pr.divergent_coeff,
+                d.A, d.B_finite, d.B_divergent_eps2,
             )
 
         yield (a, lam), point

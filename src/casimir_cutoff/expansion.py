@@ -32,7 +32,8 @@ from .modesum import FieldKind, PlateGeometry
 from .precision import to_mpf, value_type
 
 # Window eps^-4 .. eps^4: the physics needs eps^-4 .. eps^0, and the two
-# even orders above that make ``evaluate`` good to O(eps^6) at finite eps.
+# even orders above that make the truncated series good to O(eps^6) at
+# finite eps.
 DEFAULT_ORDER = 4
 
 
@@ -112,6 +113,30 @@ def _odd_coefficient(m: int, c: mpf, mu: mpf, lam: mpf, inv4pi: mpf, field: Fiel
     return coeff / 2 if field is FieldKind.SCALAR else coeff
 
 
+def _reported_coefficients(
+    a, lam, field: FieldKind = FieldKind.ELECTROMAGNETIC
+) -> tuple[mpf, mpf, mpf]:
+    """The validated a with the eps^-2 and eps^0 energy coefficients.
+
+    These odd m = 1 and 3 coefficients are the two that the outer
+    subtraction leaves to report, and it keeps them whole: each equals
+    its entry of the built and subtracted window, bit for bit.
+    """
+    a, lam = _validate_domain(a, lam)
+    c, mu, inv4pi = pi / (2 * a), 1 - lam, 1 / (4 * pi)
+    c_minus2, c_0 = (_odd_coefficient(m, c, mu, lam, inv4pi, field) for m in (1, 3))
+    return a, c_minus2, c_0
+
+
+def _pressure_from_coefficients(a: mpf, c_minus2: mpf, c_0: mpf) -> PressureResult:
+    """Negative a-gradient of the eps^0 and eps^-2 energy coefficients.
+
+    Each is a pure power c_k a^-(k+3), so -d c_k/da = (k+3) c_k / a.
+    """
+    finite, divergent = ((k + 3) * c_k / a for k, c_k in ((0, c_0), (-2, c_minus2)))
+    return PressureResult(finite_part=finite, divergent_coeff=divergent)
+
+
 def energy_laurent(
     a,
     lam,
@@ -183,19 +208,13 @@ def reference_coefficients(a, lam) -> ReferenceCoefficients:
 def pressure_from_energy(sub: EnergyExpansion) -> PressureResult:
     """Pressure on the plates from an already subtracted energy.
 
-    Negates the a-gradient of each kept coefficient: c_k is a pure power
-    a^-(k+3), so -d c_k/da = (k+3) c_k / a.  Only k = 0 (finite) and
-    k = -2 (the 1/epsilon^2 coefficient) are reported.
+    Reads the eps^0 and eps^-2 coefficients of the window and takes
+    their negative a-gradient as ``_pressure_from_coefficients`` does.
     """
     if not sub.subtracted:
         raise ValueError("pressure needs a subtracted expansion")
-
-    def neg_gradient(power: int) -> mpf:
-        return (power + 3) * extract_coefficient(sub.series, power) / sub.a
-
-    return PressureResult(
-        finite_part=neg_gradient(0), divergent_coeff=neg_gradient(-2)
-    )
+    c_0, c_minus2 = (extract_coefficient(sub.series, k) for k in (0, -2))
+    return _pressure_from_coefficients(sub.a, c_minus2, c_0)
 
 
 def casimir_pressure(
@@ -203,13 +222,8 @@ def casimir_pressure(
 ) -> PressureResult:
     """Pressure on the plates from the subtracted energy at (a, lambda).
 
-    Evaluates only the two reported coefficients, eps^0 and eps^-2 (odd
-    m = 3 and 1, which the subtraction keeps whole), by the routine of
-    ``energy_laurent``, and takes -d c_k/da = (k+3) c_k / a with the
-    operations of ``pressure_from_energy`` in the same order: the result
-    equals it on the built and subtracted expansion, bit for bit.
+    Evaluates only the two reported coefficients, without building the
+    expansion: the result equals ``pressure_from_energy`` on the built
+    and subtracted expansion, bit for bit.
     """
-    a, lam = _validate_domain(a, lam)
-    c, mu, inv4pi = pi / (2 * a), 1 - lam, 1 / (4 * pi)
-    c_0, c_minus2 = (_odd_coefficient(m, c, mu, lam, inv4pi, field) for m in (3, 1))
-    return PressureResult(finite_part=3 * c_0 / a, divergent_coeff=1 * c_minus2 / a)
+    return _pressure_from_coefficients(*_reported_coefficients(a, lam, field))

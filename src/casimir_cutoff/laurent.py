@@ -5,9 +5,9 @@ as a series: a finite window of coefficients, where powers below
 ``min_degree`` are exactly zero and powers at or above
 ``truncation_order`` are unknown.  Its coefficients come from closed
 forms (see ``expansion``), so this module holds only the container and
-the ways to read it.  The general series arithmetic that rebuilds the
-same coefficients independently lives with the tests, in
-``tests/series_reference.py``.
+the way to read it.  The general series arithmetic that rebuilds the
+same coefficients independently, and the evaluation of a series at a
+point, live with the tests, in ``tests/series_reference.py``.
 """
 
 from __future__ import annotations
@@ -55,9 +55,3 @@ def extract_coefficient(x: LaurentSeries, power: int) -> mpf:
             f"power {power} outside window [{x.min_degree}, {x.truncation_order})"
         )
     return x.coeffs[power - x.min_degree]
-
-
-def evaluate(x: LaurentSeries, eps) -> mpf:
-    """Numeric value of the truncated series at the given point."""
-    e = to_mpf(eps)
-    return sum((c * e**p for p, c in x.terms()), mpf(0))

@@ -36,13 +36,7 @@ from functools import lru_cache
 
 from mpmath import cos, coth, csch, exp, inf, ldexp, mag, mp, mpc, mpf, pi, sin, sqrt
 
-from .errors import (
-    CutoffDomain,
-    InvalidMode,
-    NonPositiveEpsilon,
-    NonPositiveSeparation,
-    NotConverged,
-)
+from .errors import CutoffDomain, InvalidMode, NonPositiveSeparation, NotConverged
 from .precision import to_mpf, value_type
 
 # Cap on the automatic stopping index; past it the parameters are too
@@ -135,22 +129,6 @@ class ModeSumResult(value_type("ModeSumResult", "value remainder_bound n_max")):
     """Partial sum with a certified bound on the omitted tail."""
 
     __slots__ = ()
-
-
-def transverse_integral(m, epsilon) -> mpf:
-    """Closed form of the transverse-momentum integral at fixed mass m.
-
-    Integrating omega * exp(-epsilon*omega) over the transverse plane
-    with omega = sqrt(k^2 + m^2) gives
-    (1/2pi) e^{-epsilon m} (m^2/epsilon + 2m/epsilon^2 + 2/epsilon^3).
-    """
-    m = to_mpf(m)
-    eps = to_mpf(epsilon)
-    if eps <= 0:
-        raise NonPositiveEpsilon(f"epsilon must be positive, got {eps}")
-    if m < 0:
-        raise ValueError(f"mass must be non-negative, got {m}")
-    return exp(-eps * m) * (m * m / eps + 2 * m / eps**2 + 2 / eps**3) / (2 * pi)
 
 
 def _tower(geom: PlateGeometry, cutoff: CutoffParams, weight: mpf):
@@ -443,8 +421,8 @@ def energy_closed_form(
         return em
     if field is FieldKind.SCALAR:
         # Half of each n >= 1 term, and no n = 0 term at all; the n = 0
-        # transverse integral is the massless one.
-        return em / 2 - transverse_integral(0, eps) / 4
+        # transverse integral is the massless one, 1 / (pi eps^3).
+        return em / 2 - 1 / (4 * pi * eps**3)
     raise InvalidMode(f"unknown field kind: {field!r}")
 
 

@@ -10,6 +10,9 @@ the quotient of the cosh and sinh series rather than from tabulated
 coefficients, and the frozen-copy product rule applied series by
 series.  ``_scalar_mode_assembly`` rebuilds the scalar stress
 coefficients from the mode sums for ``scalar_stress``'s closed forms.
+``evaluate`` sums a truncated series at a point, and
+``transverse_integral`` is one mode's transverse integral in closed
+form, the per-mode reference for the mode sums.
 
 Truncation bookkeeping is pessimistic on purpose.  Every operation
 derives the tightest window that is provably correct from its inputs'
@@ -21,8 +24,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from mpmath import cos, factorial, mp, mpf, pi
+from mpmath import cos, exp, factorial, mp, mpf, pi
 
+from casimir_cutoff.errors import NonPositiveEpsilon
 from casimir_cutoff.laurent import LaurentSeries, extract_coefficient
 from casimir_cutoff.modesum import FieldKind
 from casimir_cutoff.precision import to_mpf
@@ -62,6 +66,28 @@ def monomial(value, power: int, truncation_order: int | None = None) -> LaurentS
     if hi <= power:
         raise ValueError("truncation order cuts off the term")
     return LaurentSeries(power, (value,) + (0,) * (hi - power - 1))
+
+
+def evaluate(x: LaurentSeries, eps) -> mpf:
+    """Numeric value of the truncated series at the given point."""
+    e = to_mpf(eps)
+    return sum((c * e**p for p, c in x.terms()), mpf(0))
+
+
+def transverse_integral(m, epsilon) -> mpf:
+    """Closed form of the transverse-momentum integral at fixed mass m.
+
+    Integrating omega * exp(-epsilon*omega) over the transverse plane
+    with omega = sqrt(k^2 + m^2) gives
+    (1/2pi) e^{-epsilon m} (m^2/epsilon + 2m/epsilon^2 + 2/epsilon^3).
+    """
+    m = to_mpf(m)
+    eps = to_mpf(epsilon)
+    if eps <= 0:
+        raise NonPositiveEpsilon(f"epsilon must be positive, got {eps}")
+    if m < 0:
+        raise ValueError(f"mass must be non-negative, got {m}")
+    return exp(-eps * m) * (m * m / eps + 2 * m / eps**2 + 2 / eps**3) / (2 * pi)
 
 
 def _coeff(x: LaurentSeries, power: int) -> mpf:

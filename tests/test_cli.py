@@ -1086,26 +1086,56 @@ class TestOutputs:
         assert len(rows) == 40
 
     def test_scan_builds_one_expansion_per_point(self, capsys, monkeypatch):
-        # The energy and pressure columns share one subtracted expansion.
+        # The energy and pressure columns share one evaluation of the two
+        # reported coefficients per point, and no Laurent window is built.
         args = ("scan", "--a", "0.5:1.5:2", "--lambda", "0:0.6:3")
         _, before, _ = run_cli(capsys, *args)
-        builds = []
+        evaluations, builds = [], []
+        reported = casimir_cutoff.expansion._reported_coefficients
 
         def counted(*a, **kw):
+            evaluations.append(a)
+            return reported(*a, **kw)
+
+        def built(*a, **kw):
             builds.append(a)
             return energy_laurent(*a, **kw)
 
-        # scan reads energy_laurent from the expansion module when it runs.
-        monkeypatch.setattr(casimir_cutoff.expansion, "energy_laurent", counted)
+        # scan reads both from the expansion module when it runs.
+        monkeypatch.setattr(casimir_cutoff.expansion, "_reported_coefficients", counted)
+        monkeypatch.setattr(casimir_cutoff.expansion, "energy_laurent", built)
         code, out, _ = run_cli(capsys, *args)
         assert code == 0
-        assert len(builds) == 6
+        assert len(evaluations) == 6
+        assert builds == []
         assert out == before
         header, rows = parse_csv(out)
         for row in (dict(zip(header, r)) for r in rows):
-            p = casimir_pressure(mpf(row["a"]), mpf(row["lambda"]))
+            a = mpf(row["a"])
+            p = casimir_pressure(a, mpf(row["lambda"]))
             assert abs(mpf(row["finite_part"]) - p.finite_part) < mpf("1e-35")
             assert abs(mpf(row["divergent_coeff"]) - p.divergent_coeff) < mpf("1e-35")
+            assert abs(mpf(row["finite_part"]) - 3 * mpf(row["c_0"]) / a) < mpf("1e-35")
+            assert abs(mpf(row["divergent_coeff"]) - mpf(row["c_m2"]) / a) < mpf("1e-35")
+
+    def test_energy_routes_build_no_window(self, capsys, monkeypatch):
+        # energy-expansion and scan print the same without the window
+        # route, at any --order: none of its functions is called.
+        grid = ("--a", "0:1:3", "--lambda", "0:0.999:3")
+        runs = [("scan", *grid)] + [
+            ("energy-expansion", *grid, "--field", field, "--order", order)
+            for field in ("em", "scalar") for order in ("0", "1000000")
+        ]
+
+        def window_route(*a, **kw):
+            raise AssertionError("the CLI built a Laurent window")
+
+        with monkeypatch.context() as patched:
+            for name in ("energy_laurent", "subtract_outer", "pressure_from_energy"):
+                patched.setattr(casimir_cutoff.expansion, name, window_route)
+            without = [run_cli(capsys, *argv)[:2] for argv in runs]
+        assert without == [run_cli(capsys, *argv)[:2] for argv in runs]
+        assert {code for code, _ in without} == {2}
 
     def test_covariance_residuals_and_determinism(self, capsys):
         args = (

@@ -13,14 +13,16 @@ from mpmath import mp, mpf, pi
 from casimir_cutoff.errors import CutoffDomain, NonPositiveSeparation
 from casimir_cutoff.expansion import (
     _coth_coefficient,
+    _reported_coefficients,
     casimir_pressure,
     energy_laurent,
     pressure_from_energy,
     reference_coefficients,
     subtract_outer,
 )
-from casimir_cutoff.laurent import evaluate, extract_coefficient
+from casimir_cutoff.laurent import extract_coefficient
 from casimir_cutoff.modesum import CutoffParams, FieldKind, PlateGeometry, energy_closed_form
+from series_reference import evaluate
 
 COEFF_TOL = mpf("1e-30")
 
@@ -256,13 +258,15 @@ class TestPressure:
     @pytest.mark.parametrize("dps", [15, 50, 200])
     @pytest.mark.parametrize("field", list(FieldKind), ids=lambda f: f.value)
     def test_equals_route_through_subtracted_expansion(self, dps, field):
-        # Namedtuple equality compares both fields as mpf at one
-        # precision, so this is bit equality of each.
+        # Tuple equality compares each entry as an mpf at one precision,
+        # so this is bit equality of each.
         mp.dps = dps
         for lam in (0, "1e-20", "0.5", "0.95"):
             for a in ("0.37", 1, "2.5"):
-                built = pressure_from_energy(subtracted(a, lam, field))
-                assert casimir_pressure(a, lam, field) == built
+                sub = subtracted(a, lam, field)
+                assert casimir_pressure(a, lam, field) == pressure_from_energy(sub)
+                window = tuple(extract_coefficient(sub.series, k) for k in (-2, 0))
+                assert _reported_coefficients(a, lam, field) == (sub.a, *window)
 
     @pytest.mark.parametrize(
         "a, lam, error",
@@ -279,6 +283,8 @@ class TestPressure:
     def test_domain_errors_match_route_through_expansion(self, a, lam, error, field):
         with pytest.raises(error) as direct:
             casimir_pressure(a, lam, field)
+        with pytest.raises(error) as reported:
+            _reported_coefficients(a, lam, field)
         with pytest.raises(error) as built:
             pressure_from_energy(subtracted(a, lam, field))
-        assert type(direct.value) is type(built.value)
+        assert type(direct.value) is type(reported.value) is type(built.value)

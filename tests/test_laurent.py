@@ -15,8 +15,9 @@ import pytest
 from mpmath import coth, mpf
 
 from casimir_cutoff.errors import OutOfRange
-from casimir_cutoff.laurent import LaurentSeries, evaluate, extract_coefficient
+from casimir_cutoff.laurent import LaurentSeries, extract_coefficient
 from series_reference import (
+    evaluate,
     from_terms,
     monomial,
     series_add,
