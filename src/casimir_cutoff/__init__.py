@@ -20,7 +20,7 @@ _EXPORTS = {
     "precision": ("DEFAULT_DPS", "ENV_VAR", "resolve_precision"),
     "errors": (
         "CasimirError", "CothPole", "CutoffDomain", "InvalidMode",
-        "LightlikeSeparation", "NonPositiveEpsilon", "NonPositiveSeparation",
+        "LightlikeSeparation", "NonPositiveSeparation",
         "NotConverged", "OutOfRange", "WallContact",
     ),
     "minkowski": (
@@ -35,8 +35,8 @@ _EXPORTS = {
     ),
     "expansion": (
         "EnergyExpansion", "PressureResult", "ReferenceCoefficients",
-        "casimir_pressure", "energy_laurent", "pressure_from_energy",
-        "reference_coefficients", "subtract_outer",
+        "casimir_pressure", "energy_laurent", "reference_coefficients",
+        "subtract_outer",
     ),
     "stress": (
         "RadialKernel", "StressDecomposition", "angular_average",

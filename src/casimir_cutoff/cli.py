@@ -247,10 +247,13 @@ def _pressure(cfg: ScanConfig):
 def _stress(cfg: ScanConfig):
     from .stress import _stress_for
 
+    # The stress reads only lambda from CutoffParams; its epsilon, the
+    # splitting's length, is the same for every point of a sweep.
+    length = cfg.split.length
     zs = cfg.z_values if cfg.field is FieldKind.SCALAR else (None,)
     for a, lam, z in product(cfg.a_values, cfg.lam_values, zs):
         def point(a=a, lam=lam, z=z):
-            cut = CutoffParams(cfg.split.length, lam)
+            cut = CutoffParams(length, lam)
             d = _stress_for(cfg.field, PlateGeometry(a), cut, cfg.split, z)
             t = d.tensor()
             return d.A, d.B_finite, d.B_divergent_eps2, t[0, 0], t[3, 3], abs(t.trace())
@@ -264,6 +267,7 @@ def _covariance(cfg: ScanConfig):
     rng = random.Random(cfg.seed)
     z = cfg.z_values[0] if cfg.z_values is not None else None
     max_rap = float(cfg.rapidity)
+    length = cfg.split.length
     for trial in range(cfg.trials):
         rap = mpf(rng.uniform(-max_rap, max_rap))
         ang = mpf(rng.uniform(0.0, 2.0 * math.pi))
@@ -271,7 +275,7 @@ def _covariance(cfg: ScanConfig):
         def point(rap=rap, ang=ang):
             ell = rotation_xy(ang).compose(boost(rap))
             geom = PlateGeometry(cfg.a_values[0])
-            cutoff = CutoffParams(cfg.split.length, cfg.lam_values[0])
+            cutoff = CutoffParams(length, cfg.lam_values[0])
             return (covariance_check(cfg.field, geom, cutoff, cfg.split, ell, z),)
 
         yield (trial, rap, ang), point
@@ -284,11 +288,12 @@ def _scan(cfg: ScanConfig):
     from .expansion import _pressure_from_coefficients, _reported_coefficients
     from .stress import em_stress
 
+    length = cfg.split.length
     for a, lam in product(cfg.a_values, cfg.lam_values):
         def point(a=a, lam=lam):
             a, c_minus2, c_0 = _reported_coefficients(a, lam)
             pr = _pressure_from_coefficients(a, c_minus2, c_0)
-            d = em_stress(PlateGeometry(a), CutoffParams(cfg.split.length, lam), cfg.split)
+            d = em_stress(PlateGeometry(a), CutoffParams(length, lam), cfg.split)
             return (
                 c_minus2, c_0, pr.finite_part, pr.divergent_coeff,
                 d.A, d.B_finite, d.B_divergent_eps2,

@@ -18,10 +18,6 @@ class OutOfRange(CasimirError):
 
 # ---- mode sums and cutoff domain ----
 
-class NonPositiveEpsilon(CasimirError):
-    """Cutoff length epsilon must be strictly positive."""
-
-
 class CutoffDomain(CasimirError):
     """Cutoff parameters outside epsilon > 0, 0 <= lambda < 1."""
 

@@ -26,8 +26,8 @@ from functools import lru_cache
 
 from mpmath import bernoulli, factorial, ldexp, mp, mpf, pi
 
-from .errors import CutoffDomain
-from .laurent import LaurentSeries, extract_coefficient
+from .errors import CutoffDomain, InvalidMode
+from .laurent import LaurentSeries
 from .modesum import FieldKind, PlateGeometry
 from .precision import to_mpf, value_type
 
@@ -107,6 +107,8 @@ def _odd_coefficient(m: int, c: mpf, mu: mpf, lam: mpf, inv4pi: mpf, field: Fiel
     beta_n c^m mu^(m-2) [2 mu^2 - 2 m mu + m(m-1)] / 4 pi, with the bracket
     as m(m-1) - 2 mu (lambda + (m - 1)): the m = 1 one, -2 lambda mu, keeps
     its relative accuracy as lambda -> 0 and is exactly zero at lambda = 0.
+    Any field but the scalar one counts as electromagnetic here, so the
+    callers reject a field that is not a FieldKind.
     """
     bracket = m * (m - 1) - 2 * mu * (lam + (m - 1))
     coeff = _frozen_coth_term(c, mu, m) * bracket * inv4pi
@@ -122,6 +124,8 @@ def _reported_coefficients(
     subtraction leaves to report, and it keeps them whole: each equals
     its entry of the built and subtracted window, bit for bit.
     """
+    if not isinstance(field, FieldKind):
+        raise InvalidMode(f"unknown field kind: {field!r}")
     a, lam = _validate_domain(a, lam)
     c, mu, inv4pi = pi / (2 * a), 1 - lam, 1 / (4 * pi)
     c_minus2, c_0 = (_odd_coefficient(m, c, mu, lam, inv4pi, field) for m in (1, 3))
@@ -153,6 +157,8 @@ def energy_laurent(
     scalar field drops the n = 0 half-term the full sum contains, which
     gives its eps^-3 coefficient -1/(4 pi), independent of a.
     """
+    if not isinstance(field, FieldKind):
+        raise InvalidMode(f"unknown field kind: {field!r}")
     a, lam = _validate_domain(a, lam)
     c, mu, inv4pi = pi / (2 * a), 1 - lam, 1 / (4 * pi)
     coeffs = []
@@ -205,25 +211,13 @@ def reference_coefficients(a, lam) -> ReferenceCoefficients:
     return ReferenceCoefficients(c_minus2=c_minus2, c_0=c_0)
 
 
-def pressure_from_energy(sub: EnergyExpansion) -> PressureResult:
-    """Pressure on the plates from an already subtracted energy.
-
-    Reads the eps^0 and eps^-2 coefficients of the window and takes
-    their negative a-gradient as ``_pressure_from_coefficients`` does.
-    """
-    if not sub.subtracted:
-        raise ValueError("pressure needs a subtracted expansion")
-    c_0, c_minus2 = (extract_coefficient(sub.series, k) for k in (0, -2))
-    return _pressure_from_coefficients(sub.a, c_minus2, c_0)
-
-
 def casimir_pressure(
     a, lam, field: FieldKind = FieldKind.ELECTROMAGNETIC
 ) -> PressureResult:
     """Pressure on the plates from the subtracted energy at (a, lambda).
 
     Evaluates only the two reported coefficients, without building the
-    expansion: the result equals ``pressure_from_energy`` on the built
-    and subtracted expansion, bit for bit.
+    expansion: the result equals (k + 3) c_k / a on the eps^0 and
+    eps^-2 entries of the built and subtracted expansion, bit for bit.
     """
     return _pressure_from_coefficients(*_reported_coefficients(a, lam, field))

@@ -216,11 +216,12 @@ def bulk_kernel(s, s_frozen, lam) -> RadialKernel:
     )
 
 
-def _check_subspace(eps: SeparationVector) -> mpf:
-    # Returns the invariant length after checking the splitting is a
-    # genuinely spacelike (t, x, y) vector: s^2 must be a safe fraction
-    # of t^2 + x^2 + y^2, so the bound scales with the vector.
-    # The comparison fails for a NaN square, which is rejected too.
+def _unit_splitting(eps: SeparationVector) -> tuple[SeparationVector, mpf]:
+    # The splitting as (unit direction, invariant length s), the only
+    # place its square is formed.  It must be a genuinely spacelike
+    # (t, x, y) vector: s^2 must be a safe fraction of t^2 + x^2 + y^2,
+    # so the bound scales with the vector.  The comparison fails for a
+    # NaN square, which is rejected too.
     v = eps.vector
     t, x, y, z = v
     if z:
@@ -228,13 +229,11 @@ def _check_subspace(eps: SeparationVector) -> mpf:
     s2 = mink_dot(v, v)
     if not s2 > _split_tol(mp.prec) * _sum(c * c for c in (t, x, y) if c):
         raise LightlikeSeparation(f"squared splitting length {s2} is not safely spacelike")
-    return sqrt(s2)
-
-
-def _unit_splitting(eps: SeparationVector) -> tuple[SeparationVector, mpf]:
-    # The checked splitting as (unit direction, invariant length).
-    s = _check_subspace(eps)
-    return SeparationVector(eps.vector.scale(1 / s)), s
+    s = sqrt(s2)
+    # Past the margin, s^2 carries at least half the working bits, so the
+    # unit's square lies within about 2^(-prec/2) of 1 and is positive:
+    # SeparationVector's own check of it is skipped.
+    return tuple.__new__(SeparationVector, (v.scale(1 / s),)), s
 
 
 def second_derivative_tensor(kernel: RadialKernel, eps: SeparationVector) -> SymTensor4:
@@ -247,7 +246,7 @@ def second_derivative_tensor(kernel: RadialKernel, eps: SeparationVector) -> Sym
     with h the (t, x, y) subspace metric.  Contracting with h recovers
     the radial operator f'' + (2/s) f'.
     """
-    s = _check_subspace(eps)
+    _, s = _unit_splitting(eps)
     if abs(kernel.s - s) > _split_tol(mp.prec) * s:
         raise ValueError(
             f"kernel evaluated at s = {kernel.s} but splitting has length {s}"
@@ -316,24 +315,18 @@ def em_stress(
 ) -> StressDecomposition:
     """Subtracted electromagnetic stress between the plates.
 
-    The splitting vector supplies the regulator scale (its invariant
-    length stands in for the cutoff; the epsilon inside CutoffParams is
-    not used here) and the S2 direction.  The coefficients come from
-    the small-s series, so they are exact in the splitting direction:
+    The splitting vector supplies the regulator scale and the S2
+    direction: it is checked and taken apart once into its invariant
+    length, which stands in for the cutoff, and its unit direction.
+    Only lambda is read from CutoffParams; its epsilon is not used
+    here.  The coefficients come from the small-s series, so they are
+    exact in the splitting direction:
     A = (1 - lambda) pi^2 / 180 a^4, the 1/s^2 coefficient
     -lambda/24a^2, and the finite S2 part lambda(lambda^2 - 1) pi^2 /
     1440 a^4.  In the divergent coefficient's absence (lambda = 0) the
     zz component reduces to the classic -pi^2/240a^4.
     """
-    unit, s = _unit_splitting(eps)
-    a_coeff, b_fin, b_div = _em_coefficients(geom.a, cutoff.lam)
-    return StressDecomposition(
-        A=a_coeff,
-        B_finite=b_fin,
-        B_divergent_eps2=b_div,
-        direction=unit,
-        separation_length=s,
-    )
+    return StressDecomposition(*_em_coefficients(geom.a, cutoff.lam), *_unit_splitting(eps))
 
 
 def scalar_stress(
@@ -358,19 +351,14 @@ def scalar_stress(
     a = geom.a
     if not 0 < z < a:
         raise WallContact(f"z must lie strictly between the walls, got {z}")
-    unit, s = _unit_splitting(eps)
     lam = cutoff.lam
     sz = sin(pi * z / a)
     pi2, a4, lam48, sz2 = pi**2, a**4, lam / 48, sz**2
-    a_coeff = (1 - lam) * pi2 / (360 * a4)
-    b_div = lam48 * (3 / sz2 - 1) / a**2
-    b_fin = lam48 * (pi2 / (4 * a4)) * (1 - lam**2) * ((3 - 2 * sz2) / sz**4 - mpf(1) / 15)
     return StressDecomposition(
-        A=a_coeff,
-        B_finite=b_fin,
-        B_divergent_eps2=b_div,
-        direction=unit,
-        separation_length=s,
+        (1 - lam) * pi2 / (360 * a4),
+        lam48 * (pi2 / (4 * a4)) * (1 - lam**2) * ((3 - 2 * sz2) / sz**4 - mpf(1) / 15),
+        lam48 * (3 / sz2 - 1) / a**2,
+        *_unit_splitting(eps),
     )
 
 

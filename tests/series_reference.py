@@ -26,7 +26,7 @@ from typing import Iterable
 
 from mpmath import cos, exp, factorial, mp, mpf, pi
 
-from casimir_cutoff.errors import NonPositiveEpsilon
+from casimir_cutoff.errors import CutoffDomain
 from casimir_cutoff.laurent import LaurentSeries, extract_coefficient
 from casimir_cutoff.modesum import FieldKind
 from casimir_cutoff.precision import to_mpf
@@ -84,7 +84,7 @@ def transverse_integral(m, epsilon) -> mpf:
     m = to_mpf(m)
     eps = to_mpf(epsilon)
     if eps <= 0:
-        raise NonPositiveEpsilon(f"epsilon must be positive, got {eps}")
+        raise CutoffDomain(f"epsilon must be positive, got {eps}")
     if m < 0:
         raise ValueError(f"mass must be non-negative, got {m}")
     return exp(-eps * m) * (m * m / eps + 2 * m / eps**2 + 2 / eps**3) / (2 * pi)

@@ -750,14 +750,88 @@ _PINNED_ZERO_SPLITS = [
 ]
 
 
+# And the whole covariance stdout at the dense (t != 0) splitting at 15
+# digits, for both fields; _PINNED covers it at 50 and 200 digits.  The
+# residual is rounding noise, so it pins how the splitting is taken
+# apart into its length and unit direction, bit for bit.
+_COVARIANCE_15 = ("--a", "1.2", "--lambda", "0.4", _SPLIT, "--rapidity", "2",
+                  "--trials", "3", "--seed", "7", "--precision", "15")
+_PINNED_ZERO_SPLITS += [
+    (
+        ("covariance", *_COVARIANCE_15),
+        [
+            "trial,rapidity,angle,residual",
+            "0,-0.704668940667350529594159525004,0.94781331320260842066005579909,1.5543122344"
+            "7521915659308433533e-15",
+            "1,0.603737892159414979431630854378,0.455130612096153241985518889123,5.5511151231"
+            "2578270211815834045e-16",
+            "2,0.143528017226756787749764043838,2.29769122974357387079180625733,1.33226762955"
+            "018784850835800171e-15",
+        ],
+    ),
+    (
+        ("covariance", "--field", "scalar", "--z", "0.5", *_COVARIANCE_15),
+        [
+            "trial,rapidity,angle,residual",
+            "0,-0.704668940667350529594159525004,0.94781331320260842066005579909,6.6613381477"
+            "5093924254179000854e-16",
+            "1,0.603737892159414979431630854378,0.455130612096153241985518889123,6.1062266354"
+            "383609723299741745e-16",
+            "2,0.143528017226756787749764043838,2.29769122974357387079180625733,4.44089209850"
+            "062616169452667236e-16",
+        ],
+    ),
+]
+
+
 class TestPinnedZeroSplits:
-    """Stress and covariance stdout at splittings with zero components, byte for byte."""
+    """Stress and covariance stdout at the splittings above, byte for byte."""
 
     @pytest.mark.parametrize("argv, expected", _PINNED_ZERO_SPLITS)
     def test_stdout_unchanged(self, capsys, argv, expected):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == "".join(line + "\n" for line in expected)
+
+
+class TestSplittingTakenApartOnce:
+    """How often each CLI point forms the squared length of a splitting."""
+
+    # EM and scalar stress: the splitting's square once, and the S2
+    # structure's own square of the unit direction.  A covariance trial:
+    # one decomposition and its tensor, then the back-transformed
+    # splitting checked as a caller's vector, taken apart and assembled
+    # again.  scan: the splitting's square only, since it prints no tensor.
+    @pytest.mark.parametrize("argv, expected", [
+        (("stress", "--a", "0.8:1.2:2", "--lambda", "0:0.4:2", _SPLIT), 2),
+        (("stress", "--field", "scalar", "--z", "0.3:0.5:2", "--lambda", "0.4", _SPLIT), 2),
+        (("covariance", "--a", "1.2", "--lambda", "0.4", _SPLIT, "--trials", "3"), 5),
+        (("covariance", "--field", "scalar", "--z", "0.5", _SPLIT, "--trials", "3"), 5),
+        (("scan", "--a", "0.8:1.2:2", "--lambda", "0:0.4:2", _SPLIT), 1),
+    ])
+    def test_mink_dot_calls_per_point(self, monkeypatch, argv, expected):
+        import casimir_cutoff.minkowski
+        import casimir_cutoff.stress
+
+        cfg = parse_args(list(argv))
+        calls = []
+        dot = casimir_cutoff.minkowski.mink_dot
+
+        def counted(u, v):
+            calls.append(None)
+            return dot(u, v)
+
+        for module in (casimir_cutoff.minkowski, casimir_cutoff.stress):
+            monkeypatch.setattr(module, "mink_dot", counted)
+        counts = []
+        with mp.workdps(cfg.precision):
+            for _, point in casimir_cutoff.cli._SUBCOMMANDS[cfg.command][2](cfg):
+                # Only the point's own calls: what every point of the sweep
+                # shares, the splitting's length, is read outside them.
+                calls.clear()
+                point()
+                counts.append(len(calls))
+        assert counts and set(counts) == {expected}
 
 
 # Whole stdout and exit code of energy-expansion and scan at 15 and 200
@@ -1131,7 +1205,7 @@ class TestOutputs:
             raise AssertionError("the CLI built a Laurent window")
 
         with monkeypatch.context() as patched:
-            for name in ("energy_laurent", "subtract_outer", "pressure_from_energy"):
+            for name in ("energy_laurent", "subtract_outer"):
                 patched.setattr(casimir_cutoff.expansion, name, window_route)
             without = [run_cli(capsys, *argv)[:2] for argv in runs]
         assert without == [run_cli(capsys, *argv)[:2] for argv in runs]

@@ -10,13 +10,12 @@ with the series-arithmetic reference.
 import pytest
 from mpmath import mp, mpf, pi
 
-from casimir_cutoff.errors import CutoffDomain, NonPositiveSeparation
+from casimir_cutoff.errors import CutoffDomain, InvalidMode, NonPositiveSeparation
 from casimir_cutoff.expansion import (
     _coth_coefficient,
     _reported_coefficients,
     casimir_pressure,
     energy_laurent,
-    pressure_from_energy,
     reference_coefficients,
     subtract_outer,
 )
@@ -246,9 +245,18 @@ class TestPressure:
         assert abs(p2.finite_part - p1.finite_part / 16) < COEFF_TOL
         assert abs(p2.divergent_coeff - p1.divergent_coeff / 4) < COEFF_TOL
 
-    def test_from_energy_needs_subtraction(self):
-        with pytest.raises(ValueError):
-            pressure_from_energy(energy_laurent(1, "0.2"))
+    @pytest.mark.parametrize("field", ["scalar", "em", None])
+    def test_field_must_be_a_field_kind(self, field):
+        # Anything but a FieldKind used to give the electromagnetic
+        # values; it is rejected as the mode sum rejects it.
+        routes = (
+            lambda: casimir_pressure(1, "0.5", field),
+            lambda: energy_laurent(1, "0.5", field=field),
+            lambda: _reported_coefficients(1, "0.5", field),
+        )
+        for route in routes:
+            with pytest.raises(InvalidMode, match="unknown field kind"):
+                route()
 
     def test_divergent_coefficient_tracks_lambda(self):
         for lam in (mpf("0.1"), mpf("0.8")):
@@ -264,9 +272,13 @@ class TestPressure:
         for lam in (0, "1e-20", "0.5", "0.95"):
             for a in ("0.37", 1, "2.5"):
                 sub = subtracted(a, lam, field)
-                assert casimir_pressure(a, lam, field) == pressure_from_energy(sub)
-                window = tuple(extract_coefficient(sub.series, k) for k in (-2, 0))
-                assert _reported_coefficients(a, lam, field) == (sub.a, *window)
+                c_minus2, c_0 = (extract_coefficient(sub.series, k) for k in (-2, 0))
+                # -d c_k/da = (k + 3) c_k / a on the window's own entries.
+                p = casimir_pressure(a, lam, field)
+                assert (p.finite_part, p.divergent_coeff) == tuple(
+                    (k + 3) * c_k / sub.a for k, c_k in ((0, c_0), (-2, c_minus2))
+                )
+                assert _reported_coefficients(a, lam, field) == (sub.a, c_minus2, c_0)
 
     @pytest.mark.parametrize(
         "a, lam, error",
@@ -286,5 +298,5 @@ class TestPressure:
         with pytest.raises(error) as reported:
             _reported_coefficients(a, lam, field)
         with pytest.raises(error) as built:
-            pressure_from_energy(subtracted(a, lam, field))
+            subtracted(a, lam, field)
         assert type(direct.value) is type(reported.value) is type(built.value)

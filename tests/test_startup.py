@@ -26,8 +26,8 @@ EXPORTS = [
     ("precision", "resolve_precision"),
     ("errors", "CasimirError"), ("errors", "CothPole"), ("errors", "CutoffDomain"),
     ("errors", "InvalidMode"), ("errors", "LightlikeSeparation"),
-    ("errors", "NonPositiveEpsilon"), ("errors", "NonPositiveSeparation"),
-    ("errors", "NotConverged"), ("errors", "OutOfRange"), ("errors", "WallContact"),
+    ("errors", "NonPositiveSeparation"), ("errors", "NotConverged"),
+    ("errors", "OutOfRange"), ("errors", "WallContact"),
     ("minkowski", "FourVector"), ("minkowski", "LorentzTransform"),
     ("minkowski", "SeparationVector"), ("minkowski", "SymTensor4"),
     ("minkowski", "boost"), ("minkowski", "mink_dot"), ("minkowski", "rotation_xy"),
@@ -39,8 +39,8 @@ EXPORTS = [
     ("modesum", "energy_closed_form"), ("modesum", "energy_mode_sum"),
     ("expansion", "EnergyExpansion"), ("expansion", "PressureResult"),
     ("expansion", "ReferenceCoefficients"), ("expansion", "casimir_pressure"),
-    ("expansion", "energy_laurent"), ("expansion", "pressure_from_energy"),
-    ("expansion", "reference_coefficients"), ("expansion", "subtract_outer"),
+    ("expansion", "energy_laurent"), ("expansion", "reference_coefficients"),
+    ("expansion", "subtract_outer"),
     ("stress", "RadialKernel"), ("stress", "StressDecomposition"),
     ("stress", "angular_average"), ("stress", "bulk_kernel"),
     ("stress", "covariance_check"), ("stress", "em_stress"),

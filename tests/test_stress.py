@@ -427,6 +427,34 @@ class TestEMStress:
         with pytest.raises(LightlikeSeparation):
             em_stress(self.geometry(), CutoffParams(mpf("0.1"), 0), eps)
 
+    @pytest.mark.parametrize("dps", [15, 50, 200])
+    def test_unit_direction_past_the_margin_is_spacelike(self, dps):
+        # The unit direction is not checked again once the splitting has
+        # passed the margin: its square then lies within about
+        # 2^(-prec/2) of 1.  Splittings just past the margin, at many
+        # scales and directions, are where that rounding is worst.
+        from mpmath import cos, ldexp, sqrt
+
+        rng = random.Random(dps)
+        with mp.workdps(dps):
+            tol = ldexp(mpf(1), -(mp.prec // 2))
+            dot = casimir_cutoff.stress.mink_dot
+            for _ in range(40):
+                r = mpf(10) ** rng.randint(-20, 20)
+                ang = mpf(rng.uniform(0, 7))
+                # s^2 is f tol r^2 against a margin of about 2 tol r^2.
+                for f, passes in ((mpf("2.5"), True), (mpf("1.5"), False)):
+                    t = r * sqrt(1 - f * tol)
+                    eps = spacelike(t, r * cos(ang), r * sin(ang))
+                    if not passes:
+                        with pytest.raises(LightlikeSeparation):
+                            casimir_cutoff.stress._unit_splitting(eps)
+                        continue
+                    unit, s = casimir_cutoff.stress._unit_splitting(eps)
+                    square = dot(unit.vector, unit.vector)
+                    assert square > 0
+                    assert abs(square - 1) < 4 * tol
+
     def test_kernel_length_compared_relatively(self):
         eps = spacelike(0, mpf("1e-16"), 0)
         s = eps.length
