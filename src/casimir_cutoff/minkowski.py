@@ -10,13 +10,23 @@ Everything is stored as tuples of mpf, so instances are immutable and
 hashable and survive precision changes without silent rounding.  Each
 value type is itself a tuple of its fields (``value_type``), validated
 on construction and by ``_replace``.
+
+Every sum of products here (inner products, matrix products, the metric
+check, tensor transforms) goes through one kernel, ``_dot``.  It works
+on mpmath's raw values with ``libmp.mpf_mul`` and ``libmp.mpf_add`` at
+``mp._prec_rounding``, the same functions and the same (prec, rounding)
+list that mpf's own ``*`` and ``+`` call, so its result has the bits of
+the mpf expression ``a1 * b1 + a2 * b2 + ...`` taken left to right
+without building an mpf per product.  A product with an exact-zero
+factor is skipped; with a finite other factor, adding it would change
+no bit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from mpmath import mp, mpf, cosh, sinh, sqrt, fabs, fprod, isnan
+from mpmath import fabs, fprod, isnan, libmp, mp, mpf, sqrt
 
 from .precision import to_mpf, value_type
 
@@ -26,6 +36,11 @@ DIM = 4
 METRIC_DIAG = (mpf(-1), mpf(1), mpf(1), mpf(1))
 
 _ZERO, _ONE = mpf(0), mpf(1)
+
+_FZERO = libmp.fzero
+_mpf_abs, _mpf_add, _mpf_le = libmp.mpf_abs, libmp.mpf_add, libmp.mpf_le
+_mpf_mul, _mpf_sub = libmp.mpf_mul, libmp.mpf_sub
+_make_mpf = mp.make_mpf
 
 
 def _validation_tol() -> mpf:
@@ -61,12 +76,12 @@ class FourVector(value_type("FourVector", "t x y z")):
 def mink_dot(u: FourVector, v: FourVector) -> mpf:
     """Minkowski inner product g_{mu nu} u^mu v^nu = -u^t v^t + u.v.
 
-    Products with an exact-zero factor are skipped, so the sum, taken
-    left to right, is bit for bit the dense one.
+    Products with an exact-zero factor are skipped; with finite
+    components the sum, taken left to right, is bit for bit the dense one.
     """
     ut, ux, uy, uz = u
     vt, vx, vy, vz = v
-    return _sum(a * b for a, b in ((-ut, vt), (ux, vx), (uy, vy), (uz, vz)) if a and b)
+    return _dot(((-ut, vt), (ux, vx), (uy, vy), (uz, vz)))
 
 
 class SeparationVector(value_type("SeparationVector", "vector")):
@@ -107,54 +122,77 @@ def _largest(m: Matrix) -> mpf:
     return max(fabs(e) for row in m for e in row)
 
 
-def _sum(terms) -> mpf:
-    # sum(terms, mpf(0)) bit for bit, without its first addition: a term
-    # added to exact zero is only rounded again at its own precision.
-    terms = iter(terms)
-    return sum(terms, next(terms, _ZERO))
+def _dot(pairs) -> mpf:
+    """sum(a * b for a, b in pairs) from mpf(0), bit for bit.
 
-
-def _nonzero(row) -> tuple[tuple[int, mpf], ...]:
-    # (index, entry) for the entries that are not exact zeros.  An mpf is
-    # false only when it is zero; that test is far cheaper than != 0.
-    return tuple((k, e) for k, e in enumerate(row) if e)
+    Products and sums are formed on the raw values, as mpf's operators
+    form them (see the module docstring).  A pair with an exact-zero
+    factor is skipped, even against an infinity or a NaN.  The first
+    product is the start of the sum: added to exact zero, a product
+    already rounded at this precision would come back unchanged.
+    """
+    prec, rounding = mp._prec_rounding
+    acc = None
+    for a, b in pairs:
+        a, b = a._mpf_, b._mpf_
+        if a != _FZERO and b != _FZERO:
+            p = _mpf_mul(a, b, prec, rounding)
+            acc = p if acc is None else _mpf_add(acc, p, prec, rounding)
+    return _ZERO if acc is None else _make_mpf(acc)
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    # Products with an exact-zero factor are skipped: adding them would
-    # leave each sum, taken in the same order over k, unchanged.
-    return tuple(
-        tuple(_sum(e * b[k][j] for k, e in nz if b[k][j]) for j in range(DIM))
-        for nz in map(_nonzero, a)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(_dot(zip(row, col)) for col in cols) for row in a)
+
+
+def _apply(m: Matrix, v: FourVector) -> FourVector:
+    return FourVector(*(_dot(zip(row, v)) for row in m))
+
+
+def _inverse_rows(m: Matrix) -> Matrix:
+    # g m^T g, entry (i, j) = g_i m[j][i] g_j.  Every g_i is +-1, so each
+    # entry is a stored entry with at most a sign flip: exact, with no
+    # product or linear solve.  Only g_t is -1, so the flipped entries
+    # are those with exactly one t index.
+    t, *spatial = zip(*m)  # the columns of m
+    return ((t[0],) + tuple(-e for e in t[1:]),) + tuple((-c[0],) + c[1:] for c in spatial)
 
 
 def _check_metric(m: Matrix, factors: tuple[Matrix, ...] = ()) -> None:
     """Raise ValueError unless m preserves the metric to within rounding.
 
     g is diagonal, so (m^T g m)_{ij} is the sum over k of m[k][i] (g_k
-    m[k][j]); it is symmetric, so only the upper triangle is formed.  A
-    product with an exact-zero factor is skipped, which leaves each sum,
-    taken in order of k, bit for bit as it was.  The entries sum
+    m[k][j]); it is symmetric, so only the upper triangle is formed,
+    each entry by ``_dot`` in order of k.  The entries sum
     products of two entries of m, so the tolerance scales
     with max(1, max |m|)^2; for a product, whose entries carry the
     rounding of its factors' entries, also with the product of
     max(1, max |f|) over the factors, the larger when the product
     cancels, as boost(r) after boost(-r) does.
+
+    The defects are formed and first compared on raw values, as mpf's
+    ``-``, ``fabs`` and ``<=`` form them; the sums are already rounded
+    at this precision, so their absolute value needs no rounding.
     """
     # g m: g = diag(-1, 1, 1, 1) only negates the t row, exactly.
-    gm = (tuple(-e for e in m[0]),) + m[1:]
+    cols = tuple(zip(*m))
+    gcols = tuple(zip(*((tuple(-e for e in m[0]),) + m[1:])))
+    prec, rounding = mp._prec_rounding
     defects = []
-    for i, col in enumerate(map(_nonzero, zip(*m))):
+    for i, col in enumerate(cols):
         for j in range(i, DIM):
-            acc = _sum(e * gm[k][j] for k, e in col if gm[k][j])
-            defects.append(fabs(acc - METRIC_DIAG[i] if i == j else acc))
+            acc = _dot(zip(col, gcols[j]))._mpf_
+            if i == j:
+                acc = _mpf_sub(acc, METRIC_DIAG[i]._mpf_, prec, rounding)
+            defects.append(_mpf_abs(acc))
     # Every defect meets a comparison, so a NaN one fails both tests.  An
     # infinite entry makes some defect infinite or NaN, and the strict
     # bound rejects an infinite defect even when its scale is infinite.
     tol = _validation_tol()
-    if all(d <= tol for d in defects):
+    if all(_mpf_le(d, tol._mpf_) for d in defects):
         return
+    defects = list(map(_make_mpf, defects))
     bound = tol * max(
         max(1, _largest(m)) ** 2, fprod(max(1, _largest(f)) for f in factors)
     )
@@ -182,8 +220,7 @@ class LorentzTransform(value_type("LorentzTransform", "matrix")):
         return super().__new__(cls, m)
 
     def apply(self, v: FourVector) -> FourVector:
-        (m,) = self
-        return FourVector(*(_sum(e * c for e, c in zip(row, v) if e and c) for row in m))
+        return _apply(self.matrix, v)
 
     def compose(self, other: "LorentzTransform") -> "LorentzTransform":
         """self after other: (self.compose(other)).apply(v) = self(other(v))."""
@@ -193,22 +230,15 @@ class LorentzTransform(value_type("LorentzTransform", "matrix")):
         return tuple.__new__(LorentzTransform, (m,))
 
     def inverse(self) -> "LorentzTransform":
-        """The inverse g L^T g, entry (i, j) = g_i m[j][i] g_j.
-
-        Every g_i is +-1, so each entry is a stored entry with at most a
-        sign flip: exact, with no product or linear solve.  Only g_t is
-        -1, so the flipped entries are those with exactly one t index.
-        """
-        t, *spatial = zip(*self.matrix)  # the columns of m
-        rows = [(t[0],) + tuple(-e for e in t[1:])]
-        rows += [(-c[0],) + c[1:] for c in spatial]
-        return LorentzTransform(rows)
+        """The inverse g L^T g, its entries exact sign flips of L's."""
+        return LorentzTransform(_inverse_rows(self.matrix))
 
 
 def boost(rapidity) -> LorentzTransform:
     """Boost along x with the given rapidity; leaves y and z alone."""
-    r = to_mpf(rapidity)
-    ch, sh = cosh(r), sinh(r)
+    # One mpf_cosh_sinh call: mp.cosh and mp.sinh each make it and keep
+    # one half, so the entries are bit for bit theirs.
+    ch, sh = map(_make_mpf, libmp.mpf_cosh_sinh(to_mpf(rapidity)._mpf_, *mp._prec_rounding))
     return LorentzTransform(
         (
             (ch, sh, _ZERO, _ZERO),
@@ -291,10 +321,9 @@ def transform_tensor(transform: LorentzTransform, tensor: SymTensor4) -> SymTens
     exact zeros.  Only the upper triangle of P L^T is formed and it is
     mirrored, so the result is symmetric to the last bit.
     """
-    rows = tuple(map(_nonzero, transform.matrix))
-    p = _mat_mul(transform.matrix, tensor.matrix)
+    m = transform.matrix
     out = [[None] * DIM for _ in range(DIM)]
-    for i, p_row in enumerate(p):
+    for i, p_row in enumerate(_mat_mul(m, tensor.matrix)):
         for j in range(i, DIM):
-            out[i][j] = out[j][i] = _sum(p_row[b] * e for b, e in rows[j])
+            out[i][j] = out[j][i] = _dot(zip(p_row, m[j]))
     return SymTensor4(out)

@@ -408,6 +408,8 @@ def energy_closed_form(
     epsilon afterwards.  Carrying that out gives the expression below
     with v = (1 - lambda) epsilon pi / 2a.
     """
+    if not isinstance(field, FieldKind):
+        raise InvalidMode(f"unknown field kind: {field!r}")
     a = geom.a
     eps = cutoff.epsilon
     v = (1 - cutoff.lam) * eps * pi / (2 * a)
@@ -419,11 +421,9 @@ def energy_closed_form(
     ) / (2 * pi)
     if field is FieldKind.ELECTROMAGNETIC:
         return em
-    if field is FieldKind.SCALAR:
-        # Half of each n >= 1 term, and no n = 0 term at all; the n = 0
-        # transverse integral is the massless one, 1 / (pi eps^3).
-        return em / 2 - 1 / (4 * pi * eps**3)
-    raise InvalidMode(f"unknown field kind: {field!r}")
+    # Half of each n >= 1 term, and no n = 0 term at all; the n = 0
+    # transverse integral is the massless one, 1 / (pi eps^3).
+    return em / 2 - 1 / (4 * pi * eps**3)
 
 
 def eigenmode(idx: ModeIndex, geom: PlateGeometry, z) -> tuple[mpc, mpc, mpc]:

@@ -28,6 +28,7 @@ from mpmath import coth, csch, exp, ldexp, mp, mpf, pi, sin, sqrt
 from .errors import (
     CothPole,
     CutoffDomain,
+    InvalidMode,
     LightlikeSeparation,
     NonPositiveSeparation,
     WallContact,
@@ -36,10 +37,13 @@ from .expansion import _frozen_coth_term
 from .minkowski import (
     _ZERO,
     DIM,
+    FourVector,
     LorentzTransform,
     SeparationVector,
     SymTensor4,
-    _sum,
+    _apply,
+    _dot,
+    _inverse_rows,
     mink_dot,
     transform_tensor,
 )
@@ -101,7 +105,7 @@ class StressDecomposition(
         b = b_div / s**2 + b_fin if b_div else b_fin
         rows = [[_ZERO] * DIM for _ in range(DIM)]
         for i, s2 in enumerate(_s2_rows(direction)):
-            rows[i][i] = _sum(x * y for x, y in ((a, _S1_DIAG[i]), (b, s2[i])) if x and y)
+            rows[i][i] = _dot(((a, _S1_DIAG[i]), (b, s2[i])))
             for j in range(i + 1, DIM):
                 if b and s2[j]:
                     rows[i][j] = rows[j][i] = b * s2[j]
@@ -216,18 +220,17 @@ def bulk_kernel(s, s_frozen, lam) -> RadialKernel:
     )
 
 
-def _unit_splitting(eps: SeparationVector) -> tuple[SeparationVector, mpf]:
-    # The splitting as (unit direction, invariant length s), the only
-    # place its square is formed.  It must be a genuinely spacelike
+def _unit_splitting(v: FourVector) -> tuple[SeparationVector, mpf]:
+    # The splitting vector v as (unit direction, invariant length s), the
+    # only place its square is formed.  It must be a genuinely spacelike
     # (t, x, y) vector: s^2 must be a safe fraction of t^2 + x^2 + y^2,
     # so the bound scales with the vector.  The comparison fails for a
     # NaN square, which is rejected too.
-    v = eps.vector
     t, x, y, z = v
     if z:
         raise ValueError("splitting vector must lie in the t-x-y subspace (z component 0)")
     s2 = mink_dot(v, v)
-    if not s2 > _split_tol(mp.prec) * _sum(c * c for c in (t, x, y) if c):
+    if not s2 > _split_tol(mp.prec) * _dot(((t, t), (x, x), (y, y))):
         raise LightlikeSeparation(f"squared splitting length {s2} is not safely spacelike")
     s = sqrt(s2)
     # Past the margin, s^2 carries at least half the working bits, so the
@@ -246,7 +249,7 @@ def second_derivative_tensor(kernel: RadialKernel, eps: SeparationVector) -> Sym
     with h the (t, x, y) subspace metric.  Contracting with h recovers
     the radial operator f'' + (2/s) f'.
     """
-    _, s = _unit_splitting(eps)
+    _, s = _unit_splitting(eps.vector)
     if abs(kernel.s - s) > _split_tol(mp.prec) * s:
         raise ValueError(
             f"kernel evaluated at s = {kernel.s} but splitting has length {s}"
@@ -326,7 +329,9 @@ def em_stress(
     1440 a^4.  In the divergent coefficient's absence (lambda = 0) the
     zz component reduces to the classic -pi^2/240a^4.
     """
-    return StressDecomposition(*_em_coefficients(geom.a, cutoff.lam), *_unit_splitting(eps))
+    return StressDecomposition(
+        *_em_coefficients(geom.a, cutoff.lam), *_unit_splitting(eps.vector)
+    )
 
 
 def scalar_stress(
@@ -358,18 +363,18 @@ def scalar_stress(
         (1 - lam) * pi2 / (360 * a4),
         lam48 * (pi2 / (4 * a4)) * (1 - lam**2) * ((3 - 2 * sz2) / sz**4 - mpf(1) / 15),
         lam48 * (3 / sz2 - 1) / a**2,
-        *_unit_splitting(eps),
+        *_unit_splitting(eps.vector),
     )
 
 
 def _stress_for(field, geom, cutoff, eps, z):
+    if not isinstance(field, FieldKind):
+        raise InvalidMode(f"unknown field kind: {field!r}")
     if field is FieldKind.ELECTROMAGNETIC:
         return em_stress(geom, cutoff, eps)
-    if field is FieldKind.SCALAR:
-        if z is None:
-            raise ValueError("scalar stress requires a z position")
-        return scalar_stress(geom, cutoff, eps, z)
-    raise ValueError(f"unknown field kind: {field!r}")
+    if z is None:
+        raise ValueError("scalar stress requires a z position")
+    return scalar_stress(geom, cutoff, eps, z)
 
 
 def covariance_check(
@@ -388,10 +393,21 @@ def covariance_check(
     on the splitting, so one decomposition serves both and only its
     direction and length change; the residual is rounding noise, and
     a frame-dependent regulator would show up here as a finite defect.
+
+    The splitting is moved back by the inverse g L^T g, whose entries
+    are exact sign flips of the transform's; the transform was checked
+    when it was built, so no second transform is built or checked.
     """
     d = _stress_for(field, geom, cutoff, eps, z)
     direct = d.tensor()
-    back = SeparationVector(transform.inverse().apply(eps.vector))
+    back = _apply(_inverse_rows(transform.matrix), eps.vector)
+    if back.z:
+        # Only a transform that mixes z moves the splitting off the
+        # plates' subspace.  As for a caller's vector, one that is not
+        # spacelike is a LightlikeSeparation before the z check's
+        # ValueError; every other back splitting meets _unit_splitting's
+        # stricter margin test instead.
+        SeparationVector(back)
     unit, s = _unit_splitting(back)
     moved = transform_tensor(
         transform, d._replace(direction=unit, separation_length=s).tensor()

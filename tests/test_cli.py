@@ -784,6 +784,77 @@ _PINNED_ZERO_SPLITS += [
 ]
 
 
+# The same whole stdout at 50 and 200 digits, three trials, both fields,
+# recorded while each trial still built the inverse transform as a
+# checked LorentzTransform and summed products as mpf expressions.
+_COVARIANCE_DENSE = ("--a", "1.2", "--lambda", "0.4", _SPLIT, "--rapidity", "2",
+                     "--trials", "3", "--seed", "7")
+_PINNED_ZERO_SPLITS += [
+    (
+        ("covariance", *_COVARIANCE_DENSE, "--precision", "50"),
+        [
+            "trial,rapidity,angle,residual",
+            "0,-0.7046689406673505295941595250042155385017,0.94781331320260842066005579908960"
+            "49886942,2.405488239082976081526482820436333690934e-50",
+            "1,0.603737892159414979431630854378454387188,0.4551306120961532419855188891233410"
+            "686255,2.138211768073756516912429173721185503052e-50",
+            "2,0.1435280172267567877497640438377857208252,2.297691229743573870791806257329881"
+            "191254,1.069105884036878258456214586860592751526e-50",
+        ],
+    ),
+    (
+        ("covariance", "--field", "scalar", "--z", "0.5", *_COVARIANCE_DENSE, "--precision",
+         "50"),
+        [
+            "trial,rapidity,angle,residual",
+            "0,-0.7046689406673505295941595250042155385017,0.94781331320260842066005579908960"
+            "49886942,3.207317652110634775368643760581778254578e-50",
+            "1,0.603737892159414979431630854378454387188,0.4551306120961532419855188891233410"
+            "686255,1.069105884036878258456214586860592751526e-50",
+            "2,0.1435280172267567877497640438377857208252,2.297691229743573870791806257329881"
+            "191254,1.603658826055317387684321880290889127289e-50",
+        ],
+    ),
+    (
+        ("covariance", *_COVARIANCE_DENSE, "--precision", "200"),
+        [
+            "trial,rapidity,angle,residual",
+            "0,-0.704668940667350529594159525004215538501739501953125,0.947813313202608420660"
+            "05579908960498869419097900390625,1.306420176630260372014458839381409187692885829"
+            "28421296076333797478116437871189995901235764721972020696156775608618215111907363"
+            "475964434820553297642627907477651868872922885792235367195134906e-200",
+            "1,0.603737892159414979431630854378454387187957763671875,0.4551306120961532419855"
+            "1888912334106862545013427734375,1.3064201766302603720144588393814091876928858292"
+            "84212960763337974781164378711899959012357647219720206961567756086182151119073634"
+            "75964434820553297642627907477651868872922885792235367195134906e-200",
+            "2,0.1435280172267567877497640438377857208251953125,2.297691229743573870791806257"
+            "329881191253662109375,3.26605044157565093003614709845352296923221457321053240190"
+            "83449369529109467797498975308941180493005174039193902154553777976840868991108705"
+            "1383244106569768694129672182307214480588417987837265e-201",
+        ],
+    ),
+    (
+        ("covariance", "--field", "scalar", "--z", "0.5", *_COVARIANCE_DENSE, "--precision",
+         "200"),
+        [
+            "trial,rapidity,angle,residual",
+            "0,-0.704668940667350529594159525004215538501739501953125,0.947813313202608420660"
+            "05579908960498869419097900390625,3.266050441575650930036147098453522969232214573"
+            "21053240190834493695291094677974989753089411804930051740391939021545537779768408"
+            "689911087051383244106569768694129672182307214480588417987837265e-201",
+            "1,0.603737892159414979431630854378454387187957763671875,0.4551306120961532419855"
+            "1888912334106862545013427734375,1.6330252207878254650180735492267614846161072866"
+            "05266200954172468476455473389874948765447059024650258701959695107727688898842043"
+            "449555435256916220532848843470648360911536072402942089939186325e-200",
+            "2,0.1435280172267567877497640438377857208251953125,2.297691229743573870791806257"
+            "329881191253662109375,6.53210088315130186007229419690704593846442914642106480381"
+            "66898739058218935594997950617882360986010348078387804309107555953681737982217410"
+            "27664882131395373882593443646144289611768359756745301e-201",
+        ],
+    ),
+]
+
+
 class TestPinnedZeroSplits:
     """Stress and covariance stdout at the splittings above, byte for byte."""
 
@@ -800,13 +871,12 @@ class TestSplittingTakenApartOnce:
     # EM and scalar stress: the splitting's square once, and the S2
     # structure's own square of the unit direction.  A covariance trial:
     # one decomposition and its tensor, then the back-transformed
-    # splitting checked as a caller's vector, taken apart and assembled
-    # again.  scan: the splitting's square only, since it prints no tensor.
+    # splitting taken apart and assembled again.  scan: the splitting's square only, since it prints no tensor.
     @pytest.mark.parametrize("argv, expected", [
         (("stress", "--a", "0.8:1.2:2", "--lambda", "0:0.4:2", _SPLIT), 2),
         (("stress", "--field", "scalar", "--z", "0.3:0.5:2", "--lambda", "0.4", _SPLIT), 2),
-        (("covariance", "--a", "1.2", "--lambda", "0.4", _SPLIT, "--trials", "3"), 5),
-        (("covariance", "--field", "scalar", "--z", "0.5", _SPLIT, "--trials", "3"), 5),
+        (("covariance", "--a", "1.2", "--lambda", "0.4", _SPLIT, "--trials", "3"), 4),
+        (("covariance", "--field", "scalar", "--z", "0.5", _SPLIT, "--trials", "3"), 4),
         (("scan", "--a", "0.8:1.2:2", "--lambda", "0:0.4:2", _SPLIT), 1),
     ])
     def test_mink_dot_calls_per_point(self, monkeypatch, argv, expected):
@@ -832,6 +902,34 @@ class TestSplittingTakenApartOnce:
                 point()
                 counts.append(len(calls))
         assert counts and set(counts) == {expected}
+
+
+class TestCovarianceTrialChecks:
+    """Metric checks per CLI covariance trial."""
+
+    # rotation_xy, boost and their composition, each checked once; the
+    # splitting is moved back by g L^T g without building a transform.
+    @pytest.mark.parametrize("field", [(), ("--field", "scalar", "--z", "0.5")])
+    def test_three_metric_checks_per_trial(self, monkeypatch, field):
+        import casimir_cutoff.minkowski
+
+        cfg = parse_args(["covariance", *field, "--a", "1.2", "--lambda", "0.4", _SPLIT,
+                          "--rapidity", "2", "--trials", "3", "--seed", "7"])
+        calls = []
+        check = casimir_cutoff.minkowski._check_metric
+
+        def counted(*args):
+            calls.append(None)
+            return check(*args)
+
+        monkeypatch.setattr(casimir_cutoff.minkowski, "_check_metric", counted)
+        counts = []
+        with mp.workdps(cfg.precision):
+            for _, point in casimir_cutoff.cli._SUBCOMMANDS[cfg.command][2](cfg):
+                calls.clear()
+                point()
+                counts.append(len(calls))
+        assert counts == [3, 3, 3]
 
 
 # Whole stdout and exit code of energy-expansion and scan at 15 and 200

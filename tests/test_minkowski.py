@@ -326,6 +326,47 @@ class TestSkippedZeros:
                 assert ell.inverse().matrix == dense_inverse(ell.matrix)
 
 
+class TestRawValueKernels:
+    """The product sum and the boost entries against mpmath's own expressions."""
+
+    @pytest.mark.parametrize("dps", [15, 50, 200])
+    def test_dot_matches_dense_sum(self, dps):
+        # Finite entries, a third of them exact zeros: the sum of every
+        # product from zero, left to right.  With infinities and NaNs
+        # among them, a product with an exact-zero factor is skipped, as
+        # the mpf expression the kernel replaced skipped it; entries
+        # drawn at a higher precision are rounded only in the product.
+        rng = random.Random(dps)
+        specials = (inf, -inf, nan)
+        dot = casimir_cutoff.minkowski._dot
+        with mp.workdps(dps):
+
+            def entry(special):
+                if rng.random() < 0.3:
+                    return mpf(0)
+                if special and rng.random() < 0.3:
+                    return rng.choice(specials)
+                with mp.workdps(dps + rng.choice((0, 20))):
+                    return mpf(rng.uniform(-2, 2)) / 7
+
+            for _ in range(300):
+                pairs = [(entry(False), entry(False)) for _ in range(DIM)]
+                assert repr(dot(pairs)) == repr(sum((a * b for a, b in pairs), mpf(0)))
+                pairs = [(entry(True), entry(True)) for _ in range(DIM)]
+                skipped = sum((a * b for a, b in pairs if a and b), mpf(0))
+                assert repr(dot(pairs)) == repr(skipped)
+            assert repr(dot([])) == repr(mpf(0))
+
+    @pytest.mark.parametrize("dps", [15, 50, 200])
+    @pytest.mark.parametrize("r", ["0", "-0.7", "2", "-2"])
+    def test_boost_entries_are_cosh_and_sinh(self, dps, r):
+        with mp.workdps(dps):
+            r = mpf(r)
+            m = boost(r).matrix
+            assert m[0][0]._mpf_ == m[1][1]._mpf_ == cosh(r)._mpf_
+            assert m[0][1]._mpf_ == m[1][0]._mpf_ == sinh(r)._mpf_
+
+
 class TestSymTensor4:
     """Symmetric-tensor construction, algebra, and trace."""
 

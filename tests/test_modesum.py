@@ -483,6 +483,17 @@ class TestEnergyModeSum:
         t0 = transverse_integral(0, cutoff.epsilon)
         assert abs(sc - (em / 2 - t0 / 4)) < mpf("1e-45")
 
+    @pytest.mark.parametrize("field", ["em", "scalar", None])
+    def test_closed_form_rejects_field_before_work(self, monkeypatch, field):
+        # As energy_mode_sum does: checked before any coth or csch.
+        def no_work(x):
+            raise AssertionError("closed form evaluated for an unknown field")
+
+        monkeypatch.setattr(casimir_cutoff.modesum, "coth", no_work)
+        monkeypatch.setattr(casimir_cutoff.modesum, "csch", no_work)
+        with pytest.raises(InvalidMode, match="unknown field kind"):
+            energy_closed_form(PlateGeometry(1), CutoffParams(mpf("0.1"), 0), field)
+
     def test_dimensional_scaling(self):
         # Energy per unit area scales as 1/length^3 when (a, eps) are
         # scaled together and lambda is held fixed.

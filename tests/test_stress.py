@@ -11,12 +11,13 @@ import random
 from itertools import product
 
 import pytest
-from mpmath import exp, inf, mp, mpf, pi, sin, zeta
+from mpmath import cos, cosh, exp, inf, mp, mpf, pi, sin, sinh, zeta
 
 import casimir_cutoff.stress
 from casimir_cutoff.errors import (
     CothPole,
     CutoffDomain,
+    InvalidMode,
     LightlikeSeparation,
     NonPositiveSeparation,
     WallContact,
@@ -24,6 +25,7 @@ from casimir_cutoff.errors import (
 from casimir_cutoff.minkowski import (
     DIM,
     FourVector,
+    LorentzTransform,
     SeparationVector,
     SymTensor4,
     boost,
@@ -448,9 +450,9 @@ class TestEMStress:
                     eps = spacelike(t, r * cos(ang), r * sin(ang))
                     if not passes:
                         with pytest.raises(LightlikeSeparation):
-                            casimir_cutoff.stress._unit_splitting(eps)
+                            casimir_cutoff.stress._unit_splitting(eps.vector)
                         continue
-                    unit, s = casimir_cutoff.stress._unit_splitting(eps)
+                    unit, s = casimir_cutoff.stress._unit_splitting(eps.vector)
                     square = dot(unit.vector, unit.vector)
                     assert square > 0
                     assert abs(square - 1) < 4 * tol
@@ -630,6 +632,65 @@ class TestCovariance:
                 FieldKind.SCALAR, PlateGeometry(1), CutoffParams(mpf("0.1"), 0),
                 spacelike(0, mpf("0.1"), 0), boost(mpf("0.5")),
             )
+
+    @pytest.mark.parametrize("field", ["em", "scalar", None])
+    def test_field_must_be_a_field_kind(self, monkeypatch, field):
+        # Rejected at entry, as the mode sum and the expansion reject it:
+        # no splitting is taken apart and no coefficient formed.
+        def no_work(*args):
+            raise AssertionError("work done before the field was checked")
+
+        for name in ("_unit_splitting", "_em_coefficients", "sin"):
+            monkeypatch.setattr(casimir_cutoff.stress, name, no_work)
+        geom, cutoff = PlateGeometry(1), CutoffParams(mpf("0.1"), mpf("0.4"))
+        eps = spacelike(0, mpf("0.1"), 0)
+        for z in (None, mpf("0.5")):
+            with pytest.raises(InvalidMode, match="unknown field kind"):
+                _stress_for(field, geom, cutoff, eps, z)
+            with pytest.raises(InvalidMode, match="unknown field kind"):
+                covariance_check(field, geom, cutoff, eps, boost(mpf("0.5")), z)
+
+    def test_builds_no_inverse_transform(self, monkeypatch):
+        # The splitting is moved back by g L^T g directly: no second
+        # transform is built, so no second metric check is made.
+        def no_inverse(self):
+            raise AssertionError("covariance_check built an inverse transform")
+
+        monkeypatch.setattr(LorentzTransform, "inverse", no_inverse)
+        rng = random.Random(5)
+        geom, cutoff = PlateGeometry(mpf("1.2")), CutoffParams(mpf("0.1"), mpf("0.4"))
+        for _ in range(5):
+            ell = rotation_xy(mpf(rng.uniform(0, 6.28))).compose(boost(mpf(rng.uniform(-2, 2))))
+            for eps, (field, z) in product(
+                with_zeros(random_spacelike(rng)),
+                ((FieldKind.ELECTROMAGNETIC, None), (FieldKind.SCALAR, mpf("0.3"))),
+            ):
+                assert covariance_check(field, geom, cutoff, eps, ell, z) < STRESS_TOL
+
+    def test_transform_mixing_z_keeps_its_errors(self):
+        # A transform that does not preserve the plates moves the splitting
+        # off the t-x-y subspace: a plain ValueError, as for a caller's
+        # splitting with a z component.  At rapidity 22 along z, 15 digits
+        # cannot hold the moved splitting's square, which cancels to 0: a
+        # LightlikeSeparation, as a caller's non-spacelike vector gets.
+        def boost_z(r):
+            ch, sh, o, z = cosh(r), sinh(r), mpf(1), mpf(0)
+            return LorentzTransform(((ch, z, z, sh), (z, o, z, z), (z, z, o, z), (sh, z, z, ch)))
+
+        c, s, o, z = cos(mpf("0.3")), sin(mpf("0.3")), mpf(1), mpf(0)
+        rotation_xz = LorentzTransform(((o, z, z, z), (z, c, z, -s), (z, z, o, z), (z, s, z, c)))
+        geom, cutoff = PlateGeometry(1), CutoffParams(mpf("0.1"), mpf("0.4"))
+        with mp.workdps(15):
+            eps = spacelike(mpf("0.01"), mpf("0.1"), mpf("0.02"))
+            for field, z in ((FieldKind.ELECTROMAGNETIC, None), (FieldKind.SCALAR, mpf("0.3"))):
+                for ell, error in (
+                    (rotation_xz, ValueError),
+                    (boost_z(mpf("0.5")), ValueError),
+                    (boost_z(22), LightlikeSeparation),
+                ):
+                    with pytest.raises(Exception) as caught:
+                        covariance_check(field, geom, cutoff, eps, ell, z)
+                    assert caught.type is error
 
 
 class TestAngularAverage:
