@@ -405,8 +405,8 @@ def covariance_check(
         # Only a transform that mixes z moves the splitting off the
         # plates' subspace.  As for a caller's vector, one that is not
         # spacelike is a LightlikeSeparation before the z check's
-        # ValueError; every other back splitting meets _unit_splitting's
-        # stricter margin test instead.
+        # ValueError.  With z = 0, _unit_splitting's stricter margin
+        # rejects it with the same error.
         SeparationVector(back)
     unit, s = _unit_splitting(back)
     moved = transform_tensor(
