@@ -27,7 +27,6 @@ from functools import lru_cache
 from mpmath import bernoulli, factorial, ldexp, mp, mpf, pi
 
 from .errors import CutoffDomain, InvalidMode
-from .laurent import LaurentSeries
 from .modesum import FieldKind, PlateGeometry
 from .precision import to_mpf, value_type
 
@@ -157,6 +156,10 @@ def energy_laurent(
     scalar field drops the n = 0 half-term the full sum contains, which
     gives its eps^-3 coefficient -1/(4 pi), independent of a.
     """
+    # Only the window routes build a series; the CLI's starts read the
+    # two reported coefficients and never load the container.
+    from .laurent import LaurentSeries
+
     if not isinstance(field, FieldKind):
         raise InvalidMode(f"unknown field kind: {field!r}")
     a, lam = _validate_domain(a, lam)
@@ -184,6 +187,8 @@ def subtract_outer(e: EnergyExpansion) -> EnergyExpansion:
     energy density that the region beyond the plates returns with
     opposite sign when the total size is held fixed.
     """
+    from .laurent import LaurentSeries
+
     if e.subtracted:
         raise ValueError("expansion is already subtracted")
     # c_k = q / a**(k+3) with q independent of a: it decays iff k > -3.

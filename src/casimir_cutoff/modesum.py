@@ -21,6 +21,17 @@ parameters that would need more modes than the cap fail at once.  The
 bound also covers the rounding drift, and the default tolerance follows
 the working precision, so a sum is certified at every precision.
 
+The sum's arithmetic runs on mpmath's raw values (``._mpf_`` tuples)
+through ``libmp``, with each precision passed to each call instead of
+set by ``mp.extraprec``.  The calls are the ones mpf's operators make
+(``mpf_mul`` for ``*``, ``mpf_mul_int`` for an int times an mpf,
+``mpf_rdiv_int`` for an int over one, ``mpf_pow_int`` for an integer
+power, ``mpf_exp`` and ``mpf_pi`` behind ``exp`` and ``pi``, ``mpf_pos``
+for unary ``+``), in the same order, at the same precision and with the
+same rounding, so every result has the bits of the operator form that
+the tests keep as a reference.  mpf objects are made only at the edges:
+the result, the float estimate's inputs and the error messages.
+
 The same energy has a closed form: a second derivative of a coth
 expression in which the lambda occurrence of the cutoff is held frozen
 during differentiation and identified with epsilon afterwards.  Both
@@ -34,7 +45,7 @@ import math
 from enum import Enum
 from functools import lru_cache
 
-from mpmath import cos, coth, csch, exp, inf, ldexp, mag, mp, mpc, mpf, pi, sin, sqrt
+from mpmath import cos, coth, csch, inf, libmp, mp, mpc, mpf, pi, sin, sqrt
 
 from .errors import CutoffDomain, InvalidMode, NonPositiveSeparation, NotConverged
 from .precision import to_mpf, value_type
@@ -64,6 +75,21 @@ _DRIFT_C = 5
 # The float estimate of the stopping index searches no further.
 _ESTIMATE_LIMIT = 1 << 62
 _LN2 = math.log(2)
+
+_FZERO, _FONE, _FINF = libmp.fzero, libmp.fone, libmp.finf
+_FTWO, _FTHREE = libmp.from_int(2), libmp.from_int(3)
+_from_int, _mpf_shift, _mpf_exp, _mpf_pi = (
+    libmp.from_int, libmp.mpf_shift, libmp.mpf_exp, libmp.mpf_pi
+)
+_mpf_add, _mpf_sub, _mpf_mul, _mpf_div = (
+    libmp.mpf_add, libmp.mpf_sub, libmp.mpf_mul, libmp.mpf_div
+)
+_mpf_mul_int, _mpf_rdiv_int, _mpf_pow_int, _mpf_pos = (
+    libmp.mpf_mul_int, libmp.mpf_rdiv_int, libmp.mpf_pow_int, libmp.mpf_pos
+)
+_mpf_eq, _mpf_lt, _mpf_le, _mpf_ge = libmp.mpf_eq, libmp.mpf_lt, libmp.mpf_le, libmp.mpf_ge
+# mag() of a raw value, and an mpf around one.
+_mpf_mag, _make_mpf = mp._mpf_mag, mp.make_mpf
 
 
 class FieldKind(Enum):
@@ -131,8 +157,8 @@ class ModeSumResult(value_type("ModeSumResult", "value remainder_bound n_max")):
     __slots__ = ()
 
 
-def _tower(geom: PlateGeometry, cutoff: CutoffParams, weight: mpf):
-    """x = log q, q and (A, B, C): term_n = q^n (A n^2 + B n + C).
+def _tower(geom: PlateGeometry, cutoff: CutoffParams, weight, prec: int, rnd: str):
+    """x = log q, q and (A, B, C), raw: term_n = q^n (A n^2 + B n + C).
 
     The weight and the 1/2pi of the transverse integral are folded into
     A, B and C.  Everything is evaluated with guard bits and rounded
@@ -140,19 +166,29 @@ def _tower(geom: PlateGeometry, cutoff: CutoffParams, weight: mpf):
     as _DRIFT_C assumes; rounding x itself would cost |x| units in the
     last place of q, hence guard bits that grow with the size of x.
     """
-    eps = cutoff.epsilon
-    x = (cutoff.lam - 1) * eps * pi / geom.a
-    with mp.extraprec(20 + max(0, mag(x))):
-        x = (cutoff.lam - 1) * eps * pi / geom.a
-        q = exp(x)
-        k = pi / geom.a
-        f = weight / (2 * pi * eps)
-        parts = (x, q, f * k * k, 2 * f * k / eps, 2 * f / eps**2)
-    return tuple(+v for v in parts)
+    lam, eps, a = cutoff.lam._mpf_, cutoff.epsilon._mpf_, geom.a._mpf_
+
+    def log_q(p: int):  # (lambda - 1) eps pi / a
+        x = _mpf_mul(_mpf_sub(lam, _FONE, p, rnd), eps, p, rnd)
+        return _mpf_div(_mpf_mul(x, _mpf_pi(p, rnd), p, rnd), a, p, rnd)
+
+    p = prec + 20 + max(0, _mpf_mag(log_q(prec)))
+    x, pi_p = log_q(p), _mpf_pi(p, rnd)
+    k = _mpf_div(pi_p, a, p, rnd)
+    f = _mpf_div(weight, _mpf_mul(_mpf_mul_int(pi_p, 2, p, rnd), eps, p, rnd), p, rnd)
+    f2 = _mpf_mul_int(f, 2, p, rnd)
+    parts = (
+        x,
+        _mpf_exp(x, p, rnd),
+        _mpf_mul(_mpf_mul(f, k, p, rnd), k, p, rnd),
+        _mpf_div(_mpf_mul(f2, k, p, rnd), eps, p, rnd),
+        _mpf_div(f2, _mpf_pow_int(eps, 2, p, rnd), p, rnd),
+    )
+    return tuple(_mpf_pos(v, prec, rnd) for v in parts)
 
 
-def _partial_sums(q: mpf, A: mpf, B: mpf, C: mpf, head: mpf):
-    """Whole sum U and n -> (S_n, term_{n+1}) for head + sum q^n p(n), n >= 1.
+def _partial_sums(q, A, B, C, head, prec: int, rnd: str):
+    """Whole sum U and n -> (S_n, term_{n+1}) for head + sum q^n p(n), n >= 1, raw.
 
     p(n) = A n^2 + B n + C, q <= 1, and q, A, B, C are taken as exact.
     The geometric moments of q^n give U = head + q r (A (1 + q) r^2 +
@@ -165,32 +201,41 @@ def _partial_sums(q: mpf, A: mpf, B: mpf, C: mpf, head: mpf):
     dozen roundings of U and T_n, each 2^-(prec + g) of U, below
     2^-20 u of S_n.  Each value is rounded once to prec bits.
     """
-    if q == 1:  # rounded to 1: U is infinite, and S_n a sum of powers of n
+    if _mpf_eq(q, _FONE):  # rounded to 1: U is infinite, S_n a sum of powers of n
 
-        def flat(n: int) -> tuple[mpf, mpf]:
+        def flat(n: int):
             N = n + 1
-            return head + n * ((A * (2 * n + 1) / 3 + B) * N / 2 + C), (A * N + B) * N + C
+            s = _mpf_div(_mpf_mul_int(A, 2 * n + 1, prec, rnd), _FTHREE, prec, rnd)
+            s = _mpf_mul_int(_mpf_add(s, B, prec, rnd), N, prec, rnd)
+            s = _mpf_div(s, _FTWO, prec, rnd)
+            s = _mpf_mul_int(_mpf_add(s, C, prec, rnd), n, prec, rnd)
+            term = _mpf_add(_mpf_mul_int(A, N, prec, rnd), B, prec, rnd)
+            term = _mpf_add(_mpf_mul_int(term, N, prec, rnd), C, prec, rnd)
+            return _mpf_add(head, s, prec, rnd), term
 
-        return inf, flat
+        return _FINF, flat
 
-    def moments():
-        r = 1 / (1 - q)
-        qr, a1 = q * r, A * (1 + q) * r
-        return r, qr, a1, head + qr * ((a1 + B) * r + C)
+    def moments(p: int):
+        r = _mpf_rdiv_int(1, _mpf_sub(_FONE, q, p, rnd), p, rnd)
+        qr = _mpf_mul(q, r, p, rnd)
+        a1 = _mpf_mul(_mpf_mul(A, _mpf_add(q, _FONE, p, rnd), p, rnd), r, p, rnd)
+        inner = _mpf_add(_mpf_mul(_mpf_add(a1, B, p, rnd), r, p, rnd), C, p, rnd)
+        return r, qr, a1, _mpf_add(head, _mpf_mul(qr, inner, p, rnd), p, rnd)
 
-    U = moments()[3]
-    g = 30 + max(0, mag(U) - mag(head + q * (A + B + C)))
-    with mp.extraprec(g):
-        r, qr, a1, U_g = moments()
+    U = moments(prec)[3]
+    first = _mpf_mul(q, _mpf_add(_mpf_add(A, B, prec, rnd), C, prec, rnd), prec, rnd)
+    g = 30 + max(0, _mpf_mag(U) - _mpf_mag(_mpf_add(head, first, prec, rnd)))
+    pg = prec + g
+    r, qr, a1, U_g = moments(pg)
 
-    def at(n: int) -> tuple[mpf, mpf]:
+    def at(n: int):
         N = n + 1
-        with mp.extraprec(g):
-            qN, an = q**N, A * N
-            p = (an + B) * N + C
-            S = U_g - qN * r * (p + qr * (an + an + B + a1))
-            term = qN * p
-        return +S, +term
+        qN, an = _mpf_pow_int(q, N, pg, rnd), _mpf_mul_int(A, N, pg, rnd)
+        poly = _mpf_add(_mpf_mul_int(_mpf_add(an, B, pg, rnd), N, pg, rnd), C, pg, rnd)
+        slope = _mpf_add(_mpf_add(_mpf_add(an, an, pg, rnd), B, pg, rnd), a1, pg, rnd)
+        past = _mpf_add(poly, _mpf_mul(qr, slope, pg, rnd), pg, rnd)
+        S = _mpf_sub(U_g, _mpf_mul(_mpf_mul(qN, r, pg, rnd), past, pg, rnd), pg, rnd)
+        return _mpf_pos(S, prec, rnd), _mpf_pos(_mpf_mul(qN, poly, pg, rnd), prec, rnd)
 
     return U, at
 
@@ -214,15 +259,18 @@ def _default_tol(dps: int, prec: int) -> mpf:
     return max(mpf("1e-30"), mpf(10) ** (10 - dps))
 
 
-def _tail(n: int, term_next: mpf, q_up: mpf) -> mpf:
-    """Geometric bound term_{n+1} / (1 - rho_n) on the terms past n.
+def _tail(n: int, term_next, q_up, prec: int, rnd: str):
+    """Geometric bound term_{n+1} / (1 - rho_n) on the terms past n, raw.
 
     The quadratic's parts grow by at most ((k+1)/k)^2 per step, so every
     ratio term_{k+1}/term_k with k > n is at most rho_n = q_up ((n + 2) /
     (n + 1))^2, where q_up lies above q by more than its rounding.
     """
-    rho = q_up * (mpf(n + 2) / (n + 1)) ** 2
-    return term_next / (1 - rho) if rho < 1 else inf
+    ratio = _mpf_div(_mpf_pos(_from_int(n + 2), prec, rnd), _from_int(n + 1), prec, rnd)
+    rho = _mpf_mul(q_up, _mpf_pow_int(ratio, 2, prec, rnd), prec, rnd)
+    if not _mpf_lt(rho, _FONE):
+        return _FINF
+    return _mpf_div(term_next, _mpf_sub(_FONE, rho, prec, rnd), prec, rnd)
 
 
 def _ln(v: mpf) -> float:
@@ -331,56 +379,64 @@ def energy_mode_sum(
     NotConverged is raised before any such probe if the estimate exceeds
     the 50 000-mode cap, if the rounding drift there already exceeds the
     tolerance, or if q rounds so close to 1 that the terms no longer
-    decay.  A tolerance that is not positive raises ValueError.
+    decay.  A tolerance that is not positive, or an n_max that is not
+    an int >= 1 (bool included), raises ValueError before any work.
     """
     rel_tol = _default_tol(mp.dps, mp.prec) if tol is None else to_mpf(tol)
     if not rel_tol > 0:
         raise ValueError(f"tolerance must be positive, got {rel_tol}")
+    if n_max is not None and (type(n_max) is bool or not isinstance(n_max, int)):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    prec, rnd = mp._prec_rounding
     if field is FieldKind.ELECTROMAGNETIC:
-        weight = mpf(1)
+        weight = _FONE
     elif field is FieldKind.SCALAR:
-        weight = mpf(1) / 2
+        weight = _mpf_div(_FONE, _FTWO, prec, rnd)
     else:
         raise InvalidMode(f"unknown field kind: {field!r}")
 
-    x, q, A, B, C = _tower(geom, cutoff, weight)
-    head = C / 2 if field is FieldKind.ELECTROMAGNETIC else mpf(0)
-    u = ldexp(mpf(1), -mp.prec)
+    x, q, A, B, C = _tower(geom, cutoff, weight, prec, rnd)
+    head = _mpf_div(C, _FTWO, prec, rnd) if field is FieldKind.ELECTROMAGNETIC else _FZERO
+    u = _mpf_shift(_FONE, -prec)
     # Keeps the computed rho_n above the exact one despite its roundings.
-    q_up = q * (1 + 8 * u)
-    if n_max is None and q_up >= 1:
-        raise NotConverged(f"mode terms do not decay at {mp.prec}-bit precision")
+    q_up = _mpf_mul(q, _mpf_add(_mpf_mul_int(u, 8, prec, rnd), _FONE, prec, rnd), prec, rnd)
+    if n_max is None and _mpf_ge(q_up, _FONE):
+        raise NotConverged(f"mode terms do not decay at {prec}-bit precision")
 
-    def drift_per_unit(n: int) -> mpf:
-        return _DRIFT_C * (n + 2) * u
+    def drift_per_unit(n: int):
+        return _mpf_mul_int(u, _DRIFT_C * (n + 2), prec, rnd)
 
-    whole, partial = _partial_sums(q, A, B, C, head)
+    whole, partial = _partial_sums(q, A, B, C, head, prec, rnd)
+    tol_raw = rel_tol._mpf_
     checked = {}
 
-    def bounded(n: int) -> tuple[mpf, mpf]:
+    def bounded(n: int):
         if n not in checked:
             s, term = partial(n)
-            t = _tail(n, term, q_up)
-            checked[n] = s, t + drift_per_unit(n) * (s + t)
+            t = _tail(n, term, q_up, prec, rnd)
+            drift = _mpf_mul(drift_per_unit(n), _mpf_add(s, t, prec, rnd), prec, rnd)
+            checked[n] = s, _mpf_add(t, drift, prec, rnd)
         return checked[n]
 
     def meets(n: int) -> bool:
         s, bound = bounded(n)
-        return bound <= rel_tol * s
+        return _mpf_le(bound, _mpf_mul(tol_raw, s, prec, rnd))
 
     if n_max is None:
-        predicted = _predict_stop(x, q_up, A, B, C, rel_tol * whole)
+        limit = _mpf_mul(tol_raw, whole, prec, rnd)
+        predicted = _predict_stop(*map(_make_mpf, (x, q_up, A, B, C, limit)))
         if predicted > _AUTO_N_CAP:
             raise NotConverged(
                 f"predicted stopping index {predicted} for relative tolerance "
                 f"{mp.nstr(rel_tol, 3)} exceeds the cap of {_AUTO_N_CAP} modes"
             )
-        if drift_per_unit(predicted) >= rel_tol:
+        drift = drift_per_unit(predicted)
+        if _mpf_ge(drift, tol_raw):
             raise NotConverged(
                 f"relative tolerance {mp.nstr(rel_tol, 3)} is below the rounding "
-                f"drift {mp.nstr(drift_per_unit(predicted), 3)} of {mp.prec}-bit "
+                f"drift {mp.nstr(_make_mpf(drift), 3)} of {prec}-bit "
                 f"arithmetic at the predicted stopping index {predicted}"
             )
         n_max = _search_from(meets, predicted)
@@ -390,9 +446,10 @@ def energy_mode_sum(
             )
     elif tol is not None and not meets(n_max):
         raise NotConverged(
-            f"remainder bound {bounded(n_max)[1]} exceeds tolerance at n_max = {n_max}"
+            f"remainder bound {_make_mpf(bounded(n_max)[1])} exceeds tolerance "
+            f"at n_max = {n_max}"
         )
-    return ModeSumResult(*bounded(n_max), n_max)
+    return ModeSumResult(*map(_make_mpf, bounded(n_max)), n_max)
 
 
 def energy_closed_form(

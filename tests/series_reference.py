@@ -12,7 +12,10 @@ series.  ``_scalar_mode_assembly`` rebuilds the scalar stress
 coefficients from the mode sums for ``scalar_stress``'s closed forms.
 ``evaluate`` sums a truncated series at a point, and
 ``transverse_integral`` is one mode's transverse integral in closed
-form, the per-mode reference for the mode sums.
+form, the per-mode reference for the mode sums.  ``reference_mode_sum``
+is ``energy_mode_sum`` written with mpf's operators and ``mp.extraprec``
+scopes, the form that ``modesum`` runs on raw values; the tests compare
+the two bit for bit.
 
 Truncation bookkeeping is pessimistic on purpose.  Every operation
 derives the tightest window that is provably correct from its inputs'
@@ -24,11 +27,19 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from mpmath import cos, exp, factorial, mp, mpf, pi
+from mpmath import cos, exp, factorial, inf, ldexp, mag, mp, mpf, pi
 
-from casimir_cutoff.errors import CutoffDomain
+from casimir_cutoff.errors import CutoffDomain, NotConverged
 from casimir_cutoff.laurent import LaurentSeries, extract_coefficient
-from casimir_cutoff.modesum import FieldKind
+from casimir_cutoff.modesum import (
+    _AUTO_N_CAP,
+    _DRIFT_C,
+    _default_tol,
+    _predict_stop,
+    _search_from,
+    FieldKind,
+    ModeSumResult,
+)
 from casimir_cutoff.precision import to_mpf
 
 
@@ -365,3 +376,117 @@ def em_coefficients(a, lam) -> tuple[mpf, mpf, mpf]:
         extract_coefficient(b_series, 0),
         extract_coefficient(b_series, -2),
     )
+
+
+def _operator_tower(geom, cutoff, weight: mpf):
+    """x = log q, q and (A, B, C) of the mode sum, in mpf operator form."""
+    eps = cutoff.epsilon
+    x = (cutoff.lam - 1) * eps * pi / geom.a
+    with mp.extraprec(20 + max(0, mag(x))):
+        x = (cutoff.lam - 1) * eps * pi / geom.a
+        q = exp(x)
+        k = pi / geom.a
+        f = weight / (2 * pi * eps)
+        parts = (x, q, f * k * k, 2 * f * k / eps, 2 * f / eps**2)
+    return tuple(+v for v in parts)
+
+
+def _operator_partial_sums(q: mpf, A: mpf, B: mpf, C: mpf, head: mpf):
+    """Whole sum U and n -> (S_n, term_{n+1}), in mpf operator form."""
+    if q == 1:
+
+        def flat(n: int) -> tuple[mpf, mpf]:
+            N = n + 1
+            return head + n * ((A * (2 * n + 1) / 3 + B) * N / 2 + C), (A * N + B) * N + C
+
+        return inf, flat
+
+    def moments():
+        r = 1 / (1 - q)
+        qr, a1 = q * r, A * (1 + q) * r
+        return r, qr, a1, head + qr * ((a1 + B) * r + C)
+
+    U = moments()[3]
+    g = 30 + max(0, mag(U) - mag(head + q * (A + B + C)))
+    with mp.extraprec(g):
+        r, qr, a1, U_g = moments()
+
+    def at(n: int) -> tuple[mpf, mpf]:
+        N = n + 1
+        with mp.extraprec(g):
+            qN, an = q**N, A * N
+            p = (an + B) * N + C
+            S = U_g - qN * r * (p + qr * (an + an + B + a1))
+            term = qN * p
+        return +S, +term
+
+    return U, at
+
+
+def _operator_tail(n: int, term_next: mpf, q_up: mpf) -> mpf:
+    """Geometric bound term_{n+1} / (1 - rho_n), in mpf operator form."""
+    rho = q_up * (mpf(n + 2) / (n + 1)) ** 2
+    return term_next / (1 - rho) if rho < 1 else inf
+
+
+def reference_mode_sum(
+    geom, cutoff, field=FieldKind.ELECTROMAGNETIC, n_max=None, tol=None
+) -> ModeSumResult:
+    """``energy_mode_sum`` with every step written with mpf's operators.
+
+    The same operations in the same order at the same precisions as the
+    raw-value kernel of ``modesum``, and the same decisions (the float
+    estimate, the search and the error messages, taken from
+    ``modesum``), so each result and each error should agree bit for
+    bit.  Takes only arguments that ``energy_mode_sum`` accepts.
+    """
+    rel_tol = _default_tol(mp.dps, mp.prec) if tol is None else to_mpf(tol)
+    weight = mpf(1) if field is FieldKind.ELECTROMAGNETIC else mpf(1) / 2
+
+    x, q, A, B, C = _operator_tower(geom, cutoff, weight)
+    head = C / 2 if field is FieldKind.ELECTROMAGNETIC else mpf(0)
+    u = ldexp(mpf(1), -mp.prec)
+    q_up = q * (1 + 8 * u)
+    if n_max is None and q_up >= 1:
+        raise NotConverged(f"mode terms do not decay at {mp.prec}-bit precision")
+
+    def drift_per_unit(n: int) -> mpf:
+        return _DRIFT_C * (n + 2) * u
+
+    whole, partial = _operator_partial_sums(q, A, B, C, head)
+    checked = {}
+
+    def bounded(n: int) -> tuple[mpf, mpf]:
+        if n not in checked:
+            s, term = partial(n)
+            t = _operator_tail(n, term, q_up)
+            checked[n] = s, t + drift_per_unit(n) * (s + t)
+        return checked[n]
+
+    def meets(n: int) -> bool:
+        s, bound = bounded(n)
+        return bound <= rel_tol * s
+
+    if n_max is None:
+        predicted = _predict_stop(x, q_up, A, B, C, rel_tol * whole)
+        if predicted > _AUTO_N_CAP:
+            raise NotConverged(
+                f"predicted stopping index {predicted} for relative tolerance "
+                f"{mp.nstr(rel_tol, 3)} exceeds the cap of {_AUTO_N_CAP} modes"
+            )
+        if drift_per_unit(predicted) >= rel_tol:
+            raise NotConverged(
+                f"relative tolerance {mp.nstr(rel_tol, 3)} is below the rounding "
+                f"drift {mp.nstr(drift_per_unit(predicted), 3)} of {mp.prec}-bit "
+                f"arithmetic at the predicted stopping index {predicted}"
+            )
+        n_max = _search_from(meets, predicted)
+        if n_max > _AUTO_N_CAP:
+            raise NotConverged(
+                f"remainder bound not below {rel_tol} within {_AUTO_N_CAP} modes"
+            )
+    elif tol is not None and not meets(n_max):
+        raise NotConverged(
+            f"remainder bound {bounded(n_max)[1]} exceeds tolerance at n_max = {n_max}"
+        )
+    return ModeSumResult(*bounded(n_max), n_max)

@@ -35,7 +35,7 @@ from casimir_cutoff.modesum import (
     energy_closed_form,
     energy_mode_sum,
 )
-from series_reference import transverse_integral
+from series_reference import reference_mode_sum, transverse_integral
 
 
 class TestDomainValidation:
@@ -168,6 +168,31 @@ class TestEnergyModeSum:
                 energy_mode_sum(geom, cutoff, tol=tol)
             with pytest.raises(ValueError, match="tolerance"):
                 energy_mode_sum(geom, cutoff, n_max=10, tol=tol)
+
+    @pytest.mark.parametrize("n_max", [2.5, 3.0, mpf(3), True, False], ids=repr)
+    def test_rejects_non_integer_n_max_before_work(self, monkeypatch, n_max):
+        # 2.5 used to come back as a "sum" with an infinite bound, True
+        # summed one mode, and 3.0 or mpf(3) were echoed back as n_max.
+        def no_work(*args):
+            raise AssertionError("work done before n_max was checked")
+
+        monkeypatch.setattr(casimir_cutoff.modesum, "_tower", no_work)
+        geom, cutoff = PlateGeometry(1), CutoffParams(mpf("0.1"), mpf("0.3"))
+        with pytest.raises(ValueError, match=r"n_max must be an integer, got "):
+            energy_mode_sum(geom, cutoff, n_max=n_max)
+        with pytest.raises(ValueError, match=r"n_max must be an integer, got "):
+            energy_mode_sum(geom, cutoff, n_max=n_max, tol=mpf("1e-10"))
+
+    def test_integer_n_max_round_trips(self):
+        geom, cutoff = PlateGeometry(1), CutoffParams(mpf("0.1"), mpf("0.3"))
+        for field in FieldKind:
+            res = energy_mode_sum(geom, cutoff, field=field)
+            assert type(res.n_max) is int
+            again = energy_mode_sum(geom, cutoff, field=field, n_max=res.n_max)
+            assert again == res and type(again.n_max) is int
+            assert energy_mode_sum(geom, cutoff, field=field, n_max=3).n_max == 3
+        with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+            energy_mode_sum(geom, cutoff, n_max=0)
 
     def test_default_tolerance_cache_matches_fresh_value(self):
         # Bit for bit the uncached expression at 15, 30, 50 and 200
@@ -444,9 +469,13 @@ class TestEnergyModeSum:
         assert max(counts) < 16
 
     def test_each_call_makes_one_exponential(self, monkeypatch):
+        # The sum takes its exponential from libmp on raw values, through
+        # the module's _mpf_exp; mpmath's exp and expm1 are counted too,
+        # should either come back.
         calls = []
-        for name in ("exp", "expm1"):
-            real = getattr(mpmath, name)
+        for name, real in (
+            ("_mpf_exp", mpmath.libmp.mpf_exp), ("exp", mpmath.exp), ("expm1", mpmath.expm1)
+        ):
 
             def counted(*args, real=real):
                 calls.append(1)
@@ -512,6 +541,61 @@ class TestEnergyModeSum:
         lead = a * w * (1 + w + w * w) / (pi**2 * eps**4)
         got = energy_closed_form(PlateGeometry(a), CutoffParams(eps, lam))
         assert abs(got / lead - 1) < mpf("1e-6")
+
+
+def _outcome(fn, *args) -> str:
+    # repr of the result, whose mpf reprs round-trip every bit, or the
+    # exception's type and message.
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestOperatorFormBitIdentity:
+    """The raw-value kernel gives every bit and error of the mpf-operator form.
+
+    ``reference_mode_sum`` (``series_reference``) is the same sum written
+    with mpf's operators under ``mp.extraprec``.  Both are called on one
+    grid per precision: both fields, auto, a given n_max, n_max with a
+    tolerance and a tolerance alone, at lambda in {0, 1e-20, 0.999} and
+    epsilon from 1e-4 to 100, plus a q that rounds to 1 and the cap and
+    drift failures.
+    """
+
+    @pytest.mark.parametrize("dps", [15, 20, 30, 50, 100, 200])
+    def test_results_and_errors_match_the_operator_form(self, dps):
+        rng = random.Random(dps)
+        calls = []
+        with mp.workdps(dps):
+            for lam in ("0", "1e-20", "0.999"):
+                for eps in ("1e-4", "0.003", "0.1", "2", "100"):
+                    geom = PlateGeometry(mpf(rng.uniform(0.3, 3.0)))
+                    cutoff = CutoffParams(mpf(eps), mpf(lam))
+                    tol = mpf(10) ** -rng.randint(4, dps - 3)
+                    n = rng.choice((1, 3, rng.randint(2, 400), rng.randint(10**3, 10**6)))
+                    for field in FieldKind:
+                        calls += [
+                            (geom, cutoff, field, None, None),
+                            (geom, cutoff, field, n, None),
+                            (geom, cutoff, field, n, tol),
+                            (geom, cutoff, field, None, tol),
+                        ]
+            # q rounds to 1; a tolerance below the drift; a huge given n_max.
+            flat = CutoffParams(mpf(10) ** -(dps + 10), mpf("0.5"))
+            calls += [(PlateGeometry(1), flat, f, n, None) for f in FieldKind for n in (None, 7)]
+            low = CutoffParams(mpf("0.01"), mpf("0.3"))
+            calls += [(PlateGeometry(1), low, FieldKind.SCALAR, None, mpf(10) ** -(2 * dps))]
+            calls += [(PlateGeometry(1), low, FieldKind.ELECTROMAGNETIC, 10**30, None)]
+            seen = []
+            for call in calls:
+                want = _outcome(reference_mode_sum, *call)
+                assert _outcome(energy_mode_sum, *call) == want, call
+                seen.append(want)
+        seen = "\n".join(seen)
+        for kind in ("do not decay", "cap of 50000", "rounding drift", "exceeds tolerance"):
+            assert kind in seen
+        assert "remainder_bound=mpf('+inf')" in seen
 
 
 class TestEigenmodes:

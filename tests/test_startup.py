@@ -4,7 +4,8 @@
 subcommand imports the layers past parsing only when its grid runs.
 The subprocess tests read ``sys.modules`` in a fresh interpreter; the
 in-process tests check that every export still resolves.  No start loads
-``dataclasses``: the value types are namedtuples.
+``dataclasses``: the value types are namedtuples.  Only the Laurent
+window routes load ``laurent``; no CLI start builds a window.
 """
 
 import os
@@ -91,7 +92,16 @@ def test_energy_sum_skips_the_expansion_layers():
 def test_energy_routes_skip_stress(command):
     loaded = loaded_modules(RUN_CLI, command, "--a", "1")
     assert "casimir_cutoff.expansion" in loaded
-    assert "casimir_cutoff.stress" not in loaded
+    assert not loaded & {"casimir_cutoff.laurent", "casimir_cutoff.stress"}
+
+
+@pytest.mark.parametrize("command", ["scan", "stress", "covariance"])
+def test_stress_routes_skip_laurent(command):
+    # They read coefficients from expansion but never build a Laurent
+    # window, so the series container is not loaded.
+    loaded = loaded_modules(RUN_CLI, command, "--a", "1")
+    assert "casimir_cutoff.expansion" in loaded
+    assert "casimir_cutoff.laurent" not in loaded
 
 
 @pytest.fixture(scope="module")
