@@ -27,10 +27,10 @@ _EXPORTS = {
         "FourVector", "LorentzTransform", "SeparationVector", "SymTensor4",
         "boost", "mink_dot", "rotation_xy", "transform_tensor",
     ),
+    "params": ("CutoffParams", "FieldKind", "PlateGeometry"),
     "laurent": ("LaurentSeries", "extract_coefficient"),
     "modesum": (
-        "CutoffParams", "FieldKind", "ModeIndex", "ModeSumResult",
-        "PlateGeometry", "check_boundary_conditions", "eigenmode",
+        "ModeIndex", "ModeSumResult", "check_boundary_conditions", "eigenmode",
         "energy_closed_form", "energy_mode_sum",
     ),
     "expansion": (
@@ -39,10 +39,12 @@ _EXPORTS = {
         "subtract_outer",
     ),
     "stress": (
-        "RadialKernel", "StressDecomposition", "angular_average",
-        "bulk_kernel", "covariance_check", "em_stress", "generating_function",
-        "propagator_kernel", "scalar_stress", "second_derivative_tensor",
-        "s1_structure", "stress_from_kernel",
+        "StressDecomposition", "angular_average", "covariance_check", "em_stress",
+        "scalar_stress", "s1_structure",
+    ),
+    "pointwise": (
+        "RadialKernel", "bulk_kernel", "generating_function",
+        "second_derivative_tensor", "stress_from_kernel",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,19 +1,21 @@
 """Command-line front end: parameter scans and machine-readable reports.
 
-Each subcommand sweeps a grid built from its range flags (grammar
-``start:stop:count``, endpoints inclusive, or a single value) and emits
-one row per grid point with a fixed column schema, as CSV or JSON.
+Every command takes the same flags, before or after its name, and
+reads the ones it needs.  Each command sweeps a grid built from its
+range flags (grammar ``start:stop:count``, endpoints inclusive, or a
+single value) and emits one row per grid point with a fixed column
+schema, as CSV or JSON.
 Numeric fields are printed with enough digits to re-parse to the same
 extended-precision value.
 
 The digit count (--precision, CASIMIR_PRECISION or 50) applies only
 inside parse_args and run; the caller's precision is left as it was.
 
-Exit codes: 0 success; 1 usage error, a NaN value or a --rapidity
-beyond the double range included; 2 a grid point hit a domain error
-(its computed fields are left empty and the sweep continues, since
-sweeps legitimately approach singular corners like z -> 0); 3 a grid
-point failed to converge.
+Exit codes: 0 success; 1 usage error, a NaN value, a --rapidity beyond
+the double range or an --output that cannot be written included; 2 a
+grid point hit a domain error (its computed fields are left empty and
+the sweep continues, since sweeps legitimately approach singular
+corners like z -> 0); 3 a grid point failed to converge.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from mpmath import isfinite, isnan, mp, mpf
 
 from .errors import CasimirError, LightlikeSeparation, NotConverged
 from .minkowski import FourVector, SeparationVector, boost, rotation_xy
-from .modesum import CutoffParams, FieldKind, PlateGeometry, energy_mode_sum
-from .precision import resolve_precision, to_mpf, value_type
+from .params import CutoffParams, FieldKind, PlateGeometry
+from .precision import ENV_VAR, resolve_precision, to_mpf, value_type
 
 # parse_args needs only the modules above; each grid generator imports
 # the further layers it calls, so a subcommand loads only what it uses.
@@ -113,31 +115,31 @@ def _parse_eps_vec(text: str) -> SeparationVector:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="casimir-cutoff", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--a", default="1", help="plate separation (value or range)")
-        p.add_argument("--lambda", dest="lam", default="0",
-                       help="regulator shape in [0,1) (value or range)")
-        p.add_argument("--epsilon", default="0.1", help="cutoff scale (value or range)")
-        p.add_argument("--z", default=None, help="height between the walls (value or range)")
-        p.add_argument("--eps-vec", dest="eps_vec", default="0,0.1,0,0",
-                       help="splitting vector t,x,y,z with z = 0")
-        p.add_argument("--field", choices=["em", "scalar"], default="em")
-        p.add_argument("--n-max", dest="n_max", type=int, default=None,
-                       help="fixed mode count (default: extend until converged)")
-        p.add_argument("--order", type=int, default=4,
-                       help="highest retained series power; the printed"
-                            " coefficients do not depend on it")
-        p.add_argument("--precision", type=int, default=None,
-                       help="working digits (default: CASIMIR_PRECISION or 50)")
-        p.add_argument("--format", dest="out_format", choices=["csv", "json"], default="csv")
-        p.add_argument("--output", default=None, help="write to a file instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--rapidity", default="1.0", help="max |rapidity| for covariance draws")
-        p.add_argument("--trials", type=int, default=20)
-    return parser
+    # One flag table serves every command; each reads the flags it needs.
+    p = _Parser(prog="casimir-cutoff", description=__doc__)
+    p.add_argument("command", choices=COMMANDS, metavar="command",
+                   help="one of %(choices)s")
+    p.add_argument("--a", default="1", help="plate separation (value or range)")
+    p.add_argument("--lambda", dest="lam", default="0",
+                   help="regulator shape in [0,1) (value or range)")
+    p.add_argument("--epsilon", default="0.1", help="cutoff scale (value or range)")
+    p.add_argument("--z", default=None, help="height between the walls (value or range)")
+    p.add_argument("--eps-vec", dest="eps_vec", default="0,0.1,0,0",
+                   help="splitting vector t,x,y,z with z = 0")
+    p.add_argument("--field", choices=["em", "scalar"], default="em")
+    p.add_argument("--n-max", dest="n_max", type=int, default=None,
+                   help="fixed mode count (default: extend until converged)")
+    p.add_argument("--order", type=int, default=4,
+                   help="highest retained series power; the printed"
+                        " coefficients do not depend on it")
+    p.add_argument("--precision", type=int, default=None,
+                   help="working digits (default: CASIMIR_PRECISION or 50)")
+    p.add_argument("--format", dest="out_format", choices=["csv", "json"], default="csv")
+    p.add_argument("--output", default=None, help="write to a file instead of stdout")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rapidity", default="1.0", help="max |rapidity| for covariance draws")
+    p.add_argument("--trials", type=int, default=20)
+    return p
 
 
 def _check_single(values: tuple[mpf, ...], flag: str, low, high, low_open: bool) -> None:
@@ -156,7 +158,8 @@ def parse_args(argv: list[str]) -> ScanConfig:
     try:
         precision = resolve_precision(ns.precision)
     except ValueError as exc:
-        raise UsageError(f"--precision: {exc}") from exc
+        source = ENV_VAR if ns.precision is None else "--precision"
+        raise UsageError(f"{source}: {exc}") from exc
     # Numbers are parsed at the run's precision, inside its scope only.
     with mp.workdps(precision):
         a_values = _parse_range(ns.a, "--a")
@@ -209,6 +212,8 @@ def parse_args(argv: list[str]) -> ScanConfig:
 
 
 def _energy_sum(cfg: ScanConfig):
+    from .modesum import energy_mode_sum
+
     for a, lam, eps in product(cfg.a_values, cfg.lam_values, cfg.eps_values):
         def point(a=a, lam=lam, eps=eps):
             res = energy_mode_sum(
@@ -363,13 +368,19 @@ def _emit(cfg: ScanConfig, header: tuple[str, ...], rows) -> None:
             writer.writerow(["" if v is None else v for v in row])
         text = buf.getvalue()
     if cfg.output:
-        Path(cfg.output).write_text(text)
+        try:
+            Path(cfg.output).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"--output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def run(cfg: ScanConfig) -> int:
-    """Execute a validated config at its precision; returns the exit code."""
+    """Execute a validated config at its precision; returns the exit code.
+
+    An --output that cannot be written raises UsageError after the sweep.
+    """
     with mp.workdps(cfg.precision):
         inputs, outputs, grid = _SUBCOMMANDS[cfg.command]
         rows, code = _sweep(cfg, len(outputs), grid)
@@ -379,11 +390,10 @@ def run(cfg: ScanConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = parse_args(sys.argv[1:] if argv is None else argv)
+        return run(parse_args(sys.argv[1:] if argv is None else argv))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from functools import lru_cache
 from mpmath import bernoulli, factorial, ldexp, mp, mpf, pi
 
 from .errors import CutoffDomain, InvalidMode
-from .modesum import FieldKind, PlateGeometry
+from .params import FieldKind, PlateGeometry
 from .precision import to_mpf, value_type
 
 # Window eps^-4 .. eps^4: the physics needs eps^-4 .. eps^0, and the two

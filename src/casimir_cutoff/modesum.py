@@ -42,12 +42,12 @@ invariant.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import lru_cache
 
-from mpmath import cos, coth, csch, inf, libmp, mp, mpc, mpf, pi, sin, sqrt
+from mpmath import cos, coth, csch, libmp, mp, mpc, mpf, pi, sin, sqrt
 
-from .errors import CutoffDomain, InvalidMode, NonPositiveSeparation, NotConverged
+from .errors import InvalidMode, NotConverged
+from .params import CutoffParams, FieldKind, PlateGeometry
 from .precision import to_mpf, value_type
 
 # Cap on the automatic stopping index; past it the parameters are too
@@ -90,49 +90,6 @@ _mpf_mul_int, _mpf_rdiv_int, _mpf_pow_int, _mpf_pos = (
 _mpf_eq, _mpf_lt, _mpf_le, _mpf_ge = libmp.mpf_eq, libmp.mpf_lt, libmp.mpf_le, libmp.mpf_ge
 # mag() of a raw value, and an mpf around one.
 _mpf_mag, _make_mpf = mp._mpf_mag, mp.make_mpf
-
-
-class FieldKind(Enum):
-    """Field content between the plates."""
-
-    ELECTROMAGNETIC = "em"
-    SCALAR = "scalar"
-
-
-class CutoffParams(value_type("CutoffParams", "epsilon lam")):
-    """Regulator pair (epsilon, lambda).
-
-    A finite epsilon > 0 is the cutoff length; lambda in [0, 1) deforms the
-    regulator shape.  At lambda >= 1 the regulated sum diverges term by
-    term, so that region is a hard error, not a NaN.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, epsilon: mpf, lam: mpf):
-        epsilon, lam = to_mpf(epsilon), to_mpf(lam)
-        if not 0 < epsilon < inf:
-            raise CutoffDomain(f"epsilon must be positive and finite, got {epsilon}")
-        if not (0 <= lam < 1):
-            raise CutoffDomain(f"lambda must lie in [0, 1), got {lam}")
-        return super().__new__(cls, epsilon, lam)
-
-
-class PlateGeometry(value_type("PlateGeometry", "a")):
-    """Plates at z = 0 and z = a, with a positive and finite.
-
-    The outer region enters only through expansion.subtract_outer.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, a: mpf):
-        a = to_mpf(a)
-        if not a > 0:
-            raise NonPositiveSeparation(f"plate separation must be positive, got {a}")
-        if a == inf:
-            raise NonPositiveSeparation("plate separation must be finite")
-        return super().__new__(cls, a)
 
 
 class ModeIndex(value_type("ModeIndex", "n polarization k")):

@@ -12,7 +12,9 @@ series.  ``_scalar_mode_assembly`` rebuilds the scalar stress
 coefficients from the mode sums for ``scalar_stress``'s closed forms.
 ``evaluate`` sums a truncated series at a point, and
 ``transverse_integral`` is one mode's transverse integral in closed
-form, the per-mode reference for the mode sums.  ``reference_mode_sum``
+form, the per-mode reference for the mode sums, and ``propagator_kernel``
+is one mode's propagator kernel, the per-mode reference for
+``pointwise.generating_function``.  ``reference_mode_sum``
 is ``energy_mode_sum`` written with mpf's operators and ``mp.extraprec``
 scopes, the form that ``modesum`` runs on raw values; the tests compare
 the two bit for bit.
@@ -29,7 +31,7 @@ from typing import Iterable
 
 from mpmath import cos, exp, factorial, inf, ldexp, mag, mp, mpf, pi
 
-from casimir_cutoff.errors import CutoffDomain, NotConverged
+from casimir_cutoff.errors import CutoffDomain, NonPositiveSeparation, NotConverged
 from casimir_cutoff.laurent import LaurentSeries, extract_coefficient
 from casimir_cutoff.modesum import (
     _AUTO_N_CAP,
@@ -40,6 +42,7 @@ from casimir_cutoff.modesum import (
     FieldKind,
     ModeSumResult,
 )
+from casimir_cutoff.pointwise import RadialKernel
 from casimir_cutoff.precision import to_mpf
 
 
@@ -99,6 +102,29 @@ def transverse_integral(m, epsilon) -> mpf:
     if m < 0:
         raise ValueError(f"mass must be non-negative, got {m}")
     return exp(-eps * m) * (m * m / eps + 2 * m / eps**2 + 2 / eps**3) / (2 * pi)
+
+
+def propagator_kernel(m, s) -> RadialKernel:
+    """Reduced propagator of a mass-m mode at spacelike separation s.
+
+    D_m(s) = exp(-s m) / (4 pi s), with analytic derivatives.  Away
+    from the origin it solves the radial field equation
+    -(D'' + (2/s) D') + m^2 D = 0 exactly, which the derivative
+    formulas below preserve term by term.
+    """
+    m = to_mpf(m)
+    s = to_mpf(s)
+    if s <= 0:
+        raise NonPositiveSeparation(f"separation must be positive, got {s}")
+    if m < 0:
+        raise ValueError(f"mass must be non-negative, got {m}")
+    exp_factor = exp(-s * m) / (4 * pi)
+    return RadialKernel(
+        s=s,
+        value=exp_factor / s,
+        first=-exp_factor * (1 / s**2 + m / s),
+        second=exp_factor * (2 / s**3 + 2 * m / s**2 + m * m / s),
+    )
 
 
 def _coeff(x: LaurentSeries, power: int) -> mpf:

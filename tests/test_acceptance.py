@@ -28,14 +28,13 @@ from casimir_cutoff.modesum import (
     energy_closed_form,
     energy_mode_sum,
 )
+from casimir_cutoff.pointwise import generating_function, second_derivative_tensor
 from casimir_cutoff.stress import (
     angular_average,
     covariance_check,
     em_stress,
-    generating_function,
     s1_structure,
     scalar_stress,
-    second_derivative_tensor,
 )
 
 A_GRID = (mpf("0.5"), mpf(1), mpf(2))

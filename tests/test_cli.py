@@ -150,6 +150,27 @@ class TestExitCodes:
         assert code == 1
         assert err != ""
 
+    def test_unwritable_output_exits_one(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(capsys, "pressure", "--a", "1", "--output", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --output: ")
+        assert "No such file" in err
+        assert not target.exists()
+
+    def test_bad_precision_environment_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("CASIMIR_PRECISION", "abc")
+        code, out, err = run_cli(capsys, "pressure")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: CASIMIR_PRECISION: ")
+        assert "--precision" not in err
+        # An explicit flag wins over the variable, and is named when bad.
+        assert run_cli(capsys, "pressure", "--precision", "20")[0] == 0
+        code, _, err = run_cli(capsys, "pressure", "--precision", "10")
+        assert code == 1
+        assert err.startswith("error: --precision: ")
+
     def test_success_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "pressure", "--a", "1", "--lambda", "0")
         assert code == 0

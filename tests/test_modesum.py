@@ -662,7 +662,8 @@ def _value_types():
         casimir_pressure, energy_laurent, reference_coefficients,
     )
     from casimir_cutoff.minkowski import FourVector, SeparationVector
-    from casimir_cutoff.stress import em_stress, propagator_kernel
+    from casimir_cutoff.stress import em_stress
+    from series_reference import propagator_kernel
 
     geom, cutoff = PlateGeometry(1), CutoffParams(mpf("0.1"), mpf("0.5"))
     expansion = energy_laurent(1, mpf("0.5"))

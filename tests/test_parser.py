@@ -56,3 +56,9 @@ def test_help_exits_zero(capsys, command):
     out = capsys.readouterr().out
     assert out.startswith("usage: casimir-cutoff")
     assert "--eps-vec" in out or command is None
+
+
+def test_flags_may_precede_the_command():
+    assert parse_args(["--a", "0.5:2:3", "--field", "scalar", "pressure"]) == parse_args(
+        ["pressure", "--a", "0.5:2:3", "--field", "scalar"]
+    )

@@ -5,7 +5,9 @@ subcommand imports the layers past parsing only when its grid runs.
 The subprocess tests read ``sys.modules`` in a fresh interpreter; the
 in-process tests check that every export still resolves.  No start loads
 ``dataclasses``: the value types are namedtuples.  Only the Laurent
-window routes load ``laurent``; no CLI start builds a window.
+window routes load ``laurent``; no CLI start builds a window.  Parsing
+needs only the value types of ``params``: ``modesum`` loads only for
+``energy-sum``, and no CLI start loads the ``pointwise`` kernels.
 """
 
 import os
@@ -33,22 +35,25 @@ EXPORTS = [
     ("minkowski", "SeparationVector"), ("minkowski", "SymTensor4"),
     ("minkowski", "boost"), ("minkowski", "mink_dot"), ("minkowski", "rotation_xy"),
     ("minkowski", "transform_tensor"),
+    ("params", "CutoffParams"), ("params", "FieldKind"), ("params", "PlateGeometry"),
     ("laurent", "LaurentSeries"), ("laurent", "extract_coefficient"),
-    ("modesum", "CutoffParams"), ("modesum", "FieldKind"), ("modesum", "ModeIndex"),
-    ("modesum", "ModeSumResult"), ("modesum", "PlateGeometry"),
+    ("modesum", "ModeIndex"), ("modesum", "ModeSumResult"),
     ("modesum", "check_boundary_conditions"), ("modesum", "eigenmode"),
     ("modesum", "energy_closed_form"), ("modesum", "energy_mode_sum"),
     ("expansion", "EnergyExpansion"), ("expansion", "PressureResult"),
     ("expansion", "ReferenceCoefficients"), ("expansion", "casimir_pressure"),
     ("expansion", "energy_laurent"), ("expansion", "reference_coefficients"),
     ("expansion", "subtract_outer"),
-    ("stress", "RadialKernel"), ("stress", "StressDecomposition"),
-    ("stress", "angular_average"), ("stress", "bulk_kernel"),
+    ("stress", "StressDecomposition"), ("stress", "angular_average"),
     ("stress", "covariance_check"), ("stress", "em_stress"),
-    ("stress", "generating_function"), ("stress", "propagator_kernel"),
-    ("stress", "scalar_stress"), ("stress", "second_derivative_tensor"),
-    ("stress", "s1_structure"), ("stress", "stress_from_kernel"),
+    ("stress", "scalar_stress"), ("stress", "s1_structure"),
+    ("pointwise", "RadialKernel"), ("pointwise", "bulk_kernel"),
+    ("pointwise", "generating_function"), ("pointwise", "second_derivative_tensor"),
+    ("pointwise", "stress_from_kernel"),
 ]
+# modesum still binds the value types it used to define: the benchmark
+# and the tests import them from there.
+REBOUND = [("modesum", "CutoffParams"), ("modesum", "FieldKind"), ("modesum", "PlateGeometry")]
 
 # Prints the package modules loaded by the code in argv[1], run with
 # argv[2:]; the code may add other top-level modules to ``watch``.
@@ -60,6 +65,8 @@ print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] in watch)))
 sys.exit(code)
 """
 RUN_CLI = "from casimir_cutoff.cli import main; code = main(sys.argv[2:])"
+# The modules past parsing; parse_args alone loads none of them.
+LAYERS = ("modesum", "expansion", "stress", "laurent", "pointwise")
 # dataclasses costs ~11 ms a start and pulls in inspect, ast, dis and
 # tokenize; the value types are namedtuples, so no layer needs either.
 WATCH_DATACLASSES = 'watch += ("dataclasses", "inspect")'
@@ -78,6 +85,28 @@ def loaded_modules(code: str, *argv: str) -> set[str]:
 
 def test_bare_import_loads_no_module():
     assert loaded_modules("import casimir_cutoff") == {"casimir_cutoff"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("energy-sum", "--a", "1", "--epsilon", "0.1:0.3:3"),
+    ("stress", "--a", "0.5:2:3", "--field", "scalar", "--z", "0.25"),
+], ids=lambda argv: argv[0])
+def test_parse_args_loads_no_layer(argv):
+    # What the benchmark's setup probe runs: import and parse, no grid.
+    loaded = loaded_modules(
+        "from casimir_cutoff.cli import parse_args; parse_args(sys.argv[2:])", *argv
+    )
+    assert "casimir_cutoff.params" in loaded
+    assert not loaded & {f"casimir_cutoff.{m}" for m in LAYERS}
+
+
+def test_only_energy_sum_loads_modesum(loaded_by_command):
+    assert [c for c, loaded in loaded_by_command.items()
+            if "casimir_cutoff.modesum" in loaded] == ["energy-sum"]
+
+
+def test_no_start_loads_pointwise(loaded_by_command):
+    assert not any("casimir_cutoff.pointwise" in v for v in loaded_by_command.values())
 
 
 def test_energy_sum_skips_the_expansion_layers():
@@ -105,6 +134,11 @@ def test_stress_routes_skip_laurent(command):
 
 
 @pytest.fixture(scope="module")
+def loaded_by_command() -> dict[str, set[str]]:
+    return {c: loaded_modules(RUN_CLI, c, "--a", "1", "--trials", "2") for c in COMMANDS}
+
+
+@pytest.fixture(scope="module")
 def site_loaded() -> set[str]:
     # The watched modules this interpreter's own start-up loads.
     return loaded_modules(WATCH_DATACLASSES)
@@ -123,7 +157,7 @@ def test_all_is_the_pinned_export_list():
     assert casimir_cutoff.__all__ == [name for _, name in EXPORTS]
 
 
-@pytest.mark.parametrize("module, name", EXPORTS, ids=lambda x: x)
+@pytest.mark.parametrize("module, name", EXPORTS + REBOUND, ids=lambda x: x)
 def test_export_resolves_to_its_definition(module, name):
     defined = getattr(import_module(f"casimir_cutoff.{module}"), name)
     assert getattr(casimir_cutoff, name) is defined

@@ -32,22 +32,23 @@ from casimir_cutoff.minkowski import (
     rotation_xy,
 )
 from casimir_cutoff.modesum import CutoffParams, FieldKind, PlateGeometry
-from casimir_cutoff.stress import (
+from casimir_cutoff.pointwise import (
     RadialKernel,
-    _s2_rows,
-    _stress_for,
-    angular_average,
     bulk_kernel,
-    covariance_check,
-    em_stress,
     generating_function,
-    propagator_kernel,
-    s1_structure,
-    scalar_stress,
     second_derivative_tensor,
     stress_from_kernel,
 )
-from series_reference import _scalar_mode_assembly
+from casimir_cutoff.stress import (
+    _s2_rows,
+    _stress_for,
+    angular_average,
+    covariance_check,
+    em_stress,
+    s1_structure,
+    scalar_stress,
+)
+from series_reference import _scalar_mode_assembly, propagator_kernel
 
 STRESS_TOL = mpf("1e-28")
 
