@@ -4,9 +4,8 @@ Every command takes the same flags, before or after its name, and
 reads the ones it needs.  Each command sweeps a grid built from its
 range flags (grammar ``start:stop:count``, endpoints inclusive, or a
 single value) and emits one row per grid point with a fixed column
-schema, as CSV or JSON.
-Numeric fields are printed with enough digits to re-parse to the same
-extended-precision value.
+schema, as CSV or JSON.  Numeric fields are printed with enough digits
+to re-parse to the same extended-precision value.
 
 The digit count (--precision, CASIMIR_PRECISION or 50) applies only
 inside parse_args and run; the caller's precision is left as it was.
