@@ -375,11 +375,29 @@ def _emit(cfg: ScanConfig, header: tuple[str, ...], rows) -> None:
         sys.stdout.write(text)
 
 
+def _check_output(path: str) -> None:
+    """Refuse an --output that open() must refuse; no file is touched.
+
+    Its directory must exist and be a directory, and it must not be a
+    directory itself.
+    """
+    target = Path(path)
+    if not target.parent.is_dir():
+        reason = "Not a directory" if target.parent.exists() else "No such file or directory"
+        raise UsageError(f"--output: {reason}: {str(target.parent)!r}")
+    if target.is_dir():
+        raise UsageError(f"--output: Is a directory: {path!r}")
+
+
 def run(cfg: ScanConfig) -> int:
     """Execute a validated config at its precision; returns the exit code.
 
-    An --output that cannot be written raises UsageError after the sweep.
+    An --output in a missing directory or one that is not a directory, or
+    that is a directory itself, raises UsageError before any grid point
+    runs; one that still cannot be written raises it after the sweep.
     """
+    if cfg.output:
+        _check_output(cfg.output)
     with mp.workdps(cfg.precision):
         inputs, outputs, grid = _SUBCOMMANDS[cfg.command]
         rows, code = _sweep(cfg, len(outputs), grid)

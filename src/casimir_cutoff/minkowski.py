@@ -11,15 +11,19 @@ hashable and survive precision changes without silent rounding.  Each
 value type is itself a tuple of its fields (``value_type``), validated
 on construction and by ``_replace``.
 
-Every sum of products here (inner products, matrix products, the metric
-check, tensor transforms) goes through one kernel, ``_dot``.  It works
-on mpmath's raw values with ``libmp.mpf_mul`` and ``libmp.mpf_add`` at
+Every sum of products in the package (inner products, matrix products,
+the metric check, tensor transforms and the stress layer's tensor
+assembly) goes through one kernel, ``_rdot``.  It works on mpmath's raw
+values with ``libmp.mpf_mul`` and ``libmp.mpf_add`` at the caller's
 ``mp._prec_rounding``, the same functions and the same (prec, rounding)
-list that mpf's own ``*`` and ``+`` call, so its result has the bits of
-the mpf expression ``a1 * b1 + a2 * b2 + ...`` taken left to right
-without building an mpf per product.  A product with an exact-zero
-factor is skipped; with a finite other factor, adding it would change
-no bit.
+that mpf's own ``*`` and ``+`` call, so its result has the bits of the
+mpf expression ``a1 * b1 + a2 * b2 + ...`` taken left to right without
+building an mpf per product.  A product with an exact-zero factor is
+skipped; with a finite other factor, adding it would change no bit.
+``_dot`` is the kernel on mpf pairs at the working precision, and
+``_rsquare`` the raw Minkowski square of a four-vector.
+``transform_tensor`` keeps its intermediate product L T as raw values
+and builds an mpf only for each entry it returns.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ _ZERO, _ONE = mpf(0), mpf(1)
 
 _FZERO = libmp.fzero
 _mpf_abs, _mpf_add, _mpf_le = libmp.mpf_abs, libmp.mpf_add, libmp.mpf_le
-_mpf_mul, _mpf_sub = libmp.mpf_mul, libmp.mpf_sub
+_mpf_mul, _mpf_neg, _mpf_sub = libmp.mpf_mul, libmp.mpf_neg, libmp.mpf_sub
 _make_mpf = mp.make_mpf
 
 
@@ -122,23 +126,32 @@ def _largest(m: Matrix) -> mpf:
     return max(fabs(e) for row in m for e in row)
 
 
-def _dot(pairs) -> mpf:
-    """sum(a * b for a, b in pairs) from mpf(0), bit for bit.
+def _rdot(pairs, prec: int, rounding: str) -> tuple:
+    """sum(a * b for a, b in pairs) from zero on raw values, bit for bit.
 
-    Products and sums are formed on the raw values, as mpf's operators
-    form them (see the module docstring).  A pair with an exact-zero
+    Products and sums are formed as mpf's operators form them at (prec,
+    rounding) (see the module docstring).  A pair with an exact-zero
     factor is skipped, even against an infinity or a NaN.  The first
     product is the start of the sum: added to exact zero, a product
     already rounded at this precision would come back unchanged.
     """
-    prec, rounding = mp._prec_rounding
     acc = None
     for a, b in pairs:
-        a, b = a._mpf_, b._mpf_
         if a != _FZERO and b != _FZERO:
             p = _mpf_mul(a, b, prec, rounding)
             acc = p if acc is None else _mpf_add(acc, p, prec, rounding)
-    return _ZERO if acc is None else _make_mpf(acc)
+    return _FZERO if acc is None else acc
+
+
+def _dot(pairs) -> mpf:
+    """sum(a * b for a, b in pairs) of mpf pairs from mpf(0), bit for bit."""
+    return _make_mpf(_rdot([(a._mpf_, b._mpf_) for a, b in pairs], *mp._prec_rounding))
+
+
+def _rsquare(v: FourVector, prec: int, rounding: str) -> tuple:
+    """The raw value of mink_dot(v, v), bit for bit."""
+    t, x, y, z = (c._mpf_ for c in v)
+    return _rdot(((_mpf_neg(t, prec, rounding), t), (x, x), (y, y), (z, z)), prec, rounding)
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -209,7 +222,7 @@ class LorentzTransform(value_type("LorentzTransform", "matrix")):
     (_check_metric); exact inputs (integer entries, or matrices built by
     boost/rotation_xy at current precision) pass with room to spare.
     Every construction runs the check, including the results of
-    ``compose``, which scales it by its factors, and ``inverse``.
+    ``compose``, which scales it by its factors.
     """
 
     __slots__ = ()
@@ -228,10 +241,6 @@ class LorentzTransform(value_type("LorentzTransform", "matrix")):
         _check_metric(m, (self.matrix, other.matrix))
         # Already checked against its factors' scale: skip __new__'s check.
         return tuple.__new__(LorentzTransform, (m,))
-
-    def inverse(self) -> "LorentzTransform":
-        """The inverse g L^T g, its entries exact sign flips of L's."""
-        return LorentzTransform(_inverse_rows(self.matrix))
 
 
 def boost(rapidity) -> LorentzTransform:
@@ -318,12 +327,16 @@ def transform_tensor(transform: LorentzTransform, tensor: SymTensor4) -> SymTens
     """Push a contravariant tensor forward: T'^{mu nu} = L^mu_a L^nu_b T^{ab}.
 
     Formed as two matrix products, P = L T and then P L^T, skipping
-    exact zeros.  Only the upper triangle of P L^T is formed and it is
-    mirrored, so the result is symmetric to the last bit.
+    exact zeros; P stays raw.  Only the upper triangle of P L^T is formed
+    and it is mirrored, the same object on both sides, so the result is
+    symmetric to the last bit and SymTensor4's check is skipped.
     """
-    m = transform.matrix
+    prec, rounding = mp._prec_rounding
+    m = [[e._mpf_ for e in row] for row in transform.matrix]
+    cols = list(zip(*([e._mpf_ for e in row] for row in tensor.matrix)))
     out = [[None] * DIM for _ in range(DIM)]
-    for i, p_row in enumerate(_mat_mul(m, tensor.matrix)):
+    for i, row in enumerate(m):
+        p_row = [_rdot(zip(row, col), prec, rounding) for col in cols]
         for j in range(i, DIM):
-            out[i][j] = out[j][i] = _dot(zip(p_row, m[j]))
-    return SymTensor4(out)
+            out[i][j] = out[j][i] = _make_mpf(_rdot(zip(p_row, m[j]), prec, rounding))
+    return tuple.__new__(SymTensor4, (tuple(map(tuple, out)),))

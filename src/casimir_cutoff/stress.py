@@ -19,17 +19,29 @@ coefficients are closed forms in the Bernoulli numbers, from the same
 frozen-copy coth terms as the energy expansion (``_em_coefficients``).
 The kernels of the construction at a finite splitting are in
 ``pointwise``, which no CLI command loads.
+
+The tensor algebra runs on mpmath's raw values at ``mp._prec_rounding``:
+taking the splitting apart (its square, the margin test, the root and
+the unit scaling), assembling the tensor from its decomposition and
+forming the covariance residual here, and the push-forward in
+``transform_tensor``.  Every product sum among them goes through
+``minkowski``'s one kernel, ``_rdot``.  Each step makes the libmp calls
+that mpf's operators make, with the same operands and the same
+exact-zero skips, so every number has the bits of the operator form
+that ``tests/series_reference.py`` keeps; an mpf is built only for a
+value the caller receives.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from mpmath import ldexp, mp, mpf, pi, sin, sqrt
+from mpmath import ldexp, libmp, mp, mpf, pi, sin
 
 from .errors import InvalidMode, LightlikeSeparation, WallContact
 from .expansion import _frozen_coth_term
 from .minkowski import (
+    _FZERO,
     _ZERO,
     DIM,
     FourVector,
@@ -37,9 +49,9 @@ from .minkowski import (
     SeparationVector,
     SymTensor4,
     _apply,
-    _dot,
     _inverse_rows,
-    mink_dot,
+    _rdot,
+    _rsquare,
     transform_tensor,
 )
 from .params import CutoffParams, FieldKind, PlateGeometry
@@ -50,6 +62,12 @@ _H_DIAG = (mpf(-1), mpf(1), mpf(1), mpf(0))
 
 # Diagonal of S1 = g/4 - zhat zhat; dyadic, so exact at any precision.
 _S1_DIAG = (-mpf(1) / 4, mpf(1) / 4, mpf(1) / 4, -mpf(3) / 4)
+
+# The two diagonals as raw values, for the assembly.
+_H_RAW, _S1_RAW = (tuple(e._mpf_ for e in diag) for diag in (_H_DIAG, _S1_DIAG))
+
+_make_mpf, _mpf_abs, _mpf_div = mp.make_mpf, libmp.mpf_abs, libmp.mpf_div
+_mpf_gt, _mpf_mul, _mpf_sub = libmp.mpf_gt, libmp.mpf_mul, libmp.mpf_sub
 
 
 @lru_cache(maxsize=16)
@@ -82,49 +100,45 @@ class StressDecomposition(
     def tensor(self) -> SymTensor4:
         """Assemble the full symmetric traceless tensor at this splitting.
 
-        One pass of A * S1_ij + b * S2_ij: the same products and sums as
-        scaling the two structures and adding them, without the
-        intermediate tensors.  S1 is diagonal, so off the diagonal only
-        the S2 term is left, and both are symmetric, so only the upper
-        triangle is formed.  Products with an exact-zero factor and
-        additions to zero are skipped, which changes no bit; the two B
-        coefficients vanish together, at lambda = 0.
+        One pass of A * S1_ij + b * S2_ij with b = B_div / s^2 + B_fin:
+        the same products and sums as scaling the two structures and
+        adding them, without the intermediate tensors.  S2 = g - 3 eps
+        eps / eps^2 - zhat zhat, the same for any vector along the ray:
+        3 eps_i / eps^2 is formed once per component, and a zero
+        component leaves exact h on the diagonal and exact zeros off it,
+        as the dense formula gives.  S1 is diagonal, so off the diagonal
+        only the S2 term is left, and both are symmetric, so only the
+        upper triangle is formed and mirrored, the same object on both
+        sides; SymTensor4's symmetry check, which could not fail, is
+        skipped.  Products with an exact-zero factor and additions to
+        zero are skipped, which changes no bit; the two B coefficients
+        vanish together, at lambda = 0.
         """
         a, b_fin, b_div, direction, s = self
-        b = b_div / s**2 + b_fin if b_div else b_fin
+        prec, rnd = mp._prec_rounding
+        a, b = a._mpf_, b_fin._mpf_
+        if b_div:
+            s2 = libmp.mpf_pow_int(s._mpf_, 2, prec, rnd)
+            b = libmp.mpf_add(_mpf_div(b_div._mpf_, s2, prec, rnd), b, prec, rnd)
+        v2 = _rsquare(direction.vector, prec, rnd)
+        v = [c._mpf_ for c in direction.vector]
         rows = [[_ZERO] * DIM for _ in range(DIM)]
-        for i, s2 in enumerate(_s2_rows(direction)):
-            rows[i][i] = _dot(((a, _S1_DIAG[i]), (b, s2[i])))
-            for j in range(i + 1, DIM):
-                if b and s2[j]:
-                    rows[i][j] = rows[j][i] = b * s2[j]
-        return SymTensor4(rows)
+        for i, (h, c) in enumerate(zip(_H_RAW, v)):
+            if c != _FZERO:
+                w = _mpf_div(libmp.mpf_mul_int(c, 3, prec, rnd), v2, prec, rnd)
+                h = _mpf_sub(h, _mpf_mul(w, c, prec, rnd), prec, rnd)
+                for j in range(i + 1, DIM):
+                    if v[j] != _FZERO:
+                        e = libmp.mpf_neg(_mpf_mul(w, v[j], prec, rnd), prec, rnd)
+                        if b != _FZERO and e != _FZERO:
+                            rows[i][j] = rows[j][i] = _make_mpf(_mpf_mul(b, e, prec, rnd))
+            rows[i][i] = _make_mpf(_rdot(((a, _S1_RAW[i]), (b, h)), prec, rnd))
+        return tuple.__new__(SymTensor4, (tuple(map(tuple, rows)),))
 
 
 def s1_structure() -> SymTensor4:
     """Traceless structure g/4 - zhat zhat."""
     return SymTensor4.diagonal(*_S1_DIAG)
-
-
-def _s2_rows(direction: SeparationVector) -> tuple[tuple[mpf, ...], ...]:
-    # S2 = g - 3 eps eps / eps^2 - zhat zhat, the same for any spacelike
-    # vector along the ray.  3 eps_i / eps^2 is formed once per component,
-    # and the symmetric upper triangle is mirrored.  A zero component
-    # leaves exact h on the diagonal and exact zeros off it, which is what
-    # the dense formula gives for it.
-    v = direction.vector
-    s2 = mink_dot(v, v)
-    rows = [[_ZERO] * DIM for _ in range(DIM)]
-    for i, (h, c) in enumerate(zip(_H_DIAG, v)):
-        if not c:
-            rows[i][i] = h
-            continue
-        w = 3 * c / s2
-        rows[i][i] = h - w * c
-        for j in range(i + 1, DIM):
-            if v[j]:
-                rows[i][j] = rows[j][i] = -(w * v[j])
-    return tuple(map(tuple, rows))
 
 
 def _unit_splitting(v: FourVector) -> tuple[SeparationVector, mpf]:
@@ -136,14 +150,20 @@ def _unit_splitting(v: FourVector) -> tuple[SeparationVector, mpf]:
     t, x, y, z = v
     if z:
         raise ValueError("splitting vector must lie in the t-x-y subspace (z component 0)")
-    s2 = mink_dot(v, v)
-    if not s2 > _split_tol(mp.prec) * _dot(((t, t), (x, x), (y, y))):
+    prec, rnd = mp._prec_rounding
+    s2 = _rsquare(v, prec, rnd)
+    scale = _rdot([(c._mpf_, c._mpf_) for c in (t, x, y)], prec, rnd)
+    if not _mpf_gt(s2, _mpf_mul(_split_tol(prec)._mpf_, scale, prec, rnd)):
+        s2 = _make_mpf(s2)
         raise LightlikeSeparation(f"squared splitting length {s2} is not safely spacelike")
-    s = sqrt(s2)
-    # Past the margin, s^2 carries at least half the working bits, so the
-    # unit's square lies within about 2^(-prec/2) of 1 and is positive:
-    # SeparationVector's own check of it is skipped.
-    return tuple.__new__(SeparationVector, (v.scale(1 / s),)), s
+    s = libmp.mpf_sqrt(s2, prec, rnd)
+    # 1/s of a finite s > 0 is never zero, so only zero components stay
+    # exact zeros.  Past the margin, s^2 carries at least half the working
+    # bits, so the unit's square lies within about 2^(-prec/2) of 1 and is
+    # positive: SeparationVector's own check of it is skipped.
+    inv = libmp.mpf_rdiv_int(1, s, prec, rnd)
+    unit = (_make_mpf(_mpf_mul(inv, c._mpf_, prec, rnd)) if c else _ZERO for c in v)
+    return tuple.__new__(SeparationVector, (tuple.__new__(FourVector, unit),)), _make_mpf(s)
 
 
 def _em_coefficients(a: mpf, lam: mpf) -> tuple[mpf, mpf, mpf]:
@@ -270,7 +290,12 @@ def covariance_check(
     )
     m, t = moved.matrix, direct.matrix
     # Both tensors are mirrored from their upper triangles, which decide.
-    return max(abs(m[i][j] - t[i][j]) for i in range(DIM) for j in range(i, DIM))
+    # The largest |m - t|, kept as max keeps it: the first of equals, and
+    # a NaN only when it comes first.
+    prec, rnd = mp._prec_rounding
+    defects = (_mpf_abs(_mpf_sub(m[i][j]._mpf_, t[i][j]._mpf_, prec, rnd), prec, rnd)
+               for i in range(DIM) for j in range(i, DIM))
+    return _make_mpf(reduce(lambda worst, d: d if _mpf_gt(d, worst) else worst, defects))
 
 
 def angular_average(d: StressDecomposition) -> SymTensor4:

@@ -17,7 +17,12 @@ is one mode's propagator kernel, the per-mode reference for
 ``pointwise.generating_function``.  ``reference_mode_sum``
 is ``energy_mode_sum`` written with mpf's operators and ``mp.extraprec``
 scopes, the form that ``modesum`` runs on raw values; the tests compare
-the two bit for bit.
+the two bit for bit.  ``reference_unit_splitting``, ``reference_s2_rows``,
+``reference_tensor``, ``reference_transform_tensor`` and
+``reference_covariance_check`` are the stress layer's tensor algebra in
+the same operator form, which ``stress`` and ``minkowski`` run on raw
+values, and ``checked_inverse`` is the checked inverse transform
+g L^T g.
 
 Truncation bookkeeping is pessimistic on purpose.  Every operation
 derives the tightest window that is provably correct from its inputs'
@@ -29,9 +34,14 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from mpmath import cos, exp, factorial, inf, ldexp, mag, mp, mpf, pi
+from mpmath import cos, exp, factorial, inf, ldexp, mag, mp, mpf, pi, sqrt
 
-from casimir_cutoff.errors import CutoffDomain, NonPositiveSeparation, NotConverged
+from casimir_cutoff.errors import (
+    CutoffDomain,
+    LightlikeSeparation,
+    NonPositiveSeparation,
+    NotConverged,
+)
 from casimir_cutoff.laurent import LaurentSeries, extract_coefficient
 from casimir_cutoff.modesum import (
     _AUTO_N_CAP,
@@ -42,8 +52,18 @@ from casimir_cutoff.modesum import (
     FieldKind,
     ModeSumResult,
 )
+from casimir_cutoff.minkowski import (
+    _ZERO,
+    DIM,
+    FourVector,
+    LorentzTransform,
+    SeparationVector,
+    SymTensor4,
+    _inverse_rows,
+)
 from casimir_cutoff.pointwise import RadialKernel
 from casimir_cutoff.precision import to_mpf
+from casimir_cutoff.stress import _H_DIAG, _S1_DIAG, _split_tol, _stress_for
 
 
 def from_terms(
@@ -516,3 +536,106 @@ def reference_mode_sum(
             f"remainder bound {bounded(n_max)[1]} exceeds tolerance at n_max = {n_max}"
         )
     return ModeSumResult(*bounded(n_max), n_max)
+
+
+# The stress layer's tensor algebra with mpf's operators, as ``stress`` and
+# ``minkowski`` wrote it before those steps ran on raw values.  The bodies
+# are the operator forms of that code; the one product-sum kernel they
+# called is spelled out as ``_operator_dot``, so nothing here runs the raw
+# kernel it is compared with.
+
+
+def _operator_dot(pairs) -> mpf:
+    """The sum from mpf(0), left to right, of each product without an exact-zero factor."""
+    return sum((a * b for a, b in pairs if a and b), mpf(0))
+
+
+def _operator_mink_dot(u: FourVector, v: FourVector) -> mpf:
+    ut, ux, uy, uz = u
+    vt, vx, vy, vz = v
+    return _operator_dot(((-ut, vt), (ux, vx), (uy, vy), (uz, vz)))
+
+
+def _operator_mat_mul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(_operator_dot(zip(row, col)) for col in cols) for row in a)
+
+
+def checked_inverse(transform: LorentzTransform) -> LorentzTransform:
+    """The inverse g L^T g, its entries exact sign flips of L's, metric-checked."""
+    return LorentzTransform(_inverse_rows(transform.matrix))
+
+
+def reference_s2_rows(direction: SeparationVector) -> tuple[tuple[mpf, ...], ...]:
+    """S2 = g - 3 eps eps / eps^2 - zhat zhat, upper triangle mirrored."""
+    v = direction.vector
+    s2 = _operator_mink_dot(v, v)
+    rows = [[_ZERO] * DIM for _ in range(DIM)]
+    for i, (h, c) in enumerate(zip(_H_DIAG, v)):
+        if not c:
+            rows[i][i] = h
+            continue
+        w = 3 * c / s2
+        rows[i][i] = h - w * c
+        for j in range(i + 1, DIM):
+            if v[j]:
+                rows[i][j] = rows[j][i] = -(w * v[j])
+    return tuple(map(tuple, rows))
+
+
+def reference_tensor(d) -> SymTensor4:
+    """``StressDecomposition.tensor``: A * S1 + (B_div / s^2 + B_fin) * S2."""
+    a, b_fin, b_div, direction, s = d
+    b = b_div / s**2 + b_fin if b_div else b_fin
+    rows = [[_ZERO] * DIM for _ in range(DIM)]
+    for i, s2 in enumerate(reference_s2_rows(direction)):
+        rows[i][i] = _operator_dot(((a, _S1_DIAG[i]), (b, s2[i])))
+        for j in range(i + 1, DIM):
+            if b and s2[j]:
+                rows[i][j] = rows[j][i] = b * s2[j]
+    return SymTensor4(rows)
+
+
+def reference_unit_splitting(v: FourVector) -> tuple[SeparationVector, mpf]:
+    """The splitting as (unit direction, invariant length s), margin-checked."""
+    t, x, y, z = v
+    if z:
+        raise ValueError("splitting vector must lie in the t-x-y subspace (z component 0)")
+    s2 = _operator_mink_dot(v, v)
+    if not s2 > _split_tol(mp.prec) * _operator_dot(((t, t), (x, x), (y, y))):
+        raise LightlikeSeparation(f"squared splitting length {s2} is not safely spacelike")
+    s = sqrt(s2)
+    return tuple.__new__(SeparationVector, (v.scale(1 / s),)), s
+
+
+def reference_transform_tensor(transform: LorentzTransform, tensor: SymTensor4) -> SymTensor4:
+    """T'^{mu nu} = L^mu_a L^nu_b T^{ab} as P = L T, then the upper triangle of P L^T."""
+    m = transform.matrix
+    out = [[None] * DIM for _ in range(DIM)]
+    for i, p_row in enumerate(_operator_mat_mul(m, tensor.matrix)):
+        for j in range(i, DIM):
+            out[i][j] = out[j][i] = _operator_dot(zip(p_row, m[j]))
+    return SymTensor4(out)
+
+
+def reference_covariance_check(field, geom, cutoff, eps, transform, z=None) -> mpf:
+    """``covariance_check`` on the reference splitting, tensor and push-forward.
+
+    The coefficients come from ``_stress_for``, which this form does not
+    replace; the splitting is taken apart again by the reference.
+    """
+    d = _stress_for(field, geom, cutoff, eps, z)
+    unit, s = reference_unit_splitting(eps.vector)
+    d = d._replace(direction=unit, separation_length=s)
+    direct = reference_tensor(d)
+    back = FourVector(
+        *(_operator_dot(zip(row, eps.vector)) for row in _inverse_rows(transform.matrix))
+    )
+    if back.z:
+        SeparationVector(back)
+    unit, s = reference_unit_splitting(back)
+    moved = reference_transform_tensor(
+        transform, reference_tensor(d._replace(direction=unit, separation_length=s))
+    )
+    m, t = moved.matrix, direct.matrix
+    return max(abs(m[i][j] - t[i][j]) for i in range(DIM) for j in range(i, DIM))

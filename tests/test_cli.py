@@ -159,6 +159,44 @@ class TestExitCodes:
         assert "No such file" in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("where", ["missing", "file", "directory"])
+    def test_unwritable_output_fails_before_the_sweep(self, capsys, monkeypatch, tmp_path, where):
+        # A target in a missing directory, under a file or that is itself a
+        # directory is refused before any grid point runs.
+        (tmp_path / "plain").write_text("")
+        target = {
+            "missing": tmp_path / "missing" / "out.csv",
+            "file": tmp_path / "plain" / "out.csv",
+            "directory": tmp_path,
+        }[where]
+
+        def no_sweep(*args):
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr(casimir_cutoff.cli, "_sweep", no_sweep)
+        argv = ("pressure", "--a", "1:2:50", "--lambda", "0:0.9:50", "--output", str(target))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --output: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_output_written_only_after_the_sweep(self, capsys, monkeypatch, tmp_path, exists):
+        # The early check neither creates nor truncates the target.
+        target = tmp_path / "out.csv"
+        if exists:
+            target.write_text("old\n")
+        sweep = casimir_cutoff.cli._sweep
+
+        def checked(*args):
+            assert (target.read_text() if exists else target.exists()) == (exists and "old\n")
+            return sweep(*args)
+
+        monkeypatch.setattr(casimir_cutoff.cli, "_sweep", checked)
+        code, out, _ = run_cli(capsys, "pressure", "--a", "1", "--output", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text().startswith("a,lambda,field,finite_part,divergent_coeff\n")
+
     def test_bad_precision_environment_is_named(self, capsys, monkeypatch):
         monkeypatch.setenv("CASIMIR_PRECISION", "abc")
         code, out, err = run_cli(capsys, "pressure")
@@ -887,12 +925,17 @@ class TestPinnedZeroSplits:
 
 
 class TestSplittingTakenApartOnce:
-    """How often each CLI point forms the squared length of a splitting."""
+    """How often each CLI point forms the squared length of a splitting.
+
+    Every squared length on the stress path is ``minkowski._rsquare``, the
+    raw form of ``mink_dot(v, v)``; the test counts its calls.
+    """
 
     # EM and scalar stress: the splitting's square once, and the S2
     # structure's own square of the unit direction.  A covariance trial:
     # one decomposition and its tensor, then the back-transformed
-    # splitting taken apart and assembled again.  scan: the splitting's square only, since it prints no tensor.
+    # splitting taken apart and assembled again.  scan: the splitting's
+    # square only, since it prints no tensor.
     @pytest.mark.parametrize("argv, expected", [
         (("stress", "--a", "0.8:1.2:2", "--lambda", "0:0.4:2", _SPLIT), 2),
         (("stress", "--field", "scalar", "--z", "0.3:0.5:2", "--lambda", "0.4", _SPLIT), 2),
@@ -906,14 +949,14 @@ class TestSplittingTakenApartOnce:
 
         cfg = parse_args(list(argv))
         calls = []
-        dot = casimir_cutoff.minkowski.mink_dot
+        square = casimir_cutoff.minkowski._rsquare
 
-        def counted(u, v):
+        def counted(*args):
             calls.append(None)
-            return dot(u, v)
+            return square(*args)
 
         for module in (casimir_cutoff.minkowski, casimir_cutoff.stress):
-            monkeypatch.setattr(module, "mink_dot", counted)
+            monkeypatch.setattr(module, "_rsquare", counted)
         counts = []
         with mp.workdps(cfg.precision):
             for _, point in casimir_cutoff.cli._SUBCOMMANDS[cfg.command][2](cfg):

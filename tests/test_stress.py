@@ -13,6 +13,7 @@ from itertools import product
 import pytest
 from mpmath import cos, cosh, exp, inf, mp, mpf, pi, sin, sinh, zeta
 
+import casimir_cutoff.minkowski
 import casimir_cutoff.stress
 from casimir_cutoff.errors import (
     CothPole,
@@ -40,7 +41,7 @@ from casimir_cutoff.pointwise import (
     stress_from_kernel,
 )
 from casimir_cutoff.stress import (
-    _s2_rows,
+    StressDecomposition,
     _stress_for,
     angular_average,
     covariance_check,
@@ -74,6 +75,12 @@ def with_zeros(eps):
     """
     _, x, y, _ = eps.vector
     return eps, spacelike(0, x, y), spacelike(0, x, 0)
+
+
+def s2_rows(direction):
+    """S2 at the splitting, read off the assembly with A = 0 and b = 1 exactly."""
+    one, zero = mpf(1), mpf(0)
+    return StressDecomposition(zero, one, zero, direction, one).tensor().matrix
 
 
 def dense_s2(direction):
@@ -303,16 +310,16 @@ class TestStructures:
         rng = random.Random(31)
         for _ in range(10):
             d = random_spacelike(rng)
-            s2 = _s2_rows(d)
+            s2 = s2_rows(d)
             assert abs(SymTensor4(s2).trace()) < mpf("1e-44")
-            scaled = _s2_rows(SeparationVector(d.vector.scale(7)))
+            scaled = s2_rows(SeparationVector(d.vector.scale(7)))
             diff = max(
                 abs(s2[i][j] - scaled[i][j]) for i in range(DIM) for j in range(DIM)
             )
             assert diff < mpf("1e-44")
 
     def test_s2_axis_values(self):
-        s2 = _s2_rows(spacelike(0, 1, 0))
+        s2 = s2_rows(spacelike(0, 1, 0))
         assert s2[1][1] == -2
         assert s2[2][2] == 1
         assert s2[0][0] == -1
@@ -441,7 +448,7 @@ class TestEMStress:
         rng = random.Random(dps)
         with mp.workdps(dps):
             tol = ldexp(mpf(1), -(mp.prec // 2))
-            dot = casimir_cutoff.stress.mink_dot
+            dot = casimir_cutoff.minkowski.mink_dot
             for _ in range(40):
                 r = mpf(10) ** rng.randint(-20, 20)
                 ang = mpf(rng.uniform(0, 7))
@@ -654,16 +661,24 @@ class TestCovariance:
     def test_builds_no_inverse_transform(self, monkeypatch):
         # The splitting is moved back by g L^T g directly: no second
         # transform is built, so no second metric check is made.
-        def no_inverse(self):
-            raise AssertionError("covariance_check built an inverse transform")
+        def no_check(*args):
+            raise AssertionError("covariance_check built a checked transform")
 
-        monkeypatch.setattr(LorentzTransform, "inverse", no_inverse)
         rng = random.Random(5)
         geom, cutoff = PlateGeometry(mpf("1.2")), CutoffParams(mpf("0.1"), mpf("0.4"))
-        for _ in range(5):
-            ell = rotation_xy(mpf(rng.uniform(0, 6.28))).compose(boost(mpf(rng.uniform(-2, 2))))
+        # Every transform is built, and checked, before the check is
+        # patched out.
+        cases = [
+            (
+                rotation_xy(mpf(rng.uniform(0, 6.28))).compose(boost(mpf(rng.uniform(-2, 2)))),
+                random_spacelike(rng),
+            )
+            for _ in range(5)
+        ]
+        monkeypatch.setattr(casimir_cutoff.minkowski, "_check_metric", no_check)
+        for ell, split in cases:
             for eps, (field, z) in product(
-                with_zeros(random_spacelike(rng)),
+                with_zeros(split),
                 ((FieldKind.ELECTROMAGNETIC, None), (FieldKind.SCALAR, mpf("0.3"))),
             ):
                 assert covariance_check(field, geom, cutoff, eps, ell, z) < STRESS_TOL
