@@ -21,9 +21,11 @@ mpf expression ``a1 * b1 + a2 * b2 + ...`` taken left to right without
 building an mpf per product.  A product with an exact-zero factor is
 skipped; with a finite other factor, adding it would change no bit.
 ``_dot`` is the kernel on mpf pairs at the working precision, and
-``_rsquare`` the raw Minkowski square of a four-vector.
-``transform_tensor`` keeps its intermediate product L T as raw values
-and builds an mpf only for each entry it returns.
+``_rsquare`` the raw Minkowski square of a four-vector.  The matrix
+product, the metric check and ``transform_tensor`` read each matrix's
+raw values once; the check's sums and ``transform_tensor``'s
+intermediate product L T stay raw, and an mpf is built only for an
+entry a caller receives.
 """
 
 from __future__ import annotations
@@ -154,9 +156,14 @@ def _rsquare(v: FourVector, prec: int, rounding: str) -> tuple:
     return _rdot(((_mpf_neg(t, prec, rounding), t), (x, x), (y, y), (z, z)), prec, rounding)
 
 
+def _raw(m: Matrix) -> list:
+    return [[e._mpf_ for e in row] for row in m]
+
+
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(tuple(_dot(zip(row, col)) for col in cols) for row in a)
+    prec, rounding = mp._prec_rounding
+    cols = tuple(zip(*_raw(b)))
+    return tuple(tuple(_make_mpf(_rdot(zip(r, c), prec, rounding)) for c in cols) for r in _raw(a))
 
 
 def _apply(m: Matrix, v: FourVector) -> FourVector:
@@ -177,25 +184,26 @@ def _check_metric(m: Matrix, factors: tuple[Matrix, ...] = ()) -> None:
 
     g is diagonal, so (m^T g m)_{ij} is the sum over k of m[k][i] (g_k
     m[k][j]); it is symmetric, so only the upper triangle is formed,
-    each entry by ``_dot`` in order of k.  The entries sum
+    each entry by ``_rdot`` in order of k.  The entries sum
     products of two entries of m, so the tolerance scales
     with max(1, max |m|)^2; for a product, whose entries carry the
     rounding of its factors' entries, also with the product of
     max(1, max |f|) over the factors, the larger when the product
     cancels, as boost(r) after boost(-r) does.
 
-    The defects are formed and first compared on raw values, as mpf's
-    ``-``, ``fabs`` and ``<=`` form them; the sums are already rounded
-    at this precision, so their absolute value needs no rounding.
+    The entries, the defects and their first comparison are formed on
+    raw values, as mpf's ``*``, ``+``, ``-``, ``fabs`` and ``<=`` form
+    them; the sums are already rounded at this precision, so their
+    absolute value needs no rounding.
     """
     # g m: g = diag(-1, 1, 1, 1) only negates the t row, exactly.
-    cols = tuple(zip(*m))
-    gcols = tuple(zip(*((tuple(-e for e in m[0]),) + m[1:])))
     prec, rounding = mp._prec_rounding
+    raw = _raw(m)
+    gcols = tuple(zip(*([[_mpf_neg(e, prec, rounding) for e in raw[0]]] + raw[1:])))
     defects = []
-    for i, col in enumerate(cols):
+    for i, col in enumerate(zip(*raw)):
         for j in range(i, DIM):
-            acc = _dot(zip(col, gcols[j]))._mpf_
+            acc = _rdot(zip(col, gcols[j]), prec, rounding)
             if i == j:
                 acc = _mpf_sub(acc, METRIC_DIAG[i]._mpf_, prec, rounding)
             defects.append(_mpf_abs(acc))
@@ -332,8 +340,8 @@ def transform_tensor(transform: LorentzTransform, tensor: SymTensor4) -> SymTens
     symmetric to the last bit and SymTensor4's check is skipped.
     """
     prec, rounding = mp._prec_rounding
-    m = [[e._mpf_ for e in row] for row in transform.matrix]
-    cols = list(zip(*([e._mpf_ for e in row] for row in tensor.matrix)))
+    m = _raw(transform.matrix)
+    cols = list(zip(*_raw(tensor.matrix)))
     out = [[None] * DIM for _ in range(DIM)]
     for i, row in enumerate(m):
         p_row = [_rdot(zip(row, col), prec, rounding) for col in cols]
