@@ -189,7 +189,10 @@ class TestExitCodes:
         sweep = casimir_cutoff.cli._sweep
 
         def checked(*args):
-            assert (target.read_text() if exists else target.exists()) == (exists and "old\n")
+            if exists:
+                assert target.read_text() == "old\n"
+            else:
+                assert not target.exists()
             return sweep(*args)
 
         monkeypatch.setattr(casimir_cutoff.cli, "_sweep", checked)
