@@ -29,10 +29,7 @@ _EXPORTS = {
     ),
     "params": ("CutoffParams", "FieldKind", "PlateGeometry"),
     "laurent": ("LaurentSeries", "extract_coefficient"),
-    "modesum": (
-        "ModeIndex", "ModeSumResult", "check_boundary_conditions", "eigenmode",
-        "energy_closed_form", "energy_mode_sum",
-    ),
+    "modesum": ("ModeSumResult", "energy_mode_sum"),
     "expansion": (
         "EnergyExpansion", "PressureResult", "ReferenceCoefficients",
         "casimir_pressure", "energy_laurent", "reference_coefficients",
@@ -45,6 +42,7 @@ _EXPORTS = {
     "pointwise": (
         "RadialKernel", "bulk_kernel", "generating_function",
         "second_derivative_tensor", "stress_from_kernel",
+        "ModeIndex", "check_boundary_conditions", "eigenmode", "energy_closed_form",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -71,13 +71,6 @@ class FourVector(value_type("FourVector", "t x y z")):
     def __new__(cls, t: mpf, x: mpf, y: mpf, z: mpf):
         return super().__new__(cls, to_mpf(t), to_mpf(x), to_mpf(y), to_mpf(z))
 
-    def components(self) -> tuple[mpf, mpf, mpf, mpf]:
-        return (self.t, self.x, self.y, self.z)
-
-    def scale(self, factor) -> "FourVector":
-        c = to_mpf(factor)
-        return FourVector(*(c * a if c and a else _ZERO for a in self))
-
 
 def mink_dot(u: FourVector, v: FourVector) -> mpf:
     """Minkowski inner product g_{mu nu} u^mu v^nu = -u^t v^t + u.v.
@@ -240,11 +233,8 @@ class LorentzTransform(value_type("LorentzTransform", "matrix")):
         _check_metric(m)
         return super().__new__(cls, m)
 
-    def apply(self, v: FourVector) -> FourVector:
-        return _apply(self.matrix, v)
-
     def compose(self, other: "LorentzTransform") -> "LorentzTransform":
-        """self after other: (self.compose(other)).apply(v) = self(other(v))."""
+        """self after other: the matrix product, so it maps v to self(other(v))."""
         m = _mat_mul(self.matrix, other.matrix)
         _check_metric(m, (self.matrix, other.matrix))
         # Already checked against its factors' scale: skip __new__'s check.

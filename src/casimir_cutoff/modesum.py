@@ -32,11 +32,11 @@ same rounding, so every result has the bits of the operator form that
 the tests keep as a reference.  mpf objects are made only at the edges:
 the result, the float estimate's inputs and the error messages.
 
-The same energy has a closed form: a second derivative of a coth
-expression in which the lambda occurrence of the cutoff is held frozen
-during differentiation and identified with epsilon afterwards.  Both
-routes are implemented; agreement within the certified bound is a test
-invariant.
+This module is on the CLI's side of the line: it holds the mode sum
+that ``energy-sum`` runs and nothing else.  The cross-check routes,
+the coth closed form of the same energy (``energy_closed_form``) and
+the cavity eigenmodes, are in ``pointwise``, which no CLI start loads;
+agreement within the certified bound is a test invariant.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from mpmath import cos, coth, csch, libmp, mp, mpc, mpf, pi, sin, sqrt
+from mpmath import libmp, mp, mpf
 
 from .errors import InvalidMode, NotConverged
 from .params import CutoffParams, FieldKind, PlateGeometry
@@ -90,22 +90,6 @@ _mpf_mul_int, _mpf_rdiv_int, _mpf_pow_int, _mpf_pos = (
 _mpf_eq, _mpf_lt, _mpf_le, _mpf_ge = libmp.mpf_eq, libmp.mpf_lt, libmp.mpf_le, libmp.mpf_ge
 # mag() of a raw value, and an mpf around one.
 _mpf_mag, _make_mpf = mp._mpf_mag, mp.make_mpf
-
-
-class ModeIndex(value_type("ModeIndex", "n polarization k")):
-    """Standing-wave label: discrete n, polarization 1 or 2, transverse k."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, polarization: int, k: tuple[mpf, mpf]):
-        k = (to_mpf(k[0]), to_mpf(k[1]))
-        if n < 0:
-            raise InvalidMode(f"mode number must be non-negative, got {n}")
-        if polarization not in (1, 2):
-            raise InvalidMode(f"polarization must be 1 or 2, got {polarization}")
-        if n == 0 and polarization == 1:
-            raise InvalidMode("n = 0 supports only polarization 2")
-        return super().__new__(cls, n, polarization, k)
 
 
 class ModeSumResult(value_type("ModeSumResult", "value remainder_bound n_max")):
@@ -407,82 +391,3 @@ def energy_mode_sum(
             f"at n_max = {n_max}"
         )
     return ModeSumResult(*map(_make_mpf, bounded(n_max)), n_max)
-
-
-def energy_closed_form(
-    geom: PlateGeometry,
-    cutoff: CutoffParams,
-    field: FieldKind = FieldKind.ELECTROMAGNETIC,
-) -> mpf:
-    """Infinite-sum limit of the regulated energy, in closed form.
-
-    The sum telescopes into a second epsilon-derivative of
-    (1/4 pi epsilon) coth[(epsilon - lambda*epsilon') pi / 2a], where
-    the primed copy is frozen during differentiation and set equal to
-    epsilon afterwards.  Carrying that out gives the expression below
-    with v = (1 - lambda) epsilon pi / 2a.
-    """
-    if not isinstance(field, FieldKind):
-        raise InvalidMode(f"unknown field kind: {field!r}")
-    a = geom.a
-    eps = cutoff.epsilon
-    v = (1 - cutoff.lam) * eps * pi / (2 * a)
-    c = pi / (2 * a)
-    em = (
-        coth(v) / eps**3
-        + c * csch(v) ** 2 / eps**2
-        + c**2 * csch(v) ** 2 * coth(v) / eps
-    ) / (2 * pi)
-    if field is FieldKind.ELECTROMAGNETIC:
-        return em
-    # Half of each n >= 1 term, and no n = 0 term at all; the n = 0
-    # transverse integral is the massless one, 1 / (pi eps^3).
-    return em / 2 - 1 / (4 * pi * eps**3)
-
-
-def eigenmode(idx: ModeIndex, geom: PlateGeometry, z) -> tuple[mpc, mpc, mpc]:
-    """Spatial mode profile (A_x, A_y, A_z) at height z between the walls.
-
-    Polarization 1 is purely transverse, directed along kbar = (k_y,
-    -k_x) with a sin(n pi z / a) profile.  Polarization 2 mixes a
-    transverse gradient part (sin profile) with a z part (cos profile);
-    at n = 0 only the z part survives and the normalization picks up an
-    extra 1/sqrt(2).  Both satisfy integral_0^a |A|^2 dz = 1.
-    """
-    a = geom.a
-    zz = to_mpf(z)
-    if not 0 <= zz <= a:
-        raise ValueError(f"z must lie in [0, {a}], got {zz}")
-    kx, ky = idx.k
-    kmag = sqrt(kx * kx + ky * ky)
-    if kmag == 0:
-        raise InvalidMode("transverse wave-vector must be nonzero")
-    n = idx.n
-    norm = sqrt(2 / a)
-    phase = n * pi * zz / a
-    if idx.polarization == 1:
-        s = norm * sin(phase)
-        return (mpc(ky / kmag * s), mpc(-kx / kmag * s), mpc(0))
-    if n == 0:
-        norm /= sqrt(2)
-    kn = n * pi / a
-    omega = sqrt(kmag * kmag + kn * kn)
-    grad = mpc(0, -1) * kn * norm * sin(phase) / (kmag * omega)
-    return (kx * grad, ky * grad, mpc(kmag / omega * norm * cos(phase)))
-
-
-def check_boundary_conditions(idx: ModeIndex, geom: PlateGeometry) -> mpf:
-    """Max residual of the conductor conditions at both walls.
-
-    Tangential electric field is proportional to the tangential mode
-    components; normal magnetic field is proportional to
-    i(k_x A_y - k_y A_x) given the plane-wave transverse dependence.
-    Both must vanish at z = 0 and z = a.
-    """
-    kx, ky = idx.k
-    worst = mpf(0)
-    for z in (mpf(0), geom.a):
-        ax, ay, _ = eigenmode(idx, geom, z)
-        bz = mpc(0, 1) * (kx * ay - ky * ax)
-        worst = max(worst, abs(ax), abs(ay), abs(bz))
-    return worst

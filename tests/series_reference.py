@@ -21,8 +21,9 @@ the two bit for bit.  ``reference_unit_splitting``, ``reference_s2_rows``,
 ``reference_tensor``, ``reference_transform_tensor`` and
 ``reference_covariance_check`` are the stress layer's tensor algebra in
 the same operator form, which ``stress`` and ``minkowski`` run on raw
-values, and ``checked_inverse`` is the checked inverse transform
-g L^T g.
+values, ``checked_inverse`` is the checked inverse transform
+g L^T g, and ``scale`` and ``apply`` are a four-vector times a number
+and a transform applied to a four-vector.
 
 Truncation bookkeeping is pessimistic on purpose.  Every operation
 derives the tightest window that is provably correct from its inputs'
@@ -561,6 +562,17 @@ def _operator_mat_mul(a, b):
     return tuple(tuple(_operator_dot(zip(row, col)) for col in cols) for row in a)
 
 
+def scale(v: FourVector, factor) -> FourVector:
+    """c v, with an exact zero wherever c or the component is one."""
+    c = to_mpf(factor)
+    return FourVector(*(c * e if c and e else _ZERO for e in v))
+
+
+def apply(transform: LorentzTransform, v: FourVector) -> FourVector:
+    """L v, each row's sum as ``_operator_dot`` forms it."""
+    return FourVector(*(_operator_dot(zip(row, v)) for row in transform.matrix))
+
+
 def checked_inverse(transform: LorentzTransform) -> LorentzTransform:
     """The inverse g L^T g, its entries exact sign flips of L's, metric-checked."""
     return LorentzTransform(_inverse_rows(transform.matrix))
@@ -605,7 +617,7 @@ def reference_unit_splitting(v: FourVector) -> tuple[SeparationVector, mpf]:
     if not s2 > _split_tol(mp.prec) * _operator_dot(((t, t), (x, x), (y, y))):
         raise LightlikeSeparation(f"squared splitting length {s2} is not safely spacelike")
     s = sqrt(s2)
-    return tuple.__new__(SeparationVector, (v.scale(1 / s),)), s
+    return tuple.__new__(SeparationVector, (scale(v, 1 / s),)), s
 
 
 def reference_transform_tensor(transform: LorentzTransform, tensor: SymTensor4) -> SymTensor4:

@@ -19,16 +19,14 @@ from casimir_cutoff.expansion import (
 )
 from casimir_cutoff.laurent import extract_coefficient
 from casimir_cutoff.minkowski import DIM, FourVector, SeparationVector, boost, rotation_xy
-from casimir_cutoff.modesum import (
-    CutoffParams,
-    FieldKind,
+from casimir_cutoff.modesum import CutoffParams, FieldKind, PlateGeometry, energy_mode_sum
+from casimir_cutoff.pointwise import (
     ModeIndex,
-    PlateGeometry,
     check_boundary_conditions,
     energy_closed_form,
-    energy_mode_sum,
+    generating_function,
+    second_derivative_tensor,
 )
-from casimir_cutoff.pointwise import generating_function, second_derivative_tensor
 from casimir_cutoff.stress import (
     angular_average,
     covariance_check,

@@ -20,12 +20,8 @@ import casimir_cutoff.cli
 import casimir_cutoff.expansion
 from casimir_cutoff.cli import COMMANDS, ScanConfig, UsageError, main, parse_args, run
 from casimir_cutoff.expansion import casimir_pressure, energy_laurent
-from casimir_cutoff.modesum import (
-    CutoffParams,
-    FieldKind,
-    PlateGeometry,
-    energy_closed_form,
-)
+from casimir_cutoff.modesum import CutoffParams, FieldKind, PlateGeometry
+from casimir_cutoff.pointwise import energy_closed_form
 
 
 def run_cli(capsys, *argv):

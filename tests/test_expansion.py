@@ -20,7 +20,8 @@ from casimir_cutoff.expansion import (
     subtract_outer,
 )
 from casimir_cutoff.laurent import extract_coefficient
-from casimir_cutoff.modesum import CutoffParams, FieldKind, PlateGeometry, energy_closed_form
+from casimir_cutoff.modesum import CutoffParams, FieldKind, PlateGeometry
+from casimir_cutoff.pointwise import energy_closed_form
 from series_reference import evaluate
 
 COEFF_TOL = mpf("1e-30")

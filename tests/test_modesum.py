@@ -21,6 +21,7 @@ from casimir_cutoff.errors import (
     NotConverged,
 )
 import casimir_cutoff.modesum
+import casimir_cutoff.pointwise
 from casimir_cutoff.modesum import (
     _AUTO_N_CAP,
     _DRIFT_C,
@@ -28,12 +29,14 @@ from casimir_cutoff.modesum import (
     _search_from,
     CutoffParams,
     FieldKind,
-    ModeIndex,
     PlateGeometry,
+    energy_mode_sum,
+)
+from casimir_cutoff.pointwise import (
+    ModeIndex,
     check_boundary_conditions,
     eigenmode,
     energy_closed_form,
-    energy_mode_sum,
 )
 from series_reference import reference_mode_sum, transverse_integral
 
@@ -514,12 +517,12 @@ class TestEnergyModeSum:
 
     @pytest.mark.parametrize("field", ["em", "scalar", None])
     def test_closed_form_rejects_field_before_work(self, monkeypatch, field):
-        # As energy_mode_sum does: checked before any coth or csch.
+        # As energy_mode_sum does: checked before any expm1, coth or csch.
         def no_work(x):
             raise AssertionError("closed form evaluated for an unknown field")
 
-        monkeypatch.setattr(casimir_cutoff.modesum, "coth", no_work)
-        monkeypatch.setattr(casimir_cutoff.modesum, "csch", no_work)
+        for name in ("expm1", "coth", "csch"):
+            monkeypatch.setattr(casimir_cutoff.pointwise, name, no_work)
         with pytest.raises(InvalidMode, match="unknown field kind"):
             energy_closed_form(PlateGeometry(1), CutoffParams(mpf("0.1"), 0), field)
 
@@ -541,6 +544,30 @@ class TestEnergyModeSum:
         lead = a * w * (1 + w + w * w) / (pi**2 * eps**4)
         got = energy_closed_form(PlateGeometry(a), CutoffParams(eps, lam))
         assert abs(got / lead - 1) < mpf("1e-6")
+
+    @pytest.mark.parametrize("dps", [15, 50, 200])
+    def test_closed_form_keeps_its_digits_at_large_cutoff(self, dps):
+        # At eps >~ a the n >= 1 modes are a small part of the energy;
+        # the scalar value used to be the electromagnetic one less its
+        # n = 0 term, which cancelled to 0 at (0.163, 0, 2.507) at 15
+        # digits.  Against the same formula at dps + 40: within
+        # 10 (1 + 2v) units of 2^-prec, v = (1 - lambda) eps pi / 2a, the
+        # size of exp(2v)'s rounding from its argument's.
+        rng = random.Random(dps)
+        with mp.workdps(dps):
+            points = [("0.163", 0, "2.507"), ("0.2", 0, "2.5")] + [
+                (a, rng.choice([0, rng.uniform(0, 0.9)]), a * rng.uniform(1, 20))
+                for a in (rng.uniform(0.1, 3) for _ in range(40))
+            ]
+            for a, lam, eps in points:
+                geom, cutoff = PlateGeometry(mpf(a)), CutoffParams(mpf(eps), mpf(lam))
+                v = (1 - cutoff.lam) * cutoff.epsilon * pi / (2 * geom.a)
+                ulps = 10 * (1 + 2 * v) * mpf(2) ** -mp.prec
+                for field in FieldKind:
+                    got = energy_closed_form(geom, cutoff, field)
+                    with mp.workdps(dps + 40):
+                        exact = energy_closed_form(geom, cutoff, field)
+                        assert abs(got - exact) <= ulps * exact, (a, lam, eps, field)
 
 
 def _outcome(fn, *args) -> str:

@@ -12,13 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from casimir_cutoff.modesum import (
-    CutoffParams,
-    FieldKind,
-    PlateGeometry,
-    energy_closed_form,
-    energy_mode_sum,
-)
+from casimir_cutoff.modesum import CutoffParams, FieldKind, PlateGeometry, energy_mode_sum
+from casimir_cutoff.pointwise import energy_closed_form
 
 
 @settings(

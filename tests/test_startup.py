@@ -7,7 +7,8 @@ in-process tests check that every export still resolves.  No start loads
 ``dataclasses``: the value types are namedtuples.  Only the Laurent
 window routes load ``laurent``; no CLI start builds a window.  Parsing
 needs only the value types of ``params``: ``modesum`` loads only for
-``energy-sum``, and no CLI start loads the ``pointwise`` kernels.
+``energy-sum`` and holds only the mode sum, and no CLI start loads
+``pointwise``, which holds the cross-check routes.
 """
 
 import os
@@ -37,9 +38,7 @@ EXPORTS = [
     ("minkowski", "transform_tensor"),
     ("params", "CutoffParams"), ("params", "FieldKind"), ("params", "PlateGeometry"),
     ("laurent", "LaurentSeries"), ("laurent", "extract_coefficient"),
-    ("modesum", "ModeIndex"), ("modesum", "ModeSumResult"),
-    ("modesum", "check_boundary_conditions"), ("modesum", "eigenmode"),
-    ("modesum", "energy_closed_form"), ("modesum", "energy_mode_sum"),
+    ("modesum", "ModeSumResult"), ("modesum", "energy_mode_sum"),
     ("expansion", "EnergyExpansion"), ("expansion", "PressureResult"),
     ("expansion", "ReferenceCoefficients"), ("expansion", "casimir_pressure"),
     ("expansion", "energy_laurent"), ("expansion", "reference_coefficients"),
@@ -49,11 +48,15 @@ EXPORTS = [
     ("stress", "scalar_stress"), ("stress", "s1_structure"),
     ("pointwise", "RadialKernel"), ("pointwise", "bulk_kernel"),
     ("pointwise", "generating_function"), ("pointwise", "second_derivative_tensor"),
-    ("pointwise", "stress_from_kernel"),
+    ("pointwise", "stress_from_kernel"), ("pointwise", "ModeIndex"),
+    ("pointwise", "check_boundary_conditions"), ("pointwise", "eigenmode"),
+    ("pointwise", "energy_closed_form"),
 ]
 # modesum still binds the value types it used to define: the benchmark
 # and the tests import them from there.
 REBOUND = [("modesum", "CutoffParams"), ("modesum", "FieldKind"), ("modesum", "PlateGeometry")]
+# The cross-check routes that left modesum for pointwise.
+MOVED = ("ModeIndex", "check_boundary_conditions", "eigenmode", "energy_closed_form")
 
 # Prints the package modules loaded by the code in argv[1], run with
 # argv[2:]; the code may add other top-level modules to ``watch``.
@@ -107,6 +110,15 @@ def test_only_energy_sum_loads_modesum(loaded_by_command):
 
 def test_no_start_loads_pointwise(loaded_by_command):
     assert not any("casimir_cutoff.pointwise" in v for v in loaded_by_command.values())
+
+
+def test_energy_sum_loads_only_the_mode_sum():
+    # Exits nonzero if the modesum it ran defines any cross-check route.
+    check = (f"{RUN_CLI}; modesum = sys.modules['casimir_cutoff.modesum']; "
+             f"code = code or any(hasattr(modesum, n) for n in {MOVED!r})")
+    loaded = loaded_modules(check, "energy-sum", "--a", "1")
+    assert "casimir_cutoff.modesum" in loaded
+    assert "casimir_cutoff.pointwise" not in loaded
 
 
 def test_energy_sum_skips_the_expansion_layers():

@@ -49,7 +49,7 @@ from casimir_cutoff.stress import (
     s1_structure,
     scalar_stress,
 )
-from series_reference import _scalar_mode_assembly, propagator_kernel
+from series_reference import _scalar_mode_assembly, propagator_kernel, scale
 
 STRESS_TOL = mpf("1e-28")
 
@@ -194,6 +194,23 @@ class TestGeneratingFunction:
             errs.append(abs(f - model))
         assert errs[1] / errs[0] < mpf("1e-3")
 
+    def test_kernels_keep_their_digits_as_lambda_nears_one(self):
+        # s - lambda s' at s' = s is (1 - lambda) s: formed as a
+        # difference it lost up to 1e-12 relative at 15 digits.
+        rng = random.Random(23)
+        with mp.workdps(15):
+            for _ in range(100):
+                s, a = mpf(rng.uniform(0.001, 2)), mpf(rng.uniform(0.1, 10))
+                lam = mpf(rng.uniform(0.9, 0.9999))
+                for kernel, args in ((generating_function, (s, s, lam, a)),
+                                     (bulk_kernel, (s, s, lam))):
+                    got = kernel(*args)
+                    with mp.workdps(55):
+                        exact = kernel(*args)
+                        for name in ("value", "first", "second"):
+                            err = abs(getattr(got, name) - getattr(exact, name))
+                            assert err < mpf("1e-14") * abs(getattr(exact, name))
+
     def test_pole_and_domain_errors(self):
         with pytest.raises(CothPole):
             generating_function(mpf("0.1"), mpf("0.3"), mpf("0.5"), 1)
@@ -225,7 +242,7 @@ class TestDerivativeStructure:
         eps = spacelike(mpf("0.1"), mpf("0.3"), mpf("-0.2"))
         s = eps.length
         hess = second_derivative_tensor(RadialKernel(s, s, mpf(1), mpf(0)), eps)
-        comps = eps.vector.components()
+        comps = eps.vector
         hdiag = (-1, 1, 1, 0)
         for i in range(DIM):
             for j in range(DIM):
@@ -312,7 +329,7 @@ class TestStructures:
             d = random_spacelike(rng)
             s2 = s2_rows(d)
             assert abs(SymTensor4(s2).trace()) < mpf("1e-44")
-            scaled = s2_rows(SeparationVector(d.vector.scale(7)))
+            scaled = s2_rows(SeparationVector(scale(d.vector, 7)))
             diff = max(
                 abs(s2[i][j] - scaled[i][j]) for i in range(DIM) for j in range(DIM)
             )
