@@ -547,10 +547,10 @@ class TestEnergyModeSum:
 
     @pytest.mark.parametrize("dps", [15, 50, 200])
     def test_closed_form_keeps_its_digits_at_large_cutoff(self, dps):
-        # At eps >~ a the n >= 1 modes are a small part of the energy;
-        # the scalar value used to be the electromagnetic one less its
-        # n = 0 term, which cancelled to 0 at (0.163, 0, 2.507) at 15
-        # digits.  Against the same formula at dps + 40: within
+        # At eps >~ a the n >= 1 modes are a small part of the
+        # electromagnetic energy, so a scalar value formed as that energy
+        # less its n = 0 term cancels (to 0 at (0.163, 0, 2.507) at 15
+        # digits).  Against the same formula at dps + 40: within
         # 10 (1 + 2v) units of 2^-prec, v = (1 - lambda) eps pi / 2a, the
         # size of exp(2v)'s rounding from its argument's.
         rng = random.Random(dps)

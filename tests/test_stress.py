@@ -195,8 +195,8 @@ class TestGeneratingFunction:
         assert errs[1] / errs[0] < mpf("1e-3")
 
     def test_kernels_keep_their_digits_as_lambda_nears_one(self):
-        # s - lambda s' at s' = s is (1 - lambda) s: formed as a
-        # difference it lost up to 1e-12 relative at 15 digits.
+        # s - lambda s' at s' = s is (1 - lambda) s: formed as that
+        # difference it loses up to 1e-12 relative at 15 digits.
         rng = random.Random(23)
         with mp.workdps(15):
             for _ in range(100):
