@@ -18,17 +18,32 @@ and keeps every other one whole.  The surviving epsilon^0 part gives the
 finite pressure; the surviving epsilon^-2 part is a genuinely
 regulator-shaped divergence and is reported separately, never summed
 into the finite answer.
+
+The closed forms run on mpmath's raw values at ``mp._prec_rounding``:
+the window, the two reported coefficients, the pressure and the
+transcribed reference coefficients, and through ``_frozen_coth_term``
+the electromagnetic stress coefficients in ``stress``.  Each step makes
+the libmp call that mpf's operator makes, with the same operands, so
+every number has the bits of the operator form that
+``tests/series_reference.py`` keeps (``reference_energy_laurent``,
+``reference_reported_coefficients`` and
+``reference_reference_coefficients``); an mpf is built only for a value
+the caller receives.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from mpmath import bernoulli, factorial, ldexp, mp, mpf, pi
+from mpmath import bernoulli, factorial, ldexp, libmp, mp, mpf
 
 from .errors import CutoffDomain, InvalidMode
 from .params import FieldKind, PlateGeometry
 from .precision import to_mpf, value_type
+
+_make_mpf, _from_int, _mpf_pi, _mpf_add = mp.make_mpf, libmp.from_int, libmp.mpf_pi, libmp.mpf_add
+_mpf_sub, _mpf_mul, _mpf_mul_int = libmp.mpf_sub, libmp.mpf_mul, libmp.mpf_mul_int
+_mpf_div, _mpf_pow_int, _ZERO = libmp.mpf_div, libmp.mpf_pow_int, mpf(0)
 
 # Window eps^-4 .. eps^4: the physics needs eps^-4 .. eps^0, and the two
 # even orders above that make the truncated series good to O(eps^6) at
@@ -87,31 +102,51 @@ def _coth_coefficient(n: int, prec: int) -> mpf:
     return ldexp(bernoulli(2 * n), 2 * n) / factorial(2 * n)
 
 
-def _frozen_coth_term(c: mpf, mu: mpf, m: int) -> mpf:
-    """Common factor beta_n c^m mu^(m-2) of the frozen-copy coth terms.
+def _frozen_coth_term(m: int, c, mu, prec: int, rnd: str):
+    """Raw common factor beta_n c^m mu^(m-2) of the frozen-copy coth terms.
 
-    For odd m = 2n - 1, mu = 1 - lambda and the caller's c = pi/2a: the
-    k-th eps-derivative of coth((eps - lambda eps') c), taken with eps'
+    For odd m = 2n - 1, mu = 1 - lambda and c = pi/2a: the k-th
+    eps-derivative of coth((eps - lambda eps') c), taken with eps'
     frozen and then set to eps, is
     sum_n beta_n c^m m (m-1) ... (m-k+1) mu^(m-k) eps^(m-k).  So for
     k = 0, 1, 2 the coefficients of eps^m, eps^(m-1) and eps^(m-2) are
     this factor times mu^2, m mu and m(m-1).
     """
-    return _coth_coefficient((m + 1) // 2, mp.prec) * c**m * mu ** (m - 2)
+    beta = _coth_coefficient((m + 1) // 2, prec)._mpf_
+    cm = _mpf_mul(beta, _mpf_pow_int(c, m, prec, rnd), prec, rnd)
+    return _mpf_mul(cm, _mpf_pow_int(mu, m - 2, prec, rnd), prec, rnd)
 
 
-def _odd_coefficient(m: int, c: mpf, mu: mpf, lam: mpf, inv4pi: mpf, field: FieldKind) -> mpf:
-    """The eps^(m-3) energy coefficient for odd m, halved for the scalar field.
+def _c_mu(a, lam, prec: int, rnd: str) -> tuple:
+    # Raw c = pi/2a and mu = 1 - lambda from the raw a and lambda.
+    c = _mpf_div(_mpf_pi(prec, rnd), _mpf_mul_int(a, 2, prec, rnd), prec, rnd)
+    return c, _mpf_sub(_from_int(1), lam, prec, rnd)
+
+
+def _energy_setup(a, lam, field: FieldKind) -> tuple[mpf, mpf, tuple]:
+    """The validated a and lambda, then the raw arguments of ``_odd_coefficient``."""
+    if not isinstance(field, FieldKind):
+        raise InvalidMode(f"unknown field kind: {field!r}")
+    a, lam = _validate_domain(a, lam)
+    prec, rnd = mp._prec_rounding
+    inv4pi = libmp.mpf_rdiv_int(1, _mpf_mul_int(_mpf_pi(prec, rnd), 4, prec, rnd), prec, rnd)
+    c, mu = _c_mu(a._mpf_, lam._mpf_, prec, rnd)
+    return a, lam, (c, mu, lam._mpf_, inv4pi, field is FieldKind.SCALAR, prec, rnd)
+
+
+def _odd_coefficient(m: int, c, mu, lam, inv4pi, scalar: bool, prec: int, rnd: str):
+    """The raw eps^(m-3) energy coefficient for odd m, halved for the scalar field.
 
     beta_n c^m mu^(m-2) [2 mu^2 - 2 m mu + m(m-1)] / 4 pi, with the bracket
     as m(m-1) - 2 mu (lambda + (m - 1)): the m = 1 one, -2 lambda mu, keeps
     its relative accuracy as lambda -> 0 and is exactly zero at lambda = 0.
-    Any field but the scalar one counts as electromagnetic here, so the
-    callers reject a field that is not a FieldKind.
     """
-    bracket = m * (m - 1) - 2 * mu * (lam + (m - 1))
-    coeff = _frozen_coth_term(c, mu, m) * bracket * inv4pi
-    return coeff / 2 if field is FieldKind.SCALAR else coeff
+    shifted = _mpf_add(lam, _from_int(m - 1), prec, rnd)
+    twice = _mpf_mul(_mpf_mul_int(mu, 2, prec, rnd), shifted, prec, rnd)
+    bracket = _mpf_sub(_from_int(m * (m - 1)), twice, prec, rnd)
+    coeff = _mpf_mul(_frozen_coth_term(m, c, mu, prec, rnd), bracket, prec, rnd)
+    coeff = _mpf_mul(coeff, inv4pi, prec, rnd)
+    return _mpf_div(coeff, _from_int(2), prec, rnd) if scalar else coeff
 
 
 def _reported_coefficients(
@@ -123,12 +158,16 @@ def _reported_coefficients(
     subtraction leaves to report, and it keeps them whole: each equals
     its entry of the built and subtracted window, bit for bit.
     """
-    if not isinstance(field, FieldKind):
-        raise InvalidMode(f"unknown field kind: {field!r}")
-    a, lam = _validate_domain(a, lam)
-    c, mu, inv4pi = pi / (2 * a), 1 - lam, 1 / (4 * pi)
-    c_minus2, c_0 = (_odd_coefficient(m, c, mu, lam, inv4pi, field) for m in (1, 3))
-    return a, c_minus2, c_0
+    a, _, raw = _energy_setup(a, lam, field)
+    return a, _make_mpf(_odd_coefficient(1, *raw)), _make_mpf(_odd_coefficient(3, *raw))
+
+
+def _raw_pressure(a: mpf, c_minus2, c_0) -> PressureResult:
+    # (k + 3) c_k / a on the raw eps^k coefficients, k = 0 and -2.
+    prec, rnd = mp._prec_rounding
+    finite = _make_mpf(_mpf_div(_mpf_mul_int(c_0, 3, prec, rnd), a._mpf_, prec, rnd))
+    divergent = _make_mpf(_mpf_div(_mpf_mul_int(c_minus2, 1, prec, rnd), a._mpf_, prec, rnd))
+    return PressureResult(finite_part=finite, divergent_coeff=divergent)
 
 
 def _pressure_from_coefficients(a: mpf, c_minus2: mpf, c_0: mpf) -> PressureResult:
@@ -136,15 +175,11 @@ def _pressure_from_coefficients(a: mpf, c_minus2: mpf, c_0: mpf) -> PressureResu
 
     Each is a pure power c_k a^-(k+3), so -d c_k/da = (k+3) c_k / a.
     """
-    finite, divergent = ((k + 3) * c_k / a for k, c_k in ((0, c_0), (-2, c_minus2)))
-    return PressureResult(finite_part=finite, divergent_coeff=divergent)
+    return _raw_pressure(a, c_minus2._mpf_, c_0._mpf_)
 
 
 def energy_laurent(
-    a,
-    lam,
-    order: int = DEFAULT_ORDER,
-    field: FieldKind = FieldKind.ELECTROMAGNETIC,
+    a, lam, order: int = DEFAULT_ORDER, field: FieldKind = FieldKind.ELECTROMAGNETIC
 ) -> EnergyExpansion:
     """Expand the closed-form energy around epsilon = 0, window [-4, order + 1).
 
@@ -154,26 +189,21 @@ def energy_laurent(
     at eps^(m-3), so with m = k + 3 the eps^k coefficient is
     ``_odd_coefficient`` for odd m and zero for even m, except that the
     scalar field drops the n = 0 half-term the full sum contains, which
-    gives its eps^-3 coefficient -1/(4 pi), independent of a.
+    gives its eps^-3 coefficient -1/(4 pi), independent of a.  The order
+    must be an int of at least 0, so that the window holds eps^0.
     """
+    if type(order) is bool or not isinstance(order, int) or order < 0:
+        raise ValueError(f"order must be an integer >= 0, got {order!r}")
     # Only the window routes build a series; the CLI's starts read the
     # two reported coefficients and never load the container.
     from .laurent import LaurentSeries
 
-    if not isinstance(field, FieldKind):
-        raise InvalidMode(f"unknown field kind: {field!r}")
-    a, lam = _validate_domain(a, lam)
-    c, mu, inv4pi = pi / (2 * a), 1 - lam, 1 / (4 * pi)
-    coeffs = []
-    for k in range(-4, order + 1):
-        m = k + 3
-        if m % 2:
-            coeffs.append(_odd_coefficient(m, c, mu, lam, inv4pi, field))
-        else:
-            coeffs.append(-inv4pi if m == 0 and field is FieldKind.SCALAR else mpf(0))
-    return EnergyExpansion(
-        series=LaurentSeries(-4, tuple(coeffs)), a=a, lam=lam, field=field
-    )
+    a, lam, raw = _energy_setup(a, lam, field)
+    _, _, _, inv4pi, scalar, prec, rnd = raw
+    pole = _make_mpf(libmp.mpf_neg(inv4pi, prec, rnd)) if scalar else _ZERO
+    coeffs = tuple(_make_mpf(_odd_coefficient(m, *raw)) if m % 2 else pole if m == 0 else _ZERO
+                   for m in range(-1, order + 4))
+    return EnergyExpansion(LaurentSeries(-4, coeffs), a, lam, field)
 
 
 def subtract_outer(e: EnergyExpansion) -> EnergyExpansion:
@@ -192,14 +222,8 @@ def subtract_outer(e: EnergyExpansion) -> EnergyExpansion:
     if e.subtracted:
         raise ValueError("expansion is already subtracted")
     # c_k = q / a**(k+3) with q independent of a: it decays iff k > -3.
-    coeffs = tuple(c if k + 3 > 0 else mpf(0) for k, c in e.series.terms())
-    return EnergyExpansion(
-        series=LaurentSeries(e.series.min_degree, coeffs),
-        a=e.a,
-        lam=e.lam,
-        field=e.field,
-        subtracted=True,
-    )
+    coeffs = tuple(c if k + 3 > 0 else _ZERO for k, c in e.series.terms())
+    return e._replace(series=LaurentSeries(e.series.min_degree, coeffs), subtracted=True)
 
 
 def reference_coefficients(a, lam) -> ReferenceCoefficients:
@@ -210,19 +234,29 @@ def reference_coefficients(a, lam) -> ReferenceCoefficients:
     1/epsilon^2 coefficient -lambda/12a and the finite coefficient
     -(1-lambda) pi^2/720a^3 + lambda(lambda^2-1) pi^2/720a^3.
     """
-    a, lam = _validate_domain(a, lam)
-    c_minus2 = -lam / (12 * a)
-    c_0 = -(1 - lam) * pi**2 / (720 * a**3) + lam * (lam**2 - 1) * pi**2 / (720 * a**3)
-    return ReferenceCoefficients(c_minus2=c_minus2, c_0=c_0)
+    a, lam = (x._mpf_ for x in _validate_domain(a, lam))
+    prec, rnd = mp._prec_rounding
+
+    def over_720a3(x):
+        # x pi^2 / 720 a^3, with pi^2 and 720 a^3 formed for each term
+        # as the formula writes them.
+        x = _mpf_mul(x, _mpf_pow_int(_mpf_pi(prec, rnd), 2, prec, rnd), prec, rnd)
+        return _mpf_div(x, _mpf_mul_int(_mpf_pow_int(a, 3, prec, rnd), 720, prec, rnd), prec, rnd)
+
+    c_minus2 = _mpf_div(libmp.mpf_neg(lam, prec, rnd), _mpf_mul_int(a, 12, prec, rnd), prec, rnd)
+    first = over_720a3(libmp.mpf_neg(_mpf_sub(_from_int(1), lam, prec, rnd), prec, rnd))
+    cubic = _mpf_sub(_mpf_pow_int(lam, 2, prec, rnd), _from_int(1), prec, rnd)
+    cubic = _mpf_mul(lam, cubic, prec, rnd)
+    c_0 = _mpf_add(first, over_720a3(cubic), prec, rnd)
+    return ReferenceCoefficients(c_minus2=_make_mpf(c_minus2), c_0=_make_mpf(c_0))
 
 
-def casimir_pressure(
-    a, lam, field: FieldKind = FieldKind.ELECTROMAGNETIC
-) -> PressureResult:
+def casimir_pressure(a, lam, field: FieldKind = FieldKind.ELECTROMAGNETIC) -> PressureResult:
     """Pressure on the plates from the subtracted energy at (a, lambda).
 
     Evaluates only the two reported coefficients, without building the
     expansion: the result equals (k + 3) c_k / a on the eps^0 and
     eps^-2 entries of the built and subtracted expansion, bit for bit.
     """
-    return _pressure_from_coefficients(*_reported_coefficients(a, lam, field))
+    a, _, raw = _energy_setup(a, lam, field)
+    return _raw_pressure(a, _odd_coefficient(1, *raw), _odd_coefficient(3, *raw))

@@ -16,30 +16,33 @@ keeps a 1/eps^2 divergence proportional to the regulator shape
 parameter lambda.  The divergence is the point of the exercise and is
 reported as a separate coefficient, never hidden.  The electromagnetic
 coefficients are closed forms in the Bernoulli numbers, from the same
-frozen-copy coth terms as the energy expansion (``_em_coefficients``).
-The kernels of the construction at a finite splitting are in
-``pointwise``, which no CLI command loads.
+frozen-copy coth terms as the energy expansion (``_em_coefficients``);
+the scalar ones are directly coded (``_scalar_coefficients``).  The
+kernels of the construction at a finite splitting are in ``pointwise``,
+which no CLI command loads.
 
-The tensor algebra runs on mpmath's raw values at ``mp._prec_rounding``:
-taking the splitting apart (its square, the margin test, the root and
-the unit scaling), assembling the tensor from its decomposition and
-forming the covariance residual here, and the push-forward in
-``transform_tensor``.  Every product sum among them goes through
-``minkowski``'s one kernel, ``_rdot``.  Each step makes the libmp calls
-that mpf's operators make, with the same operands and the same
-exact-zero skips, so every number has the bits of the operator form
-that ``tests/series_reference.py`` keeps; an mpf is built only for a
-value the caller receives.
+The coefficients and the tensor algebra run on mpmath's raw values at
+``mp._prec_rounding``: both coefficient sets, taking the splitting apart
+(its square, the margin test, the root and the unit scaling),
+assembling the tensor from its decomposition and forming the covariance
+residual here, and the push-forward in ``transform_tensor``.  Every
+product sum of the tensor algebra goes through ``minkowski``'s one
+kernel, ``_rdot``.  Each step makes the libmp calls that mpf's
+operators make, with the same operands and the same exact-zero skips,
+so every number has the bits of the operator form that
+``tests/series_reference.py`` keeps (``reference_em_coefficients`` and
+``reference_scalar_coefficients`` for the coefficients); an mpf is
+built only for a value the caller receives.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from mpmath import ldexp, libmp, mp, mpf, pi, sin
+from mpmath import ldexp, libmp, mp, mpf
 
 from .errors import InvalidMode, LightlikeSeparation, WallContact
-from .expansion import _frozen_coth_term
+from .expansion import _c_mu, _frozen_coth_term
 from .minkowski import (
     _FZERO,
     _ZERO,
@@ -67,7 +70,7 @@ _S1_DIAG = (-mpf(1) / 4, mpf(1) / 4, mpf(1) / 4, -mpf(3) / 4)
 _H_RAW, _S1_RAW = (tuple(e._mpf_ for e in diag) for diag in (_H_DIAG, _S1_DIAG))
 
 _make_mpf, _mpf_abs, _mpf_div = mp.make_mpf, libmp.mpf_abs, libmp.mpf_div
-_mpf_gt, _mpf_mul, _mpf_sub = libmp.mpf_gt, libmp.mpf_mul, libmp.mpf_sub
+_mpf_gt, _mpf_mul, _mpf_sub, _from_int = libmp.mpf_gt, libmp.mpf_mul, libmp.mpf_sub, libmp.from_int
 
 
 @lru_cache(maxsize=16)
@@ -183,10 +186,18 @@ def _em_coefficients(a: mpf, lam: mpf) -> tuple[mpf, mpf, mpf]:
     -lambda mu at m = 1, so neither cancels near lambda = 0 and both are
     exact zeros at lambda = 0.
     """
-    c, mu = pi / (2 * a), 1 - lam
-    pref = 1 / (4 * pi * a)
-    t3 = pref * _frozen_coth_term(c, mu, 3)
-    return -8 * t3, t3 * lam * (1 + lam), -pref * _frozen_coth_term(c, mu, 1) * lam * mu
+    prec, rnd = mp._prec_rounding
+    a, lam = a._mpf_, lam._mpf_
+    c, mu = _c_mu(a, lam, prec, rnd)
+    pref = _mpf_mul(libmp.mpf_mul_int(libmp.mpf_pi(prec, rnd), 4, prec, rnd), a, prec, rnd)
+    pref = libmp.mpf_rdiv_int(1, pref, prec, rnd)
+    t3 = _mpf_mul(pref, _frozen_coth_term(3, c, mu, prec, rnd), prec, rnd)
+    b_fin = _mpf_mul(t3, lam, prec, rnd)
+    b_fin = _mpf_mul(b_fin, libmp.mpf_add(lam, _from_int(1), prec, rnd), prec, rnd)
+    t1 = _frozen_coth_term(1, c, mu, prec, rnd)
+    b_div = _mpf_mul(libmp.mpf_neg(pref, prec, rnd), t1, prec, rnd)
+    b_div = _mpf_mul(_mpf_mul(b_div, lam, prec, rnd), mu, prec, rnd)
+    return _make_mpf(libmp.mpf_mul_int(t3, -8, prec, rnd)), _make_mpf(b_fin), _make_mpf(b_div)
 
 
 def em_stress(
@@ -211,10 +222,7 @@ def em_stress(
 
 
 def scalar_stress(
-    geom: PlateGeometry,
-    cutoff: CutoffParams,
-    eps: SeparationVector,
-    z,
+    geom: PlateGeometry, cutoff: CutoffParams, eps: SeparationVector, z
 ) -> StressDecomposition:
     """Subtracted stress of a field vanishing on the walls.
 
@@ -232,15 +240,34 @@ def scalar_stress(
     a = geom.a
     if not 0 < z < a:
         raise WallContact(f"z must lie strictly between the walls, got {z}")
-    lam = cutoff.lam
-    sz = sin(pi * z / a)
-    pi2, a4, lam48, sz2 = pi**2, a**4, lam / 48, sz**2
     return StressDecomposition(
-        (1 - lam) * pi2 / (360 * a4),
-        lam48 * (pi2 / (4 * a4)) * (1 - lam**2) * ((3 - 2 * sz2) / sz**4 - mpf(1) / 15),
-        lam48 * (3 / sz2 - 1) / a**2,
-        *_unit_splitting(eps.vector),
+        *_scalar_coefficients(a, cutoff.lam, z), *_unit_splitting(eps.vector)
     )
+
+
+def _scalar_coefficients(a: mpf, lam: mpf, z: mpf) -> tuple[mpf, mpf, mpf]:
+    # (1 - lam) pi^2 / 360 a^4, lam/48 (pi^2 / 4 a^4) (1 - lam^2)
+    # ((3 - 2 sz^2) / sz^4 - 1/15) and lam/48 (3 / sz^2 - 1) / a^2 with
+    # sz = sin(pi z / a).
+    prec, rnd = mp._prec_rounding
+    a, lam, z = a._mpf_, lam._mpf_, z._mpf_
+    arg = _mpf_div(_mpf_mul(libmp.mpf_pi(prec, rnd), z, prec, rnd), a, prec, rnd)
+    sz = libmp.mpf_sin(arg, prec, rnd)
+    pi2 = libmp.mpf_pow_int(libmp.mpf_pi(prec, rnd), 2, prec, rnd)
+    a4, sz2 = libmp.mpf_pow_int(a, 4, prec, rnd), libmp.mpf_pow_int(sz, 2, prec, rnd)
+    lam48 = _mpf_div(lam, _from_int(48), prec, rnd)
+    big_a = _mpf_mul(_mpf_sub(_from_int(1), lam, prec, rnd), pi2, prec, rnd)
+    big_a = _mpf_div(big_a, libmp.mpf_mul_int(a4, 360, prec, rnd), prec, rnd)
+    b_fin = _mpf_div(pi2, libmp.mpf_mul_int(a4, 4, prec, rnd), prec, rnd)
+    one_less = _mpf_sub(_from_int(1), libmp.mpf_pow_int(lam, 2, prec, rnd), prec, rnd)
+    b_fin = _mpf_mul(_mpf_mul(lam48, b_fin, prec, rnd), one_less, prec, rnd)
+    wall = _mpf_sub(_from_int(3), libmp.mpf_mul_int(sz2, 2, prec, rnd), prec, rnd)
+    wall = _mpf_div(wall, libmp.mpf_pow_int(sz, 4, prec, rnd), prec, rnd)
+    wall = _mpf_sub(wall, _mpf_div(libmp.fone, _from_int(15), prec, rnd), prec, rnd)
+    b_div = _mpf_sub(libmp.mpf_rdiv_int(3, sz2, prec, rnd), _from_int(1), prec, rnd)
+    b_div = _mpf_mul(lam48, b_div, prec, rnd)
+    b_div = _mpf_div(b_div, libmp.mpf_pow_int(a, 2, prec, rnd), prec, rnd)
+    return _make_mpf(big_a), _make_mpf(_mpf_mul(b_fin, wall, prec, rnd)), _make_mpf(b_div)
 
 
 def _stress_for(field, geom, cutoff, eps, z):

@@ -23,7 +23,12 @@ the two bit for bit.  ``reference_unit_splitting``, ``reference_s2_rows``,
 the same operator form, which ``stress`` and ``minkowski`` run on raw
 values, ``checked_inverse`` is the checked inverse transform
 g L^T g, and ``scale`` and ``apply`` are a four-vector times a number
-and a transform applied to a four-vector.
+and a transform applied to a four-vector.  ``reference_energy_laurent``,
+``reference_reported_coefficients``,
+``reference_reference_coefficients``, ``reference_em_coefficients`` and
+``reference_scalar_coefficients`` are the closed forms of ``expansion``
+and ``stress`` in the same operator form, which those modules run on
+raw values; the tests compare the two bit for bit.
 
 Truncation bookkeeping is pessimistic on purpose.  Every operation
 derives the tightest window that is provably correct from its inputs'
@@ -35,13 +40,20 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from mpmath import cos, exp, factorial, inf, ldexp, mag, mp, mpf, pi, sqrt
+from mpmath import cos, exp, factorial, inf, ldexp, mag, mp, mpf, pi, sin, sqrt
 
 from casimir_cutoff.errors import (
     CutoffDomain,
+    InvalidMode,
     LightlikeSeparation,
     NonPositiveSeparation,
     NotConverged,
+)
+from casimir_cutoff.expansion import (
+    EnergyExpansion,
+    ReferenceCoefficients,
+    _coth_coefficient,
+    _validate_domain,
 )
 from casimir_cutoff.laurent import LaurentSeries, extract_coefficient
 from casimir_cutoff.modesum import (
@@ -422,6 +434,77 @@ def em_coefficients(a, lam) -> tuple[mpf, mpf, mpf]:
         extract_coefficient(a_series, 0),
         extract_coefficient(b_series, 0),
         extract_coefficient(b_series, -2),
+    )
+
+
+def _operator_coth_term(c: mpf, mu: mpf, m: int) -> mpf:
+    """beta_n c^m mu^(m-2), the common factor of the frozen-copy coth terms."""
+    return _coth_coefficient((m + 1) // 2, mp.prec) * c**m * mu ** (m - 2)
+
+
+def _operator_odd_coefficient(m, c, mu, lam, inv4pi, field) -> mpf:
+    """The eps^(m-3) energy coefficient for odd m, halved for the scalar field."""
+    bracket = m * (m - 1) - 2 * mu * (lam + (m - 1))
+    coeff = _operator_coth_term(c, mu, m) * bracket * inv4pi
+    return coeff / 2 if field is FieldKind.SCALAR else coeff
+
+
+def reference_reported_coefficients(
+    a, lam, field: FieldKind = FieldKind.ELECTROMAGNETIC
+) -> tuple[mpf, mpf, mpf]:
+    """``_reported_coefficients``: the validated a, then c_-2 and c_0."""
+    if not isinstance(field, FieldKind):
+        raise InvalidMode(f"unknown field kind: {field!r}")
+    a, lam = _validate_domain(a, lam)
+    c, mu, inv4pi = pi / (2 * a), 1 - lam, 1 / (4 * pi)
+    c_minus2, c_0 = (_operator_odd_coefficient(m, c, mu, lam, inv4pi, field) for m in (1, 3))
+    return a, c_minus2, c_0
+
+
+def reference_energy_laurent(
+    a, lam, order: int = 4, field: FieldKind = FieldKind.ELECTROMAGNETIC
+) -> EnergyExpansion:
+    """``energy_laurent``: the closed-form window [-4, order + 1)."""
+    if not isinstance(field, FieldKind):
+        raise InvalidMode(f"unknown field kind: {field!r}")
+    a, lam = _validate_domain(a, lam)
+    c, mu, inv4pi = pi / (2 * a), 1 - lam, 1 / (4 * pi)
+    coeffs = []
+    for k in range(-4, order + 1):
+        m = k + 3
+        if m % 2:
+            coeffs.append(_operator_odd_coefficient(m, c, mu, lam, inv4pi, field))
+        else:
+            coeffs.append(-inv4pi if m == 0 and field is FieldKind.SCALAR else mpf(0))
+    return EnergyExpansion(
+        series=LaurentSeries(-4, tuple(coeffs)), a=a, lam=lam, field=field
+    )
+
+
+def reference_reference_coefficients(a, lam) -> ReferenceCoefficients:
+    """``reference_coefficients``: -lambda/12a and the finite coefficient."""
+    a, lam = _validate_domain(a, lam)
+    c_minus2 = -lam / (12 * a)
+    c_0 = -(1 - lam) * pi**2 / (720 * a**3) + lam * (lam**2 - 1) * pi**2 / (720 * a**3)
+    return ReferenceCoefficients(c_minus2=c_minus2, c_0=c_0)
+
+
+def reference_em_coefficients(a: mpf, lam: mpf) -> tuple[mpf, mpf, mpf]:
+    """``_em_coefficients``: (A, B_finite, B_divergent_eps2) of the EM stress."""
+    c, mu = pi / (2 * a), 1 - lam
+    pref = 1 / (4 * pi * a)
+    t3 = pref * _operator_coth_term(c, mu, 3)
+    return -8 * t3, t3 * lam * (1 + lam), -pref * _operator_coth_term(c, mu, 1) * lam * mu
+
+
+def reference_scalar_coefficients(a: mpf, lam: mpf, z: mpf) -> tuple[mpf, mpf, mpf]:
+    """``scalar_stress``'s (A, B_finite, B_divergent_eps2) at a height z inside the gap."""
+    sz = sin(pi * z / a)
+    pi2, a4, lam48, sz2 = pi**2, a**4, lam / 48, sz**2
+    return (
+        (1 - lam) * pi2 / (360 * a4),
+        lam48 * (pi2 / (4 * a4)) * (1 - lam**2) * ((3 - 2 * sz2) / sz**4 - mpf(1) / 15),
+        lam48 * (3 / sz2 - 1) / a**2,
     )
 
 

@@ -9,10 +9,13 @@ with the series-arithmetic reference.
 
 import pytest
 from mpmath import mp, mpf, pi
+from mpmath.ctx_mp_python import _mpf
 
+import casimir_cutoff.expansion
 from casimir_cutoff.errors import CutoffDomain, InvalidMode, NonPositiveSeparation
 from casimir_cutoff.expansion import (
     _coth_coefficient,
+    _pressure_from_coefficients,
     _reported_coefficients,
     casimir_pressure,
     energy_laurent,
@@ -20,8 +23,10 @@ from casimir_cutoff.expansion import (
     subtract_outer,
 )
 from casimir_cutoff.laurent import extract_coefficient
+from casimir_cutoff.minkowski import FourVector, SeparationVector
 from casimir_cutoff.modesum import CutoffParams, FieldKind, PlateGeometry
 from casimir_cutoff.pointwise import energy_closed_form
+from casimir_cutoff.stress import em_stress, scalar_stress
 from series_reference import evaluate
 
 COEFF_TOL = mpf("1e-30")
@@ -51,6 +56,18 @@ class TestEnergyLaurent:
         assert e.series.min_degree == -4
         assert e.series.truncation_order == 5
         assert not e.subtracted
+        assert energy_laurent(1, "0.3", order=0).series.truncation_order == 1
+
+    @pytest.mark.parametrize("order", [True, False, -1, -5, 2.0, "4", None])
+    def test_order_rejected_before_any_work(self, monkeypatch, order):
+        # As energy_mode_sum checks n_max: a bool, a non-int or a negative
+        # order is a ValueError before the domain is even looked at.
+        def no_work(*args):
+            raise AssertionError("work done before the order was checked")
+
+        monkeypatch.setattr(casimir_cutoff.expansion, "_validate_domain", no_work)
+        with pytest.raises(ValueError, match="order must be an integer >= 0"):
+            energy_laurent(1, "0.3", order)
 
     def test_leading_pole_at_lambda_zero(self):
         # eps^-4 coefficient: 3a/pi^2 when the damping is pure exp(-eps w).
@@ -301,3 +318,37 @@ class TestPressure:
         with pytest.raises(error) as built:
             subtracted(a, lam, field)
         assert type(direct.value) is type(reported.value) is type(built.value)
+
+
+class TestRawValues:
+    """The closed forms run on raw values: no mpf operator is called."""
+
+    OPERATORS = (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__pow__", "__neg__",
+    )
+
+    @pytest.mark.parametrize("dps", [15, 50, 200])
+    def test_no_operator_call(self, monkeypatch, dps):
+        mp.dps = dps
+        a, lam = mpf("1.3"), mpf("0.4")
+        geom, cutoff = PlateGeometry(a), CutoffParams(mpf("0.1"), lam)
+        eps, z = SeparationVector(FourVector(0, mpf("0.1"), 0, 0)), mpf("0.2")
+        energy_laurent(a, lam, 8)  # fills the beta_n cache at this precision
+
+        def refuse(*args):
+            raise AssertionError("an mpf operator was called")
+
+        for name in self.OPERATORS:
+            monkeypatch.setattr(_mpf, name, refuse)
+        for field in FieldKind:
+            subtract_outer(energy_laurent(a, lam, 8, field))
+            casimir_pressure(a, lam, field)
+            _pressure_from_coefficients(*_reported_coefficients(a, lam, field))
+        reference_coefficients(a, lam)
+        em_stress(geom, cutoff, eps)
+        scalar_stress(geom, cutoff, eps, z)
+        monkeypatch.undo()
+        with pytest.raises(AssertionError, match="operator"):
+            monkeypatch.setattr(_mpf, "__mul__", refuse)
+            a * lam
