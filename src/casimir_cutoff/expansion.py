@@ -28,20 +28,24 @@ every number has the bits of the operator form that
 ``tests/series_reference.py`` keeps (``reference_energy_laurent``,
 ``reference_reported_coefficients`` and
 ``reference_reference_coefficients``); an mpf is built only for a value
-the caller receives.
+the caller receives.  The constants pi, 4 pi, 1/(4 pi), pi^2 and 1/15
+are formed once per (precision, rounding) by ``_constants``, with the
+calls of their operator forms, and the coth coefficients once per
+(n, precision) from the exact Bernoulli fraction, rounded once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 
-from mpmath import bernoulli, factorial, ldexp, libmp, mp, mpf
+from mpmath import libmp, mp, mpf
 
-from .errors import CutoffDomain, InvalidMode
-from .params import FieldKind, PlateGeometry
-from .precision import to_mpf, value_type
+from .errors import InvalidMode
+from .params import FieldKind, PlateGeometry, _unit_lambda
+from .precision import value_type
 
-_make_mpf, _from_int, _mpf_pi, _mpf_add = mp.make_mpf, libmp.from_int, libmp.mpf_pi, libmp.mpf_add
+_make_mpf, _from_int, _mpf_add = mp.make_mpf, libmp.from_int, libmp.mpf_add
 _mpf_sub, _mpf_mul, _mpf_mul_int = libmp.mpf_sub, libmp.mpf_mul, libmp.mpf_mul_int
 _mpf_div, _mpf_pow_int, _ZERO = libmp.mpf_div, libmp.mpf_pow_int, mpf(0)
 
@@ -86,11 +90,22 @@ class PressureResult(value_type("PressureResult", "finite_part divergent_coeff")
 def _validate_domain(a, lam) -> tuple[mpf, mpf]:
     # PlateGeometry rejects a zero, negative, NaN or infinite separation;
     # at a = inf, c = pi/2a is 0 and the eps^-4 term c^-1 is undefined.
-    a = PlateGeometry(a).a
-    lam = to_mpf(lam)
-    if not (0 <= lam < 1):
-        raise CutoffDomain(f"lambda must lie in [0, 1), got {lam}")
-    return a, lam
+    return PlateGeometry(a).a, _unit_lambda(lam)
+
+
+@lru_cache(maxsize=16)
+def _constants(prec: int, rnd: str) -> tuple:
+    """Raw pi, 4 pi, 1/(4 pi), pi^2 and 1/15 at (prec, rnd).
+
+    Each is formed by the libmp calls of its operator form (``4*pi``,
+    ``1/(4*pi)``, ``pi**2`` and ``mpf(1)/15``), so it has their bits.
+    They depend on nothing but the precision and the rounding, which
+    are the key, so a value is never served at another of either.
+    """
+    pi = libmp.mpf_pi(prec, rnd)
+    four_pi = _mpf_mul_int(pi, 4, prec, rnd)
+    return (pi, four_pi, libmp.mpf_rdiv_int(1, four_pi, prec, rnd),
+            _mpf_pow_int(pi, 2, prec, rnd), _mpf_div(libmp.fone, _from_int(15), prec, rnd))
 
 
 @lru_cache(maxsize=64)
@@ -98,8 +113,12 @@ def _coth_coefficient(n: int, prec: int) -> mpf:
     # beta_n = 2^(2n) B_2n / (2n)!, the u^(2n-1) coefficient of coth u.
     # It depends on nothing else, so one value serves every (a, lambda);
     # prec (which the caller passes as mp.prec) is in the key only so
-    # that a value is never reused at another working precision.
-    return ldexp(bernoulli(2 * n), 2 * n) / factorial(2 * n)
+    # that a value is never reused at another working precision.  The
+    # exact fraction is rounded once, to nearest as mp rounds: mpmath's
+    # own bernoulli would round B_2n first, to bits that depend on
+    # whether its cache already held a value at this precision.
+    p, q = libmp.bernfrac(2 * n)
+    return _make_mpf(libmp.from_rational(p << 2 * n, q * factorial(2 * n), prec, "n"))
 
 
 def _frozen_coth_term(m: int, c, mu, prec: int, rnd: str):
@@ -119,7 +138,7 @@ def _frozen_coth_term(m: int, c, mu, prec: int, rnd: str):
 
 def _c_mu(a, lam, prec: int, rnd: str) -> tuple:
     # Raw c = pi/2a and mu = 1 - lambda from the raw a and lambda.
-    c = _mpf_div(_mpf_pi(prec, rnd), _mpf_mul_int(a, 2, prec, rnd), prec, rnd)
+    c = _mpf_div(_constants(prec, rnd)[0], _mpf_mul_int(a, 2, prec, rnd), prec, rnd)
     return c, _mpf_sub(_from_int(1), lam, prec, rnd)
 
 
@@ -129,7 +148,7 @@ def _energy_setup(a, lam, field: FieldKind) -> tuple[mpf, mpf, tuple]:
         raise InvalidMode(f"unknown field kind: {field!r}")
     a, lam = _validate_domain(a, lam)
     prec, rnd = mp._prec_rounding
-    inv4pi = libmp.mpf_rdiv_int(1, _mpf_mul_int(_mpf_pi(prec, rnd), 4, prec, rnd), prec, rnd)
+    inv4pi = _constants(prec, rnd)[2]
     c, mu = _c_mu(a._mpf_, lam._mpf_, prec, rnd)
     return a, lam, (c, mu, lam._mpf_, inv4pi, field is FieldKind.SCALAR, prec, rnd)
 
@@ -165,8 +184,9 @@ def _reported_coefficients(
 def _raw_pressure(a: mpf, c_minus2, c_0) -> PressureResult:
     # (k + 3) c_k / a on the raw eps^k coefficients, k = 0 and -2.
     prec, rnd = mp._prec_rounding
+    # At k = -2, (k + 3) c_k is c_k itself: no product is formed.
     finite = _make_mpf(_mpf_div(_mpf_mul_int(c_0, 3, prec, rnd), a._mpf_, prec, rnd))
-    divergent = _make_mpf(_mpf_div(_mpf_mul_int(c_minus2, 1, prec, rnd), a._mpf_, prec, rnd))
+    divergent = _make_mpf(_mpf_div(c_minus2, a._mpf_, prec, rnd))
     return PressureResult(finite_part=finite, divergent_coeff=divergent)
 
 
@@ -236,12 +256,12 @@ def reference_coefficients(a, lam) -> ReferenceCoefficients:
     """
     a, lam = (x._mpf_ for x in _validate_domain(a, lam))
     prec, rnd = mp._prec_rounding
+    pi2 = _constants(prec, rnd)[3]
+    a3x720 = _mpf_mul_int(_mpf_pow_int(a, 3, prec, rnd), 720, prec, rnd)
 
     def over_720a3(x):
-        # x pi^2 / 720 a^3, with pi^2 and 720 a^3 formed for each term
-        # as the formula writes them.
-        x = _mpf_mul(x, _mpf_pow_int(_mpf_pi(prec, rnd), 2, prec, rnd), prec, rnd)
-        return _mpf_div(x, _mpf_mul_int(_mpf_pow_int(a, 3, prec, rnd), 720, prec, rnd), prec, rnd)
+        # x pi^2 / 720 a^3, with pi^2 and 720 a^3 formed once for both terms.
+        return _mpf_div(_mpf_mul(x, pi2, prec, rnd), a3x720, prec, rnd)
 
     c_minus2 = _mpf_div(libmp.mpf_neg(lam, prec, rnd), _mpf_mul_int(a, 12, prec, rnd), prec, rnd)
     first = over_720a3(libmp.mpf_neg(_mpf_sub(_from_int(1), lam, prec, rnd), prec, rnd))

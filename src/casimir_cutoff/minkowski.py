@@ -26,13 +26,24 @@ product, the metric check and ``transform_tensor`` read each matrix's
 raw values once; the check's sums and ``transform_tensor``'s
 intermediate product L T stay raw, and an mpf is built only for an
 entry a caller receives.
+
+Validation runs on raw values as well: ``SeparationVector``'s square,
+its sign test and its length, the metric check with its scaled bound,
+and ``SymTensor4.trace``.  ``boost`` and ``rotation_xy`` build their
+entries raw, check them and only then make the mpf matrix; the inverse
+g L^T g and the vector it moves stay raw until the vector is returned.
+Comparisons are ``libmp.mpf_gt``, ``mpf_le`` and ``mpf_lt``, False
+against a NaN as mpf's operators are, and ``_rmax`` takes a maximum as
+``max`` takes it over mpf, so every outcome and error message is the
+operator form's.  Only ``SymTensor4``'s own symmetry check, which no
+point's path runs, still uses mpf operators.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from mpmath import fabs, fprod, isnan, libmp, mp, mpf, sqrt
+from mpmath import fabs, isnan, libmp, mp, mpf
 
 from .precision import to_mpf, value_type
 
@@ -41,10 +52,10 @@ DIM = 4
 # Diagonal of the metric tensor, ordered (t, x, y, z).
 METRIC_DIAG = (mpf(-1), mpf(1), mpf(1), mpf(1))
 
-_ZERO, _ONE = mpf(0), mpf(1)
+_ZERO = mpf(0)
 
-_FZERO = libmp.fzero
-_mpf_abs, _mpf_add, _mpf_le = libmp.mpf_abs, libmp.mpf_add, libmp.mpf_le
+_FZERO, _FONE = libmp.fzero, libmp.fone
+_mpf_abs, _mpf_add, _mpf_gt, _mpf_le = libmp.mpf_abs, libmp.mpf_add, libmp.mpf_gt, libmp.mpf_le
 _mpf_mul, _mpf_neg, _mpf_sub = libmp.mpf_mul, libmp.mpf_neg, libmp.mpf_sub
 _make_mpf = mp.make_mpf
 
@@ -94,20 +105,22 @@ class SeparationVector(value_type("SeparationVector", "vector")):
     __slots__ = ()
 
     def __new__(cls, vector: FourVector):
-        s2 = mink_dot(vector, vector)
+        s2 = _rsquare(vector, *mp._prec_rounding)
         # Not "s2 <= 0": a NaN square, as from -inf + inf, must fail too.
-        if not s2 > 0:
+        if not _mpf_gt(s2, _FZERO):
             from .errors import LightlikeSeparation
 
             raise LightlikeSeparation(
-                f"point-splitting vector must be spacelike: squared length {mp.nstr(s2, 8)}"
+                "point-splitting vector must be spacelike: "
+                f"squared length {mp.nstr(_make_mpf(s2), 8)}"
             )
         return super().__new__(cls, vector)
 
     @property
     def length(self) -> mpf:
         """Invariant length s = sqrt(g_{mu nu} eps^mu eps^nu) > 0."""
-        return sqrt(mink_dot(self.vector, self.vector))
+        prec, rounding = mp._prec_rounding
+        return _make_mpf(libmp.mpf_sqrt(_rsquare(self.vector, prec, rounding), prec, rounding))
 
 
 Matrix = tuple[tuple[mpf, ...], ...]
@@ -117,8 +130,16 @@ def _as_matrix(rows) -> Matrix:
     return tuple(tuple(to_mpf(e) for e in row) for row in rows)
 
 
-def _largest(m: Matrix) -> mpf:
-    return max(fabs(e) for row in m for e in row)
+def _rmax(values) -> tuple:
+    # max of raw values as max takes it over mpf: the first of equals,
+    # and a NaN only when it comes first.
+    return reduce(lambda worst, d: d if _mpf_gt(d, worst) else worst, values)
+
+
+def _largest(rows) -> tuple:
+    # Raw max |e| over raw rows, as max and fabs take it.
+    prec, rounding = mp._prec_rounding
+    return _rmax(_mpf_abs(e, prec, rounding) for row in rows for e in row)
 
 
 def _rdot(pairs, prec: int, rounding: str) -> tuple:
@@ -159,21 +180,26 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(_make_mpf(_rdot(zip(r, c), prec, rounding)) for c in cols) for r in _raw(a))
 
 
-def _apply(m: Matrix, v: FourVector) -> FourVector:
-    return FourVector(*(_dot(zip(row, v)) for row in m))
+def _apply(rows, v: FourVector) -> FourVector:
+    # L v from the raw rows of L, each component as _dot forms it.
+    prec, rnd = mp._prec_rounding
+    v = [c._mpf_ for c in v]
+    return tuple.__new__(FourVector, (_make_mpf(_rdot(zip(row, v), prec, rnd)) for row in rows))
 
 
-def _inverse_rows(m: Matrix) -> Matrix:
-    # g m^T g, entry (i, j) = g_i m[j][i] g_j.  Every g_i is +-1, so each
-    # entry is a stored entry with at most a sign flip: exact, with no
-    # product or linear solve.  Only g_t is -1, so the flipped entries
-    # are those with exactly one t index.
-    t, *spatial = zip(*m)  # the columns of m
-    return ((t[0],) + tuple(-e for e in t[1:]),) + tuple((-c[0],) + c[1:] for c in spatial)
+def _inverse_rows(rows, prec: int, rounding: str) -> list:
+    # g m^T g of m's raw rows, entry (i, j) = g_i m[j][i] g_j.  Every g_i
+    # is +-1, so each entry is a stored entry with at most a sign flip,
+    # made as mpf's unary minus makes it: no product or linear solve.
+    # Only g_t is -1, so the flipped entries are those with exactly one t
+    # index.
+    t, *spatial = zip(*rows)  # the columns of m
+    return [(t[0], *(_mpf_neg(e, prec, rounding) for e in t[1:]))] + [
+        (_mpf_neg(c[0], prec, rounding), *c[1:]) for c in spatial]
 
 
-def _check_metric(m: Matrix, factors: tuple[Matrix, ...] = ()) -> None:
-    """Raise ValueError unless m preserves the metric to within rounding.
+def _check_metric(raw, factors: tuple[Matrix, ...] = ()) -> None:
+    """Raise ValueError unless m, given by its raw rows, preserves the metric.
 
     g is diagonal, so (m^T g m)_{ij} is the sum over k of m[k][i] (g_k
     m[k][j]); it is symmetric, so only the upper triangle is formed,
@@ -184,15 +210,15 @@ def _check_metric(m: Matrix, factors: tuple[Matrix, ...] = ()) -> None:
     max(1, max |f|) over the factors, the larger when the product
     cancels, as boost(r) after boost(-r) does.
 
-    The entries, the defects and their first comparison are formed on
-    raw values, as mpf's ``*``, ``+``, ``-``, ``fabs`` and ``<=`` form
-    them; the sums are already rounded at this precision, so their
-    absolute value needs no rounding.
+    Everything is formed on raw values, as mpf's ``*``, ``+``, ``-``,
+    ``**``, ``fabs``, ``max``, ``fprod``, ``<=`` and ``<`` form it, so
+    the outcome and the message are those of the operator form; the sums
+    are already rounded at this precision, so their absolute value needs
+    no rounding.  Only that scaled bound reads the factors' entries.
     """
     # g m: g = diag(-1, 1, 1, 1) only negates the t row, exactly.
     prec, rounding = mp._prec_rounding
-    raw = _raw(m)
-    gcols = tuple(zip(*([[_mpf_neg(e, prec, rounding) for e in raw[0]]] + raw[1:])))
+    gcols = tuple(zip(*([[_mpf_neg(e, prec, rounding) for e in raw[0]]] + list(raw[1:]))))
     defects = []
     for i, col in enumerate(zip(*raw)):
         for j in range(i, DIM):
@@ -203,15 +229,17 @@ def _check_metric(m: Matrix, factors: tuple[Matrix, ...] = ()) -> None:
     # Every defect meets a comparison, so a NaN one fails both tests.  An
     # infinite entry makes some defect infinite or NaN, and the strict
     # bound rejects an infinite defect even when its scale is infinite.
-    tol = _validation_tol()
-    if all(_mpf_le(d, tol._mpf_) for d in defects):
+    tol = _validation_tol()._mpf_
+    if all(_mpf_le(d, tol) for d in defects):
         return
-    defects = list(map(_make_mpf, defects))
-    bound = tol * max(
-        max(1, _largest(m)) ** 2, fprod(max(1, _largest(f)) for f in factors)
-    )
-    if not all(d < bound for d in defects):
-        worst = next((d for d in defects if isnan(d)), max(defects))
+    # tol * max(max(1, max |m|)^2, fprod(max(1, max |f|) for each factor f)).
+    scale = libmp.mpf_pow_int(_rmax((_FONE, _largest(raw))), 2, prec, rounding)
+    prod = _FONE
+    for f in factors:
+        prod = _mpf_mul(prod, _rmax((_FONE, _largest(_raw(f)))), prec, rounding)
+    bound = _mpf_mul(tol, _rmax((scale, prod)), prec, rounding)
+    if not all(libmp.mpf_lt(d, bound) for d in defects):
+        worst = _make_mpf(libmp.fnan if libmp.fnan in defects else _rmax(defects))
         raise ValueError(f"matrix does not preserve the metric: defect {mp.nstr(worst, 8)}")
 
 
@@ -230,43 +258,41 @@ class LorentzTransform(value_type("LorentzTransform", "matrix")):
 
     def __new__(cls, matrix: Matrix):
         m = _as_matrix(matrix)
-        _check_metric(m)
+        _check_metric(_raw(m))
         return super().__new__(cls, m)
 
     def compose(self, other: "LorentzTransform") -> "LorentzTransform":
         """self after other: the matrix product, so it maps v to self(other(v))."""
         m = _mat_mul(self.matrix, other.matrix)
-        _check_metric(m, (self.matrix, other.matrix))
+        _check_metric(_raw(m), (self.matrix, other.matrix))
         # Already checked against its factors' scale: skip __new__'s check.
         return tuple.__new__(LorentzTransform, (m,))
+
+
+def _checked_transform(rows) -> LorentzTransform:
+    # A transform from raw rows, checked as every construction is, then
+    # wrapped without __new__'s conversion and its repeated check.
+    _check_metric(rows)
+    return tuple.__new__(LorentzTransform, (tuple(tuple(map(_make_mpf, r)) for r in rows),))
 
 
 def boost(rapidity) -> LorentzTransform:
     """Boost along x with the given rapidity; leaves y and z alone."""
     # One mpf_cosh_sinh call: mp.cosh and mp.sinh each make it and keep
     # one half, so the entries are bit for bit theirs.
-    ch, sh = map(_make_mpf, libmp.mpf_cosh_sinh(to_mpf(rapidity)._mpf_, *mp._prec_rounding))
-    return LorentzTransform(
-        (
-            (ch, sh, _ZERO, _ZERO),
-            (sh, ch, _ZERO, _ZERO),
-            (_ZERO, _ZERO, _ONE, _ZERO),
-            (_ZERO, _ZERO, _ZERO, _ONE),
-        )
-    )
+    ch, sh = libmp.mpf_cosh_sinh(to_mpf(rapidity)._mpf_, *mp._prec_rounding)
+    z, one = _FZERO, _FONE
+    return _checked_transform(((ch, sh, z, z), (sh, ch, z, z), (z, z, one, z), (z, z, z, one)))
 
 
 def rotation_xy(angle) -> LorentzTransform:
     """Rotation in the x-y plane; leaves t and z alone."""
-    # cos_sin is bit for bit cos and sin: mpmath computes both in one call.
-    c, s = mp.cos_sin(to_mpf(angle))
-    return LorentzTransform(
-        (
-            (_ONE, _ZERO, _ZERO, _ZERO),
-            (_ZERO, c, -s, _ZERO),
-            (_ZERO, s, c, _ZERO),
-            (_ZERO, _ZERO, _ZERO, _ONE),
-        )
+    # mpf_cos_sin is the call mp.cos_sin makes: bit for bit cos and sin.
+    prec, rounding = mp._prec_rounding
+    c, s = libmp.mpf_cos_sin(to_mpf(angle)._mpf_, prec, rounding)
+    z, one = _FZERO, _FONE
+    return _checked_transform(
+        ((one, z, z, z), (z, c, _mpf_neg(s, prec, rounding), z), (z, s, c, z), (z, z, z, one))
     )
 
 
@@ -287,7 +313,7 @@ class SymTensor4(value_type("SymTensor4", "matrix")):
         # first; it, like any defect over a NaN scale, fails the <= test.
         # Relative to the largest entry; exact symmetry needs no scale.
         worst = next((d for d in defects if isnan(d)), max(defects, default=_ZERO))
-        if worst and not worst <= _validation_tol() * _largest(m):
+        if worst and not worst <= _validation_tol() * _make_mpf(_largest(_raw(m))):
             raise ValueError(f"tensor is not symmetric: defect {mp.nstr(worst, 8)}")
         return super().__new__(cls, m)
 
@@ -307,8 +333,11 @@ class SymTensor4(value_type("SymTensor4", "matrix")):
         Negating the t entry gives the bits of its product with g_t = -1;
         the other g_i are +1 and need no product.
         """
-        m = self.matrix
-        return -m[0][0] + m[1][1] + m[2][2] + m[3][3]
+        prec, rounding = mp._prec_rounding
+        acc = _mpf_neg(self.matrix[0][0]._mpf_, prec, rounding)
+        for i in range(1, DIM):
+            acc = _mpf_add(acc, self.matrix[i][i]._mpf_, prec, rounding)
+        return _make_mpf(acc)
 
     @staticmethod
     def diagonal(tt, xx, yy, zz) -> "SymTensor4":

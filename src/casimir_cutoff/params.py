@@ -4,16 +4,32 @@
 plate separation and ``CutoffParams`` the regulator pair.  They live
 apart from the mode sum, so that a CLI start that never sums modes
 does not load ``modesum``, which still binds all three names.
+
+Validation compares mpmath's raw values with ``libmp.mpf_gt``,
+``mpf_lt`` and ``mpf_ge``, which are False against a NaN as mpf's
+``>``, ``<`` and ``>=`` are, so a NaN or infinite value is rejected
+exactly as the operator form rejects it; ``_unit_lambda`` is the
+lambda check that ``expansion`` shares.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from mpmath import inf, mpf
+from mpmath import libmp, mpf
 
 from .errors import CutoffDomain, NonPositiveSeparation
 from .precision import to_mpf, value_type
+
+_FZERO, _mpf_gt, _mpf_lt = libmp.fzero, libmp.mpf_gt, libmp.mpf_lt
+
+
+def _unit_lambda(lam) -> mpf:
+    """lambda as an mpf, raising CutoffDomain unless it lies in [0, 1)."""
+    lam = to_mpf(lam)
+    if not (libmp.mpf_ge(lam._mpf_, _FZERO) and _mpf_lt(lam._mpf_, libmp.fone)):
+        raise CutoffDomain(f"lambda must lie in [0, 1), got {lam}")
+    return lam
 
 
 class FieldKind(Enum):
@@ -35,11 +51,9 @@ class CutoffParams(value_type("CutoffParams", "epsilon lam")):
 
     def __new__(cls, epsilon: mpf, lam: mpf):
         epsilon, lam = to_mpf(epsilon), to_mpf(lam)
-        if not 0 < epsilon < inf:
+        if not (_mpf_gt(epsilon._mpf_, _FZERO) and _mpf_lt(epsilon._mpf_, libmp.finf)):
             raise CutoffDomain(f"epsilon must be positive and finite, got {epsilon}")
-        if not (0 <= lam < 1):
-            raise CutoffDomain(f"lambda must lie in [0, 1), got {lam}")
-        return super().__new__(cls, epsilon, lam)
+        return super().__new__(cls, epsilon, _unit_lambda(lam))
 
 
 class PlateGeometry(value_type("PlateGeometry", "a")):
@@ -52,8 +66,8 @@ class PlateGeometry(value_type("PlateGeometry", "a")):
 
     def __new__(cls, a: mpf):
         a = to_mpf(a)
-        if not a > 0:
+        if not _mpf_gt(a._mpf_, _FZERO):
             raise NonPositiveSeparation(f"plate separation must be positive, got {a}")
-        if a == inf:
+        if a._mpf_ == libmp.finf:
             raise NonPositiveSeparation("plate separation must be finite")
         return super().__new__(cls, a)

@@ -22,10 +22,12 @@ kernels of the construction at a finite splitting are in ``pointwise``,
 which no CLI command loads.
 
 The coefficients and the tensor algebra run on mpmath's raw values at
-``mp._prec_rounding``: both coefficient sets, taking the splitting apart
-(its square, the margin test, the root and the unit scaling),
-assembling the tensor from its decomposition and forming the covariance
-residual here, and the push-forward in ``transform_tensor``.  Every
+``mp._prec_rounding``: both coefficient sets (their constants from
+``expansion``'s per-precision cache), the scalar position's wall test,
+taking the splitting apart (its square, the margin test, the root and
+the unit scaling), assembling the tensor from its decomposition, moving
+the splitting back by g L^T g and forming the covariance residual here,
+and the push-forward in ``transform_tensor``.  Every
 product sum of the tensor algebra goes through ``minkowski``'s one
 kernel, ``_rdot``.  Each step makes the libmp calls that mpf's
 operators make, with the same operands and the same exact-zero skips,
@@ -37,12 +39,12 @@ built only for a value the caller receives.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from mpmath import ldexp, libmp, mp, mpf
 
 from .errors import InvalidMode, LightlikeSeparation, WallContact
-from .expansion import _c_mu, _frozen_coth_term
+from .expansion import _c_mu, _constants, _frozen_coth_term
 from .minkowski import (
     _FZERO,
     _ZERO,
@@ -53,7 +55,9 @@ from .minkowski import (
     SymTensor4,
     _apply,
     _inverse_rows,
+    _raw,
     _rdot,
+    _rmax,
     _rsquare,
     transform_tensor,
 )
@@ -189,7 +193,7 @@ def _em_coefficients(a: mpf, lam: mpf) -> tuple[mpf, mpf, mpf]:
     prec, rnd = mp._prec_rounding
     a, lam = a._mpf_, lam._mpf_
     c, mu = _c_mu(a, lam, prec, rnd)
-    pref = _mpf_mul(libmp.mpf_mul_int(libmp.mpf_pi(prec, rnd), 4, prec, rnd), a, prec, rnd)
+    pref = _mpf_mul(_constants(prec, rnd)[1], a, prec, rnd)
     pref = libmp.mpf_rdiv_int(1, pref, prec, rnd)
     t3 = _mpf_mul(pref, _frozen_coth_term(3, c, mu, prec, rnd), prec, rnd)
     b_fin = _mpf_mul(t3, lam, prec, rnd)
@@ -236,9 +240,8 @@ def scalar_stress(
     them from the mode sums, and the tests compare the two as an
     independent cross-check.
     """
-    z = to_mpf(z)
-    a = geom.a
-    if not 0 < z < a:
+    z, a = to_mpf(z), geom.a
+    if not (_mpf_gt(z._mpf_, _FZERO) and libmp.mpf_lt(z._mpf_, a._mpf_)):
         raise WallContact(f"z must lie strictly between the walls, got {z}")
     return StressDecomposition(
         *_scalar_coefficients(a, cutoff.lam, z), *_unit_splitting(eps.vector)
@@ -251,9 +254,8 @@ def _scalar_coefficients(a: mpf, lam: mpf, z: mpf) -> tuple[mpf, mpf, mpf]:
     # sz = sin(pi z / a).
     prec, rnd = mp._prec_rounding
     a, lam, z = a._mpf_, lam._mpf_, z._mpf_
-    arg = _mpf_div(_mpf_mul(libmp.mpf_pi(prec, rnd), z, prec, rnd), a, prec, rnd)
-    sz = libmp.mpf_sin(arg, prec, rnd)
-    pi2 = libmp.mpf_pow_int(libmp.mpf_pi(prec, rnd), 2, prec, rnd)
+    pi, _, _, pi2, fifteenth = _constants(prec, rnd)
+    sz = libmp.mpf_sin(_mpf_div(_mpf_mul(pi, z, prec, rnd), a, prec, rnd), prec, rnd)
     a4, sz2 = libmp.mpf_pow_int(a, 4, prec, rnd), libmp.mpf_pow_int(sz, 2, prec, rnd)
     lam48 = _mpf_div(lam, _from_int(48), prec, rnd)
     big_a = _mpf_mul(_mpf_sub(_from_int(1), lam, prec, rnd), pi2, prec, rnd)
@@ -263,7 +265,7 @@ def _scalar_coefficients(a: mpf, lam: mpf, z: mpf) -> tuple[mpf, mpf, mpf]:
     b_fin = _mpf_mul(_mpf_mul(lam48, b_fin, prec, rnd), one_less, prec, rnd)
     wall = _mpf_sub(_from_int(3), libmp.mpf_mul_int(sz2, 2, prec, rnd), prec, rnd)
     wall = _mpf_div(wall, libmp.mpf_pow_int(sz, 4, prec, rnd), prec, rnd)
-    wall = _mpf_sub(wall, _mpf_div(libmp.fone, _from_int(15), prec, rnd), prec, rnd)
+    wall = _mpf_sub(wall, fifteenth, prec, rnd)
     b_div = _mpf_sub(libmp.mpf_rdiv_int(3, sz2, prec, rnd), _from_int(1), prec, rnd)
     b_div = _mpf_mul(lam48, b_div, prec, rnd)
     b_div = _mpf_div(b_div, libmp.mpf_pow_int(a, 2, prec, rnd), prec, rnd)
@@ -303,7 +305,8 @@ def covariance_check(
     """
     d = _stress_for(field, geom, cutoff, eps, z)
     direct = d.tensor()
-    back = _apply(_inverse_rows(transform.matrix), eps.vector)
+    prec, rnd = mp._prec_rounding
+    back = _apply(_inverse_rows(_raw(transform.matrix), prec, rnd), eps.vector)
     if back.z:
         # Only a transform that mixes z moves the splitting off the
         # plates' subspace.  As for a caller's vector, one that is not
@@ -319,10 +322,9 @@ def covariance_check(
     # Both tensors are mirrored from their upper triangles, which decide.
     # The largest |m - t|, kept as max keeps it: the first of equals, and
     # a NaN only when it comes first.
-    prec, rnd = mp._prec_rounding
     defects = (_mpf_abs(_mpf_sub(m[i][j]._mpf_, t[i][j]._mpf_, prec, rnd), prec, rnd)
                for i in range(DIM) for j in range(i, DIM))
-    return _make_mpf(reduce(lambda worst, d: d if _mpf_gt(d, worst) else worst, defects))
+    return _make_mpf(_rmax(defects))
 
 
 def angular_average(d: StressDecomposition) -> SymTensor4:

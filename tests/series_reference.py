@@ -72,7 +72,6 @@ from casimir_cutoff.minkowski import (
     LorentzTransform,
     SeparationVector,
     SymTensor4,
-    _inverse_rows,
 )
 from casimir_cutoff.pointwise import RadialKernel
 from casimir_cutoff.precision import to_mpf
@@ -656,9 +655,15 @@ def apply(transform: LorentzTransform, v: FourVector) -> FourVector:
     return FourVector(*(_operator_dot(zip(row, v)) for row in transform.matrix))
 
 
+def _operator_inverse_rows(m):
+    """g m^T g by unary minus: the operator form of ``minkowski._inverse_rows``."""
+    t, *spatial = zip(*m)  # the columns of m
+    return ((t[0],) + tuple(-e for e in t[1:]),) + tuple((-c[0],) + c[1:] for c in spatial)
+
+
 def checked_inverse(transform: LorentzTransform) -> LorentzTransform:
     """The inverse g L^T g, its entries exact sign flips of L's, metric-checked."""
-    return LorentzTransform(_inverse_rows(transform.matrix))
+    return LorentzTransform(_operator_inverse_rows(transform.matrix))
 
 
 def reference_s2_rows(direction: SeparationVector) -> tuple[tuple[mpf, ...], ...]:
@@ -724,7 +729,7 @@ def reference_covariance_check(field, geom, cutoff, eps, transform, z=None) -> m
     d = d._replace(direction=unit, separation_length=s)
     direct = reference_tensor(d)
     back = FourVector(
-        *(_operator_dot(zip(row, eps.vector)) for row in _inverse_rows(transform.matrix))
+        *(_operator_dot(zip(row, eps.vector)) for row in _operator_inverse_rows(transform.matrix))
     )
     if back.z:
         SeparationVector(back)

@@ -7,13 +7,17 @@ known special values.  ``test_closed_form`` compares every coefficient
 with the series-arithmetic reference.
 """
 
+from fractions import Fraction
+from math import factorial
+
 import pytest
-from mpmath import mp, mpf, pi
+from mpmath import libmp, mp, mpf, pi
 from mpmath.ctx_mp_python import _mpf
 
 import casimir_cutoff.expansion
 from casimir_cutoff.errors import CutoffDomain, InvalidMode, NonPositiveSeparation
 from casimir_cutoff.expansion import (
+    _constants,
     _coth_coefficient,
     _pressure_from_coefficients,
     _reported_coefficients,
@@ -23,10 +27,10 @@ from casimir_cutoff.expansion import (
     subtract_outer,
 )
 from casimir_cutoff.laurent import extract_coefficient
-from casimir_cutoff.minkowski import FourVector, SeparationVector
+from casimir_cutoff.minkowski import FourVector, SeparationVector, boost, rotation_xy
 from casimir_cutoff.modesum import CutoffParams, FieldKind, PlateGeometry
 from casimir_cutoff.pointwise import energy_closed_form
-from casimir_cutoff.stress import em_stress, scalar_stress
+from casimir_cutoff.stress import covariance_check, em_stress, scalar_stress
 from series_reference import evaluate
 
 COEFF_TOL = mpf("1e-30")
@@ -148,6 +152,44 @@ class TestCothTower:
             _coth_coefficient.cache_clear()
             cold = energy_laurent(mpf("0.7"), mpf("0.35"))
         assert warm.series.coeffs == cold.series.coeffs
+
+    @pytest.mark.parametrize("dps", [15, 50, 200])
+    def test_independent_of_mpmath_bernoulli_cache(self, dps):
+        # mpmath's bernoulli rounds B_2n once on its first call at a
+        # precision and returns a value rounded to it on later calls, so
+        # a beta_n built from it could depend on what ran before.  beta_n
+        # is the exact fraction 2^(2n) B_2n / (2n)! rounded once.
+        with mp.workdps(dps):
+            for n in range(1, 9):
+                mp.bernoulli(2 * n)
+                _coth_coefficient.cache_clear()
+                sign, man, exp, bc = _coth_coefficient(n, mp.prec)._mpf_
+                p, q = libmp.bernfrac(2 * n)
+                exact = Fraction(p * 2 ** (2 * n), q * factorial(2 * n))
+                value = Fraction((-1) ** sign * man) * Fraction(2) ** exp
+                half_ulp = Fraction(2) ** (exp + bc - mp.prec) / 2
+                assert abs(value - exact) <= half_ulp, (dps, n)
+
+
+class TestConstants:
+    """The per-(precision, rounding) cache of pi, 4 pi, 1/(4 pi), pi^2 and 1/15."""
+
+    @pytest.mark.parametrize("dps", [15, 50, 200])
+    def test_each_equals_its_operator_form(self, dps):
+        with mp.workdps(dps):
+            forms = (+pi, 4 * pi, 1 / (4 * pi), pi**2, mpf(1) / 15)
+            assert _constants(*mp._prec_rounding) == tuple(x._mpf_ for x in forms)
+
+    def test_never_served_at_another_precision_or_rounding(self):
+        _constants.cache_clear()
+        keys = [(prec, rnd) for prec in (53, 100, 667) for rnd in ("n", "f", "c")]
+        values = {key: _constants(*key) for key in keys}
+        for key in reversed(keys):
+            assert _constants(*key) == values[key] == _constants.__wrapped__(*key)
+        # pi is irrational: rounded down and up it differs at every precision.
+        assert len({values[key][0] for key in keys if key[1] != "n"}) == 6
+        with mp.workdps(50):
+            assert _constants(*mp._prec_rounding) == _constants.__wrapped__(mp.prec, "n")
 
 
 class TestSubtraction:
@@ -352,3 +394,40 @@ class TestRawValues:
         with pytest.raises(AssertionError, match="operator"):
             monkeypatch.setattr(_mpf, "__mul__", refuse)
             a * lam
+
+    COMPARISONS = ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__")
+
+    @pytest.mark.parametrize("dps", [15, 50, 200])
+    def test_no_operator_call_in_validation_and_value_types(self, monkeypatch, dps):
+        # The value types' checks and the stress path around the
+        # coefficients: no mpf arithmetic or comparison once the caches
+        # are warm.  boost(20) after boost(-20) cancels far above the
+        # plain tolerance, so its metric check takes the scaled bound.
+        mp.dps = dps
+        a, lam, z, angle = mpf("1.3"), mpf("0.4"), mpf("0.2"), mpf("0.7")
+        vec = FourVector(mpf("0.01"), mpf("0.1"), mpf("0.02"), 0)
+
+        def run():
+            geom, cutoff = PlateGeometry(a), CutoffParams(mpf("0.1"), lam)
+            eps = SeparationVector(vec)
+            eps.length
+            ell = rotation_xy(angle).compose(boost(mpf("1.5")))
+            boost(20).compose(boost(-20))
+            for field, at in ((FieldKind.ELECTROMAGNETIC, None), (FieldKind.SCALAR, z)):
+                covariance_check(field, geom, cutoff, eps, ell, at)
+            em_stress(geom, cutoff, eps).tensor().trace()
+            return scalar_stress(geom, cutoff, eps, z).tensor()
+
+        tensor = run()  # fills the per-precision caches
+
+        def refuse(*args):
+            raise AssertionError("an mpf operator was called")
+
+        for name in self.OPERATORS + ("__pos__", "__abs__") + self.COMPARISONS:
+            monkeypatch.setattr(_mpf, name, refuse)
+        run()
+        tensor.trace()
+        monkeypatch.undo()
+        with pytest.raises(AssertionError, match="operator"):
+            monkeypatch.setattr(_mpf, "__gt__", refuse)
+            a > lam

@@ -266,7 +266,7 @@ class TestLorentzTransform:
             )
             assert casimir_cutoff.minkowski._mat_mul(a, b) == dense
             v = FourVector(*b[0])
-            applied = casimir_cutoff.minkowski._apply(a, v)
+            applied = casimir_cutoff.minkowski._apply(casimir_cutoff.minkowski._raw(a), v)
             assert applied == tuple(sum((row[k] * v[k] for k in range(DIM)), mpf(0)) for row in a)
 
     def test_compose_and_inverse_are_validated(self, monkeypatch):
