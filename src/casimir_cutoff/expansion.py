@@ -19,6 +19,11 @@ finite pressure; the surviving epsilon^-2 part is a genuinely
 regulator-shaped divergence and is reported separately, never summed
 into the finite answer.
 
+``casimir_pressure`` is ``_pressure_from_coefficients`` applied to
+``_reported_coefficients``, the same two routines the CLI calls, and
+the domain of (a, lambda) is checked by ``PlateGeometry`` and
+``_unit_lambda``, the field by ``_check_field``.
+
 The closed forms run on mpmath's raw values at ``mp._prec_rounding``:
 the window, the two reported coefficients, the pressure and the
 transcribed reference coefficients, and through ``_frozen_coth_term``
@@ -41,8 +46,7 @@ from math import factorial
 
 from mpmath import libmp, mp, mpf
 
-from .errors import InvalidMode
-from .params import FieldKind, PlateGeometry, _unit_lambda
+from .params import FieldKind, PlateGeometry, _check_field, _unit_lambda
 from .precision import value_type
 
 _make_mpf, _from_int, _mpf_add = mp.make_mpf, libmp.from_int, libmp.mpf_add
@@ -85,12 +89,6 @@ class PressureResult(value_type("PressureResult", "finite_part divergent_coeff")
     """
 
     __slots__ = ()
-
-
-def _validate_domain(a, lam) -> tuple[mpf, mpf]:
-    # PlateGeometry rejects a zero, negative, NaN or infinite separation;
-    # at a = inf, c = pi/2a is 0 and the eps^-4 term c^-1 is undefined.
-    return PlateGeometry(a).a, _unit_lambda(lam)
 
 
 @lru_cache(maxsize=16)
@@ -144,9 +142,10 @@ def _c_mu(a, lam, prec: int, rnd: str) -> tuple:
 
 def _energy_setup(a, lam, field: FieldKind) -> tuple[mpf, mpf, tuple]:
     """The validated a and lambda, then the raw arguments of ``_odd_coefficient``."""
-    if not isinstance(field, FieldKind):
-        raise InvalidMode(f"unknown field kind: {field!r}")
-    a, lam = _validate_domain(a, lam)
+    _check_field(field)
+    # PlateGeometry rejects a zero, negative, NaN or infinite separation;
+    # at a = inf, c = pi/2a is 0 and the eps^-4 term c^-1 is undefined.
+    a, lam = PlateGeometry(a).a, _unit_lambda(lam)
     prec, rnd = mp._prec_rounding
     inv4pi = _constants(prec, rnd)[2]
     c, mu = _c_mu(a._mpf_, lam._mpf_, prec, rnd)
@@ -181,21 +180,17 @@ def _reported_coefficients(
     return a, _make_mpf(_odd_coefficient(1, *raw)), _make_mpf(_odd_coefficient(3, *raw))
 
 
-def _raw_pressure(a: mpf, c_minus2, c_0) -> PressureResult:
-    # (k + 3) c_k / a on the raw eps^k coefficients, k = 0 and -2.
-    prec, rnd = mp._prec_rounding
-    # At k = -2, (k + 3) c_k is c_k itself: no product is formed.
-    finite = _make_mpf(_mpf_div(_mpf_mul_int(c_0, 3, prec, rnd), a._mpf_, prec, rnd))
-    divergent = _make_mpf(_mpf_div(c_minus2, a._mpf_, prec, rnd))
-    return PressureResult(finite_part=finite, divergent_coeff=divergent)
-
-
 def _pressure_from_coefficients(a: mpf, c_minus2: mpf, c_0: mpf) -> PressureResult:
     """Negative a-gradient of the eps^0 and eps^-2 energy coefficients.
 
-    Each is a pure power c_k a^-(k+3), so -d c_k/da = (k+3) c_k / a.
+    Each is a pure power c_k a^-(k+3), so -d c_k/da = (k+3) c_k / a,
+    formed on raw values; at k = -2, (k + 3) c_k is c_k itself and no
+    product is formed.
     """
-    return _raw_pressure(a, c_minus2._mpf_, c_0._mpf_)
+    prec, rnd = mp._prec_rounding
+    finite = _make_mpf(_mpf_div(_mpf_mul_int(c_0._mpf_, 3, prec, rnd), a._mpf_, prec, rnd))
+    divergent = _make_mpf(_mpf_div(c_minus2._mpf_, a._mpf_, prec, rnd))
+    return PressureResult(finite_part=finite, divergent_coeff=divergent)
 
 
 def energy_laurent(
@@ -254,7 +249,7 @@ def reference_coefficients(a, lam) -> ReferenceCoefficients:
     1/epsilon^2 coefficient -lambda/12a and the finite coefficient
     -(1-lambda) pi^2/720a^3 + lambda(lambda^2-1) pi^2/720a^3.
     """
-    a, lam = (x._mpf_ for x in _validate_domain(a, lam))
+    a, lam = PlateGeometry(a).a._mpf_, _unit_lambda(lam)._mpf_
     prec, rnd = mp._prec_rounding
     pi2 = _constants(prec, rnd)[3]
     a3x720 = _mpf_mul_int(_mpf_pow_int(a, 3, prec, rnd), 720, prec, rnd)
@@ -278,5 +273,4 @@ def casimir_pressure(a, lam, field: FieldKind = FieldKind.ELECTROMAGNETIC) -> Pr
     expansion: the result equals (k + 3) c_k / a on the eps^0 and
     eps^-2 entries of the built and subtracted expansion, bit for bit.
     """
-    a, _, raw = _energy_setup(a, lam, field)
-    return _raw_pressure(a, _odd_coefficient(1, *raw), _odd_coefficient(3, *raw))
+    return _pressure_from_coefficients(*_reported_coefficients(a, lam, field))

@@ -20,18 +20,21 @@ that mpf's own ``*`` and ``+`` call, so its result has the bits of the
 mpf expression ``a1 * b1 + a2 * b2 + ...`` taken left to right without
 building an mpf per product.  A product with an exact-zero factor is
 skipped; with a finite other factor, adding it would change no bit.
-``_dot`` is the kernel on mpf pairs at the working precision, and
-``_rsquare`` the raw Minkowski square of a four-vector.  The matrix
-product, the metric check and ``transform_tensor`` read each matrix's
-raw values once; the check's sums and ``transform_tensor``'s
-intermediate product L T stay raw, and an mpf is built only for an
-entry a caller receives.
+``_rsquare`` is the raw Minkowski square of a four-vector.  The matrix
+product takes and returns raw rows; the metric check and
+``transform_tensor`` read each matrix's raw values once; the check's
+sums and ``transform_tensor``'s intermediate product L T stay raw, and
+an mpf is built only for an entry a caller receives.
 
-Validation runs on raw values as well: ``SeparationVector``'s square,
-its sign test and its length, the metric check with its scaled bound,
-and ``SymTensor4.trace``.  ``boost`` and ``rotation_xy`` build their
-entries raw, check them and only then make the mpf matrix; the inverse
-g L^T g and the vector it moves stay raw until the vector is returned.
+Validation runs on raw values as well: ``SeparationVector``'s square
+and its sign test, shared by construction and ``length``, the metric
+check with its scaled bound, and ``SymTensor4.trace``.  Every
+``LorentzTransform`` is built by ``_checked_transform``, which checks
+raw rows and only then makes the mpf matrix: the constructor's
+converted entries, the raw entries of ``boost`` and ``rotation_xy``,
+and the raw product of ``compose``, whose bound is scaled by its
+factors.  The inverse g L^T g and the vector it moves stay raw until
+the vector is returned.
 Comparisons are ``libmp.mpf_gt``, ``mpf_le`` and ``mpf_lt``, False
 against a NaN as mpf's operators are, and ``_rmax`` takes a maximum as
 ``max`` takes it over mpf, so every outcome and error message is the
@@ -89,9 +92,9 @@ def mink_dot(u: FourVector, v: FourVector) -> mpf:
     Products with an exact-zero factor are skipped; with finite
     components the sum, taken left to right, is bit for bit the dense one.
     """
-    ut, ux, uy, uz = u
-    vt, vx, vy, vz = v
-    return _dot(((-ut, vt), (ux, vx), (uy, vy), (uz, vz)))
+    prec, rounding = mp._prec_rounding
+    (ut, *us), vs = [c._mpf_ for c in u], [c._mpf_ for c in v]
+    return _make_mpf(_rdot(zip((_mpf_neg(ut, prec, rounding), *us), vs), prec, rounding))
 
 
 class SeparationVector(value_type("SeparationVector", "vector")):
@@ -105,22 +108,34 @@ class SeparationVector(value_type("SeparationVector", "vector")):
     __slots__ = ()
 
     def __new__(cls, vector: FourVector):
-        s2 = _rsquare(vector, *mp._prec_rounding)
-        # Not "s2 <= 0": a NaN square, as from -inf + inf, must fail too.
-        if not _mpf_gt(s2, _FZERO):
-            from .errors import LightlikeSeparation
-
-            raise LightlikeSeparation(
-                "point-splitting vector must be spacelike: "
-                f"squared length {mp.nstr(_make_mpf(s2), 8)}"
-            )
+        _spacelike_square(vector, *mp._prec_rounding)
         return super().__new__(cls, vector)
 
     @property
     def length(self) -> mpf:
-        """Invariant length s = sqrt(g_{mu nu} eps^mu eps^nu) > 0."""
+        """Invariant length s = sqrt(g_{mu nu} eps^mu eps^nu) > 0.
+
+        The square is checked again at the working precision, which may
+        be lower than the one the vector was built at.
+        """
         prec, rounding = mp._prec_rounding
-        return _make_mpf(libmp.mpf_sqrt(_rsquare(self.vector, prec, rounding), prec, rounding))
+        s2 = _spacelike_square(self.vector, prec, rounding)
+        return _make_mpf(libmp.mpf_sqrt(s2, prec, rounding))
+
+
+def _spacelike_square(vector: FourVector, prec: int, rounding: str) -> tuple:
+    # The raw squared length, raising LightlikeSeparation unless it is
+    # positive.  Not "s2 <= 0": a NaN square, as from -inf + inf, must
+    # fail too.
+    s2 = _rsquare(vector, prec, rounding)
+    if not _mpf_gt(s2, _FZERO):
+        from .errors import LightlikeSeparation
+
+        raise LightlikeSeparation(
+            "point-splitting vector must be spacelike: "
+            f"squared length {mp.nstr(_make_mpf(s2), 8)}"
+        )
+    return s2
 
 
 Matrix = tuple[tuple[mpf, ...], ...]
@@ -159,11 +174,6 @@ def _rdot(pairs, prec: int, rounding: str) -> tuple:
     return _FZERO if acc is None else acc
 
 
-def _dot(pairs) -> mpf:
-    """sum(a * b for a, b in pairs) of mpf pairs from mpf(0), bit for bit."""
-    return _make_mpf(_rdot([(a._mpf_, b._mpf_) for a, b in pairs], *mp._prec_rounding))
-
-
 def _rsquare(v: FourVector, prec: int, rounding: str) -> tuple:
     """The raw value of mink_dot(v, v), bit for bit."""
     t, x, y, z = (c._mpf_ for c in v)
@@ -174,14 +184,15 @@ def _raw(m: Matrix) -> list:
     return [[e._mpf_ for e in row] for row in m]
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def _mat_mul(a, b) -> list:
+    # The raw rows of a b from the raw rows of a and b.
     prec, rounding = mp._prec_rounding
-    cols = tuple(zip(*_raw(b)))
-    return tuple(tuple(_make_mpf(_rdot(zip(r, c), prec, rounding)) for c in cols) for r in _raw(a))
+    cols = tuple(zip(*b))
+    return [[_rdot(zip(r, c), prec, rounding) for c in cols] for r in a]
 
 
 def _apply(rows, v: FourVector) -> FourVector:
-    # L v from the raw rows of L, each component as _dot forms it.
+    # L v from the raw rows of L, each component as _rdot forms it.
     prec, rnd = mp._prec_rounding
     v = [c._mpf_ for c in v]
     return tuple.__new__(FourVector, (_make_mpf(_rdot(zip(row, v), prec, rnd)) for row in rows))
@@ -198,7 +209,7 @@ def _inverse_rows(rows, prec: int, rounding: str) -> list:
         (_mpf_neg(c[0], prec, rounding), *c[1:]) for c in spatial]
 
 
-def _check_metric(raw, factors: tuple[Matrix, ...] = ()) -> None:
+def _check_metric(raw, factors=()) -> None:
     """Raise ValueError unless m, given by its raw rows, preserves the metric.
 
     g is diagonal, so (m^T g m)_{ij} is the sum over k of m[k][i] (g_k
@@ -214,7 +225,8 @@ def _check_metric(raw, factors: tuple[Matrix, ...] = ()) -> None:
     ``**``, ``fabs``, ``max``, ``fprod``, ``<=`` and ``<`` form it, so
     the outcome and the message are those of the operator form; the sums
     are already rounded at this precision, so their absolute value needs
-    no rounding.  Only that scaled bound reads the factors' entries.
+    no rounding.  Only that scaled bound reads the factors, given by their
+    raw rows too.
     """
     # g m: g = diag(-1, 1, 1, 1) only negates the t row, exactly.
     prec, rounding = mp._prec_rounding
@@ -236,7 +248,7 @@ def _check_metric(raw, factors: tuple[Matrix, ...] = ()) -> None:
     scale = libmp.mpf_pow_int(_rmax((_FONE, _largest(raw))), 2, prec, rounding)
     prod = _FONE
     for f in factors:
-        prod = _mpf_mul(prod, _rmax((_FONE, _largest(_raw(f)))), prec, rounding)
+        prod = _mpf_mul(prod, _rmax((_FONE, _largest(f))), prec, rounding)
     bound = _mpf_mul(tol, _rmax((scale, prod)), prec, rounding)
     if not all(libmp.mpf_lt(d, bound) for d in defects):
         worst = _make_mpf(libmp.fnan if libmp.fnan in defects else _rmax(defects))
@@ -250,29 +262,25 @@ class LorentzTransform(value_type("LorentzTransform", "matrix")):
     to the working precision and scaled by the size of the entries
     (_check_metric); exact inputs (integer entries, or matrices built by
     boost/rotation_xy at current precision) pass with room to spare.
-    Every construction runs the check, including the results of
-    ``compose``, which scales it by its factors.
+    Every construction goes through ``_checked_transform``; the results
+    of ``compose`` are checked on the scale of their factors.
     """
 
     __slots__ = ()
 
     def __new__(cls, matrix: Matrix):
-        m = _as_matrix(matrix)
-        _check_metric(_raw(m))
-        return super().__new__(cls, m)
+        return _checked_transform(_raw(_as_matrix(matrix)))
 
     def compose(self, other: "LorentzTransform") -> "LorentzTransform":
         """self after other: the matrix product, so it maps v to self(other(v))."""
-        m = _mat_mul(self.matrix, other.matrix)
-        _check_metric(_raw(m), (self.matrix, other.matrix))
-        # Already checked against its factors' scale: skip __new__'s check.
-        return tuple.__new__(LorentzTransform, (m,))
+        a, b = _raw(self.matrix), _raw(other.matrix)
+        return _checked_transform(_mat_mul(a, b), (a, b))
 
 
-def _checked_transform(rows) -> LorentzTransform:
-    # A transform from raw rows, checked as every construction is, then
-    # wrapped without __new__'s conversion and its repeated check.
-    _check_metric(rows)
+def _checked_transform(rows, factors=()) -> LorentzTransform:
+    # A transform from raw rows, checked (against the scale of the raw
+    # factors' rows, for a product), then wrapped as mpf.
+    _check_metric(rows, factors)
     return tuple.__new__(LorentzTransform, (tuple(tuple(map(_make_mpf, r)) for r in rows),))
 
 

@@ -46,8 +46,8 @@ from functools import lru_cache
 
 from mpmath import libmp, mp, mpf
 
-from .errors import InvalidMode, NotConverged
-from .params import CutoffParams, FieldKind, PlateGeometry
+from .errors import NotConverged
+from .params import CutoffParams, FieldKind, PlateGeometry, _check_field
 from .precision import to_mpf, value_type
 
 # Cap on the automatic stopping index; past it the parameters are too
@@ -330,13 +330,9 @@ def energy_mode_sum(
         raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_field(field)
     prec, rnd = mp._prec_rounding
-    if field is FieldKind.ELECTROMAGNETIC:
-        weight = _FONE
-    elif field is FieldKind.SCALAR:
-        weight = _mpf_div(_FONE, _FTWO, prec, rnd)
-    else:
-        raise InvalidMode(f"unknown field kind: {field!r}")
+    weight = _mpf_div(_FONE, _FTWO, prec, rnd) if field is FieldKind.SCALAR else _FONE
 
     x, q, A, B, C = _tower(geom, cutoff, weight, prec, rnd)
     head = _mpf_div(C, _FTWO, prec, rnd) if field is FieldKind.ELECTROMAGNETIC else _FZERO

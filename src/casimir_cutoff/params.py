@@ -9,7 +9,8 @@ Validation compares mpmath's raw values with ``libmp.mpf_gt``,
 ``mpf_lt`` and ``mpf_ge``, which are False against a NaN as mpf's
 ``>``, ``<`` and ``>=`` are, so a NaN or infinite value is rejected
 exactly as the operator form rejects it; ``_unit_lambda`` is the
-lambda check that ``expansion`` shares.
+lambda check that ``expansion`` and ``pointwise`` share, and
+``_check_field`` the field check of every entry point that takes one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 
 from mpmath import libmp, mpf
 
-from .errors import CutoffDomain, NonPositiveSeparation
+from .errors import CutoffDomain, InvalidMode, NonPositiveSeparation
 from .precision import to_mpf, value_type
 
 _FZERO, _mpf_gt, _mpf_lt = libmp.fzero, libmp.mpf_gt, libmp.mpf_lt
@@ -37,6 +38,12 @@ class FieldKind(Enum):
 
     ELECTROMAGNETIC = "em"
     SCALAR = "scalar"
+
+
+def _check_field(field) -> None:
+    """Raise InvalidMode unless field is a FieldKind."""
+    if not isinstance(field, FieldKind):
+        raise InvalidMode(f"unknown field kind: {field!r}")
 
 
 class CutoffParams(value_type("CutoffParams", "epsilon lam")):

@@ -11,7 +11,10 @@ finite splitting from a radial kernel: the summed propagator kernel
 ``generating_function``, its infinite-plate-separation limit
 ``bulk_kernel``, the Hessian of a radial function with respect to the
 splitting vector, and the derivative structure applied to it, which
-the stress layer's own assembly builds.  ``energy_closed_form`` is the
+the stress layer's own assembly builds.  Both kernels check s, s' and
+s - lambda s' in one helper, ``_kernel_argument``, and lambda and the
+plate separation by the checks of ``params``, so they raise a
+``CasimirError`` and never return NaN.  ``energy_closed_form`` is the
 coth closed form of the mode sum in ``modesum``, and ``eigenmode`` and
 ``check_boundary_conditions`` give the cavity modes it sums over.
 """
@@ -20,9 +23,9 @@ from __future__ import annotations
 
 from mpmath import cos, coth, csch, expm1, mp, mpc, mpf, pi, sin, sqrt
 
-from .errors import CothPole, CutoffDomain, InvalidMode, NonPositiveSeparation
+from .errors import CothPole, InvalidMode, NonPositiveSeparation
 from .minkowski import DIM, SeparationVector, SymTensor4
-from .params import CutoffParams, FieldKind, PlateGeometry
+from .params import CutoffParams, FieldKind, PlateGeometry, _check_field, _unit_lambda
 from .precision import to_mpf, value_type
 from .stress import _H_DIAG, StressDecomposition, _split_tol, _unit_splitting
 
@@ -33,6 +36,22 @@ class RadialKernel(value_type("RadialKernel", "s value first second")):
     __slots__ = ()
 
 
+def _kernel_argument(s, s_frozen, lam) -> tuple[mpf, mpf]:
+    """s and w = s - lambda s', each checked positive, with lambda in [0, 1).
+
+    Every test is a positive one, so a NaN fails it: a kernel raises,
+    never returns NaN.  w is formed as (s - s') + (1 - lambda) s', so
+    that it keeps its digits as lambda -> 1.
+    """
+    s, s_frozen = to_mpf(s), to_mpf(s_frozen)
+    if not s > 0:
+        raise NonPositiveSeparation(f"separation must be positive, got {s}")
+    w = (s - s_frozen) + (1 - _unit_lambda(lam)) * s_frozen
+    if not w > 0:
+        raise CothPole(f"s - lambda s' must be positive, got {w}")
+    return s, w
+
+
 def generating_function(s, s_frozen, lam, a) -> RadialKernel:
     """Summed propagator kernel F = coth[(s - lambda s') pi/2a] / (4 pi a s).
 
@@ -40,22 +59,11 @@ def generating_function(s, s_frozen, lam, a) -> RadialKernel:
     exp(lambda s' n pi / a) produces a geometric series that closes to
     this coth form.  Derivatives are taken in s only; the primed copy
     s' is frozen during differentiation and identified with s by the
-    caller afterwards.
+    caller afterwards.  The plate separation a is checked as
+    ``PlateGeometry`` checks it, the rest by ``_kernel_argument``.
     """
-    s = to_mpf(s)
-    s_frozen = to_mpf(s_frozen)
-    lam = to_mpf(lam)
-    a = to_mpf(a)
-    if s <= 0:
-        raise NonPositiveSeparation(f"separation must be positive, got {s}")
-    if a <= 0:
-        raise NonPositiveSeparation(f"plate separation must be positive, got {a}")
-    if lam >= 1:
-        raise CutoffDomain(f"lambda must be below 1, got {lam}")
-    # s - lambda s', formed so that it keeps its digits as lambda -> 1.
-    arg = (s - s_frozen) + (1 - lam) * s_frozen
-    if arg <= 0:
-        raise CothPole(f"coth argument must be positive, got {arg}")
+    a = PlateGeometry(a).a
+    s, arg = _kernel_argument(s, s_frozen, lam)
     c = pi / (2 * a)
     u = arg * c
     ch = coth(u)
@@ -74,16 +82,10 @@ def bulk_kernel(s, s_frozen, lam) -> RadialKernel:
 
     coth(x) approaches 1/x for small x, so at a -> infinity the kernel
     becomes 1/(2 pi^2 s (s - lambda s')).  Subtracting this before the
-    coincidence limit removes the free-space divergence.
+    coincidence limit removes the free-space divergence.  Its arguments
+    are checked as ``generating_function``'s are.
     """
-    s = to_mpf(s)
-    s_frozen = to_mpf(s_frozen)
-    lam = to_mpf(lam)
-    if s <= 0:
-        raise NonPositiveSeparation(f"separation must be positive, got {s}")
-    w = (s - s_frozen) + (1 - lam) * s_frozen  # as in generating_function
-    if w <= 0:
-        raise CothPole(f"subtracted-kernel argument must be positive, got {w}")
+    s, w = _kernel_argument(s, s_frozen, lam)
     pref = 1 / (2 * pi**2)
     return RadialKernel(
         s=s,
@@ -168,8 +170,7 @@ def energy_closed_form(
     electromagnetic energy is twice that plus the n = 0 half-term
     1 / (2 pi eps^3), half the massless transverse integral.
     """
-    if not isinstance(field, FieldKind):
-        raise InvalidMode(f"unknown field kind: {field!r}")
+    _check_field(field)
     eps = cutoff.epsilon
     c = pi / (2 * geom.a)
     d = 2 / expm1(2 * (1 - cutoff.lam) * eps * c)  # coth(v) - 1

@@ -43,7 +43,7 @@ from functools import lru_cache
 
 from mpmath import ldexp, libmp, mp, mpf
 
-from .errors import InvalidMode, LightlikeSeparation, WallContact
+from .errors import LightlikeSeparation, WallContact
 from .expansion import _c_mu, _constants, _frozen_coth_term
 from .minkowski import (
     _FZERO,
@@ -61,7 +61,7 @@ from .minkowski import (
     _rsquare,
     transform_tensor,
 )
-from .params import CutoffParams, FieldKind, PlateGeometry
+from .params import CutoffParams, FieldKind, PlateGeometry, _check_field
 from .precision import to_mpf, value_type
 
 # Metric restricted to the (t, x, y) subspace the splitting lives in.
@@ -273,8 +273,7 @@ def _scalar_coefficients(a: mpf, lam: mpf, z: mpf) -> tuple[mpf, mpf, mpf]:
 
 
 def _stress_for(field, geom, cutoff, eps, z):
-    if not isinstance(field, FieldKind):
-        raise InvalidMode(f"unknown field kind: {field!r}")
+    _check_field(field)
     if field is FieldKind.ELECTROMAGNETIC:
         return em_stress(geom, cutoff, eps)
     if z is None:

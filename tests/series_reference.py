@@ -53,7 +53,6 @@ from casimir_cutoff.expansion import (
     EnergyExpansion,
     ReferenceCoefficients,
     _coth_coefficient,
-    _validate_domain,
 )
 from casimir_cutoff.laurent import LaurentSeries, extract_coefficient
 from casimir_cutoff.modesum import (
@@ -73,6 +72,7 @@ from casimir_cutoff.minkowski import (
     SeparationVector,
     SymTensor4,
 )
+from casimir_cutoff.params import PlateGeometry, _unit_lambda
 from casimir_cutoff.pointwise import RadialKernel
 from casimir_cutoff.precision import to_mpf
 from casimir_cutoff.stress import _H_DIAG, _S1_DIAG, _split_tol, _stress_for
@@ -446,6 +446,11 @@ def _operator_odd_coefficient(m, c, mu, lam, inv4pi, field) -> mpf:
     bracket = m * (m - 1) - 2 * mu * (lam + (m - 1))
     coeff = _operator_coth_term(c, mu, m) * bracket * inv4pi
     return coeff / 2 if field is FieldKind.SCALAR else coeff
+
+
+def _validate_domain(a, lam) -> tuple[mpf, mpf]:
+    """The checked a and lambda, as the closed forms of ``expansion`` check them."""
+    return PlateGeometry(a).a, _unit_lambda(lam)
 
 
 def reference_reported_coefficients(

@@ -69,7 +69,7 @@ class TestEnergyLaurent:
         def no_work(*args):
             raise AssertionError("work done before the order was checked")
 
-        monkeypatch.setattr(casimir_cutoff.expansion, "_validate_domain", no_work)
+        monkeypatch.setattr(casimir_cutoff.expansion, "_energy_setup", no_work)
         with pytest.raises(ValueError, match="order must be an integer >= 0"):
             energy_laurent(1, "0.3", order)
 

@@ -8,7 +8,7 @@ transformation of rank-2 tensors.
 import random
 
 import pytest
-from mpmath import cos, cosh, inf, isnan, mp, mpf, nan, pi, sin, sinh
+from mpmath import cos, cosh, inf, isnan, mp, mpf, nan, pi, sin, sinh, sqrt
 
 import casimir_cutoff.minkowski
 from casimir_cutoff.errors import LightlikeSeparation
@@ -80,6 +80,28 @@ class TestMetricAndVectors:
     def test_separation_length(self):
         s = SeparationVector(FourVector("0.3", "0.5", 0, 0))
         assert abs(s.length**2 - (mpf("0.25") - mpf("0.09"))) < TIGHT
+
+    def test_length_at_a_lower_precision_is_checked_again(self):
+        # Built at 40 digits with t^2 just below x^2 + y^2, a vector's
+        # square can round to zero or below at 15 digits; its length is
+        # then a LightlikeSeparation, as for construction, not the square
+        # root of a negative number.
+        rng = random.Random(1)
+        rejected = 0
+        for _ in range(20):
+            with mp.workdps(40):
+                x, y = (mpf(rng.uniform(0.1, 1)) for _ in range(2))
+                t = sqrt(x * x + y * y) * (1 - mpf("1e-30"))
+                v = SeparationVector(FourVector(t, x, y, 0))
+            with mp.workdps(15):
+                s2 = mink_dot(v.vector, v.vector)
+                if s2 > 0:
+                    assert v.length == sqrt(s2)
+                    continue
+                rejected += 1
+                with pytest.raises(LightlikeSeparation, match="squared length"):
+                    v.length
+        assert rejected
 
 
 class TestLorentzTransform:
@@ -212,9 +234,10 @@ class TestLorentzTransform:
         real = casimir_cutoff.minkowski._mat_mul
 
         def perturbed(a, b):
-            rows = [list(row) for row in real(a, b)]
-            rows[0][1] += mpf("1e-20")
-            return tuple(tuple(row) for row in rows)
+            # The product's raw rows, one entry moved by 1e-20.
+            rows = real(a, b)
+            rows[0][1] = (mp.make_mpf(rows[0][1]) + mpf("1e-20"))._mpf_
+            return rows
 
         monkeypatch.setattr(casimir_cutoff.minkowski, "_mat_mul", perturbed)
         with pytest.raises(ValueError, match="defect"):
@@ -264,9 +287,10 @@ class TestLorentzTransform:
                 tuple(sum((a[i][k] * b[k][j] for k in range(DIM)), mpf(0)) for j in range(DIM))
                 for i in range(DIM)
             )
-            assert casimir_cutoff.minkowski._mat_mul(a, b) == dense
+            raw = casimir_cutoff.minkowski._raw
+            assert casimir_cutoff.minkowski._mat_mul(raw(a), raw(b)) == raw(dense)
             v = FourVector(*b[0])
-            applied = casimir_cutoff.minkowski._apply(casimir_cutoff.minkowski._raw(a), v)
+            applied = casimir_cutoff.minkowski._apply(raw(a), v)
             assert applied == tuple(sum((row[k] * v[k] for k in range(DIM)), mpf(0)) for row in a)
 
     def test_compose_and_inverse_are_validated(self, monkeypatch):
@@ -335,8 +359,12 @@ class TestRawValueKernels:
         # drawn at a higher precision are rounded only in the product.
         rng = random.Random(dps)
         specials = (inf, -inf, nan)
-        dot = casimir_cutoff.minkowski._dot
         with mp.workdps(dps):
+
+            def dot(pairs):
+                # _rdot on the raw pairs at the working precision.
+                raw = [(a._mpf_, b._mpf_) for a, b in pairs]
+                return mp.make_mpf(casimir_cutoff.minkowski._rdot(raw, *mp._prec_rounding))
 
             def entry(special):
                 if rng.random() < 0.3:

@@ -11,11 +11,12 @@ import random
 from itertools import product
 
 import pytest
-from mpmath import cos, cosh, exp, inf, mp, mpf, pi, sin, sinh, zeta
+from mpmath import cos, cosh, exp, inf, mp, mpf, nan, pi, sin, sinh, zeta
 
 import casimir_cutoff.minkowski
 import casimir_cutoff.stress
 from casimir_cutoff.errors import (
+    CasimirError,
     CothPole,
     CutoffDomain,
     InvalidMode,
@@ -218,10 +219,37 @@ class TestGeneratingFunction:
             generating_function(mpf("0.1"), mpf("0.1"), mpf("1.0"), 1)
         with pytest.raises(NonPositiveSeparation):
             generating_function(0, mpf("0.1"), 0, 1)
+        # lambda must lie in [0, 1) for both kernels, as for the cutoff,
+        # even where s - lambda s' stays positive.
+        s = mpf("0.1")
+        for lam in (mpf("-0.1"), mpf(1), mpf(2)):
+            with pytest.raises(CutoffDomain):
+                generating_function(s, s, lam, 1)
+            with pytest.raises(CutoffDomain):
+                bulk_kernel(s, s / 4, lam)
 
     def test_bulk_kernel_pole(self):
         with pytest.raises(CothPole):
             bulk_kernel(mpf("0.1"), mpf("0.25"), mpf("0.5"))
+
+    # (s, s', lambda, a) of a point where both kernels are finite.
+    KERNEL_ARGS = (mpf("0.1"), mpf("0.1"), mpf("0.3"), mpf(1))
+
+    @pytest.mark.parametrize(
+        "kernel, slot, value",
+        [pytest.param(generating_function, slot, nan, id=f"generating_function-{name}-nan")
+         for slot, name in enumerate(("s", "s_frozen", "lam", "a"))]
+        + [pytest.param(bulk_kernel, slot, nan, id=f"bulk_kernel-{name}-nan")
+           for slot, name in enumerate(("s", "s_frozen", "lam"))]
+        + [pytest.param(generating_function, 3, inf, id="generating_function-a-inf")],
+    )
+    def test_kernels_never_return_nan(self, kernel, slot, value):
+        # A NaN s, s', lambda or a, or an infinite plate separation, is
+        # an error of the package, never a NaN kernel.
+        args = list(self.KERNEL_ARGS[: 4 if kernel is generating_function else 3])
+        args[slot] = value
+        with pytest.raises(CasimirError):
+            kernel(*args)
 
 
 class TestDerivativeStructure:
