@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "minkowski": (
         "FourVector", "LorentzTransform", "SeparationVector", "SymTensor4",
-        "boost", "mink_dot", "rotation_xy", "transform_tensor",
+        "boost", "rotation_xy", "transform_tensor",
     ),
     "params": ("CutoffParams", "FieldKind", "PlateGeometry"),
     "laurent": ("LaurentSeries", "extract_coefficient"),

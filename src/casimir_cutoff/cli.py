@@ -128,9 +128,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--field", choices=["em", "scalar"], default="em")
     p.add_argument("--n-max", dest="n_max", type=int, default=None,
                    help="fixed mode count (default: extend until converged)")
-    p.add_argument("--order", type=int, default=4,
-                   help="highest retained series power; the printed"
-                        " coefficients do not depend on it")
     p.add_argument("--precision", type=int, default=None,
                    help="working digits (default: CASIMIR_PRECISION or 50)")
     p.add_argument("--format", dest="out_format", choices=["csv", "json"], default="csv")
@@ -172,8 +169,6 @@ def parse_args(argv: list[str]) -> ScanConfig:
         field = FieldKind(ns.field)
         if ns.n_max is not None and ns.n_max < 1:
             raise UsageError("--n-max: must be >= 1")
-        if ns.order < 0:
-            raise UsageError("--order: must be >= 0")
         if ns.trials < 1:
             raise UsageError("--trials: must be >= 1")
         rapidity = _parse_number(ns.rapidity, "--rapidity")

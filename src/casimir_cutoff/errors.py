@@ -27,7 +27,11 @@ class NotConverged(CasimirError):
 
 
 class InvalidMode(CasimirError):
-    """Mode label outside the admissible spectrum (e.g. n=0, polarization 1)."""
+    """Mode label outside the admissible spectrum (e.g. n=0, polarization 1).
+
+    Also a splitting vector with a z component, which leaves the (t, x, y)
+    subspace the stress is split in.
+    """
 
 
 # ---- point-split stress ----

@@ -11,17 +11,17 @@ hashable and survive precision changes without silent rounding.  Each
 value type is itself a tuple of its fields (``value_type``), validated
 on construction and by ``_replace``.
 
-Every sum of products in the package (inner products, matrix products,
-the metric check, tensor transforms and the stress layer's tensor
-assembly) goes through one kernel, ``_rdot``.  It works on mpmath's raw
-values with ``libmp.mpf_mul`` and ``libmp.mpf_add`` at the caller's
-``mp._prec_rounding``, the same functions and the same (prec, rounding)
-that mpf's own ``*`` and ``+`` call, so its result has the bits of the
-mpf expression ``a1 * b1 + a2 * b2 + ...`` taken left to right without
-building an mpf per product.  A product with an exact-zero factor is
-skipped; with a finite other factor, adding it would change no bit.
-``_rsquare`` is the raw Minkowski square of a four-vector.  The matrix
-product takes and returns raw rows; the metric check and
+Every sum of products in the package (the Minkowski square, matrix
+products, the metric check, tensor transforms and the stress layer's
+tensor assembly) goes through one kernel, ``_rdot``.  It works on
+mpmath's raw values with ``libmp.mpf_mul`` and ``libmp.mpf_add`` at the
+caller's ``mp._prec_rounding``, the same functions and the same (prec,
+rounding) that mpf's own ``*`` and ``+`` call, so its result has the
+bits of the mpf expression ``a1 * b1 + a2 * b2 + ...`` taken left to
+right without building an mpf per product.  A product with an exact-zero
+factor is skipped; with a finite other factor, adding it would change no
+bit.  ``_rsquare`` is the raw Minkowski square of a four-vector.  The
+matrix product takes and returns raw rows; the metric check and
 ``transform_tensor`` read each matrix's raw values once; the check's
 sums and ``transform_tensor``'s intermediate product L T stay raw, and
 an mpf is built only for an entry a caller receives.
@@ -63,17 +63,12 @@ _mpf_mul, _mpf_neg, _mpf_sub = libmp.mpf_mul, libmp.mpf_neg, libmp.mpf_sub
 _make_mpf = mp.make_mpf
 
 
-def _validation_tol() -> mpf:
+@lru_cache(maxsize=16)
+def _validation_tol(dps: int, prec: int) -> mpf:
     # Relative tolerance: ten digits of slack below working precision,
     # for the rounding that composed transforms accumulate.  Callers
-    # scale it by the size of the entries they check.
-    return _tol_at(mp.dps, mp.prec)
-
-
-@lru_cache(maxsize=16)
-def _tol_at(dps: int, prec: int) -> mpf:
-    # Keyed on mp.prec too, so a value rounded at one precision is never
-    # reused at another.
+    # scale it by the size of the entries they check, and pass mp.prec
+    # too, so a value rounded at one precision is never reused at another.
     return mpf(10) ** (10 - dps)
 
 
@@ -84,17 +79,6 @@ class FourVector(value_type("FourVector", "t x y z")):
 
     def __new__(cls, t: mpf, x: mpf, y: mpf, z: mpf):
         return super().__new__(cls, to_mpf(t), to_mpf(x), to_mpf(y), to_mpf(z))
-
-
-def mink_dot(u: FourVector, v: FourVector) -> mpf:
-    """Minkowski inner product g_{mu nu} u^mu v^nu = -u^t v^t + u.v.
-
-    Products with an exact-zero factor are skipped; with finite
-    components the sum, taken left to right, is bit for bit the dense one.
-    """
-    prec, rounding = mp._prec_rounding
-    (ut, *us), vs = [c._mpf_ for c in u], [c._mpf_ for c in v]
-    return _make_mpf(_rdot(zip((_mpf_neg(ut, prec, rounding), *us), vs), prec, rounding))
 
 
 class SeparationVector(value_type("SeparationVector", "vector")):
@@ -175,7 +159,7 @@ def _rdot(pairs, prec: int, rounding: str) -> tuple:
 
 
 def _rsquare(v: FourVector, prec: int, rounding: str) -> tuple:
-    """The raw value of mink_dot(v, v), bit for bit."""
+    """Raw Minkowski square g_{mu nu} v^mu v^nu = -t t + x x + y y + z z, as _rdot forms it."""
     t, x, y, z = (c._mpf_ for c in v)
     return _rdot(((_mpf_neg(t, prec, rounding), t), (x, x), (y, y), (z, z)), prec, rounding)
 
@@ -241,7 +225,7 @@ def _check_metric(raw, factors=()) -> None:
     # Every defect meets a comparison, so a NaN one fails both tests.  An
     # infinite entry makes some defect infinite or NaN, and the strict
     # bound rejects an infinite defect even when its scale is infinite.
-    tol = _validation_tol()._mpf_
+    tol = _validation_tol(mp.dps, mp.prec)._mpf_
     if all(_mpf_le(d, tol) for d in defects):
         return
     # tol * max(max(1, max |m|)^2, fprod(max(1, max |f|) for each factor f)).
@@ -321,7 +305,7 @@ class SymTensor4(value_type("SymTensor4", "matrix")):
         # first; it, like any defect over a NaN scale, fails the <= test.
         # Relative to the largest entry; exact symmetry needs no scale.
         worst = next((d for d in defects if isnan(d)), max(defects, default=_ZERO))
-        if worst and not worst <= _validation_tol() * _make_mpf(_largest(_raw(m))):
+        if worst and not worst <= _validation_tol(mp.dps, mp.prec) * _make_mpf(_largest(_raw(m))):
             raise ValueError(f"tensor is not symmetric: defect {mp.nstr(worst, 8)}")
         return super().__new__(cls, m)
 

@@ -42,6 +42,7 @@ agreement within the certified bound is a test invariant.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 
 from mpmath import libmp, mp, mpf
@@ -181,17 +182,6 @@ def _partial_sums(q, A, B, C, head, prec: int, rnd: str):
     return U, at
 
 
-def _first_true(ok, lo: int, hi: int) -> int:
-    """Smallest n in (lo, hi] with ok(n), for ok monotone in n and ok(hi) true."""
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 @lru_cache(maxsize=16)
 def _default_tol(dps: int, prec: int) -> mpf:
     # 1e-30, or 10^(10 - dps) where the digits cannot spare ten below
@@ -285,7 +275,7 @@ def _search_from(meets, n: int, limit: int = _AUTO_N_CAP + 1) -> int:
         while hi < limit and not meets(hi):
             lo, hi = hi, min(hi + step, limit)
             step *= 2
-    return _first_true(meets, lo, hi)
+    return lo + 1 + bisect_left(range(lo + 1, hi), True, key=meets)
 
 
 def energy_mode_sum(

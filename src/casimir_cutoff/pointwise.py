@@ -21,7 +21,7 @@ coth closed form of the mode sum in ``modesum``, and ``eigenmode`` and
 
 from __future__ import annotations
 
-from mpmath import cos, coth, csch, expm1, mp, mpc, mpf, pi, sin, sqrt
+from mpmath import cos, coth, csch, expm1, isfinite, isinf, mp, mpc, mpf, pi, sin, sqrt
 
 from .errors import CothPole, InvalidMode, NonPositiveSeparation
 from .minkowski import DIM, SeparationVector, SymTensor4
@@ -37,7 +37,7 @@ class RadialKernel(value_type("RadialKernel", "s value first second")):
 
 
 def _kernel_argument(s, s_frozen, lam) -> tuple[mpf, mpf]:
-    """s and w = s - lambda s', each checked positive, with lambda in [0, 1).
+    """s and w = s - lambda s', each checked positive, s finite, lambda in [0, 1).
 
     Every test is a positive one, so a NaN fails it: a kernel raises,
     never returns NaN.  w is formed as (s - s') + (1 - lambda) s', so
@@ -46,6 +46,8 @@ def _kernel_argument(s, s_frozen, lam) -> tuple[mpf, mpf]:
     s, s_frozen = to_mpf(s), to_mpf(s_frozen)
     if not s > 0:
         raise NonPositiveSeparation(f"separation must be positive, got {s}")
+    if isinf(s):
+        raise NonPositiveSeparation("separation must be finite")
     w = (s - s_frozen) + (1 - _unit_lambda(lam)) * s_frozen
     if not w > 0:
         raise CothPole(f"s - lambda s' must be positive, got {w}")
@@ -97,12 +99,16 @@ def bulk_kernel(s, s_frozen, lam) -> RadialKernel:
 
 def _kernel_splitting(kernel: RadialKernel, eps: SeparationVector) -> tuple[SeparationVector, mpf]:
     # The splitting as (unit direction, length s), with the kernel's own
-    # s checked against that length relative to it.
+    # s checked against that length relative to it and the derivatives
+    # the tensors read checked finite.  Both tests are positive ones, so
+    # a NaN fails them.
     unit, s = _unit_splitting(eps.vector)
-    if abs(kernel.s - s) > _split_tol(mp.prec) * s:
+    if not abs(kernel.s - s) <= _split_tol(mp.prec) * s:
         raise ValueError(
             f"kernel evaluated at s = {kernel.s} but splitting has length {s}"
         )
+    if not (isfinite(kernel.first) and isfinite(kernel.second)):
+        raise CothPole(f"kernel derivatives must be finite, got {kernel.first}, {kernel.second}")
     return unit, s
 
 

@@ -24,11 +24,11 @@ which no CLI command loads.
 The coefficients and the tensor algebra run on mpmath's raw values at
 ``mp._prec_rounding``: both coefficient sets (their constants from
 ``expansion``'s per-precision cache), the scalar position's wall test,
-taking the splitting apart (its square, the margin test, the root and
-the unit scaling), assembling the tensor from its decomposition, moving
-the splitting back by g L^T g and forming the covariance residual here,
-and the push-forward in ``transform_tensor``.  Every
-product sum of the tensor algebra goes through ``minkowski``'s one
+taking the splitting apart (its square, the margin test, then the z
+test, the root and the unit scaling), assembling the tensor from its
+decomposition, moving the splitting back by g L^T g and forming the
+covariance residual here, and the push-forward in ``transform_tensor``.
+Every product sum of the tensor algebra goes through ``minkowski``'s one
 kernel, ``_rdot``.  Each step makes the libmp calls that mpf's
 operators make, with the same operands and the same exact-zero skips,
 so every number has the bits of the operator form that
@@ -43,7 +43,7 @@ from functools import lru_cache
 
 from mpmath import ldexp, libmp, mp, mpf
 
-from .errors import LightlikeSeparation, WallContact
+from .errors import InvalidMode, LightlikeSeparation, WallContact
 from .expansion import _c_mu, _constants, _frozen_coth_term
 from .minkowski import (
     _FZERO,
@@ -151,18 +151,19 @@ def s1_structure() -> SymTensor4:
 def _unit_splitting(v: FourVector) -> tuple[SeparationVector, mpf]:
     # The splitting vector v as (unit direction, invariant length s), the
     # only place its square is formed.  It must be a genuinely spacelike
-    # (t, x, y) vector: s^2 must be a safe fraction of t^2 + x^2 + y^2,
-    # so the bound scales with the vector.  The comparison fails for a
-    # NaN square, which is rejected too.
+    # (t, x, y) vector, checked in that order: s^2 must be a safe
+    # fraction of t^2 + x^2 + y^2, so the bound scales with the vector,
+    # and z must be 0.  The comparison fails for a NaN square, which is
+    # rejected too.
     t, x, y, z = v
-    if z:
-        raise ValueError("splitting vector must lie in the t-x-y subspace (z component 0)")
     prec, rnd = mp._prec_rounding
     s2 = _rsquare(v, prec, rnd)
     scale = _rdot([(c._mpf_, c._mpf_) for c in (t, x, y)], prec, rnd)
     if not _mpf_gt(s2, _mpf_mul(_split_tol(prec)._mpf_, scale, prec, rnd)):
         s2 = _make_mpf(s2)
         raise LightlikeSeparation(f"squared splitting length {s2} is not safely spacelike")
+    if z:
+        raise InvalidMode("splitting vector must lie in the t-x-y subspace (z component 0)")
     s = libmp.mpf_sqrt(s2, prec, rnd)
     # 1/s of a finite s > 0 is never zero, so only zero components stay
     # exact zeros.  Past the margin, s^2 carries at least half the working
@@ -300,19 +301,15 @@ def covariance_check(
 
     The splitting is moved back by the inverse g L^T g, whose entries
     are exact sign flips of the transform's; the transform was checked
-    when it was built, so no second transform is built or checked.
+    when it was built, so no second transform is built or checked.  The
+    moved splitting is checked as a caller's is: LightlikeSeparation if
+    it is not safely spacelike, then InvalidMode if a transform that
+    mixes z moved it off the (t, x, y) subspace.
     """
     d = _stress_for(field, geom, cutoff, eps, z)
     direct = d.tensor()
     prec, rnd = mp._prec_rounding
     back = _apply(_inverse_rows(_raw(transform.matrix), prec, rnd), eps.vector)
-    if back.z:
-        # Only a transform that mixes z moves the splitting off the
-        # plates' subspace.  As for a caller's vector, one that is not
-        # spacelike is a LightlikeSeparation before the z check's
-        # ValueError.  With z = 0, _unit_splitting's stricter margin
-        # rejects it with the same error.
-        SeparationVector(back)
     unit, s = _unit_splitting(back)
     moved = transform_tensor(
         transform, d._replace(direction=unit, separation_length=s).tensor()

@@ -702,13 +702,13 @@ def reference_tensor(d) -> SymTensor4:
 
 
 def reference_unit_splitting(v: FourVector) -> tuple[SeparationVector, mpf]:
-    """The splitting as (unit direction, invariant length s), margin-checked."""
+    """The splitting as (unit direction, invariant length s), margin-checked, then z-checked."""
     t, x, y, z = v
-    if z:
-        raise ValueError("splitting vector must lie in the t-x-y subspace (z component 0)")
     s2 = _operator_mink_dot(v, v)
     if not s2 > _split_tol(mp.prec) * _operator_dot(((t, t), (x, x), (y, y))):
         raise LightlikeSeparation(f"squared splitting length {s2} is not safely spacelike")
+    if z:
+        raise InvalidMode("splitting vector must lie in the t-x-y subspace (z component 0)")
     s = sqrt(s2)
     return tuple.__new__(SeparationVector, (scale(v, 1 / s),)), s
 
@@ -736,8 +736,6 @@ def reference_covariance_check(field, geom, cutoff, eps, transform, z=None) -> m
     back = FourVector(
         *(_operator_dot(zip(row, eps.vector)) for row in _operator_inverse_rows(transform.matrix))
     )
-    if back.z:
-        SeparationVector(back)
     unit, s = reference_unit_splitting(back)
     moved = reference_transform_tensor(
         transform, reference_tensor(d._replace(direction=unit, separation_length=s))

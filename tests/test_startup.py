@@ -34,7 +34,7 @@ EXPORTS = [
     ("errors", "OutOfRange"), ("errors", "WallContact"),
     ("minkowski", "FourVector"), ("minkowski", "LorentzTransform"),
     ("minkowski", "SeparationVector"), ("minkowski", "SymTensor4"),
-    ("minkowski", "boost"), ("minkowski", "mink_dot"), ("minkowski", "rotation_xy"),
+    ("minkowski", "boost"), ("minkowski", "rotation_xy"),
     ("minkowski", "transform_tensor"),
     ("params", "CutoffParams"), ("params", "FieldKind"), ("params", "PlateGeometry"),
     ("laurent", "LaurentSeries"), ("laurent", "extract_coefficient"),

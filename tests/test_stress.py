@@ -241,11 +241,14 @@ class TestGeneratingFunction:
          for slot, name in enumerate(("s", "s_frozen", "lam", "a"))]
         + [pytest.param(bulk_kernel, slot, nan, id=f"bulk_kernel-{name}-nan")
            for slot, name in enumerate(("s", "s_frozen", "lam"))]
-        + [pytest.param(generating_function, 3, inf, id="generating_function-a-inf")],
+        + [pytest.param(generating_function, 3, inf, id="generating_function-a-inf"),
+           pytest.param(generating_function, 0, inf, id="generating_function-s-inf"),
+           pytest.param(bulk_kernel, 0, inf, id="bulk_kernel-s-inf")],
     )
     def test_kernels_never_return_nan(self, kernel, slot, value):
-        # A NaN s, s', lambda or a, or an infinite plate separation, is
-        # an error of the package, never a NaN kernel.
+        # A NaN s, s', lambda or a, or an infinite plate separation or
+        # splitting, is an error of the package, never a NaN or all-zero
+        # kernel.
         args = list(self.KERNEL_ARGS[: 4 if kernel is generating_function else 3])
         args[slot] = value
         with pytest.raises(CasimirError):
@@ -324,10 +327,31 @@ class TestDerivativeStructure:
         with pytest.raises(ValueError):
             second_derivative_tensor(propagator_kernel(1, mpf("0.3")), eps)
 
+    @pytest.mark.parametrize("route", [second_derivative_tensor, stress_from_kernel])
+    def test_kernel_with_nan_s_rejected(self, route):
+        # The kernel's s is compared with the splitting's length by a
+        # positive test, which a NaN fails.
+        eps = spacelike(0, mpf("0.1"), 0)
+        with pytest.raises(ValueError, match="kernel evaluated at s = nan"):
+            route(RadialKernel(nan, 1, 1, 1), eps)
+
+    @pytest.mark.parametrize("route", [second_derivative_tensor, stress_from_kernel])
+    @pytest.mark.parametrize("slots", [("first",), ("second",), ("value", "first", "second")],
+                             ids=["first", "second", "all"])
+    @pytest.mark.parametrize("bad", [nan, inf, -inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_kernel_rejected(self, route, slots, bad):
+        # A kernel whose derivatives are not finite is a CothPole, where
+        # the kernels' own infinities come from: never a NaN tensor or an
+        # error outside the CasimirError family.
+        eps = spacelike(0, mpf("0.1"), 0)
+        kernel = propagator_kernel(1, eps.length)._replace(**dict.fromkeys(slots, bad))
+        with pytest.raises(CothPole, match="must be finite"):
+            route(kernel, eps)
+
     def test_splitting_outside_subspace_rejected(self):
         bad = SeparationVector(FourVector(0, mpf("0.1"), 0, mpf("0.05")))
         kernel = propagator_kernel(1, bad.length)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidMode, match="t-x-y subspace"):
             second_derivative_tensor(kernel, bad)
 
     def test_full_operator_zz_entry(self):
@@ -454,7 +478,7 @@ class TestEMStress:
         t = sqrt(mpf("0.01") - mpf("1e-31"))
         with pytest.raises(LightlikeSeparation):
             em_stress(geom, cutoff, SeparationVector(FourVector(t, mpf("0.1"), 0, 0)))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidMode, match="t-x-y subspace"):
             em_stress(geom, cutoff, SeparationVector(FourVector(0, mpf("0.1"), 0, mpf("0.01"))))
         # A NaN square (-inf + inf) fails every comparison, and is rejected
         # even past SeparationVector's own check.
@@ -493,7 +517,7 @@ class TestEMStress:
         rng = random.Random(dps)
         with mp.workdps(dps):
             tol = ldexp(mpf(1), -(mp.prec // 2))
-            dot = casimir_cutoff.minkowski.mink_dot
+            rsquare = casimir_cutoff.minkowski._rsquare
             for _ in range(40):
                 r = mpf(10) ** rng.randint(-20, 20)
                 ang = mpf(rng.uniform(0, 7))
@@ -506,7 +530,7 @@ class TestEMStress:
                             casimir_cutoff.stress._unit_splitting(eps.vector)
                         continue
                     unit, s = casimir_cutoff.stress._unit_splitting(eps.vector)
-                    square = dot(unit.vector, unit.vector)
+                    square = mp.make_mpf(rsquare(unit.vector, *mp._prec_rounding))
                     assert square > 0
                     assert abs(square - 1) < 4 * tol
 
@@ -730,8 +754,8 @@ class TestCovariance:
 
     def test_transform_mixing_z_keeps_its_errors(self):
         # A transform that does not preserve the plates moves the splitting
-        # off the t-x-y subspace: a plain ValueError, as for a caller's
-        # splitting with a z component.  At rapidity 22 along z, 15 digits
+        # off the t-x-y subspace: InvalidMode, as for a caller's splitting
+        # with a z component.  At rapidity 22 along z, 15 digits
         # cannot hold the moved splitting's square, which cancels to 0: a
         # LightlikeSeparation, as a caller's non-spacelike vector gets.
         def boost_z(r):
@@ -745,8 +769,8 @@ class TestCovariance:
             eps = spacelike(mpf("0.01"), mpf("0.1"), mpf("0.02"))
             for field, z in ((FieldKind.ELECTROMAGNETIC, None), (FieldKind.SCALAR, mpf("0.3"))):
                 for ell, error in (
-                    (rotation_xz, ValueError),
-                    (boost_z(mpf("0.5")), ValueError),
+                    (rotation_xz, InvalidMode),
+                    (boost_z(mpf("0.5")), InvalidMode),
                     (boost_z(22), LightlikeSeparation),
                 ):
                     with pytest.raises(Exception) as caught:
