@@ -23,11 +23,10 @@ _EXPORTS = {
         "LightlikeSeparation", "NonPositiveSeparation",
         "NotConverged", "OutOfRange", "WallContact",
     ),
-    "minkowski": (
-        "FourVector", "LorentzTransform", "SeparationVector", "SymTensor4",
-        "boost", "rotation_xy", "transform_tensor",
+    "minkowski": ("LorentzTransform", "SymTensor4", "boost", "rotation_xy", "transform_tensor"),
+    "params": (
+        "CutoffParams", "FieldKind", "FourVector", "PlateGeometry", "SeparationVector",
     ),
-    "params": ("CutoffParams", "FieldKind", "PlateGeometry"),
     "laurent": ("LaurentSeries", "extract_coefficient"),
     "modesum": ("ModeSumResult", "energy_mode_sum"),
     "expansion": (

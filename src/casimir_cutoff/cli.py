@@ -31,12 +31,13 @@ from pathlib import Path
 from mpmath import isfinite, isnan, mp, mpf
 
 from .errors import CasimirError, LightlikeSeparation, NotConverged
-from .minkowski import FourVector, SeparationVector, boost, rotation_xy
-from .params import CutoffParams, FieldKind, PlateGeometry
+from .params import CutoffParams, FieldKind, FourVector, PlateGeometry, SeparationVector
 from .precision import ENV_VAR, resolve_precision, to_mpf, value_type
 
-# parse_args needs only the modules above; each grid generator imports
-# the further layers it calls, so a subcommand loads only what it uses.
+# parse_args needs only the modules above: the value types and the
+# splitting's check are in params, so no parse loads minkowski.  Each
+# grid generator imports the further layers it calls, so a subcommand
+# loads only what it uses.
 
 
 class UsageError(Exception):
@@ -261,6 +262,7 @@ def _stress(cfg: ScanConfig):
 
 
 def _covariance(cfg: ScanConfig):
+    from .minkowski import boost, rotation_xy
     from .stress import covariance_check
 
     rng = random.Random(cfg.seed)

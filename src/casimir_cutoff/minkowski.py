@@ -1,4 +1,4 @@
-"""Flat-spacetime linear algebra at extended precision.
+"""Flat-spacetime linear algebra at extended precision: transforms and tensors.
 
 Conventions: coordinates are ordered (t, x, y, z), the metric signature
 is (-, +, +, +), and index placement follows the usual rule that a
@@ -6,35 +6,30 @@ Lorentz matrix L acts on contravariant components as v' = L v.  The
 plates sit at fixed z, so boosts and rotations that preserve the plate
 geometry act only in the (t, x, y) block.
 
-Everything is stored as tuples of mpf, so instances are immutable and
-hashable and survive precision changes without silent rounding.  Each
-value type is itself a tuple of its fields (``value_type``), validated
-on construction and by ``_replace``.
+The vectors, ``FourVector`` and the point-splitting ``SeparationVector``,
+are regulator input and are defined in ``params``; this module binds
+both names too.  Everything is stored as tuples of mpf, so instances are
+immutable and hashable and survive precision changes without silent
+rounding.  Each value type is itself a tuple of its fields
+(``value_type``), validated on construction and by ``_replace``.
 
-Every sum of products in the package (the Minkowski square, matrix
-products, the metric check, tensor transforms and the stress layer's
-tensor assembly) goes through one kernel, ``_rdot``.  It works on
-mpmath's raw values with ``libmp.mpf_mul`` and ``libmp.mpf_add`` at the
-caller's ``mp._prec_rounding``, the same functions and the same (prec,
-rounding) that mpf's own ``*`` and ``+`` call, so its result has the
-bits of the mpf expression ``a1 * b1 + a2 * b2 + ...`` taken left to
-right without building an mpf per product.  A product with an exact-zero
-factor is skipped; with a finite other factor, adding it would change no
-bit.  ``_rsquare`` is the raw Minkowski square of a four-vector.  The
-matrix product takes and returns raw rows; the metric check and
-``transform_tensor`` read each matrix's raw values once; the check's
-sums and ``transform_tensor``'s intermediate product L T stay raw, and
-an mpf is built only for an entry a caller receives.
+Every sum of products here (matrix products, the metric check and
+tensor transforms) goes through the package's one product-sum kernel,
+``_rdot``, which lives in ``params`` next to the Minkowski square
+``_rsquare``, since a splitting's square needs it without the rest of
+this module; see ``params`` for the bits it forms.  The matrix product
+takes and returns raw rows; the metric check and ``transform_tensor``
+read each matrix's raw values once; the check's sums and
+``transform_tensor``'s intermediate product L T stay raw, and an mpf is
+built only for an entry a caller receives.
 
-Validation runs on raw values as well: ``SeparationVector``'s square
-and its sign test, shared by construction and ``length``, the metric
-check with its scaled bound, and ``SymTensor4.trace``.  Every
-``LorentzTransform`` is built by ``_checked_transform``, which checks
-raw rows and only then makes the mpf matrix: the constructor's
-converted entries, the raw entries of ``boost`` and ``rotation_xy``,
-and the raw product of ``compose``, whose bound is scaled by its
-factors.  The inverse g L^T g and the vector it moves stay raw until
-the vector is returned.
+Validation runs on raw values as well: the metric check with its scaled
+bound, and ``SymTensor4.trace``.  Every ``LorentzTransform`` is built by
+``_checked_transform``, which checks raw rows and only then makes the
+mpf matrix: the constructor's converted entries, the raw entries of
+``boost`` and ``rotation_xy``, and the raw product of ``compose``, whose
+bound is scaled by its factors.  The inverse g L^T g and the vector it
+moves stay raw until the vector is returned.
 Comparisons are ``libmp.mpf_gt``, ``mpf_le`` and ``mpf_lt``, False
 against a NaN as mpf's operators are, and ``_rmax`` takes a maximum as
 ``max`` takes it over mpf, so every outcome and error message is the
@@ -48,7 +43,13 @@ from functools import lru_cache, reduce
 
 from mpmath import fabs, isnan, libmp, mp, mpf
 
+from .params import FourVector, SeparationVector, _rdot
 from .precision import to_mpf, value_type
+
+# FourVector and SeparationVector are bound here for the callers that
+# import them from this module.
+__all__ = ["DIM", "METRIC_DIAG", "FourVector", "LorentzTransform", "SeparationVector",
+           "SymTensor4", "boost", "rotation_xy", "transform_tensor"]
 
 DIM = 4
 
@@ -72,56 +73,6 @@ def _validation_tol(dps: int, prec: int) -> mpf:
     return mpf(10) ** (10 - dps)
 
 
-class FourVector(value_type("FourVector", "t x y z")):
-    """Contravariant four-vector with components (t, x, y, z)."""
-
-    __slots__ = ()
-
-    def __new__(cls, t: mpf, x: mpf, y: mpf, z: mpf):
-        return super().__new__(cls, to_mpf(t), to_mpf(x), to_mpf(y), to_mpf(z))
-
-
-class SeparationVector(value_type("SeparationVector", "vector")):
-    """Spacelike point-splitting vector.
-
-    The regulated two-point functions are expanded around coincidence
-    along a spacelike direction; a timelike or lightlike separation has
-    no invariant length to expand in, so construction rejects it.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, vector: FourVector):
-        _spacelike_square(vector, *mp._prec_rounding)
-        return super().__new__(cls, vector)
-
-    @property
-    def length(self) -> mpf:
-        """Invariant length s = sqrt(g_{mu nu} eps^mu eps^nu) > 0.
-
-        The square is checked again at the working precision, which may
-        be lower than the one the vector was built at.
-        """
-        prec, rounding = mp._prec_rounding
-        s2 = _spacelike_square(self.vector, prec, rounding)
-        return _make_mpf(libmp.mpf_sqrt(s2, prec, rounding))
-
-
-def _spacelike_square(vector: FourVector, prec: int, rounding: str) -> tuple:
-    # The raw squared length, raising LightlikeSeparation unless it is
-    # positive.  Not "s2 <= 0": a NaN square, as from -inf + inf, must
-    # fail too.
-    s2 = _rsquare(vector, prec, rounding)
-    if not _mpf_gt(s2, _FZERO):
-        from .errors import LightlikeSeparation
-
-        raise LightlikeSeparation(
-            "point-splitting vector must be spacelike: "
-            f"squared length {mp.nstr(_make_mpf(s2), 8)}"
-        )
-    return s2
-
-
 Matrix = tuple[tuple[mpf, ...], ...]
 
 
@@ -139,29 +90,6 @@ def _largest(rows) -> tuple:
     # Raw max |e| over raw rows, as max and fabs take it.
     prec, rounding = mp._prec_rounding
     return _rmax(_mpf_abs(e, prec, rounding) for row in rows for e in row)
-
-
-def _rdot(pairs, prec: int, rounding: str) -> tuple:
-    """sum(a * b for a, b in pairs) from zero on raw values, bit for bit.
-
-    Products and sums are formed as mpf's operators form them at (prec,
-    rounding) (see the module docstring).  A pair with an exact-zero
-    factor is skipped, even against an infinity or a NaN.  The first
-    product is the start of the sum: added to exact zero, a product
-    already rounded at this precision would come back unchanged.
-    """
-    acc = None
-    for a, b in pairs:
-        if a != _FZERO and b != _FZERO:
-            p = _mpf_mul(a, b, prec, rounding)
-            acc = p if acc is None else _mpf_add(acc, p, prec, rounding)
-    return _FZERO if acc is None else acc
-
-
-def _rsquare(v: FourVector, prec: int, rounding: str) -> tuple:
-    """Raw Minkowski square g_{mu nu} v^mu v^nu = -t t + x x + y y + z z, as _rdot forms it."""
-    t, x, y, z = (c._mpf_ for c in v)
-    return _rdot(((_mpf_neg(t, prec, rounding), t), (x, x), (y, y), (z, z)), prec, rounding)
 
 
 def _raw(m: Matrix) -> list:

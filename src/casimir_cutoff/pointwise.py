@@ -24,8 +24,10 @@ from __future__ import annotations
 from mpmath import cos, coth, csch, expm1, isfinite, isinf, mp, mpc, mpf, pi, sin, sqrt
 
 from .errors import CothPole, InvalidMode, NonPositiveSeparation
-from .minkowski import DIM, SeparationVector, SymTensor4
-from .params import CutoffParams, FieldKind, PlateGeometry, _check_field, _unit_lambda
+from .minkowski import DIM, SymTensor4
+from .params import (
+    CutoffParams, FieldKind, PlateGeometry, SeparationVector, _check_field, _unit_lambda,
+)
 from .precision import to_mpf, value_type
 from .stress import _H_DIAG, StressDecomposition, _split_tol, _unit_splitting
 

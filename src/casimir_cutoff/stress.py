@@ -28,8 +28,8 @@ taking the splitting apart (its square, the margin test, then the z
 test, the root and the unit scaling), assembling the tensor from its
 decomposition, moving the splitting back by g L^T g and forming the
 covariance residual here, and the push-forward in ``transform_tensor``.
-Every product sum of the tensor algebra goes through ``minkowski``'s one
-kernel, ``_rdot``.  Each step makes the libmp calls that mpf's
+Every product sum of the tensor algebra goes through the package's one
+kernel, ``params._rdot``.  Each step makes the libmp calls that mpf's
 operators make, with the same operands and the same exact-zero skips,
 so every number has the bits of the operator form that
 ``tests/series_reference.py`` keeps (``reference_em_coefficients`` and
@@ -46,22 +46,12 @@ from mpmath import ldexp, libmp, mp, mpf
 from .errors import InvalidMode, LightlikeSeparation, WallContact
 from .expansion import _c_mu, _constants, _frozen_coth_term
 from .minkowski import (
-    _FZERO,
-    _ZERO,
-    DIM,
-    FourVector,
-    LorentzTransform,
-    SeparationVector,
-    SymTensor4,
-    _apply,
-    _inverse_rows,
-    _raw,
-    _rdot,
-    _rmax,
-    _rsquare,
-    transform_tensor,
+    _ZERO, DIM, LorentzTransform, SymTensor4, _apply, _inverse_rows, _raw, _rmax, transform_tensor,
 )
-from .params import CutoffParams, FieldKind, PlateGeometry, _check_field
+from .params import (
+    _FZERO, CutoffParams, FieldKind, FourVector, PlateGeometry, SeparationVector, _check_field,
+    _rdot, _rsquare,
+)
 from .precision import to_mpf, value_type
 
 # Metric restricted to the (t, x, y) subspace the splitting lives in.

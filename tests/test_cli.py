@@ -925,7 +925,7 @@ class TestPinnedZeroSplits:
 class TestSplittingTakenApartOnce:
     """How often each CLI point forms the squared length of a splitting.
 
-    Every squared length on the stress path is ``minkowski._rsquare``, the
+    Every squared length on the stress path is ``params._rsquare``, the
     raw Minkowski square of a four-vector; the test counts its calls.
     """
 
@@ -942,18 +942,18 @@ class TestSplittingTakenApartOnce:
         (("scan", "--a", "0.8:1.2:2", "--lambda", "0:0.4:2", _SPLIT), 1),
     ])
     def test_mink_dot_calls_per_point(self, monkeypatch, argv, expected):
-        import casimir_cutoff.minkowski
+        import casimir_cutoff.params
         import casimir_cutoff.stress
 
         cfg = parse_args(list(argv))
         calls = []
-        square = casimir_cutoff.minkowski._rsquare
+        square = casimir_cutoff.params._rsquare
 
         def counted(*args):
             calls.append(None)
             return square(*args)
 
-        for module in (casimir_cutoff.minkowski, casimir_cutoff.stress):
+        for module in (casimir_cutoff.params, casimir_cutoff.stress):
             monkeypatch.setattr(module, "_rsquare", counted)
         counts = []
         with mp.workdps(cfg.precision):

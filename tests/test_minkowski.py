@@ -19,11 +19,11 @@ from casimir_cutoff.minkowski import (
     LorentzTransform,
     SeparationVector,
     SymTensor4,
-    _rsquare,
     boost,
     rotation_xy,
     transform_tensor,
 )
+from casimir_cutoff.params import _rsquare
 from series_reference import apply, checked_inverse, scale
 
 TIGHT = mpf("1e-45")

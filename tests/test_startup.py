@@ -6,9 +6,11 @@ The subprocess tests read ``sys.modules`` in a fresh interpreter; the
 in-process tests check that every export still resolves.  No start loads
 ``dataclasses``: the value types are namedtuples.  Only the Laurent
 window routes load ``laurent``; no CLI start builds a window.  Parsing
-needs only the value types of ``params``: ``modesum`` loads only for
-``energy-sum`` and holds only the mode sum, and no CLI start loads
-``pointwise``, which holds the cross-check routes.
+needs only the value types of ``params``, the splitting vector included:
+``modesum`` loads only for ``energy-sum`` and holds only the mode sum,
+only the starts that assemble a stress tensor (``stress``,
+``covariance``, ``scan``) load the Lorentz algebra of ``minkowski``, and
+no CLI start loads ``pointwise``, which holds the cross-check routes.
 """
 
 import os
@@ -32,11 +34,11 @@ EXPORTS = [
     ("errors", "InvalidMode"), ("errors", "LightlikeSeparation"),
     ("errors", "NonPositiveSeparation"), ("errors", "NotConverged"),
     ("errors", "OutOfRange"), ("errors", "WallContact"),
-    ("minkowski", "FourVector"), ("minkowski", "LorentzTransform"),
-    ("minkowski", "SeparationVector"), ("minkowski", "SymTensor4"),
+    ("minkowski", "LorentzTransform"), ("minkowski", "SymTensor4"),
     ("minkowski", "boost"), ("minkowski", "rotation_xy"),
     ("minkowski", "transform_tensor"),
-    ("params", "CutoffParams"), ("params", "FieldKind"), ("params", "PlateGeometry"),
+    ("params", "CutoffParams"), ("params", "FieldKind"), ("params", "FourVector"),
+    ("params", "PlateGeometry"), ("params", "SeparationVector"),
     ("laurent", "LaurentSeries"), ("laurent", "extract_coefficient"),
     ("modesum", "ModeSumResult"), ("modesum", "energy_mode_sum"),
     ("expansion", "EnergyExpansion"), ("expansion", "PressureResult"),
@@ -52,9 +54,12 @@ EXPORTS = [
     ("pointwise", "check_boundary_conditions"), ("pointwise", "eigenmode"),
     ("pointwise", "energy_closed_form"),
 ]
-# modesum still binds the value types it used to define: the benchmark
-# and the tests import them from there.
-REBOUND = [("modesum", "CutoffParams"), ("modesum", "FieldKind"), ("modesum", "PlateGeometry")]
+# modesum and minkowski still bind the value types they used to define:
+# the benchmark and the tests import them from there.
+REBOUND = [
+    ("modesum", "CutoffParams"), ("modesum", "FieldKind"), ("modesum", "PlateGeometry"),
+    ("minkowski", "FourVector"), ("minkowski", "SeparationVector"),
+]
 # The cross-check routes that left modesum for pointwise.
 MOVED = ("ModeIndex", "check_boundary_conditions", "eigenmode", "energy_closed_form")
 
@@ -69,19 +74,23 @@ sys.exit(code)
 """
 RUN_CLI = "from casimir_cutoff.cli import main; code = main(sys.argv[2:])"
 # The modules past parsing; parse_args alone loads none of them.
-LAYERS = ("modesum", "expansion", "stress", "laurent", "pointwise")
+LAYERS = ("modesum", "expansion", "stress", "laurent", "pointwise", "minkowski")
 # dataclasses costs ~11 ms a start and pulls in inspect, ast, dis and
 # tokenize; the value types are namedtuples, so no layer needs either.
 WATCH_DATACLASSES = 'watch += ("dataclasses", "inspect")'
 
 
-def loaded_modules(code: str, *argv: str) -> set[str]:
+def run_probe(code: str, *argv: str) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "CASIMIR_PRECISION"}
     env["PYTHONPATH"] = str(SRC)
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", PROBE, code, *argv],
         env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def loaded_modules(code: str, *argv: str) -> set[str]:
+    done = run_probe(code, *argv)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.splitlines()[-1].split())
 
@@ -92,7 +101,11 @@ def test_bare_import_loads_no_module():
 
 @pytest.mark.parametrize("argv", [
     ("energy-sum", "--a", "1", "--epsilon", "0.1:0.3:3"),
+    ("energy-expansion", "--a", "1", "--lambda", "0:0.5:2"),
+    ("pressure", "--a", "1", "--field", "scalar"),
     ("stress", "--a", "0.5:2:3", "--field", "scalar", "--z", "0.25"),
+    ("covariance", "--a", "1", "--eps-vec=0.01,0.1,0.02,0", "--trials", "2"),
+    ("scan", "--a", "0.5:2:3"),
 ], ids=lambda argv: argv[0])
 def test_parse_args_loads_no_layer(argv):
     # What the benchmark's setup probe runs: import and parse, no grid.
@@ -106,6 +119,26 @@ def test_parse_args_loads_no_layer(argv):
 def test_only_energy_sum_loads_modesum(loaded_by_command):
     assert [c for c, loaded in loaded_by_command.items()
             if "casimir_cutoff.modesum" in loaded] == ["energy-sum"]
+
+
+def test_only_stress_starts_load_minkowski(loaded_by_command):
+    # The energy starts validate --eps-vec in params and never move a tensor.
+    assert [c for c, loaded in loaded_by_command.items()
+            if "casimir_cutoff.minkowski" in loaded] == ["stress", "covariance", "scan"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("split", ["0.1,0.1,0,0", "0,nan,0,0"], ids=["lightlike", "nan"])
+def test_bad_splitting_exits_one_without_minkowski(command, split):
+    # Every start validates the splitting while parsing, before any
+    # layer loads, and reports it as a usage error.
+    done = run_probe(RUN_CLI, command, f"--eps-vec={split}")
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: --eps-vec: ")
+    rows, loaded = done.stdout.splitlines()[:-1], set(done.stdout.splitlines()[-1].split())
+    assert rows == []
+    assert "casimir_cutoff.params" in loaded
+    assert not loaded & {f"casimir_cutoff.{m}" for m in LAYERS}
 
 
 def test_no_start_loads_pointwise(loaded_by_command):

@@ -14,6 +14,7 @@ import pytest
 from mpmath import cos, cosh, exp, inf, mp, mpf, nan, pi, sin, sinh, zeta
 
 import casimir_cutoff.minkowski
+import casimir_cutoff.params
 import casimir_cutoff.stress
 from casimir_cutoff.errors import (
     CasimirError,
@@ -517,7 +518,7 @@ class TestEMStress:
         rng = random.Random(dps)
         with mp.workdps(dps):
             tol = ldexp(mpf(1), -(mp.prec // 2))
-            rsquare = casimir_cutoff.minkowski._rsquare
+            rsquare = casimir_cutoff.params._rsquare
             for _ in range(40):
                 r = mpf(10) ** rng.randint(-20, 20)
                 ang = mpf(rng.uniform(0, 7))
