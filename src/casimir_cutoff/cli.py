@@ -92,9 +92,12 @@ def _parse_range(text: str, flag: str) -> tuple[mpf, ...]:
         step = (stop - start) / max(count - 1, 1)
         points = [start] + [start + i * step for i in range(1, count)]
         if count > 1 and not isfinite(step):
-            # start + 0 * inf and -inf + inf are NaN: the range ends on stop
-            # itself.  A finite step keeps start + i * step, rounding included.
+            # -inf + inf and inf - inf are NaN: the range ends on stop itself,
+            # and one with a NaN point inside is refused, as a NaN endpoint
+            # is.  A finite step keeps start + i * step, rounding included.
             points[-1] = stop
+            if any(map(isnan, points)):
+                raise UsageError(f"{flag}: range {text!r} has a point that is not a number")
         return tuple(points)
     return (_parse_number(text, flag),)
 

@@ -50,4 +50,8 @@ class LightlikeSeparation(CasimirError):
 
 
 class WallContact(CasimirError):
-    """Field point placed on (or outside) a plate, where the stress diverges."""
+    """Field point placed on (or outside) a plate, where the stress diverges.
+
+    Also a cavity mode profile asked for outside the gap [0, a], where no
+    mode lives, or at a NaN height.
+    """

@@ -8,7 +8,10 @@ frequency, and a dimensionless shape parameter lambda that adds back a
 mode-dependent factor exp(lambda*epsilon*n*pi/a).  Convergence of the
 sum requires lambda < 1; every term is then positive and the tail is
 dominated by a geometric series, which gives a certified remainder
-bound rather than a heuristic one.
+bound rather than a heuristic one.  Where q rounds so close to 1 at
+the working precision that the terms no longer decay, no bound is
+finite, and the sum is refused, for a given range of modes as for the
+automatic one.
 
 Each term is q^n times a quadratic in n, with q = exp((lambda - 1)
 epsilon pi / a), so one exponential serves every term, and the
@@ -77,8 +80,7 @@ _DRIFT_C = 5
 _ESTIMATE_LIMIT = 1 << 62
 _LN2 = math.log(2)
 
-_FZERO, _FONE, _FINF = libmp.fzero, libmp.fone, libmp.finf
-_FTWO, _FTHREE = libmp.from_int(2), libmp.from_int(3)
+_FZERO, _FONE, _FTWO, _FINF = libmp.fzero, libmp.fone, libmp.from_int(2), libmp.finf
 _from_int, _mpf_shift, _mpf_exp, _mpf_pi = (
     libmp.from_int, libmp.mpf_shift, libmp.mpf_exp, libmp.mpf_pi
 )
@@ -88,7 +90,7 @@ _mpf_add, _mpf_sub, _mpf_mul, _mpf_div = (
 _mpf_mul_int, _mpf_rdiv_int, _mpf_pow_int, _mpf_pos = (
     libmp.mpf_mul_int, libmp.mpf_rdiv_int, libmp.mpf_pow_int, libmp.mpf_pos
 )
-_mpf_eq, _mpf_lt, _mpf_le, _mpf_ge = libmp.mpf_eq, libmp.mpf_lt, libmp.mpf_le, libmp.mpf_ge
+_mpf_lt, _mpf_le, _mpf_ge = libmp.mpf_lt, libmp.mpf_le, libmp.mpf_ge
 # mag() of a raw value, and an mpf around one.
 _mpf_mag, _make_mpf = mp._mpf_mag, mp.make_mpf
 
@@ -132,7 +134,8 @@ def _tower(geom: PlateGeometry, cutoff: CutoffParams, weight, prec: int, rnd: st
 def _partial_sums(q, A, B, C, head, prec: int, rnd: str):
     """Whole sum U and n -> (S_n, term_{n+1}) for head + sum q^n p(n), n >= 1, raw.
 
-    p(n) = A n^2 + B n + C, q <= 1, and q, A, B, C are taken as exact.
+    p(n) = A n^2 + B n + C, q < 1 (energy_mode_sum refuses a q that
+    rounds too close to 1 first), and q, A, B, C are taken as exact.
     The geometric moments of q^n give U = head + q r (A (1 + q) r^2 +
     B r + C), with r = 1 / (1 - q), and the terms past n, with N = n + 1:
     T_n = q^N [p(N) r + (2 A N + B) q r^2 + A q (1 + q) r^3], every part
@@ -143,20 +146,6 @@ def _partial_sums(q, A, B, C, head, prec: int, rnd: str):
     dozen roundings of U and T_n, each 2^-(prec + g) of U, below
     2^-20 u of S_n.  Each value is rounded once to prec bits.
     """
-    if _mpf_eq(q, _FONE):  # rounded to 1: U is infinite, S_n a sum of powers of n
-
-        def flat(n: int):
-            N = n + 1
-            s = _mpf_div(_mpf_mul_int(A, 2 * n + 1, prec, rnd), _FTHREE, prec, rnd)
-            s = _mpf_mul_int(_mpf_add(s, B, prec, rnd), N, prec, rnd)
-            s = _mpf_div(s, _FTWO, prec, rnd)
-            s = _mpf_mul_int(_mpf_add(s, C, prec, rnd), n, prec, rnd)
-            term = _mpf_add(_mpf_mul_int(A, N, prec, rnd), B, prec, rnd)
-            term = _mpf_add(_mpf_mul_int(term, N, prec, rnd), C, prec, rnd)
-            return _mpf_add(head, s, prec, rnd), term
-
-        return _FINF, flat
-
     def moments(p: int):
         r = _mpf_rdiv_int(1, _mpf_sub(_FONE, q, p, rnd), p, rnd)
         qr = _mpf_mul(q, r, p, rnd)
@@ -299,19 +288,21 @@ def energy_mode_sum(
     the geometric tail term_{n+1} / (1 - rho_n), with rho_n = q ((n + 2)
     / (n + 1))^2, plus the rounding drift 5 (n + 2) 2^-prec (S_n + tail).
 
-    With n_max given, sums exactly that range and reports the bound
-    (NotConverged only if a tolerance is also given and the bound
-    misses it).  With n_max omitted, returns the first n whose bound is
-    within the relative tolerance of S_n; the default is 1e-30, or
-    10^(10 - dps) where the working precision cannot reach 1e-30.  That
-    index is estimated in double precision from the whole sum, then the
-    rule is evaluated at the estimate and one below it, the same
-    evaluation a given n_max makes, so both give the same result.
-    NotConverged is raised before any such probe if the estimate exceeds
-    the 50 000-mode cap, if the rounding drift there already exceeds the
-    tolerance, or if q rounds so close to 1 that the terms no longer
-    decay.  A tolerance that is not positive, or an n_max that is not
-    an int >= 1 (bool included), raises ValueError before any work.
+    If q rounds so close to 1 that the terms no longer decay, no bound
+    is finite and NotConverged is raised, with n_max given or not.
+    Otherwise, with n_max given, sums exactly that range and reports the
+    bound, which is +inf where rho_n >= 1 (NotConverged only if a
+    tolerance is also given and the bound misses it).  With n_max
+    omitted, returns the first n whose bound is within the relative
+    tolerance of S_n; the default is 1e-30, or 10^(10 - dps) where the
+    working precision cannot reach 1e-30.  That index is estimated in
+    double precision from the whole sum, then the rule is evaluated at
+    the estimate and one below it, the same evaluation a given n_max
+    makes, so both give the same result.  NotConverged is raised before
+    any such probe if the estimate exceeds the 50 000-mode cap or if the
+    rounding drift there already exceeds the tolerance.  A tolerance
+    that is not positive, or an n_max that is not an int >= 1 (bool
+    included), raises ValueError before any work.
     """
     rel_tol = _default_tol(mp.dps, mp.prec) if tol is None else to_mpf(tol)
     if not rel_tol > 0:
@@ -329,7 +320,7 @@ def energy_mode_sum(
     u = _mpf_shift(_FONE, -prec)
     # Keeps the computed rho_n above the exact one despite its roundings.
     q_up = _mpf_mul(q, _mpf_add(_mpf_mul_int(u, 8, prec, rnd), _FONE, prec, rnd), prec, rnd)
-    if n_max is None and _mpf_ge(q_up, _FONE):
+    if _mpf_ge(q_up, _FONE):
         raise NotConverged(f"mode terms do not decay at {prec}-bit precision")
 
     def drift_per_unit(n: int):

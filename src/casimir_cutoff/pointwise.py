@@ -21,15 +21,15 @@ coth closed form of the mode sum in ``modesum``, and ``eigenmode`` and
 
 from __future__ import annotations
 
-from mpmath import cos, coth, csch, expm1, isfinite, isinf, mp, mpc, mpf, pi, sin, sqrt
+from mpmath import cos, coth, csch, expm1, isfinite, isinf, ldexp, mp, mpc, mpf, pi, sin, sqrt
 
-from .errors import CothPole, InvalidMode, NonPositiveSeparation
+from .errors import CothPole, InvalidMode, NonPositiveSeparation, WallContact
 from .minkowski import DIM, SymTensor4
 from .params import (
     CutoffParams, FieldKind, PlateGeometry, SeparationVector, _check_field, _unit_lambda,
 )
 from .precision import to_mpf, value_type
-from .stress import _H_DIAG, StressDecomposition, _split_tol, _unit_splitting
+from .stress import _H_DIAG, StressDecomposition, _unit_splitting
 
 
 class RadialKernel(value_type("RadialKernel", "s value first second")):
@@ -105,7 +105,7 @@ def _kernel_splitting(kernel: RadialKernel, eps: SeparationVector) -> tuple[Sepa
     # the tensors read checked finite.  Both tests are positive ones, so
     # a NaN fails them.
     unit, s = _unit_splitting(eps.vector)
-    if not abs(kernel.s - s) <= _split_tol(mp.prec) * s:
+    if not abs(kernel.s - s) <= ldexp(s, -(mp.prec // 2)):
         raise InvalidMode(f"kernel evaluated at s = {kernel.s} but splitting has length {s}")
     if not (isfinite(kernel.first) and isfinite(kernel.second)):
         raise CothPole(f"kernel derivatives must be finite, got {kernel.first}, {kernel.second}")
@@ -210,12 +210,14 @@ def eigenmode(idx: ModeIndex, geom: PlateGeometry, z) -> tuple[mpc, mpc, mpc]:
     -k_x) with a sin(n pi z / a) profile.  Polarization 2 mixes a
     transverse gradient part (sin profile) with a z part (cos profile);
     at n = 0 only the z part survives and the normalization picks up an
-    extra 1/sqrt(2).  Both satisfy integral_0^a |A|^2 dz = 1.
+    extra 1/sqrt(2).  Both satisfy integral_0^a |A|^2 dz = 1.  A height
+    outside [0, a], NaN included, raises WallContact, and a zero
+    transverse wave-vector InvalidMode.
     """
     a = geom.a
     zz = to_mpf(z)
     if not 0 <= zz <= a:
-        raise ValueError(f"z must lie in [0, {a}], got {zz}")
+        raise WallContact(f"z must lie in [0, {a}], got {zz}")
     kx, ky = idx.k
     kmag = sqrt(kx * kx + ky * ky)
     if kmag == 0:

@@ -40,9 +40,7 @@ built only for a value the caller receives.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from mpmath import ldexp, libmp, mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .errors import InvalidMode, LightlikeSeparation, WallContact
 from .coth import _c_mu, _constants, _frozen_coth_term
@@ -66,16 +64,6 @@ _H_RAW, _S1_RAW = (tuple(e._mpf_ for e in diag) for diag in (_H_DIAG, _S1_DIAG))
 
 _make_mpf, _mpf_abs, _mpf_div = mp.make_mpf, libmp.mpf_abs, libmp.mpf_div
 _mpf_gt, _mpf_mul, _mpf_sub, _from_int = libmp.mpf_gt, libmp.mpf_mul, libmp.mpf_sub, libmp.from_int
-
-
-@lru_cache(maxsize=16)
-def _split_tol(prec: int) -> mpf:
-    # Relative tolerance for the splitting: s^2 is formed by cancellation
-    # with a rounding error of a few ulps of t^2 + x^2 + y^2, so asking
-    # s^2 to exceed 2^(-prec/2) of that sum keeps at least half of the
-    # working bits in s^2, and hence in s, whatever the vector's size.
-    # The caller passes mp.prec, the only precision it depends on.
-    return ldexp(mpf(1), -(prec // 2))
 
 
 class StressDecomposition(
@@ -145,12 +133,15 @@ def _unit_splitting(v: FourVector) -> tuple[SeparationVector, mpf]:
     # (t, x, y) vector, checked in that order: s^2 must be a safe
     # fraction of t^2 + x^2 + y^2, so the bound scales with the vector,
     # and z must be 0.  The comparison fails for a NaN square, which is
-    # rejected too.
+    # rejected too.  s^2 is formed by cancellation with a rounding error
+    # of a few ulps of that sum, so asking s^2 to exceed 2^(-prec/2) of
+    # it keeps at least half of the working bits in s^2, and hence in s,
+    # whatever the vector's size; the margin is an exact shift.
     t, x, y, z = v
     prec, rnd = mp._prec_rounding
     s2 = _rsquare(v, prec, rnd)
     scale = _rdot([(c._mpf_, c._mpf_) for c in (t, x, y)], prec, rnd)
-    if not _mpf_gt(s2, _mpf_mul(_split_tol(prec)._mpf_, scale, prec, rnd)):
+    if not _mpf_gt(s2, libmp.mpf_shift(scale, -(prec // 2))):
         s2 = _make_mpf(s2)
         raise LightlikeSeparation(f"squared splitting length {s2} is not safely spacelike")
     if z:

@@ -72,7 +72,7 @@ from casimir_cutoff.minkowski import (
 from casimir_cutoff.params import PlateGeometry, _unit_lambda
 from casimir_cutoff.pointwise import RadialKernel
 from casimir_cutoff.precision import to_mpf
-from casimir_cutoff.stress import _H_DIAG, _S1_DIAG, _split_tol, _stress_for
+from casimir_cutoff.stress import _H_DIAG, _S1_DIAG, _stress_for
 
 
 def from_terms(
@@ -523,15 +523,7 @@ def _operator_tower(geom, cutoff, weight: mpf):
 
 
 def _operator_partial_sums(q: mpf, A: mpf, B: mpf, C: mpf, head: mpf):
-    """Whole sum U and n -> (S_n, term_{n+1}), in mpf operator form."""
-    if q == 1:
-
-        def flat(n: int) -> tuple[mpf, mpf]:
-            N = n + 1
-            return head + n * ((A * (2 * n + 1) / 3 + B) * N / 2 + C), (A * N + B) * N + C
-
-        return inf, flat
-
+    """Whole sum U and n -> (S_n, term_{n+1}) for q < 1, in mpf operator form."""
     def moments():
         r = 1 / (1 - q)
         qr, a1 = q * r, A * (1 + q) * r
@@ -578,7 +570,7 @@ def reference_mode_sum(
     head = C / 2 if field is FieldKind.ELECTROMAGNETIC else mpf(0)
     u = ldexp(mpf(1), -mp.prec)
     q_up = q * (1 + 8 * u)
-    if n_max is None and q_up >= 1:
+    if q_up >= 1:
         raise NotConverged(f"mode terms do not decay at {mp.prec}-bit precision")
 
     def drift_per_unit(n: int) -> mpf:
@@ -702,7 +694,7 @@ def reference_unit_splitting(v: FourVector) -> tuple[SeparationVector, mpf]:
     """The splitting as (unit direction, invariant length s), margin-checked, then z-checked."""
     t, x, y, z = v
     s2 = _operator_mink_dot(v, v)
-    if not s2 > _split_tol(mp.prec) * _operator_dot(((t, t), (x, x), (y, y))):
+    if not s2 > ldexp(_operator_dot(((t, t), (x, x), (y, y))), -(mp.prec // 2)):
         raise LightlikeSeparation(f"squared splitting length {s2} is not safely spacelike")
     if z:
         raise InvalidMode("splitting vector must lie in the t-x-y subspace (z component 0)")

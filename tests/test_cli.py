@@ -71,12 +71,16 @@ class TestParseArgs:
             parse_args(["pressure", "--a", "1:2:0"])
         with pytest.raises(UsageError, match="--a"):
             parse_args(["pressure", "--a", "abc"])
+        with pytest.raises(UsageError, match="^--a: count must be an integer$"):
+            parse_args(["pressure", "--a", "0:1:x"])
 
     def test_infinite_range_endpoint_keeps_start(self):
         # The first point is start itself, not start + 0 * inf = NaN.
         cfg = parse_args(["pressure", "--a", "1:inf:2", "--epsilon", "2:-inf:3"])
         assert cfg.a_values == (mpf(1), mpf("inf"))
-        assert cfg.eps_values[:2] == (mpf(2), mpf("-inf"))
+        # From a finite start an infinite step has no NaN point inside.
+        assert cfg.eps_values == (mpf(2), mpf("-inf"), mpf("-inf"))
+        assert parse_args(["pressure", "--a", "1:inf:3"]).a_values == (1, mpf("inf"), mpf("inf"))
 
     def test_infinite_start_reaches_stop(self):
         # -inf + inf is NaN, so an infinite step ends on stop itself.
@@ -273,6 +277,35 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {flag.split('=')[0]}: ")
+
+    @pytest.mark.parametrize("command", ["energy-sum", "pressure", "stress"])
+    @pytest.mark.parametrize(
+        "flag", ["--a=-inf:1:3", "--a=inf:inf:3", "--a=inf:-inf:4", "--epsilon=-inf:-inf:3"]
+    )
+    def test_nan_grid_point_is_a_usage_error(self, capsys, command, flag):
+        # start + i * step is NaN inside these ranges (-inf + inf, or a
+        # NaN step): refused as a NaN endpoint is, before any grid point.
+        name, text = flag.split("=")
+        code, out, err = run_cli(capsys, command, flag)
+        assert (code, out) == (1, "")
+        assert err == f"error: {name}: range {text!r} has a point that is not a number\n"
+
+    def test_q_rounded_to_one_given_range_exits_three(self, capsys):
+        # q = 1 - 1.6e-60 is 1 at 50 digits: the terms do not decay, so no
+        # bound is finite and a given --n-max fails to converge too.
+        code, out, err = run_cli(
+            capsys, "energy-sum", "--epsilon", "1e-60", "--lambda", "0.5", "--n-max", "10"
+        )
+        assert (code, err) == (3, "")
+        assert out == "a,lambda,epsilon,n_max,energy,remainder_bound\n1.0,0.5,1.0e-60,,,\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_output_that_fills_up_exits_one(self, capsys):
+        # /dev/full opens but refuses every write, so the writer's own
+        # OSError is turned into a usage error after the sweep.
+        code, out, err = run_cli(capsys, "pressure", "--a", "1", "--output", "/dev/full")
+        assert (code, out) == (1, "")
+        assert err == "error: --output: [Errno 28] No space left on device\n"
 
     @pytest.mark.parametrize("epsilon", ["inf", "0.1:inf:2"])
     def test_infinite_epsilon_row_exits_two(self, capsys, epsilon):

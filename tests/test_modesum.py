@@ -19,6 +19,7 @@ from casimir_cutoff.errors import (
     InvalidMode,
     NonPositiveSeparation,
     NotConverged,
+    WallContact,
 )
 import casimir_cutoff.modesum
 import casimir_cutoff.pointwise
@@ -364,28 +365,19 @@ class TestEnergyModeSum:
                 res = energy_mode_sum(geom, cutoff, field=field, n_max=n_max)
                 assert abs(res.value - ref) <= _DRIFT_C * (n_max + 2) * u * ref
 
-    def test_q_rounded_to_one_still_sums_a_given_range(self):
-        # At eps = 1e-60, q = 1 - 1e-60 is 1 at 50 digits: the whole sum is
-        # infinite, but a given n_max still gets its partial sum, with an
-        # infinite bound, while the auto path refuses.
-        geom, cutoff = PlateGeometry(1), CutoffParams(mpf("1e-60"), mpf("0.5"))
-        eps, lam = cutoff.epsilon, cutoff.lam
-        u = mpf(2) ** -mp.prec
-        with mp.workdps(2 * mp.dps):
-            head = transverse_integral(0, eps) / 2
-            terms = [
-                transverse_integral(n * pi, eps) * exp(lam * eps * n * pi) for n in range(1, 8)
-            ]
-        for n_max in (1, 7):
-            for field, ref in (
-                (FieldKind.ELECTROMAGNETIC, head + sum(terms[:n_max])),
-                (FieldKind.SCALAR, sum(terms[:n_max]) / 2),
-            ):
-                res = energy_mode_sum(geom, cutoff, field=field, n_max=n_max)
-                assert res.remainder_bound == inf
-                assert abs(res.value - ref) <= _DRIFT_C * (n_max + 2) * u * ref
-        with pytest.raises(NotConverged, match="do not decay"):
-            energy_mode_sum(geom, cutoff)
+    @pytest.mark.parametrize("dps", [15, 50, 200])
+    def test_q_rounded_to_one_is_refused_with_or_without_a_range(self, dps):
+        # At eps = 10^-(dps + 10), q = 1 - 1.6 10^-(dps + 10) rounds to 1: no
+        # bound is finite, so a given n_max is refused as the auto path
+        # is, with a tolerance or without, for both fields.
+        geom = PlateGeometry(1)
+        with mp.workdps(dps):
+            cutoff = CutoffParams(mpf(10) ** -(dps + 10), mpf("0.5"))
+            for field in FieldKind:
+                for n_max in (None, 1, 7, 10**6):
+                    for tol in (None, mpf(10) ** (4 - dps)):
+                        with pytest.raises(NotConverged, match="do not decay"):
+                            energy_mode_sum(geom, cutoff, field, n_max, tol)
 
     def test_predicted_index_matches_plain_bisection(self):
         # The auto n_max is the first index where the full rule, bound
@@ -608,9 +600,13 @@ class TestOperatorFormBitIdentity:
                             (geom, cutoff, field, n, tol),
                             (geom, cutoff, field, None, tol),
                         ]
-            # q rounds to 1; a tolerance below the drift; a huge given n_max.
+            # q rounds to 1, with and without a range and a tolerance; a
+            # tolerance below the drift; a huge given n_max.
             flat = CutoffParams(mpf(10) ** -(dps + 10), mpf("0.5"))
-            calls += [(PlateGeometry(1), flat, f, n, None) for f in FieldKind for n in (None, 7)]
+            calls += [
+                (PlateGeometry(1), flat, f, n, t)
+                for f in FieldKind for n in (None, 7) for t in (None, mpf(10) ** -5)
+            ]
             low = CutoffParams(mpf("0.01"), mpf("0.3"))
             calls += [(PlateGeometry(1), low, FieldKind.SCALAR, None, mpf(10) ** -(2 * dps))]
             calls += [(PlateGeometry(1), low, FieldKind.ELECTROMAGNETIC, 10**30, None)]
@@ -670,6 +666,19 @@ class TestEigenmodes:
             [0, geom.a],
         )
         assert abs(norm - 1) < mpf("1e-30")
+
+    def test_height_outside_the_gap_and_zero_wave_vector_are_refused(self):
+        # Both refusals are CasimirErrors: a height off [0, a] or NaN is
+        # WallContact, as scalar_stress raises, and k = 0 is InvalidMode.
+        geom = PlateGeometry(mpf("1.5"))
+        idx = ModeIndex(1, 2, (mpf("0.3"), mpf("0.4")))
+        for z in (mpf("-1e-30"), mpf("1.5") + mpf("1e-30"), inf, -inf, nan):
+            with pytest.raises(WallContact, match="z must lie in"):
+                eigenmode(idx, geom, z)
+        for polarization in (1, 2):
+            normal = ModeIndex(1, polarization, (0, 0))
+            with pytest.raises(InvalidMode, match="wave-vector must be nonzero"):
+                eigenmode(normal, geom, mpf("0.5"))
 
     def test_zero_mode_normalization(self):
         geom = PlateGeometry(mpf("1.4"))
