@@ -29,9 +29,12 @@ class NotConverged(CasimirError):
 class InvalidMode(CasimirError):
     """Mode label outside the admissible spectrum (e.g. n=0, polarization 1).
 
-    Also a splitting vector with a z component, which leaves the (t, x, y)
-    subspace the stress is split in, and a radial kernel evaluated at
-    another length than the splitting it is applied along.
+    That includes a mode number or polarization that is not an int, and a
+    transverse wave-vector that is zero, has a component that is not
+    finite (NaN included) or does not have two.  Also a splitting vector
+    with a z component, which leaves the (t, x, y) subspace the stress is
+    split in, and a radial kernel evaluated at another length than the
+    splitting it is applied along.
     """
 
 

@@ -77,7 +77,10 @@ Matrix = tuple[tuple[mpf, ...], ...]
 
 
 def _as_matrix(rows) -> Matrix:
-    return tuple(tuple(to_mpf(e) for e in row) for row in rows)
+    m = tuple(tuple(to_mpf(e) for e in row) for row in rows)
+    if [len(row) for row in m] != [DIM] * DIM:
+        raise ValueError(f"matrix must be {DIM} x {DIM}, got rows of lengths {[len(r) for r in m]}")
+    return m
 
 
 def _rmax(values) -> tuple:
@@ -170,10 +173,11 @@ def _check_metric(raw, factors=()) -> None:
 class LorentzTransform(value_type("LorentzTransform", "matrix")):
     """Metric-preserving linear map, validated at construction.
 
-    The defect max |(L^T g L - g)_{ij}| must stay below a tolerance tied
-    to the working precision and scaled by the size of the entries
-    (_check_metric); exact inputs (integer entries, or matrices built by
-    boost/rotation_xy at current precision) pass with room to spare.
+    The matrix must be 4 x 4, and the defect max |(L^T g L - g)_{ij}|
+    must stay below a tolerance tied to the working precision and scaled
+    by the size of the entries (_check_metric); exact inputs (integer
+    entries, or matrices built by boost/rotation_xy at current
+    precision) pass with room to spare.
     Every construction goes through ``_checked_transform``; the results
     of ``compose`` are checked on the scale of their factors.
     """
@@ -219,6 +223,8 @@ def rotation_xy(angle) -> LorentzTransform:
 class SymTensor4(value_type("SymTensor4", "matrix")):
     """Symmetric rank-2 tensor with upper indices, stored as a full matrix.
 
+    Built from its rows, a diagonal tensor too; they must form a 4 x 4
+    matrix, symmetric within the working precision, else ValueError.
     ``t[i, j]`` is the entry in row i, column j.
     """
 
@@ -243,9 +249,7 @@ class SymTensor4(value_type("SymTensor4", "matrix")):
 
     def scale(self, factor) -> "SymTensor4":
         c = to_mpf(factor)
-        return SymTensor4(
-            tuple(tuple(c * self.matrix[i][j] for j in range(DIM)) for i in range(DIM))
-        )
+        return SymTensor4([[c * e for e in row] for row in self.matrix])
 
     def trace(self) -> mpf:
         """Metric trace g_{mu nu} T^{mu nu}.
@@ -258,16 +262,6 @@ class SymTensor4(value_type("SymTensor4", "matrix")):
         for i in range(1, DIM):
             acc = _mpf_add(acc, self.matrix[i][i]._mpf_, prec, rounding)
         return _make_mpf(acc)
-
-    @staticmethod
-    def diagonal(tt, xx, yy, zz) -> "SymTensor4":
-        vals = (to_mpf(tt), to_mpf(xx), to_mpf(yy), to_mpf(zz))
-        return SymTensor4(
-            tuple(
-                tuple(vals[i] if i == j else mpf(0) for j in range(DIM))
-                for i in range(DIM)
-            )
-        )
 
 
 def transform_tensor(transform: LorentzTransform, tensor: SymTensor4) -> SymTensor4:

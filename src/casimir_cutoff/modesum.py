@@ -198,7 +198,7 @@ def _ln(v: mpf) -> float:
     return math.log(v.man) + v.exp * _LN2
 
 
-def _predict_stop(x, q_up, A, B, C, limit) -> int:
+def _predict_stop(x, A, B, C, limit) -> int:
     """Estimate of the first n >= 1 with tail_n <= limit, where term_n = e^(n x) p(n).
 
     Past the first n with rho_n < 1 the tail is decreasing in n (a
@@ -217,7 +217,10 @@ def _predict_stop(x, q_up, A, B, C, limit) -> int:
     # ln q_up = x + ln(1 + 8u), kept accurate even when q is near 1.
     xf = float(x)
     ln_q_up, goal = xf + 8 * 2.0**-mp.prec, _ln(limit) - _ln(s)
-    if ln_q_up >= 0:  # rho_n >= 1 at every n: the condition never holds
+    # energy_mode_sum refuses q_up >= 1 first, so this holds only where x
+    # and 2^-prec both underflow to 0 as doubles: the floats then see no
+    # decay at all, and no crossing is predicted.
+    if ln_q_up >= 0:
         return _ESTIMATE_LIMIT
 
     def ln_rho(m) -> float:
@@ -344,7 +347,7 @@ def energy_mode_sum(
 
     if n_max is None:
         limit = _mpf_mul(tol_raw, whole, prec, rnd)
-        predicted = _predict_stop(*map(_make_mpf, (x, q_up, A, B, C, limit)))
+        predicted = _predict_stop(*map(_make_mpf, (x, A, B, C, limit)))
         if predicted > _AUTO_N_CAP:
             raise NotConverged(
                 f"predicted stopping index {predicted} for relative tolerance "

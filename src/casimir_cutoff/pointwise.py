@@ -188,18 +188,28 @@ def energy_closed_form(
 
 
 class ModeIndex(value_type("ModeIndex", "n polarization k")):
-    """Standing-wave label: discrete n, polarization 1 or 2, transverse k."""
+    """Standing-wave label: discrete n, polarization 1 or 2, transverse k.
+
+    The constructor, which ``_replace`` calls too, raises InvalidMode for
+    an n that is not an int >= 0 (a bool or NaN included), a polarization
+    that is not the int 1 or 2, polarization 1 at n = 0, and a transverse
+    wave-vector that does not have two components, has one that is not
+    finite (NaN included), or has both zero, which gives no transverse
+    direction.  So every label that exists names a mode of the cavity.
+    """
 
     __slots__ = ()
 
     def __new__(cls, n: int, polarization: int, k: tuple[mpf, mpf]):
-        k = (to_mpf(k[0]), to_mpf(k[1]))
-        if n < 0:
-            raise InvalidMode(f"mode number must be non-negative, got {n}")
-        if polarization not in (1, 2):
-            raise InvalidMode(f"polarization must be 1 or 2, got {polarization}")
+        k = tuple(map(to_mpf, k))
+        if type(n) is not int or n < 0:
+            raise InvalidMode(f"mode number must be an integer >= 0, got {n!r}")
+        if type(polarization) is not int or polarization not in (1, 2):
+            raise InvalidMode(f"polarization must be 1 or 2, got {polarization!r}")
         if n == 0 and polarization == 1:
             raise InvalidMode("n = 0 supports only polarization 2")
+        if len(k) != 2 or not (all(map(isfinite, k)) and any(k)):
+            raise InvalidMode(f"wave-vector must be 2 finite numbers, not both 0: {mp.nstr(k, 8)}")
         return super().__new__(cls, n, polarization, k)
 
 
@@ -211,8 +221,8 @@ def eigenmode(idx: ModeIndex, geom: PlateGeometry, z) -> tuple[mpc, mpc, mpc]:
     transverse gradient part (sin profile) with a z part (cos profile);
     at n = 0 only the z part survives and the normalization picks up an
     extra 1/sqrt(2).  Both satisfy integral_0^a |A|^2 dz = 1.  A height
-    outside [0, a], NaN included, raises WallContact, and a zero
-    transverse wave-vector InvalidMode.
+    outside [0, a], NaN included, raises WallContact.  The wave-vector
+    needs no check here: ``ModeIndex`` holds only a finite, nonzero one.
     """
     a = geom.a
     zz = to_mpf(z)
@@ -220,8 +230,6 @@ def eigenmode(idx: ModeIndex, geom: PlateGeometry, z) -> tuple[mpc, mpc, mpc]:
         raise WallContact(f"z must lie in [0, {a}], got {zz}")
     kx, ky = idx.k
     kmag = sqrt(kx * kx + ky * ky)
-    if kmag == 0:
-        raise InvalidMode("transverse wave-vector must be nonzero")
     n = idx.n
     norm = sqrt(2 / a)
     phase = n * pi * zz / a

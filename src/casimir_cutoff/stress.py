@@ -124,7 +124,7 @@ class StressDecomposition(
 
 def s1_structure() -> SymTensor4:
     """Traceless structure g/4 - zhat zhat."""
-    return SymTensor4.diagonal(*_S1_DIAG)
+    return SymTensor4([[d if i == j else 0 for j in range(DIM)] for i, d in enumerate(_S1_DIAG)])
 
 
 def _unit_splitting(v: FourVector) -> tuple[SeparationVector, mpf]:

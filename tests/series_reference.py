@@ -591,7 +591,7 @@ def reference_mode_sum(
         return bound <= rel_tol * s
 
     if n_max is None:
-        predicted = _predict_stop(x, q_up, A, B, C, rel_tol * whole)
+        predicted = _predict_stop(x, A, B, C, rel_tol * whole)
         if predicted > _AUTO_N_CAP:
             raise NotConverged(
                 f"predicted stopping index {predicted} for relative tolerance "

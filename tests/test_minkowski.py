@@ -44,6 +44,11 @@ def dense_trace(m):
     return sum((METRIC_DIAG[i] * m[i][i] for i in range(DIM)), mpf(0))
 
 
+def diagonal_rows(*values):
+    """Rows of the diagonal matrix with these entries, exact zeros elsewhere."""
+    return [[v if i == j else 0 for j in range(DIM)] for i, v in enumerate(values)]
+
+
 def dense_inverse(m):
     return tuple(
         tuple(METRIC_DIAG[i] * m[j][i] * METRIC_DIAG[j] for j in range(DIM))
@@ -440,13 +445,13 @@ class TestSymTensor4:
         assert isnan(SymTensor4(tuple(tuple(r) for r in rows))[0, 0])
 
     def test_diagonal_and_trace(self):
-        t = SymTensor4.diagonal(2, 3, 5, 7)
+        t = SymTensor4(diagonal_rows(2, 3, 5, 7))
         # Metric trace: g_{mu nu} T^{mu nu} = -T^{tt} + sum of spatials.
         assert t.trace() == -2 + 3 + 5 + 7
         assert t[0, 0] == 2 and t[3, 3] == 7
 
     def test_algebra(self):
-        t = SymTensor4.diagonal(1, 2, 3, 4)
+        t = SymTensor4(diagonal_rows(1, 2, 3, 4))
         assert t.scale(-2)[3, 3] == -8
 
     def test_transform_tensor_matches_componentwise(self):
@@ -487,7 +492,7 @@ class TestSymTensor4:
 
     def test_transform_preserves_trace(self):
         ell = boost(mpf("1.3"))
-        t = SymTensor4.diagonal(1, "0.5", "0.25", "0.125")
+        t = SymTensor4(diagonal_rows(1, "0.5", "0.25", "0.125"))
         assert abs(transform_tensor(ell, t).trace() - t.trace()) < TIGHT
 
     def test_validation_tolerance_scales_with_precision(self):
@@ -513,7 +518,7 @@ class TestValueTypes:
             lambda: FourVector(1, 2, 3, 0),
             lambda: SeparationVector(FourVector(0, 1, 0, 0)),
             lambda: boost(mpf("0.3")),
-            lambda: SymTensor4.diagonal(1, 2, 3, 4),
+            lambda: SymTensor4(diagonal_rows(1, 2, 3, 4)),
         ],
         ids=["FourVector", "SeparationVector", "LorentzTransform", "SymTensor4"],
     )
@@ -542,7 +547,22 @@ class TestValueTypes:
 
     def test_tensor_replace_validates(self, check_replace):
         skew = ((0, 1, 0, 0),) + self.IDENTITY[1:]
-        check_replace(SymTensor4.diagonal(1, 2, 3, 4), "matrix", skew, self.IDENTITY)
+        check_replace(SymTensor4(diagonal_rows(1, 2, 3, 4)), "matrix", skew, self.IDENTITY)
+
+    @pytest.mark.parametrize("make", [boost, lambda r: SymTensor4(diagonal_rows(r, 2, 3, 4))],
+                             ids=["LorentzTransform", "SymTensor4"])
+    @pytest.mark.parametrize(
+        "lengths", [(3, 3, 3), (5, 5, 5, 5, 5), (5, 4, 4, 4), (4, 4, 4, 3)],
+        ids=["3x3", "5x5", "long-first-row", "short-last-row"],
+    )
+    def test_matrix_must_be_four_by_four(self, check_replace, make, lengths):
+        # An identity padded or cut to these row lengths; a 5 x 5 identity
+        # preserves a 5-d metric and is symmetric, yet is no 4 x 4 value.
+        rows = tuple(tuple(int(i == j) for j in range(n)) for i, n in enumerate(lengths))
+        value = make(mpf("0.3"))
+        with pytest.raises(ValueError, match=r"matrix must be 4 x 4, got rows of lengths"):
+            type(value)(rows)
+        check_replace(value, "matrix", rows, self.IDENTITY)
 
     def test_compose_result_is_a_transform(self):
         ell = rotation_xy(mpf("0.2")).compose(boost(mpf("0.5")))

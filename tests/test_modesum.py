@@ -303,6 +303,27 @@ class TestEnergyModeSum:
         predicted = int(re.search(r"stopping index (\d+)", str(info.value)).group(1))
         assert 2 * 10**5 < predicted < 3 * 10**5
 
+    def test_float_estimate_that_underflows_predicts_no_crossing(self):
+        # At 400 digits and eps = 1e-350, q < 1, but x = (lambda - 1) eps
+        # pi / a and 2^-prec both underflow to 0 as doubles, so the float
+        # estimate sees no decay.  It reports its search limit, 2^62, and
+        # the cap refuses the sum; without that early return the estimate
+        # would divide by x = 0 and raise ZeroDivisionError.
+        with mp.workdps(400):
+            cutoff = CutoffParams(mpf("1e-350"), mpf("0.5"))
+            for field in FieldKind:
+                with pytest.raises(NotConverged, match="stopping index 4611686018427387904 "):
+                    energy_mode_sum(PlateGeometry(1), cutoff, field)
+
+    def test_cap_is_checked_after_the_exact_search(self, monkeypatch):
+        # An estimate at the cap whose exact search ends past it still
+        # fails: about 88 000 modes are needed here.
+        monkeypatch.setattr(casimir_cutoff.modesum, "_predict_stop", lambda *args: _AUTO_N_CAP)
+        cutoff = CutoffParams(mpf("5e-4"), mpf("0.5"))
+        message = "remainder bound not below 1.0e-30 within 50000 modes"
+        with pytest.raises(NotConverged, match=re.escape(message)):
+            energy_mode_sum(PlateGeometry(1), cutoff)
+
     def test_fast_decay_keeps_q_to_full_precision(self):
         # q = e^-126 vanishes beside 1 at 20 digits, so it is taken from
         # the exponential, not from 1 - (1 - q).  The scalar sum is then
@@ -669,16 +690,16 @@ class TestEigenmodes:
 
     def test_height_outside_the_gap_and_zero_wave_vector_are_refused(self):
         # Both refusals are CasimirErrors: a height off [0, a] or NaN is
-        # WallContact, as scalar_stress raises, and k = 0 is InvalidMode.
+        # WallContact, as scalar_stress raises, and k = 0 is InvalidMode,
+        # raised when the label is built, so no eigenmode call sees it.
         geom = PlateGeometry(mpf("1.5"))
         idx = ModeIndex(1, 2, (mpf("0.3"), mpf("0.4")))
         for z in (mpf("-1e-30"), mpf("1.5") + mpf("1e-30"), inf, -inf, nan):
             with pytest.raises(WallContact, match="z must lie in"):
                 eigenmode(idx, geom, z)
         for polarization in (1, 2):
-            normal = ModeIndex(1, polarization, (0, 0))
-            with pytest.raises(InvalidMode, match="wave-vector must be nonzero"):
-                eigenmode(normal, geom, mpf("0.5"))
+            with pytest.raises(InvalidMode, match="wave-vector must be 2 finite numbers"):
+                ModeIndex(1, polarization, (0, 0))
 
     def test_zero_mode_normalization(self):
         geom = PlateGeometry(mpf("1.4"))
@@ -747,6 +768,40 @@ class TestValueTypes:
             idx._replace(polarization=3)
         with pytest.raises(InvalidMode, match="only polarization 2"):
             idx._replace(n=0, polarization=1)
+
+    @pytest.mark.parametrize(
+        "k",
+        [(nan, 0), (0, nan), (inf, 0), (-inf, 0), (0, inf), (0, -inf), (0, 0), (1,), (1, 0, 2)],
+        ids=["nan-0", "0-nan", "inf-0", "-inf-0", "0-inf", "0--inf", "0-0", "one", "three"],
+    )
+    def test_mode_index_refuses_a_wave_vector_that_is_no_transverse_direction(
+        self, check_replace, k
+    ):
+        # Unchecked, a non-finite label would give NaN eigenmode components
+        # and a boundary residual of 0.0, a pass, and a third component
+        # would be dropped.
+        for n, polarization in ((0, 2), (1, 1), (1, 2)):
+            with pytest.raises(InvalidMode, match="wave-vector must be 2 finite numbers"):
+                ModeIndex(n, polarization, k)
+            idx = ModeIndex(n, polarization, (mpf("0.3"), mpf("0.4")))
+            check_replace(idx, "k", k, (1, "0.5"))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", v) for v in (-1, mpf("1.5"), nan, 2.0, True, "1")]
+        + [("polarization", v) for v in (3, 2.0, mpf(2), True)],
+        ids=["n=-1", "n=1.5", "n=nan", "n=2.0", "n=True", "n='1'",
+             "pol=3", "pol=2.0", "pol=mpf(2)", "pol=True"],
+    )
+    def test_mode_index_refuses_a_label_that_is_no_int(self, field, value):
+        # Unchecked, n = NaN would give a boundary residual of 0.0, a pass,
+        # and n = 1.5 a profile that does not vanish at the far wall.
+        message = {"n": "mode number must be an integer >= 0", "polarization": "must be 1 or 2"}
+        idx = ModeIndex(1, 2, (mpf("0.3"), mpf("0.4")))
+        with pytest.raises(InvalidMode, match=message[field]):
+            ModeIndex(**{**idx._asdict(), field: value})
+        with pytest.raises(InvalidMode, match=message[field]):
+            idx._replace(**{field: value})
 
     def test_mode_sum_result_unpacks(self):
         res = energy_mode_sum(PlateGeometry(1), CutoffParams(mpf("0.1"), 0), n_max=10)

@@ -371,10 +371,17 @@ class TestStructures:
     """The two traceless tensor structures."""
 
     def test_s1_trace_and_entries(self):
-        s1 = s1_structure()
-        assert s1.trace() == 0
-        assert s1[3, 3] == -mpf(3) / 4
-        assert s1[0, 0] == -mpf(1) / 4
+        # g/4 - zhat zhat: dyadic entries on the diagonal and exact zeros
+        # off it, bit for bit at every precision.
+        for dps in (15, 50, 200):
+            with mp.workdps(dps):
+                s1 = s1_structure()
+                diag = (-mpf(1) / 4, mpf(1) / 4, mpf(1) / 4, -mpf(3) / 4)
+                for i in range(DIM):
+                    for j in range(DIM):
+                        want = diag[i] if i == j else mpf(0)
+                        assert s1[i, j]._mpf_ == want._mpf_, (dps, i, j)
+                assert s1.trace() == 0
 
     def test_s2_traceless_and_normalized(self):
         rng = random.Random(31)
