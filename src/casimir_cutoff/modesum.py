@@ -6,20 +6,20 @@ transverse momentum integral done in closed form.  Two regulator
 parameters enter: an exponential cutoff scale epsilon multiplying the
 frequency, and a dimensionless shape parameter lambda that adds back a
 mode-dependent factor exp(lambda*epsilon*n*pi/a).  Convergence of the
-sum requires lambda < 1; every term is then positive and the tail is
-dominated by a geometric series, which gives a certified remainder
+sum requires lambda < 1; every term is then positive, and the terms
+past any index sum in closed form, which gives a certified remainder
 bound rather than a heuristic one.  Where q rounds so close to 1 at
-the working precision that the terms no longer decay, no bound is
-finite, and the sum is refused, for a given range of modes as for the
-automatic one.
+the working precision that the terms no longer decay, the sum is
+refused, for a given range of modes as for the automatic one.
 
 Each term is q^n times a quadratic in n, with q = exp((lambda - 1)
 epsilon pi / a), so one exponential serves every term, and the
-geometric moments of q^n give both the infinite sum and, as its
-difference with the terms past n, every partial sum in closed form:
-the cost of a sum does not depend on how many modes it holds.  The
-index where the bound meets the tolerance is estimated in double
-precision and confirmed by two exact evaluations of the closed form;
+geometric moments of q^n give in closed form the infinite sum, the
+terms past n, which are the remainder bound, and, as their
+difference, every partial sum: the cost of a sum does not depend on
+how many modes it holds.  The index where the bound meets the
+tolerance is estimated in double precision from the logarithm of the
+same closed form and confirmed by two exact evaluations of it;
 parameters that would need more modes than the cap fail at once.  The
 bound also covers the rounding drift, and the default tolerance follows
 the working precision, so a sum is certified at every precision.
@@ -57,40 +57,43 @@ from .precision import to_mpf, value_type
 # Cap on the automatic stopping index; past it the parameters are too
 # close to the convergence boundary for a mode sum.
 _AUTO_N_CAP = 50_000
-# Rounding drift: c in c (n + 2) u (S_n + tail_n), with u = 2^-prec.
-# q, A, B, C enter within u of their exact values (_tower) and are then
-# taken as exact: _partial_sums evaluates the partial sum of the series
-# they define at prec + g bits and rounds it once to prec.  Every
-# quantity is positive, so errors compound multiplicatively; while
-# n u <= 1e-4, k roundings cost at most 1.0001 times their sum.
-# Counting them:
-# - S_n: term m carries m u from q^m and u from p(m), the head u, so
-#   the partial sum of the rounded series is within (n + 1) u of the
-#   exact one; its evaluation at prec + g bits stays within 2^-20 u
-#   (_partial_sums), and rounding it to prec costs u;
-# - tail_n = term_{n+1} / (1 - rho_n): (n + 2) u from the inputs, u to
-#   round the term, u each for 1 - rho_n and the division, where rho_n
-#   is formed from q (1 + 8u), which keeps it above the exact ratio
-#   bound; (n + 5) u.
-# So |E - S_n| <= tail_n + (n + 6) u (S_n + tail_n) up to the factor
-# 1.0001, and c = 5 leaves (4n + 4) u (S_n + tail_n) for rounding the
-# bound itself.
+# Rounding drift: c in c u [(n + 2) (S_n + T_n) + 3 r T_n], with
+# u = 2^-prec and r = 1 / (1 - q).  q, A, B, C enter within u of their
+# exact values (_tower) and are then taken as exact: _partial_sums
+# evaluates S_n and the terms past n, T_n, of the series they define at
+# prec + g bits and rounds each once to prec.  Every quantity is
+# positive, so errors compound multiplicatively; while (n + 3r) u <=
+# 1e-4, k roundings cost at most 1.0001 times their sum.  Term m
+# carries m u from q^m and u from p(m).  Counting them:
+# - S_n: the head and terms 1 to n, so the partial sum of the rounded
+#   series is within (n + 1) u of the exact one; its evaluation at
+#   prec + g bits stays within 2^-20 u (_partial_sums), and rounding it
+#   to prec costs u: (n + 2) u;
+# - T_n: terms m > n, so within (M + 1) u of the exact tail, M the
+#   mean index of the tail weighted by its terms.  With m = N + j, the
+#   weights (N + j)^k q^j, k = 0, 1, 2, have means in j no larger than
+#   (1 + j)^2 q^j has, r (1 + 4q + q^2) / (1 + q) - 1 <= 3r - 1, so
+#   M <= n + 3r; with the evaluation and the rounding, (n + 2 + 3r) u.
+# So |E - S_n| <= T_n + (n + 2) u (S_n + T_n) + 3 r u T_n up to the
+# factor 1.0001, and c = 5 leaves four times that for rounding the
+# bound itself.  Past 3 r u = 1e-4, up to the 3/8 that the refusal of
+# q (1 + 8u) >= 1 leaves, the rounded inputs move T_n, whose largest
+# part grows like r^3, by at most (1 - r u)^-3 - 1 < 0.53 of it, below
+# the 15 r u T_n charged.
 _DRIFT_C = 5
 # The float estimate of the stopping index searches no further.
 _ESTIMATE_LIMIT = 1 << 62
 _LN2 = math.log(2)
 
-_FZERO, _FONE, _FTWO, _FINF = libmp.fzero, libmp.fone, libmp.from_int(2), libmp.finf
-_from_int, _mpf_shift, _mpf_exp, _mpf_pi = (
-    libmp.from_int, libmp.mpf_shift, libmp.mpf_exp, libmp.mpf_pi
-)
+_FZERO, _FONE, _FTWO = libmp.fzero, libmp.fone, libmp.from_int(2)
+_mpf_shift, _mpf_exp, _mpf_pi = libmp.mpf_shift, libmp.mpf_exp, libmp.mpf_pi
 _mpf_add, _mpf_sub, _mpf_mul, _mpf_div = (
     libmp.mpf_add, libmp.mpf_sub, libmp.mpf_mul, libmp.mpf_div
 )
 _mpf_mul_int, _mpf_rdiv_int, _mpf_pow_int, _mpf_pos = (
     libmp.mpf_mul_int, libmp.mpf_rdiv_int, libmp.mpf_pow_int, libmp.mpf_pos
 )
-_mpf_lt, _mpf_le, _mpf_ge = libmp.mpf_lt, libmp.mpf_le, libmp.mpf_ge
+_mpf_le, _mpf_ge = libmp.mpf_le, libmp.mpf_ge
 # mag() of a raw value, and an mpf around one.
 _mpf_mag, _make_mpf = mp._mpf_mag, mp.make_mpf
 
@@ -132,7 +135,7 @@ def _tower(geom: PlateGeometry, cutoff: CutoffParams, weight, prec: int, rnd: st
 
 
 def _partial_sums(q, A, B, C, head, prec: int, rnd: str):
-    """Whole sum U and n -> (S_n, term_{n+1}) for head + sum q^n p(n), n >= 1, raw.
+    """U, r and n -> (S_n, T_n) for U = head + sum q^n p(n), n >= 1, raw.
 
     p(n) = A n^2 + B n + C, q < 1 (energy_mode_sum refuses a q that
     rounds too close to 1 first), and q, A, B, C are taken as exact.
@@ -140,6 +143,7 @@ def _partial_sums(q, A, B, C, head, prec: int, rnd: str):
     B r + C), with r = 1 / (1 - q), and the terms past n, with N = n + 1:
     T_n = q^N [p(N) r + (2 A N + B) q r^2 + A q (1 + q) r^3], every part
     positive.  So S_n = U - T_n whatever n is, from one integer power.
+    U and r are rounded to prec bits; r serves the rounding drift.
     Since S_n >= head + term_1, the difference cancels at most
     U / (head + term_1) < 2^(d + 2), with d the difference of their
     magnitudes; working at prec + g bits, g = 30 + d, keeps the few
@@ -153,7 +157,7 @@ def _partial_sums(q, A, B, C, head, prec: int, rnd: str):
         inner = _mpf_add(_mpf_mul(_mpf_add(a1, B, p, rnd), r, p, rnd), C, p, rnd)
         return r, qr, a1, _mpf_add(head, _mpf_mul(qr, inner, p, rnd), p, rnd)
 
-    U = moments(prec)[3]
+    r_prec, _, _, U = moments(prec)
     first = _mpf_mul(q, _mpf_add(_mpf_add(A, B, prec, rnd), C, prec, rnd), prec, rnd)
     g = 30 + max(0, _mpf_mag(U) - _mpf_mag(_mpf_add(head, first, prec, rnd)))
     pg = prec + g
@@ -165,10 +169,10 @@ def _partial_sums(q, A, B, C, head, prec: int, rnd: str):
         poly = _mpf_add(_mpf_mul_int(_mpf_add(an, B, pg, rnd), N, pg, rnd), C, pg, rnd)
         slope = _mpf_add(_mpf_add(_mpf_add(an, an, pg, rnd), B, pg, rnd), a1, pg, rnd)
         past = _mpf_add(poly, _mpf_mul(qr, slope, pg, rnd), pg, rnd)
-        S = _mpf_sub(U_g, _mpf_mul(_mpf_mul(qN, r, pg, rnd), past, pg, rnd), pg, rnd)
-        return _mpf_pos(S, prec, rnd), _mpf_pos(_mpf_mul(qN, poly, pg, rnd), prec, rnd)
+        T = _mpf_mul(_mpf_mul(qN, r, pg, rnd), past, pg, rnd)
+        return _mpf_pos(_mpf_sub(U_g, T, pg, rnd), prec, rnd), _mpf_pos(T, prec, rnd)
 
-    return U, at
+    return U, r_prec, at
 
 
 @lru_cache(maxsize=16)
@@ -179,74 +183,61 @@ def _default_tol(dps: int, prec: int) -> mpf:
     return max(mpf("1e-30"), mpf(10) ** (10 - dps))
 
 
-def _tail(n: int, term_next, q_up, prec: int, rnd: str):
-    """Geometric bound term_{n+1} / (1 - rho_n) on the terms past n, raw.
-
-    The quadratic's parts grow by at most ((k+1)/k)^2 per step, so every
-    ratio term_{k+1}/term_k with k > n is at most rho_n = q_up ((n + 2) /
-    (n + 1))^2, where q_up lies above q by more than its rounding.
-    """
-    ratio = _mpf_div(_mpf_pos(_from_int(n + 2), prec, rnd), _from_int(n + 1), prec, rnd)
-    rho = _mpf_mul(q_up, _mpf_pow_int(ratio, 2, prec, rnd), prec, rnd)
-    if not _mpf_lt(rho, _FONE):
-        return _FINF
-    return _mpf_div(term_next, _mpf_sub(_FONE, rho, prec, rnd), prec, rnd)
-
-
 def _ln(v: mpf) -> float:
     """Natural logarithm of a positive mpf as a float, at any exponent."""
     return math.log(v.man) + v.exp * _LN2
 
 
+def _lse(*logs: float) -> float:
+    """ln of the sum of exp(v) over logs, with no exp that overflows."""
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
 def _predict_stop(x, A, B, C, limit) -> int:
-    """Estimate of the first n >= 1 with tail_n <= limit, where term_n = e^(n x) p(n).
+    """Estimate of the first n >= 1 with T_n <= limit, T_n the terms past n of e^(n x) p(n).
 
-    Past the first n with rho_n < 1 the tail is decreasing in n (a
-    decreasing term over a growing 1 - rho_n), so the condition is
-    monotone.  Its crossing is found in double precision from
-    logarithms, which cost no exp: a first guess, widened around by
-    _search_from.  The guess only sets how many probes that takes; past
-    about 10^15, where doubles no longer resolve consecutive indices and
-    the float condition is monotone only up to rounding, it can also
-    move the estimate by a few units in its last digits.
+    T_n falls strictly with n, so the condition is monotone.  Its
+    crossing is found in double precision from the logarithm of
+    _partial_sums' closed form of T_n, which costs no exp of the
+    working precision: a first guess, widened around by _search_from.
+    The guess only sets how many probes that takes; past about 10^15,
+    where doubles no longer resolve consecutive indices and the float
+    condition is monotone only up to rounding, it can also move the
+    estimate by a few units in its last digits.
     """
-    # p(m) = s (a m^2 + b m + c) with max(a, b, c) = 1 keeps the floats
-    # in range whatever the size of A, B, C.
-    s = max(A, B, C)
-    a, b, c = float(A / s), float(B / s), float(C / s)
-    # ln q_up = x + ln(1 + 8u), kept accurate even when q is near 1.
     xf = float(x)
-    ln_q_up, goal = xf + 8 * 2.0**-mp.prec, _ln(limit) - _ln(s)
-    # energy_mode_sum refuses q_up >= 1 first, so this holds only where x
-    # and 2^-prec both underflow to 0 as doubles: the floats then see no
-    # decay at all, and no crossing is predicted.
-    if ln_q_up >= 0:
+    # energy_mode_sum refuses a q within 8 2^-prec of 1 first, so this
+    # holds only where x underflows to 0 as a double: the floats then
+    # see no decay at all, and no crossing is predicted.
+    if xf >= 0:
         return _ESTIMATE_LIMIT
+    # Every factor is taken as a logarithm, ln r = -ln(1 - q) included,
+    # so none overflows where r or A / C does.
+    la, lb, lc, goal = _ln(A), _ln(B), _ln(C), _ln(limit)
+    lr = -math.log(-math.expm1(xf))
+    lq1 = xf + math.log1p(math.exp(xf))  # ln q (1 + q)
 
-    def ln_rho(m) -> float:
-        return ln_q_up + 2 * math.log1p(1 / m)
+    def rest(m: float) -> float:  # ln T - m x at m = n + 1
+        lm = math.log(m)
+        return _lse(
+            la + 2 * lm + lr, lb + lm + lr, lc + lr,
+            _LN2 + la + lm + xf + 2 * lr, lb + xf + 2 * lr, la + lq1 + 3 * lr,
+        )
 
     def meets(n: int) -> bool:
-        m = n + 1
-        lr = ln_rho(m)
-        if lr >= 0:
-            return False
-        ln_p = math.log((a * m + b) * m + c)
-        return m * xf + ln_p - math.log(-math.expm1(lr)) <= goal
+        return (n + 1) * xf + rest(n + 1) <= goal
 
-    # The tail at m = n + 1 is e^(m x) e^r(m), r = ln p(m) - ln(1 - rho),
-    # so the crossing solves m = (goal - r(m)) / x.  Start from r = 0 and
-    # take two fixed-point steps: r varies like ln m, so each step gains
-    # a factor of about m |x| / 2 in accuracy.
-    m = goal / xf
+    def clamp(m: float) -> float:  # a quotient by a subnormal x can be inf
+        return min(max(m, 1.0), _ESTIMATE_LIMIT)
+
+    # The crossing solves m = (goal - rest(m)) / x.  Start from rest = 0
+    # and take two fixed-point steps: rest varies like ln m, so each
+    # step gains a factor of about m |x| / 2 in accuracy.
+    m = clamp(goal / xf)
     for _ in range(2):
-        m = max(m, 1.0)
-        r, lr = math.log((a * m + b) * m + c), ln_rho(m)
-        if lr < 0:
-            r -= math.log(-math.expm1(lr))
-        m = (goal - r) / xf
-    guess = math.ceil(min(max(m, 1.0), _ESTIMATE_LIMIT)) - 1
-    return _search_from(meets, max(guess, 1), _ESTIMATE_LIMIT)
+        m = clamp((goal - rest(m)) / xf)
+    return _search_from(meets, max(math.ceil(m) - 1, 1), _ESTIMATE_LIMIT)
 
 
 def _search_from(meets, n: int, limit: int = _AUTO_N_CAP + 1) -> int:
@@ -288,14 +279,15 @@ def energy_mode_sum(
     so S_n is the whole sum less the terms past n, both in closed form
     from the geometric moments of q^n (_partial_sums): one exponential
     and one integer power of q, whatever n is.  The remainder bound is
-    the geometric tail term_{n+1} / (1 - rho_n), with rho_n = q ((n + 2)
-    / (n + 1))^2, plus the rounding drift 5 (n + 2) 2^-prec (S_n + tail).
+    the sum of the terms past n, T_n, plus the rounding drift
+    5 u [(n + 2) (S_n + T_n) + 3 r T_n], with u = 2^-prec and
+    r = 1 / (1 - q).
 
-    If q rounds so close to 1 that the terms no longer decay, no bound
-    is finite and NotConverged is raised, with n_max given or not.
-    Otherwise, with n_max given, sums exactly that range and reports the
-    bound, which is +inf where rho_n >= 1 (NotConverged only if a
-    tolerance is also given and the bound misses it).  With n_max
+    If q rounds so close to 1 that the terms no longer decay,
+    NotConverged is raised, with n_max given or not.  Otherwise, with
+    n_max given, sums exactly that range and reports the bound, which is
+    finite (NotConverged only if a tolerance is also given and the bound
+    misses it).  With n_max
     omitted, returns the first n whose bound is within the relative
     tolerance of S_n; the default is 1e-30, or 10^(10 - dps) where the
     working precision cannot reach 1e-30.  That index is estimated in
@@ -321,7 +313,8 @@ def energy_mode_sum(
     x, q, A, B, C = _tower(geom, cutoff, weight, prec, rnd)
     head = _mpf_div(C, _FTWO, prec, rnd) if field is FieldKind.ELECTROMAGNETIC else _FZERO
     u = _mpf_shift(_FONE, -prec)
-    # Keeps the computed rho_n above the exact one despite its roundings.
+    # Refuses a q within 8u of 1, where the rounded inputs need not make
+    # a decaying series and _DRIFT_C no longer covers what they move.
     q_up = _mpf_mul(q, _mpf_add(_mpf_mul_int(u, 8, prec, rnd), _FONE, prec, rnd), prec, rnd)
     if _mpf_ge(q_up, _FONE):
         raise NotConverged(f"mode terms do not decay at {prec}-bit precision")
@@ -329,15 +322,16 @@ def energy_mode_sum(
     def drift_per_unit(n: int):
         return _mpf_mul_int(u, _DRIFT_C * (n + 2), prec, rnd)
 
-    whole, partial = _partial_sums(q, A, B, C, head, prec, rnd)
+    whole, r, partial = _partial_sums(q, A, B, C, head, prec, rnd)
+    tail_unit = _mpf_mul_int(_mpf_mul(u, r, prec, rnd), 3 * _DRIFT_C, prec, rnd)
     tol_raw = rel_tol._mpf_
     checked = {}
 
     def bounded(n: int):
         if n not in checked:
-            s, term = partial(n)
-            t = _tail(n, term, q_up, prec, rnd)
+            s, t = partial(n)
             drift = _mpf_mul(drift_per_unit(n), _mpf_add(s, t, prec, rnd), prec, rnd)
+            drift = _mpf_add(drift, _mpf_mul(tail_unit, t, prec, rnd), prec, rnd)
             checked[n] = s, _mpf_add(t, drift, prec, rnd)
         return checked[n]
 

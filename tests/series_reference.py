@@ -40,7 +40,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from mpmath import cos, exp, factorial, inf, ldexp, mag, mp, mpf, pi, sin, sqrt
+from mpmath import cos, exp, factorial, ldexp, mag, mp, mpf, pi, sin, sqrt
 
 from casimir_cutoff.coth import _coth_coefficient
 from casimir_cutoff.errors import (
@@ -523,13 +523,13 @@ def _operator_tower(geom, cutoff, weight: mpf):
 
 
 def _operator_partial_sums(q: mpf, A: mpf, B: mpf, C: mpf, head: mpf):
-    """Whole sum U and n -> (S_n, term_{n+1}) for q < 1, in mpf operator form."""
+    """U, r and n -> (S_n, T_n) for q < 1, in mpf operator form."""
     def moments():
         r = 1 / (1 - q)
         qr, a1 = q * r, A * (1 + q) * r
         return r, qr, a1, head + qr * ((a1 + B) * r + C)
 
-    U = moments()[3]
+    r_prec, _, _, U = moments()
     g = 30 + max(0, mag(U) - mag(head + q * (A + B + C)))
     with mp.extraprec(g):
         r, qr, a1, U_g = moments()
@@ -539,17 +539,11 @@ def _operator_partial_sums(q: mpf, A: mpf, B: mpf, C: mpf, head: mpf):
         with mp.extraprec(g):
             qN, an = q**N, A * N
             p = (an + B) * N + C
-            S = U_g - qN * r * (p + qr * (an + an + B + a1))
-            term = qN * p
-        return +S, +term
+            T = qN * r * (p + qr * (an + an + B + a1))
+            S = U_g - T
+        return +S, +T
 
-    return U, at
-
-
-def _operator_tail(n: int, term_next: mpf, q_up: mpf) -> mpf:
-    """Geometric bound term_{n+1} / (1 - rho_n), in mpf operator form."""
-    rho = q_up * (mpf(n + 2) / (n + 1)) ** 2
-    return term_next / (1 - rho) if rho < 1 else inf
+    return U, r_prec, at
 
 
 def reference_mode_sum(
@@ -576,14 +570,14 @@ def reference_mode_sum(
     def drift_per_unit(n: int) -> mpf:
         return _DRIFT_C * (n + 2) * u
 
-    whole, partial = _operator_partial_sums(q, A, B, C, head)
+    whole, r, partial = _operator_partial_sums(q, A, B, C, head)
+    tail_unit = u * r * (3 * _DRIFT_C)
     checked = {}
 
     def bounded(n: int) -> tuple[mpf, mpf]:
         if n not in checked:
-            s, term = partial(n)
-            t = _operator_tail(n, term, q_up)
-            checked[n] = s, t + drift_per_unit(n) * (s + t)
+            s, t = partial(n)
+            checked[n] = s, t + (drift_per_unit(n) * (s + t) + tail_unit * t)
         return checked[n]
 
     def meets(n: int) -> bool:

@@ -469,20 +469,20 @@ _PINNED_ENERGY_SUM = [
         ("--a", "1.2", "--lambda", "0.45", "--epsilon", "0.05:0.2:2"),
         "em",
         [
-            "1.2,0.45,0.05,1062,216594.0658845397815771958942818714263804,2.1411612385113"
-            "51641801650935581790818176e-25",
-            "1.2,0.45,0.2,266,845.3310310151447540575861452285594466223,6.522318302498951"
-            "894896262778423770689283e-28",
+            "1.2,0.45,0.05,1062,216594.0658845397815771958942818714263804,2.1400749080867"
+            "21346450550434902700897024e-25",
+            "1.2,0.45,0.2,266,845.3310310151447540575861452285594466223,6.519575973842299"
+            "215743850000744689347429e-28",
         ],
     ),
     (
         ("--a", "1.2", "--lambda", "0.45", "--epsilon", "0.05:0.2:2"),
         "scalar",
         [
-            "1.2,0.45,0.05,1062,107660.4131699023094455224120874456557421,1.0705806192556"
-            "75820855564640479490858748e-25",
-            "1.2,0.45,0.2,266,412.718331564328918543237837403497575684,3.2611591512494759"
-            "47270001958416296477584e-28",
+            "1.2,0.45,0.05,1062,107660.4131699023094455224120874456557421,1.0700374540433"
+            "60673180014390139945898172e-25",
+            "1.2,0.45,0.2,266,412.718331564328918543237837403497575684,3.2597879869211496"
+            "07693795569576755806657e-28",
         ],
     ),
     (
@@ -490,8 +490,8 @@ _PINNED_ENERGY_SUM = [
         "em",
         [
             "0.7,0.3,0.1,243,4524.8267179527782266809407298203189790945183635539549411440"
-            "5572021960370023766366940944178,0.000000000000000000000000003774934901936956"
-            "14866942476933255214406219048566437926569452656690329084484422853506024452",
+            "5572021960370023766366940944178,0.000000000000000000000000003773207889613177"
+            "24158047961302678459544271799336284631443397876511852225016896102829175747",
         ],
     ),
     (
@@ -499,8 +499,8 @@ _PINNED_ENERGY_SUM = [
         "scalar",
         [
             "0.7,0.3,0.1,243,2182.8358874304414454560284832239023085300293589067492461981"
-            "9418808035345130171856715966399,0.000000000000000000000000001887467450968478"
-            "07433471238466627607203109524283218963284726328345164472603988243159772316",
+            "9418808035345130171856715966399,0.000000000000000000000000001886603944806588"
+            "62079023980651339229772135899668142315721698938255926042870224867821347963",
         ],
     ),
     (
@@ -510,9 +510,9 @@ _PINNED_ENERGY_SUM = [
             "1.5,0.8,0.2,918,14722.121406098716874849514252181422576768832768300129543571"
             "3821895417196015198033954992846941676559445444037319193793113167557939237856"
             "9466097156340665899869536577132211164217478050513747764,0.000000000000000000"
-            "0000000138478766283088848312895274155212212899587649900830149157627044272675"
-            "3179021055931429371249332862950553456969043500763208217007414766076485683888"
-            "129037304199917597134921209971093639222192825",
+            "0000000138425696152804830248950754296666842381330473598057293905069956641990"
+            "8798945351365831103189618814581507830246871380668838860528229474434259092866"
+            "691781084561050164451339506097014491463706234",
         ],
     ),
     (
@@ -522,53 +522,57 @@ _PINNED_ENERGY_SUM = [
             "1.5,0.8,0.2,918,7351.1135191061149789392018908799291407572626562912862437389"
             "6188576717875090776253930651023441093715439994731328926728328107208997151068"
             "616468090874015876810773105816312223302004193520958901,0.0000000000000000000"
-            "0000000692393831415444241564476370776061064497938249504150745788135221363376"
-            "5895105279657146856246664314752767284845217503816041085037073830382428419440"
-            "645186520999587985674606012494263009306763541",
+            "0000000692128480764024151244753771483334211906652367990286469525349783209954"
+            "3994726756829155515948094072907539151234356903344194302641147372171295464333"
+            "45890542280525082225669749312386727051433059",
         ],
     ),
     (
         ("--a", "1.3", "--lambda", "0.2", "--epsilon", "0.003", "--n-max", "1"),
         "em",
         [
-            "1.3,0.2,0.003,1,17700988.23598299381823308241698986174994,+inf",
+            "1.3,0.2,0.003,1,17700988.23598299381823308241698986174994,7731882717.3078935"
+            "54590874616368216362629",
         ],
     ),
     (
         ("--a", "1.3", "--lambda", "0.2", "--epsilon", "0.003", "--n-max", "1"),
         "scalar",
         [
-            "1.3,0.2,0.003,1,5903180.357030472172655730775670590837295,+inf",
+            "1.3,0.2,0.003,1,5903180.357030472172655730775670590837295,3865941358.6539467"
+            "77295437308184108181315",
         ],
     ),
     (
         ("--a", "1.3", "--lambda", "0.2", "--epsilon", "0.003", "--n-max", "200"),
         "em",
         [
-            "1.3,0.2,0.003,200,2577811424.318870950337506365692306019161,+inf",
+            "1.3,0.2,0.003,200,2577811424.318870950337506365692306019161,5171772281.22500"
+            "5598071601333092900205218",
         ],
     ),
     (
         ("--a", "1.3", "--lambda", "0.2", "--epsilon", "0.003", "--n-max", "200"),
         "scalar",
         [
-            "1.3,0.2,0.003,200,1285958398.398474450432292372413328669543,+inf",
+            "1.3,0.2,0.003,200,1285958398.398474450432292372413328669543,2585886140.61250"
+            "2799035800666546450102609",
         ],
     ),
     (
         ("--a", "1.3", "--lambda", "0.2", "--epsilon", "0.003", "--n-max", "20000"),
         "em",
         [
-            "1.3,0.2,0.003,20000,7749583705.543876548409107698785206224379,1.128019553730"
-            "489655665545901180915659891e-36",
+            "1.3,0.2,0.003,20000,7749583705.543876548409107698785206224379,1.127994748181"
+            "643406007500020946818457683e-36",
         ],
     ),
     (
         ("--a", "1.3", "--lambda", "0.2", "--epsilon", "0.003", "--n-max", "20000"),
         "scalar",
         [
-            "1.3,0.2,0.003,20000,3871844539.010977249468093038959778772152,5.636158636673"
-            "70491899231452452313860149e-37",
+            "1.3,0.2,0.003,20000,3871844539.010977249468093038959778772152,5.636034608929"
+            "473670702085123352652590448e-37",
         ],
     ),
 ]
@@ -587,6 +591,16 @@ class TestPinnedEnergySum:
         code, out, _ = run_cli(capsys, "energy-sum", "--epsilon", "1e-4", "--lambda", "0")
         assert code == 3
         assert out == "a,lambda,epsilon,n_max,energy,remainder_bound\n1.0,0.0,0.0001,,,\n"
+
+    def test_subnormal_log_q_fails_on_the_cap(self, capsys):
+        # At 400 digits log q is a subnormal double, and 1 / (1 - q)
+        # overflows one once squared; the float estimate still predicts
+        # past the cap, so the point fails with exit 3 and nothing raised.
+        argv = ("--precision", "400", "--epsilon", "1e-315", "--lambda", "0.5")
+        for field in ("em", "scalar"):
+            code, out, err = run_cli(capsys, "energy-sum", *argv, "--field", field)
+            assert (code, err) == (3, "")
+            assert out == "a,lambda,epsilon,n_max,energy,remainder_bound\n1.0,0.5,1.0e-315,,,\n"
 
 
 # Whole stdout and exit code of the other sweeps, recorded when each

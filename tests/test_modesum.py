@@ -6,7 +6,6 @@ certified remainder bound, and the eigenmodes against their
 normalization and wall conditions.
 """
 
-import math
 import random
 import re
 
@@ -158,6 +157,30 @@ class TestEnergyModeSum:
             prev_bound = res.remainder_bound
             prev_value = res.value
 
+    @pytest.mark.parametrize("dps", [15, 50])
+    def test_given_n_max_bound_is_finite_and_holds_near_lambda_one(self, dps):
+        # A few modes at lambda up to 0.999 and eps down to 1e-4: the tail
+        # T_n holds almost the whole sum, and its rounded inputs move it
+        # by up to (n + 3r) units of 2^-prec, with r = 1 / (1 - q) up to
+        # millions, so a drift without the 3r term falls short of
+        # |S_n - E| here.  Where q ((n + 2) / (n + 1))^2 >= 1, the ratio
+        # bound this replaced was +inf.
+        rng = random.Random(dps)
+        with mp.workdps(dps):
+            for _ in range(50):
+                geom = PlateGeometry(mpf(rng.uniform(0.5, 2.0)))
+                lam = mpf(rng.uniform(0.5, 0.999))
+                cutoff = CutoffParams(mpf(10) ** rng.uniform(-4, -1), lam)
+                for field in FieldKind:
+                    with mp.workdps(dps + 60):
+                        exact = energy_closed_form(geom, cutoff, field)
+                    for n_max in (1, 2, 5, 20):
+                        res = energy_mode_sum(geom, cutoff, field, n_max)
+                        assert mpmath.isfinite(res.remainder_bound)
+                        with mp.workdps(dps + 60):
+                            error = abs(res.value - exact)
+                        assert error <= res.remainder_bound, (geom, cutoff, field, n_max)
+
     def test_unreachable_tolerance_raises(self):
         geom = PlateGeometry(1)
         cutoff = CutoffParams(mpf("0.3"), 0)
@@ -305,15 +328,20 @@ class TestEnergyModeSum:
 
     def test_float_estimate_that_underflows_predicts_no_crossing(self):
         # At 400 digits and eps = 1e-350, q < 1, but x = (lambda - 1) eps
-        # pi / a and 2^-prec both underflow to 0 as doubles, so the float
-        # estimate sees no decay.  It reports its search limit, 2^62, and
-        # the cap refuses the sum; without that early return the estimate
-        # would divide by x = 0 and raise ZeroDivisionError.
+        # pi / a underflows to 0 as a double, so the float estimate sees
+        # no decay.  It reports its search limit, 2^62, and the cap
+        # refuses the sum; without that early return the estimate would
+        # take the logarithm of 1 - q = 0 and raise ValueError.  At
+        # eps = 1e-315, x is a subnormal double and r = 1 / (1 - q), about
+        # 6e314, overflows a double once squared; the estimate takes every
+        # factor as a logarithm and reaches the same limit, since the
+        # crossing lies near 77 r.
         with mp.workdps(400):
-            cutoff = CutoffParams(mpf("1e-350"), mpf("0.5"))
-            for field in FieldKind:
-                with pytest.raises(NotConverged, match="stopping index 4611686018427387904 "):
-                    energy_mode_sum(PlateGeometry(1), cutoff, field)
+            for eps in ("1e-350", "1e-315"):
+                cutoff = CutoffParams(mpf(eps), mpf("0.5"))
+                for field in FieldKind:
+                    with pytest.raises(NotConverged, match="stopping index 4611686018427387904 "):
+                        energy_mode_sum(PlateGeometry(1), cutoff, field)
 
     def test_cap_is_checked_after_the_exact_search(self, monkeypatch):
         # An estimate at the cap whose exact search ends past it still
@@ -461,28 +489,30 @@ class TestEnergyModeSum:
 
     def test_prediction_starts_at_the_crossing(self, monkeypatch):
         # The float search starts from a guess at the crossing, not from
-        # n = 1: two guess steps, then the probes at n and n - 1, where
-        # doubling and bisection from 1 took 16 or more.
-        counts = []
-        real_log1p, real_predict = math.log1p, casimir_cutoff.modesum._predict_stop
+        # n = 1: its probes at n and n - 1 settle it, where doubling and
+        # bisection from 1 took 16 or more.  The exact search then starts
+        # from the float result and makes the same two probes.
+        searches = []
+        real_search = casimir_cutoff.modesum._search_from
 
-        def counted_log1p(v):
-            counts[-1] += 1
-            return real_log1p(v)
+        def counted_search(meets, n, *limit):
+            probes = []
+            searches.append(probes)
+            return real_search(lambda m: probes.append(m) or meets(m), n, *limit)
 
-        def counted_predict(*args):
-            counts.append(0)
-            return real_predict(*args)
-
-        monkeypatch.setattr(math, "log1p", counted_log1p)
-        monkeypatch.setattr(casimir_cutoff.modesum, "_predict_stop", counted_predict)
+        monkeypatch.setattr(casimir_cutoff.modesum, "_search_from", counted_search)
         rng = random.Random(5)
+        float_counts = []
         for _ in range(60):
             geom = PlateGeometry(mpf(rng.uniform(0.5, 2.0)))
             cutoff = CutoffParams(mpf(rng.uniform(0.01, 0.5)), mpf(rng.uniform(0.0, 0.9)))
-            energy_mode_sum(geom, cutoff, field=rng.choice(list(FieldKind)))
-        assert sorted(counts)[len(counts) // 2] == 4
-        assert max(counts) < 16
+            searches.clear()
+            res = energy_mode_sum(geom, cutoff, field=rng.choice(list(FieldKind)))
+            float_probes, exact_probes = searches
+            float_counts.append(len(float_probes))
+            assert exact_probes == [res.n_max, res.n_max - 1]
+        assert sorted(float_counts)[len(float_counts) // 2] == 2
+        assert max(float_counts) < 16
 
     def test_each_call_makes_one_exponential(self, monkeypatch):
         # The sum takes its exponential from libmp on raw values, through
@@ -639,7 +669,7 @@ class TestOperatorFormBitIdentity:
         seen = "\n".join(seen)
         for kind in ("do not decay", "cap of 50000", "rounding drift", "exceeds tolerance"):
             assert kind in seen
-        assert "remainder_bound=mpf('+inf')" in seen
+        assert "remainder_bound=mpf('" in seen and "inf" not in seen
 
 
 class TestEigenmodes:
