@@ -19,10 +19,12 @@ terms past n, which are the remainder bound, and, as their
 difference, every partial sum: the cost of a sum does not depend on
 how many modes it holds.  The index where the bound meets the
 tolerance is estimated in double precision from the logarithm of the
-same closed form and confirmed by two exact evaluations of it;
-parameters that would need more modes than the cap fail at once.  The
-bound also covers the rounding drift, and the default tolerance follows
-the working precision, so a sum is certified at every precision.
+same closed form, rounding drift included, and confirmed by one exact
+evaluation of it, or two where the float value one below does not
+clear the tolerance by more than the floats' error; parameters that
+would need more modes than the cap fail at once.  The bound also
+covers the rounding drift, and the default tolerance follows the
+working precision, so a sum is certified at every precision.
 
 The sum's arithmetic runs on mpmath's raw values (``._mpf_`` tuples)
 through ``libmp``, with each precision passed to each call instead of
@@ -81,6 +83,26 @@ _AUTO_N_CAP = 50_000
 # part grows like r^3, by at most (1 - r u)^-3 - 1 < 0.53 of it, below
 # the 15 r u T_n charged.
 _DRIFT_C = 5
+# Certificate of the float estimate n: where the float ln T_{n-1} exceeds
+# goal = ln(tol U) by delta = 2^-30 s + 8 r u, the exact rule fails at
+# n - 1, which is then not probed; s = 1 + prec + |goal| + |n x| +
+# |ln A| + |ln B| + |ln C| + 3 |ln r| bounds every number the floats
+# form.  The rule holds at n - 1 only if t <= bound <= tol S_{n-1}
+# (1 + u) <= tol U (1 + 4u), t the T_{n-1} of _partial_sums, and
+# tol U = e^goal (1 + u): it fails once ln t > goal + 6u.  ln t and the
+# float ln T_{n-1} differ by
+# - the evaluation and rounding of t: 2u;
+# - q against e^x, both rounded from one x with guard bits (_tower):
+#   ln q = x + eta, |eta| <= u (1 + |x|), which moves q^N by N |eta| and
+#   the bracket of T, of degree 3 in r, by 2 |eta| + 3.5 r |eta| while
+#   r u <= 1/8, as the refusal of q (1 + 8u) >= 1 leaves;
+# - x against its double: eta' = 2^-53 |x|, likewise;
+# - the float arithmetic: a few dozen roundings of 2^-53 of at most s,
+#   the logarithms of prec-bit mantissas included.
+# With N <= 50 001 (the cap is checked first), u <= 2^-53 (15 digits
+# and up) and r |x| <= 1 + |x|, all but 3.5 r u of it is far below
+# 2^-30 s, and 8 r u covers that.
+_CERTIFY_BITS = 30
 # The float estimate of the stopping index searches no further.
 _ESTIMATE_LIMIT = 1 << 62
 _LN2 = math.log(2)
@@ -194,8 +216,19 @@ def _lse(*logs: float) -> float:
     return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
-def _predict_stop(x, A, B, C, limit) -> int:
-    """Estimate of the first n >= 1 with T_n <= limit, T_n the terms past n of e^(n x) p(n).
+def _predict_stop(x, A, B, C, limit, tol, prec: int) -> tuple[int, int, bool]:
+    """Float estimates (n, start, certified) of where the stopping rule first holds.
+
+    n is the first n >= 1 with T_n <= limit = tol U, T_n the terms past n
+    of e^(n x) p(n): the index the cap and the drift are checked at.
+    start, where the exact search starts, is the first m >= n where the
+    exact rule, drift included, holds in floats:
+    T_m (1 + tol + 15 r u) <= U (tol - 5 u (m + 2)), with u = 2^-prec,
+    but at most the cap + 1, where one probe settles a sum the cap
+    refuses.  It is n where the drift is negligible, and n again where
+    the drift reaches tol before the rule holds.  certified says that the
+    exact rule certainly fails at n - 1, so that start = n needs no probe
+    there (_CERTIFY_BITS).
 
     T_n falls strictly with n, so the condition is monotone.  Its
     crossing is found in double precision from the logarithm of
@@ -211,12 +244,14 @@ def _predict_stop(x, A, B, C, limit) -> int:
     # holds only where x underflows to 0 as a double: the floats then
     # see no decay at all, and no crossing is predicted.
     if xf >= 0:
-        return _ESTIMATE_LIMIT
+        return _ESTIMATE_LIMIT, _ESTIMATE_LIMIT, False
     # Every factor is taken as a logarithm, ln r = -ln(1 - q) included,
     # so none overflows where r or A / C does.
-    la, lb, lc, goal = _ln(A), _ln(B), _ln(C), _ln(limit)
+    la, lb, lc, lt, goal = _ln(A), _ln(B), _ln(C), _ln(tol), _ln(limit)
     lr = -math.log(-math.expm1(xf))
     lq1 = xf + math.log1p(math.exp(xf))  # ln q (1 + q)
+    grow = _lse(0.0, lt, math.log(3 * _DRIFT_C) + lr - prec * _LN2)  # ln (1 + tol + 15 r u)
+    ln_t = {}  # ln T_n of every n probed
 
     def rest(m: float) -> float:  # ln T - m x at m = n + 1
         lm = math.log(m)
@@ -226,7 +261,16 @@ def _predict_stop(x, A, B, C, limit) -> int:
         )
 
     def meets(n: int) -> bool:
-        return (n + 1) * xf + rest(n + 1) <= goal
+        if n not in ln_t:
+            ln_t[n] = (n + 1) * xf + rest(n + 1)
+        return ln_t[n] <= goal
+
+    def drift_share(n: int) -> float:  # ln (5 u (n + 2) / tol)
+        return math.log(_DRIFT_C * (n + 2)) - prec * _LN2 - lt
+
+    def meets_drift(n: int) -> bool:  # past the drift's reach, meets alone
+        ld = drift_share(n)
+        return meets(n) and (ld >= 0 or ln_t[n] + grow <= goal + math.log1p(-math.exp(ld)))
 
     def clamp(m: float) -> float:  # a quotient by a subnormal x can be inf
         return min(max(m, 1.0), _ESTIMATE_LIMIT)
@@ -237,7 +281,14 @@ def _predict_stop(x, A, B, C, limit) -> int:
     m = clamp(goal / xf)
     for _ in range(2):
         m = clamp((goal - rest(m)) / xf)
-    return _search_from(meets, max(math.ceil(m) - 1, 1), _ESTIMATE_LIMIT)
+    n = _search_from(meets, max(math.ceil(m) - 1, 1), _ESTIMATE_LIMIT)
+    if not meets_drift(n):  # meets fails below n, so meets_drift does too
+        start = _search_from(meets_drift, n + 1, _ESTIMATE_LIMIT)
+        # n where the drift reaches tol before the rule holds
+        return n, n if drift_share(start) >= 0 else min(start, _AUTO_N_CAP + 1), False
+    scale = 1 + prec + abs(goal) + abs(n * xf) + abs(la) + abs(lb) + abs(lc) + 3 * abs(lr)
+    margin = scale * 2.0**-_CERTIFY_BITS + 8 * math.exp(lr - prec * _LN2)
+    return n, n, ln_t.get(n - 1, goal) - goal > margin
 
 
 def _search_from(meets, n: int, limit: int = _AUTO_N_CAP + 1) -> int:
@@ -287,12 +338,13 @@ def energy_mode_sum(
     NotConverged is raised, with n_max given or not.  Otherwise, with
     n_max given, sums exactly that range and reports the bound, which is
     finite (NotConverged only if a tolerance is also given and the bound
-    misses it).  With n_max
-    omitted, returns the first n whose bound is within the relative
-    tolerance of S_n; the default is 1e-30, or 10^(10 - dps) where the
-    working precision cannot reach 1e-30.  That index is estimated in
-    double precision from the whole sum, then the rule is evaluated at
-    the estimate and one below it, the same evaluation a given n_max
+    misses it).  With n_max omitted, returns the first n whose bound is
+    within the relative tolerance of S_n; the default is 1e-30, or
+    10^(10 - dps) where the working precision cannot reach 1e-30.  That
+    index is estimated in double precision from the whole sum, drift
+    included, then the rule is evaluated at the estimate, and one below
+    it unless the float value there misses the tolerance by more than
+    the floats' error (_CERTIFY_BITS): the same evaluation a given n_max
     makes, so both give the same result.  NotConverged is raised before
     any such probe if the estimate exceeds the 50 000-mode cap or if the
     rounding drift there already exceeds the tolerance.  A tolerance
@@ -341,20 +393,21 @@ def energy_mode_sum(
 
     if n_max is None:
         limit = _mpf_mul(tol_raw, whole, prec, rnd)
-        predicted = _predict_stop(*map(_make_mpf, (x, A, B, C, limit)))
-        if predicted > _AUTO_N_CAP:
+        estimate, start, certified = _predict_stop(*map(_make_mpf, (x, A, B, C, limit)), rel_tol, prec)
+        if estimate > _AUTO_N_CAP:
+            index = estimate if estimate < _ESTIMATE_LIMIT else "beyond the float search's limit of 2^62"
             raise NotConverged(
-                f"predicted stopping index {predicted} for relative tolerance "
+                f"predicted stopping index {index} for relative tolerance "
                 f"{mp.nstr(rel_tol, 3)} exceeds the cap of {_AUTO_N_CAP} modes"
             )
-        drift = drift_per_unit(predicted)
+        drift = drift_per_unit(estimate)
         if _mpf_ge(drift, tol_raw):
             raise NotConverged(
                 f"relative tolerance {mp.nstr(rel_tol, 3)} is below the rounding "
                 f"drift {mp.nstr(_make_mpf(drift), 3)} of {prec}-bit "
-                f"arithmetic at the predicted stopping index {predicted}"
+                f"arithmetic at the predicted stopping index {estimate}"
             )
-        n_max = _search_from(meets, predicted)
+        n_max = start if certified and meets(start) else _search_from(meets, start)
         if n_max > _AUTO_N_CAP:
             raise NotConverged(
                 f"remainder bound not below {rel_tol} within {_AUTO_N_CAP} modes"

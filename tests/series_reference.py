@@ -55,6 +55,7 @@ from casimir_cutoff.laurent import LaurentSeries, extract_coefficient
 from casimir_cutoff.modesum import (
     _AUTO_N_CAP,
     _DRIFT_C,
+    _ESTIMATE_LIMIT,
     _default_tol,
     _predict_stop,
     _search_from,
@@ -555,7 +556,11 @@ def reference_mode_sum(
     raw-value kernel of ``modesum``, and the same decisions (the float
     estimate, the search and the error messages, taken from
     ``modesum``), so each result and each error should agree bit for
-    bit.  Takes only arguments that ``energy_mode_sum`` accepts.
+    bit.  The stopping index is always found by the two-probe exact
+    search from the float start, without the float certificate that
+    lets ``energy_mode_sum`` skip the probe below it, so the two agree
+    only where that certificate is right.  Takes only arguments that
+    ``energy_mode_sum`` accepts.
     """
     rel_tol = _default_tol(mp.dps, mp.prec) if tol is None else to_mpf(tol)
     weight = mpf(1) if field is FieldKind.ELECTROMAGNETIC else mpf(1) / 2
@@ -585,10 +590,11 @@ def reference_mode_sum(
         return bound <= rel_tol * s
 
     if n_max is None:
-        predicted = _predict_stop(x, A, B, C, rel_tol * whole)
+        predicted, start, _ = _predict_stop(x, A, B, C, rel_tol * whole, rel_tol, mp.prec)
         if predicted > _AUTO_N_CAP:
+            index = predicted if predicted < _ESTIMATE_LIMIT else "beyond the float search's limit of 2^62"
             raise NotConverged(
-                f"predicted stopping index {predicted} for relative tolerance "
+                f"predicted stopping index {index} for relative tolerance "
                 f"{mp.nstr(rel_tol, 3)} exceeds the cap of {_AUTO_N_CAP} modes"
             )
         if drift_per_unit(predicted) >= rel_tol:
@@ -597,7 +603,7 @@ def reference_mode_sum(
                 f"drift {mp.nstr(drift_per_unit(predicted), 3)} of {mp.prec}-bit "
                 f"arithmetic at the predicted stopping index {predicted}"
             )
-        n_max = _search_from(meets, predicted)
+        n_max = _search_from(meets, start)
         if n_max > _AUTO_N_CAP:
             raise NotConverged(
                 f"remainder bound not below {rel_tol} within {_AUTO_N_CAP} modes"

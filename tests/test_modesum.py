@@ -335,22 +335,40 @@ class TestEnergyModeSum:
         # eps = 1e-315, x is a subnormal double and r = 1 / (1 - q), about
         # 6e314, overflows a double once squared; the estimate takes every
         # factor as a logarithm and reaches the same limit, since the
-        # crossing lies near 77 r.
+        # crossing lies near 77 r.  The message says that the index lies
+        # beyond that limit, which is no estimate of it.
+        message = (
+            "predicted stopping index beyond the float search's limit of 2^62 for relative "
+            "tolerance 1.0e-30 exceeds the cap of 50000 modes"
+        )
         with mp.workdps(400):
             for eps in ("1e-350", "1e-315"):
                 cutoff = CutoffParams(mpf(eps), mpf("0.5"))
                 for field in FieldKind:
-                    with pytest.raises(NotConverged, match="stopping index 4611686018427387904 "):
+                    with pytest.raises(NotConverged, match=re.escape(message) + "$"):
                         energy_mode_sum(PlateGeometry(1), cutoff, field)
 
     def test_cap_is_checked_after_the_exact_search(self, monkeypatch):
         # An estimate at the cap whose exact search ends past it still
         # fails: about 88 000 modes are needed here.
-        monkeypatch.setattr(casimir_cutoff.modesum, "_predict_stop", lambda *args: _AUTO_N_CAP)
+        monkeypatch.setattr(
+            casimir_cutoff.modesum, "_predict_stop", lambda *args: (_AUTO_N_CAP, _AUTO_N_CAP, False)
+        )
         cutoff = CutoffParams(mpf("5e-4"), mpf("0.5"))
         message = "remainder bound not below 1.0e-30 within 50000 modes"
         with pytest.raises(NotConverged, match=re.escape(message)):
             energy_mode_sum(PlateGeometry(1), cutoff)
+
+    def test_start_past_the_cap_costs_one_exact_probe(self, monkeypatch):
+        # With tolerance 2, T_1 <= tol U already, but the rule with its
+        # drift, about T_n (1 + tol) <= tol U, first holds at 92 392.  The
+        # exact search starts at the cap + 1, where one probe fails; from
+        # n = 1 it would widen up to the cap in 31 probes.
+        exact_probes = _count_exact_probes(monkeypatch)
+        cutoff = CutoffParams(mpf("1e-5"), mpf("0.5"))
+        with pytest.raises(NotConverged, match="remainder bound not below 2.0 within 50000 modes"):
+            energy_mode_sum(PlateGeometry(1), cutoff, tol=2)
+        assert exact_probes == [_AUTO_N_CAP + 1]
 
     def test_fast_decay_keeps_q_to_full_precision(self):
         # q = e^-126 vanishes beside 1 at 20 digits, so it is taken from
@@ -490,8 +508,9 @@ class TestEnergyModeSum:
     def test_prediction_starts_at_the_crossing(self, monkeypatch):
         # The float search starts from a guess at the crossing, not from
         # n = 1: its probes at n and n - 1 settle it, where doubling and
-        # bisection from 1 took 16 or more.  The exact search then starts
-        # from the float result and makes the same two probes.
+        # bisection from 1 took 16 or more.  The float value at n - 1
+        # clears the tolerance by far more than the floats' error, so the
+        # exact rule is evaluated at the float result alone.
         searches = []
         real_search = casimir_cutoff.modesum._search_from
 
@@ -501,18 +520,56 @@ class TestEnergyModeSum:
             return real_search(lambda m: probes.append(m) or meets(m), n, *limit)
 
         monkeypatch.setattr(casimir_cutoff.modesum, "_search_from", counted_search)
+        exact_probes = _count_exact_probes(monkeypatch)
         rng = random.Random(5)
         float_counts = []
         for _ in range(60):
             geom = PlateGeometry(mpf(rng.uniform(0.5, 2.0)))
             cutoff = CutoffParams(mpf(rng.uniform(0.01, 0.5)), mpf(rng.uniform(0.0, 0.9)))
             searches.clear()
+            exact_probes.clear()
             res = energy_mode_sum(geom, cutoff, field=rng.choice(list(FieldKind)))
-            float_probes, exact_probes = searches
-            float_counts.append(len(float_probes))
-            assert exact_probes == [res.n_max, res.n_max - 1]
+            float_counts.append(len(searches[0]))
+            assert exact_probes == [res.n_max]
         assert sorted(float_counts)[len(float_counts) // 2] == 2
         assert max(float_counts) < 16
+
+    def test_uncertified_estimate_still_probes_below_it(self, monkeypatch):
+        # Without the float certificate the exact rule is evaluated at the
+        # estimate and one below it, and gives the same result.
+        rng = random.Random(13)
+        points = [
+            (PlateGeometry(mpf(rng.uniform(0.5, 2.0))),
+             CutoffParams(mpf(rng.uniform(0.01, 0.5)), mpf(rng.uniform(0.0, 0.9))),
+             field)
+            for _ in range(6) for field in FieldKind
+        ]
+        certified = [energy_mode_sum(*point) for point in points]
+        real_predict = casimir_cutoff.modesum._predict_stop
+        monkeypatch.setattr(
+            casimir_cutoff.modesum, "_predict_stop", lambda *args: real_predict(*args)[:2] + (False,)
+        )
+        exact_probes = _count_exact_probes(monkeypatch)
+        for point, want in zip(points, certified):
+            exact_probes.clear()
+            assert energy_mode_sum(*point) == want
+            assert exact_probes == [want.n_max, want.n_max - 1]
+
+    def test_estimate_includes_the_drift(self, monkeypatch):
+        # At 15 digits a tolerance of 1e-10 is about 4 times the drift at
+        # the crossing, which moves the first index meeting the rule by
+        # about 480 past where T_n <= tol U.  The float estimate solves
+        # the rule with the drift, so the exact search starts there and
+        # makes 2 probes; from the drift-free crossing it would widen and
+        # bisect in 19.
+        exact_probes = _count_exact_probes(monkeypatch)
+        with mp.workdps(15):
+            geom, cutoff = PlateGeometry(mpf("1.02")), CutoffParams(mpf("0.0035"), mpf("0.94"))
+            for field in FieldKind:
+                exact_probes.clear()
+                res = energy_mode_sum(geom, cutoff, field, tol=mpf("1e-10"))
+                assert res.n_max == 45448
+                assert exact_probes == [45448, 45447]
 
     def test_each_call_makes_one_exponential(self, monkeypatch):
         # The sum takes its exponential from libmp on raw values, through
@@ -613,6 +670,19 @@ class TestEnergyModeSum:
                         assert abs(got - exact) <= ulps * exact, (a, lam, eps, field)
 
 
+def _count_exact_probes(monkeypatch) -> list:
+    """Record every n at which energy_mode_sum evaluates S_n and T_n exactly."""
+    probes = []
+    real = casimir_cutoff.modesum._partial_sums
+
+    def counted(*args):
+        whole, r, at = real(*args)
+        return whole, r, lambda n: probes.append(n) or at(n)
+
+    monkeypatch.setattr(casimir_cutoff.modesum, "_partial_sums", counted)
+    return probes
+
+
 def _outcome(fn, *args) -> str:
     # repr of the result, whose mpf reprs round-trip every bit, or the
     # exception's type and message.
@@ -626,30 +696,43 @@ class TestOperatorFormBitIdentity:
     """The raw-value kernel gives every bit and error of the mpf-operator form.
 
     ``reference_mode_sum`` (``series_reference``) is the same sum written
-    with mpf's operators under ``mp.extraprec``.  Both are called on one
-    grid per precision: both fields, auto, a given n_max, n_max with a
-    tolerance and a tolerance alone, at lambda in {0, 1e-20, 0.999} and
-    epsilon from 1e-4 to 100, plus a q that rounds to 1 and the cap and
-    drift failures.
+    with mpf's operators under ``mp.extraprec``, and finds an automatic
+    n_max by two exact probes where ``energy_mode_sum`` may make one on
+    the strength of its float certificate.  Both are called on one grid
+    per precision: both fields, auto, a given n_max, n_max with a
+    tolerance, a tolerance alone and a tolerance a few times the drift
+    5 (n + 2) 2^-prec at the index it needs, at lambda in {0, 1e-20,
+    0.999, 0.9999} and epsilon from 1e-4 to 100, plus a q that rounds to
+    1 and the cap and drift failures.
     """
 
     @pytest.mark.parametrize("dps", [15, 20, 30, 50, 100, 200])
     def test_results_and_errors_match_the_operator_form(self, dps):
         rng = random.Random(dps)
-        calls = []
+        calls, near_drift = [], 0
         with mp.workdps(dps):
-            for lam in ("0", "1e-20", "0.999"):
+            drift_unit = _DRIFT_C * mpf(2) ** -mp.prec
+            for lam in ("0", "1e-20", "0.999", "0.9999"):
                 for eps in ("1e-4", "0.003", "0.1", "2", "100"):
                     geom = PlateGeometry(mpf(rng.uniform(0.3, 3.0)))
                     cutoff = CutoffParams(mpf(eps), mpf(lam))
                     tol = mpf(10) ** -rng.randint(4, dps - 3)
                     n = rng.choice((1, 3, rng.randint(2, 400), rng.randint(10**3, 10**6)))
+                    # 2 to 8 times the drift at the index a tolerance of
+                    # 10^4 drift units needs, where that one converges.
+                    near = drift_unit * 10**4
+                    try:
+                        m = energy_mode_sum(geom, cutoff, tol=near).n_max
+                        near = drift_unit * (m + 2) * rng.uniform(2, 8)
+                    except NotConverged:
+                        pass
                     for field in FieldKind:
                         calls += [
                             (geom, cutoff, field, None, None),
                             (geom, cutoff, field, n, None),
                             (geom, cutoff, field, n, tol),
                             (geom, cutoff, field, None, tol),
+                            (geom, cutoff, field, None, near),
                         ]
             # q rounds to 1, with and without a range and a tolerance; a
             # tolerance below the drift; a huge given n_max.
@@ -666,6 +749,10 @@ class TestOperatorFormBitIdentity:
                 want = _outcome(reference_mode_sum, *call)
                 assert _outcome(energy_mode_sum, *call) == want, call
                 seen.append(want)
+                n_max = re.search(r"n_max=(\d+)", want)
+                if n_max and call[4] and call[4] <= 10 * drift_unit * (int(n_max[1]) + 2):
+                    near_drift += 1
+        assert near_drift >= 2
         seen = "\n".join(seen)
         for kind in ("do not decay", "cap of 50000", "rounding drift", "exceeds tolerance"):
             assert kind in seen
