@@ -22,9 +22,14 @@ tolerance is estimated in double precision from the logarithm of the
 same closed form, rounding drift included, and confirmed by one exact
 evaluation of it, or two where the float value one below does not
 clear the tolerance by more than the floats' error; parameters that
-would need more modes than the cap fail at once.  The bound also
-covers the rounding drift, and the default tolerance follows the
-working precision, so a sum is certified at every precision.
+would need more modes than the cap fail at once.  The whole sum and
+log q, which only that estimate and the choice of guard bits read,
+are not formed at the working precision: the sum enters as a float
+logarithm and log q as a bound from the doubles of the inputs, and
+each is evaluated only where the floats cannot settle the magnitude
+it sets.  The bound also covers the rounding drift, and the default
+tolerance follows the working precision, so a sum is certified at
+every precision.
 
 The sum's arithmetic runs on mpmath's raw values (``._mpf_`` tuples)
 through ``libmp``, with each precision passed to each call instead of
@@ -35,7 +40,7 @@ power, ``mpf_exp`` and ``mpf_pi`` behind ``exp`` and ``pi``, ``mpf_pos``
 for unary ``+``), in the same order, at the same precision and with the
 same rounding, so every result has the bits of the operator form that
 the tests keep as a reference.  mpf objects are made only at the edges:
-the result, the float estimate's inputs and the error messages.
+the result and the error messages.
 
 This module is on the CLI's side of the line: it holds the mode sum
 that ``energy-sum`` runs and nothing else.  The cross-check routes,
@@ -84,27 +89,37 @@ _AUTO_N_CAP = 50_000
 # the 15 r u T_n charged.
 _DRIFT_C = 5
 # Certificate of the float estimate n: where the float ln T_{n-1} exceeds
-# goal = ln(tol U) by delta = 2^-30 s + 8 r u, the exact rule fails at
-# n - 1, which is then not probed; s = 1 + prec + |goal| + |n x| +
-# |ln A| + |ln B| + |ln C| + 3 |ln r| bounds every number the floats
-# form.  The rule holds at n - 1 only if t <= bound <= tol S_{n-1}
-# (1 + u) <= tol U (1 + 4u), t the T_{n-1} of _partial_sums, and
-# tol U = e^goal (1 + u): it fails once ln t > goal + 6u.  ln t and the
-# float ln T_{n-1} differ by
+# the float goal, ln tol + ln U from _partial_sums, by delta = 2^-30 s,
+# the exact rule fails at n - 1, which is then not probed; s = 1 + prec
+# + |goal| + |n x| + |ln A| + |ln B| + |ln C| + 3 |ln r| bounds every
+# number the floats form.  The rule holds at n - 1 only if t <= bound <=
+# tol S_{n-1} (1 + u) <= tol U (1 + 3u), t the T_{n-1} and U the whole
+# sum of _partial_sums, and goal is within 6u of ln(tol U), since U is
+# of degree 3 in r and the rounded r is within 2u of 1 / (1 - q), plus
+# the float arithmetic: the rule fails once ln t > goal + 9u.  ln t and
+# the float ln T_{n-1} differ by
 # - the evaluation and rounding of t: 2u;
+# - the rounded r, within 2u of the r of t, in a bracket of degree 3
+#   in r: 6u;
 # - q against e^x, both rounded from one x with guard bits (_tower):
 #   ln q = x + eta, |eta| <= u (1 + |x|), which moves q^N by N |eta| and
-#   the bracket of T, of degree 3 in r, by 2 |eta| + 3.5 r |eta| while
-#   r u <= 1/8, as the refusal of q (1 + 8u) >= 1 leaves;
+#   the rest of the bracket by 2 |eta|;
 # - x against its double: eta' = 2^-53 |x|, likewise;
 # - the float arithmetic: a few dozen roundings of 2^-53 of at most s,
 #   the logarithms of prec-bit mantissas included.
-# With N <= 50 001 (the cap is checked first), u <= 2^-53 (15 digits
-# and up) and r |x| <= 1 + |x|, all but 3.5 r u of it is far below
-# 2^-30 s, and 8 r u covers that.
+# With N <= 50 001 (the cap is checked first) and u <= 2^-53 (15 digits
+# and up), all of it is far below 2^-30 s.  The same margin, with
+# s = 1 + prec + |x| + |ln head| + |ln A| + |ln B| + |ln C| + 3 |ln r|,
+# bounds the distance of _partial_sums' float ln U and ln(head + term_1)
+# from the ln of the values the operator form rounds to prec bits: a few
+# dozen u from those roundings and the rounded r, eta and eta' for the
+# double x in place of ln q, and the float arithmetic as above.
 _CERTIFY_BITS = 30
 # The float estimate of the stopping index searches no further.
 _ESTIMATE_LIMIT = 1 << 62
+# _tower takes mag(x) as 0 without evaluating x where the doubles show a
+# smaller |x|; the 1 % below 1 covers the doubles' rounding.
+_SMALL_X = 0.99
 _LN2 = math.log(2)
 
 _FZERO, _FONE, _FTWO = libmp.fzero, libmp.fone, libmp.from_int(2)
@@ -115,7 +130,7 @@ _mpf_add, _mpf_sub, _mpf_mul, _mpf_div = (
 _mpf_mul_int, _mpf_rdiv_int, _mpf_pow_int, _mpf_pos = (
     libmp.mpf_mul_int, libmp.mpf_rdiv_int, libmp.mpf_pow_int, libmp.mpf_pos
 )
-_mpf_le, _mpf_ge = libmp.mpf_le, libmp.mpf_ge
+_mpf_le, _mpf_ge, _to_float = libmp.mpf_le, libmp.mpf_ge, libmp.to_float
 # mag() of a raw value, and an mpf around one.
 _mpf_mag, _make_mpf = mp._mpf_mag, mp.make_mpf
 
@@ -134,15 +149,24 @@ def _tower(geom: PlateGeometry, cutoff: CutoffParams, weight, prec: int, rnd: st
     once, so each value is within 2^-prec relative of its exact value,
     as _DRIFT_C assumes; rounding x itself would cost |x| units in the
     last place of q, hence guard bits that grow with the size of x.
+    Those are 20 alone where the doubles of lambda, eps and a show
+    |x| < _SMALL_X: lambda's is rounded down, so the double 1 - lambda
+    is at least 1 - lambda less 2^-53 of it, and then |x| < 1 and
+    mag(x) <= 0.  Everything else, a subnormal a, inf and NaN included,
+    takes mag(x) from x at prec bits.
     """
     lam, eps, a = cutoff.lam._mpf_, cutoff.epsilon._mpf_, geom.a._mpf_
 
-    def log_q(p: int):  # (lambda - 1) eps pi / a
+    def log_q(p: int, pi_p):  # (lambda - 1) eps pi / a
         x = _mpf_mul(_mpf_sub(lam, _FONE, p, rnd), eps, p, rnd)
-        return _mpf_div(_mpf_mul(x, _mpf_pi(p, rnd), p, rnd), a, p, rnd)
+        return _mpf_div(_mpf_mul(x, pi_p, p, rnd), a, p, rnd)
 
-    p = prec + 20 + max(0, _mpf_mag(log_q(prec)))
-    x, pi_p = log_q(p), _mpf_pi(p, rnd)
+    lf, ef, af = _to_float(lam, False, "d"), _to_float(eps), _to_float(a)
+    p = prec + 20
+    if not (af > 1e-300 and (1 - lf) * ef * math.pi < _SMALL_X * af):
+        p += max(0, _mpf_mag(log_q(prec, _mpf_pi(prec, rnd))))
+    pi_p = _mpf_pi(p, rnd)
+    x = log_q(p, pi_p)
     k = _mpf_div(pi_p, a, p, rnd)
     f = _mpf_div(weight, _mpf_mul(_mpf_mul_int(pi_p, 2, p, rnd), eps, p, rnd), p, rnd)
     f2 = _mpf_mul_int(f, 2, p, rnd)
@@ -156,8 +180,25 @@ def _tower(geom: PlateGeometry, cutoff: CutoffParams, weight, prec: int, rnd: st
     return tuple(_mpf_pos(v, prec, rnd) for v in parts)
 
 
-def _partial_sums(q, A, B, C, head, prec: int, rnd: str):
-    """U, r and n -> (S_n, T_n) for U = head + sum q^n p(n), n >= 1, raw.
+def _moments(q, A, B, C, head, p: int, rnd: str):
+    """r = 1 / (1 - q), q r, A (1 + q) r and U at p bits, raw (_partial_sums)."""
+    r = _mpf_rdiv_int(1, _mpf_sub(_FONE, q, p, rnd), p, rnd)
+    qr = _mpf_mul(q, r, p, rnd)
+    a1 = _mpf_mul(_mpf_mul(A, _mpf_add(q, _FONE, p, rnd), p, rnd), r, p, rnd)
+    inner = _mpf_add(_mpf_mul(_mpf_add(a1, B, p, rnd), r, p, rnd), C, p, rnd)
+    return r, qr, a1, _mpf_add(head, _mpf_mul(qr, inner, p, rnd), p, rnd)
+
+
+def _floor_log2(ln_v: float, err: float):
+    """floor(log2 v) for a v whose ln is within err of ln_v, or None where that is not certain."""
+    if not err < 1:  # inf and NaN included
+        return None
+    lo = math.floor((ln_v - err) / _LN2)
+    return lo if lo == math.floor((ln_v + err) / _LN2) else None
+
+
+def _partial_sums(xf: float, q, A, B, C, head, prec: int, rnd: str):
+    """ln U, r and n -> (S_n, T_n) for U = head + sum q^n p(n), n >= 1, raw.
 
     p(n) = A n^2 + B n + C, q < 1 (energy_mode_sum refuses a q that
     rounds too close to 1 first), and q, A, B, C are taken as exact.
@@ -165,25 +206,40 @@ def _partial_sums(q, A, B, C, head, prec: int, rnd: str):
     B r + C), with r = 1 / (1 - q), and the terms past n, with N = n + 1:
     T_n = q^N [p(N) r + (2 A N + B) q r^2 + A q (1 + q) r^3], every part
     positive.  So S_n = U - T_n whatever n is, from one integer power.
-    U and r are rounded to prec bits; r serves the rounding drift.
-    Since S_n >= head + term_1, the difference cancels at most
-    U / (head + term_1) < 2^(d + 2), with d the difference of their
-    magnitudes; working at prec + g bits, g = 30 + d, keeps the few
-    dozen roundings of U and T_n, each 2^-(prec + g) of U, below
+    r is rounded to prec bits; it serves the rounding drift and the
+    float estimate.  Since S_n >= head + term_1, the difference cancels
+    at most U / (head + term_1) < 2^(d + 2), with d the difference of
+    their magnitudes; working at prec + g bits, g = 30 + d, keeps the
+    few dozen roundings of U and T_n, each 2^-(prec + g) of U, below
     2^-20 u of S_n.  Each value is rounded once to prec bits.
-    """
-    def moments(p: int):
-        r = _mpf_rdiv_int(1, _mpf_sub(_FONE, q, p, rnd), p, rnd)
-        qr = _mpf_mul(q, r, p, rnd)
-        a1 = _mpf_mul(_mpf_mul(A, _mpf_add(q, _FONE, p, rnd), p, rnd), r, p, rnd)
-        inner = _mpf_add(_mpf_mul(_mpf_add(a1, B, p, rnd), r, p, rnd), C, p, rnd)
-        return r, qr, a1, _mpf_add(head, _mpf_mul(qr, inner, p, rnd), p, rnd)
 
-    r_prec, _, _, U = moments(prec)
-    first = _mpf_mul(q, _mpf_add(_mpf_add(A, B, prec, rnd), C, prec, rnd), prec, rnd)
-    g = 30 + max(0, _mpf_mag(U) - _mpf_mag(_mpf_add(head, first, prec, rnd)))
-    pg = prec + g
-    r, qr, a1, U_g = moments(pg)
+    U at prec bits would serve only the float goal ln(tol U) and, with
+    head + term_1, the magnitudes that set g, so its ln and that of
+    head + term_1 are formed as floats, every factor a logarithm: ln q
+    is xf, the double of x, and the rest are taken from the raw
+    mantissa and exponent of head, A, B, C and the rounded r.  Each is
+    within 2^-30 s of the ln of the value the operator form rounds to
+    prec bits (_CERTIFY_BITS); where either lies within that of a power
+    of 2, or that margin is 1 or more (|x| past about 2^28, or beyond a
+    double's range), both values are evaluated at prec bits as the
+    operator form does, so g is always the operator form's.
+    """
+    r = _mpf_rdiv_int(1, _mpf_sub(_FONE, q, prec, rnd), prec, rnd)
+    lq, lr, la, lb, lc = xf, _ln(r), _ln(A), _ln(B), _ln(C)
+    ln_u = lq + lr + _lse(la + math.log1p(math.exp(lq)) + 2 * lr, lb + lr, lc)
+    ln_first = lq + _lse(la, lb, lc)
+    scale = 1 + prec + abs(lq) + abs(la) + abs(lb) + abs(lc) + 3 * abs(lr)
+    if head != _FZERO:
+        lh = _ln(head)
+        ln_u, ln_first, scale = _lse(lh, ln_u), _lse(lh, ln_first), scale + abs(lh)
+    err = scale * 2.0**-_CERTIFY_BITS
+    top, bottom = _floor_log2(ln_u, err), _floor_log2(ln_first, err)
+    if top is None or bottom is None:
+        U = _moments(q, A, B, C, head, prec, rnd)[3]
+        first = _mpf_mul(q, _mpf_add(_mpf_add(A, B, prec, rnd), C, prec, rnd), prec, rnd)
+        top, bottom = _mpf_mag(U), _mpf_mag(_mpf_add(head, first, prec, rnd))
+    pg = prec + 30 + max(0, top - bottom)
+    r_g, qr, a1, U_g = _moments(q, A, B, C, head, pg, rnd)
 
     def at(n: int):
         N = n + 1
@@ -191,10 +247,10 @@ def _partial_sums(q, A, B, C, head, prec: int, rnd: str):
         poly = _mpf_add(_mpf_mul_int(_mpf_add(an, B, pg, rnd), N, pg, rnd), C, pg, rnd)
         slope = _mpf_add(_mpf_add(_mpf_add(an, an, pg, rnd), B, pg, rnd), a1, pg, rnd)
         past = _mpf_add(poly, _mpf_mul(qr, slope, pg, rnd), pg, rnd)
-        T = _mpf_mul(_mpf_mul(qN, r, pg, rnd), past, pg, rnd)
+        T = _mpf_mul(_mpf_mul(qN, r_g, pg, rnd), past, pg, rnd)
         return _mpf_pos(_mpf_sub(U_g, T, pg, rnd), prec, rnd), _mpf_pos(T, prec, rnd)
 
-    return U, r_prec, at
+    return ln_u, r, at
 
 
 @lru_cache(maxsize=16)
@@ -205,9 +261,9 @@ def _default_tol(dps: int, prec: int) -> mpf:
     return max(mpf("1e-30"), mpf(10) ** (10 - dps))
 
 
-def _ln(v: mpf) -> float:
-    """Natural logarithm of a positive mpf as a float, at any exponent."""
-    return math.log(v.man) + v.exp * _LN2
+def _ln(v) -> float:
+    """Natural logarithm of a positive raw value as a float, at any exponent a double holds."""
+    return math.log(v[1]) + v[2] * _LN2
 
 
 def _lse(*logs: float) -> float:
@@ -216,10 +272,12 @@ def _lse(*logs: float) -> float:
     return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
-def _predict_stop(x, A, B, C, limit, tol, prec: int) -> tuple[int, int, bool]:
+def _predict_stop(xf: float, A, B, C, r, goal: float, tol, prec: int) -> tuple[int, int, bool]:
     """Float estimates (n, start, certified) of where the stopping rule first holds.
 
-    n is the first n >= 1 with T_n <= limit = tol U, T_n the terms past n
+    xf is the double of x; A, B, C, r = 1 / (1 - q) and tol are raw, and
+    goal = ln(tol U) is a float.
+    n is the first n >= 1 with ln T_n <= goal, T_n the terms past n
     of e^(n x) p(n): the index the cap and the drift are checked at.
     start, where the exact search starts, is the first m >= n where the
     exact rule, drift included, holds in floats:
@@ -239,16 +297,18 @@ def _predict_stop(x, A, B, C, limit, tol, prec: int) -> tuple[int, int, bool]:
     condition is monotone only up to rounding, it can also move the
     estimate by a few units in its last digits.
     """
-    xf = float(x)
     # energy_mode_sum refuses a q within 8 2^-prec of 1 first, so this
     # holds only where x underflows to 0 as a double: the floats then
     # see no decay at all, and no crossing is predicted.
     if xf >= 0:
         return _ESTIMATE_LIMIT, _ESTIMATE_LIMIT, False
-    # Every factor is taken as a logarithm, ln r = -ln(1 - q) included,
-    # so none overflows where r or A / C does.
-    la, lb, lc, lt, goal = _ln(A), _ln(B), _ln(C), _ln(tol), _ln(limit)
-    lr = -math.log(-math.expm1(xf))
+    # x is beyond a double's range: each term is below e^-(10^308) of the
+    # one before it, so the first mode decides.
+    if xf == -math.inf:
+        return 1, 1, False
+    # Every factor is taken as a logarithm, ln r of the rounded r
+    # included, so none overflows where r or A / C does.
+    la, lb, lc, lt, lr = _ln(A), _ln(B), _ln(C), _ln(tol), _ln(r)
     lq1 = xf + math.log1p(math.exp(xf))  # ln q (1 + q)
     grow = _lse(0.0, lt, math.log(3 * _DRIFT_C) + lr - prec * _LN2)  # ln (1 + tol + 15 r u)
     ln_t = {}  # ln T_n of every n probed
@@ -287,8 +347,7 @@ def _predict_stop(x, A, B, C, limit, tol, prec: int) -> tuple[int, int, bool]:
         # n where the drift reaches tol before the rule holds
         return n, n if drift_share(start) >= 0 else min(start, _AUTO_N_CAP + 1), False
     scale = 1 + prec + abs(goal) + abs(n * xf) + abs(la) + abs(lb) + abs(lc) + 3 * abs(lr)
-    margin = scale * 2.0**-_CERTIFY_BITS + 8 * math.exp(lr - prec * _LN2)
-    return n, n, ln_t.get(n - 1, goal) - goal > margin
+    return n, n, ln_t.get(n - 1, goal) - goal > scale * 2.0**-_CERTIFY_BITS
 
 
 def _search_from(meets, n: int, limit: int = _AUTO_N_CAP + 1) -> int:
@@ -363,6 +422,7 @@ def energy_mode_sum(
     weight = _mpf_div(_FONE, _FTWO, prec, rnd) if field is FieldKind.SCALAR else _FONE
 
     x, q, A, B, C = _tower(geom, cutoff, weight, prec, rnd)
+    xf = _to_float(x, False, rnd)  # the double float(mpf) gives
     head = _mpf_div(C, _FTWO, prec, rnd) if field is FieldKind.ELECTROMAGNETIC else _FZERO
     u = _mpf_shift(_FONE, -prec)
     # Refuses a q within 8u of 1, where the rounded inputs need not make
@@ -374,7 +434,7 @@ def energy_mode_sum(
     def drift_per_unit(n: int):
         return _mpf_mul_int(u, _DRIFT_C * (n + 2), prec, rnd)
 
-    whole, r, partial = _partial_sums(q, A, B, C, head, prec, rnd)
+    ln_whole, r, partial = _partial_sums(xf, q, A, B, C, head, prec, rnd)
     tail_unit = _mpf_mul_int(_mpf_mul(u, r, prec, rnd), 3 * _DRIFT_C, prec, rnd)
     tol_raw = rel_tol._mpf_
     checked = {}
@@ -392,8 +452,8 @@ def energy_mode_sum(
         return _mpf_le(bound, _mpf_mul(tol_raw, s, prec, rnd))
 
     if n_max is None:
-        limit = _mpf_mul(tol_raw, whole, prec, rnd)
-        estimate, start, certified = _predict_stop(*map(_make_mpf, (x, A, B, C, limit)), rel_tol, prec)
+        goal = _ln(tol_raw) + ln_whole
+        estimate, start, certified = _predict_stop(xf, A, B, C, r, goal, tol_raw, prec)
         if estimate > _AUTO_N_CAP:
             index = estimate if estimate < _ESTIMATE_LIMIT else "beyond the float search's limit of 2^62"
             raise NotConverged(

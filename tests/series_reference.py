@@ -40,7 +40,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from mpmath import cos, exp, factorial, ldexp, mag, mp, mpf, pi, sin, sqrt
+from mpmath import cos, exp, factorial, ldexp, log, mag, mp, mpf, pi, sin, sqrt
 
 from casimir_cutoff.coth import _coth_coefficient
 from casimir_cutoff.errors import (
@@ -556,11 +556,14 @@ def reference_mode_sum(
     raw-value kernel of ``modesum``, and the same decisions (the float
     estimate, the search and the error messages, taken from
     ``modesum``), so each result and each error should agree bit for
-    bit.  The stopping index is always found by the two-probe exact
-    search from the float start, without the float certificate that
-    lets ``energy_mode_sum`` skip the probe below it, so the two agree
-    only where that certificate is right.  Takes only arguments that
-    ``energy_mode_sum`` accepts.
+    bit.  The whole sum U and the guard bits are formed at the working
+    precision, where ``energy_mode_sum`` takes them from float
+    logarithms, and the float estimate's goal is the logarithm of the
+    rounded tol U.  The stopping index is always found by the two-probe
+    exact search from the float start, without the float certificate
+    that lets ``energy_mode_sum`` skip the probe below it, so the two
+    agree only where that certificate is right.  Takes only arguments
+    that ``energy_mode_sum`` accepts.
     """
     rel_tol = _default_tol(mp.dps, mp.prec) if tol is None else to_mpf(tol)
     weight = mpf(1) if field is FieldKind.ELECTROMAGNETIC else mpf(1) / 2
@@ -590,7 +593,9 @@ def reference_mode_sum(
         return bound <= rel_tol * s
 
     if n_max is None:
-        predicted, start, _ = _predict_stop(x, A, B, C, rel_tol * whole, rel_tol, mp.prec)
+        goal = float(log(rel_tol * whole))
+        A_, B_, C_, r_, tol_ = (v._mpf_ for v in (A, B, C, r, rel_tol))
+        predicted, start, _ = _predict_stop(float(x), A_, B_, C_, r_, goal, tol_, mp.prec)
         if predicted > _AUTO_N_CAP:
             index = predicted if predicted < _ESTIMATE_LIMIT else "beyond the float search's limit of 2^62"
             raise NotConverged(

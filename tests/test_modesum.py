@@ -571,6 +571,114 @@ class TestEnergyModeSum:
                 assert res.n_max == 45448
                 assert exact_probes == [45448, 45447]
 
+    def test_slow_decay_at_low_precision_takes_two_exact_probes(self, monkeypatch):
+        # At 16 digits, with r = 1 / (1 - q) about 5 10^8 and a tolerance
+        # of 1e6, r 2^-prec is about 7e-9, and an ln r taken from the
+        # double x instead of the rounded r moved the float estimate
+        # away from the exact crossing: 11 exact probes (EM), 9
+        # (scalar).  With the rounded r it lands on the crossing.
+        exact_probes = _count_exact_probes(monkeypatch)
+        with mp.workdps(16):
+            geom, cutoff = PlateGeometry(mpf("434.79")), CutoffParams(mpf("3.75e-7"), mpf("0.26"))
+            for field, n_max in ((FieldKind.ELECTROMAGNETIC, 2083), (FieldKind.SCALAR, 2084)):
+                exact_probes.clear()
+                res = energy_mode_sum(geom, cutoff, field, tol=mpf("1e6"))
+                assert res.n_max == n_max
+                assert len(exact_probes) <= 2
+
+    def test_moments_are_evaluated_once_with_guard_bits(self, monkeypatch):
+        # The whole sum, r and the moments of q^n are formed at prec + g
+        # bits alone; at prec bits only r is, and U and head + term_1
+        # only where the floats cannot certify their magnitudes.  With
+        # that certificate forced to fail, U is evaluated at prec bits
+        # too, and the guard bits g are the same.
+        calls = []
+        real = casimir_cutoff.modesum._moments
+
+        def counted(*args):
+            calls.append(args[-2])
+            return real(*args)
+
+        monkeypatch.setattr(casimir_cutoff.modesum, "_moments", counted)
+        bits = casimir_cutoff.modesum._CERTIFY_BITS
+        rng = random.Random(17)
+        points = [
+            (PlateGeometry(mpf(rng.uniform(0.3, 3.0))),
+             CutoffParams(mpf(10) ** rng.uniform(-2, 1), mpf(rng.uniform(0.0, 0.9))),
+             field, n_max)
+            for _ in range(8) for field in FieldKind for n_max in (None, 1, 300)
+        ]
+        for dps in (15, 50, 200):
+            with mp.workdps(dps):
+                guarded = {}
+                for point in points:
+                    calls.clear()
+                    guarded[point] = energy_mode_sum(*point), calls[:]
+                    assert len(calls) == 1 and calls[0] >= mp.prec + 30
+                monkeypatch.setattr(casimir_cutoff.modesum, "_CERTIFY_BITS", -60)
+                for point in points:
+                    calls.clear()
+                    want, (pg,) = guarded[point]
+                    assert energy_mode_sum(*point) == want
+                    assert calls == [mp.prec, pg]
+                monkeypatch.setattr(casimir_cutoff.modesum, "_CERTIFY_BITS", bits)
+
+    @pytest.mark.parametrize("dps", [15, 50, 200])
+    def test_tower_guard_bits_match_x_at_working_precision(self, monkeypatch, dps):
+        # The doubles of lambda, eps and a stand in for x only where they
+        # show |x| < 0.99.  Near |x| = 1, with lambda within 2^-53 of 1,
+        # and where a double overflows, underflows or is subnormal, the
+        # tower must work at the precision that x at prec bits sets, and
+        # give the same bits.
+        tower, real_exp = casimir_cutoff.modesum._tower, casimir_cutoff.modesum._mpf_exp
+        small_x = casimir_cutoff.modesum._SMALL_X
+        precs = []
+        monkeypatch.setattr(
+            casimir_cutoff.modesum, "_mpf_exp", lambda x, p, rnd: precs.append(p) or real_exp(x, p, rnd)
+        )
+        tiny = mpf(2) ** -1074  # the least subnormal double
+        with mp.workprec(200):  # inputs with more bits than the working ones
+            one = 1 / pi
+            cases = [
+                (1, one, 0), (1, one * mpf("0.98"), 0), (1, one * mpf("0.995"), 0),
+                (1, one * (1 - mpf(2) ** -60), 0), (1, one * mpf("1.02"), 0), (2, 2 * one, mpf("0.5")),
+                (1, mpf("1e25"), 1 - mpf("1e-20")), (1, mpf("1e20"), 1 - mpf(2) ** -54),
+                (tiny, tiny * mpf("1.5") * one, 0), (mpf("1e-310"), mpf("3e-311"), 0),
+                (mpf("1e-400"), mpf("1e-400"), 0), (mpf("1e-310"), mpf("1e-330"), 0),
+                (mpf("1e400"), mpf("1e399"), 0), (mpf("1e400"), mpf("1e-400"), 0),
+                (1, mpf("1e400"), 0), (1, mpf("1e-400"), 0),
+                (mpf("1e-300"), mpf("3e-301"), mpf("0.1")), (mpf("1e300"), mpf("3e299"), 0),
+            ]
+        with mp.workdps(dps):
+            prec, rnd = mp._prec_rounding
+            for a, eps, lam in cases:
+                geom, cutoff = PlateGeometry(a), CutoffParams(eps, lam)
+                for weight in (mpf(1)._mpf_, (mpf(1) / 2)._mpf_):
+                    for small in (small_x, 0):
+                        monkeypatch.setattr(casimir_cutoff.modesum, "_SMALL_X", small)
+                        precs.append(tower(geom, cutoff, weight, prec, rnd))
+                    fast_p, fast, exact_p, exact = precs[-4:]
+                    assert (fast_p, fast) == (exact_p, exact), (a, eps, lam)
+
+    @pytest.mark.parametrize("dps", [15, 50, 200])
+    def test_large_cutoff_sum_agrees_with_closed_form_within_bound(self, dps):
+        # At eps >~ a the bound lies below the closed form's own rounding
+        # at the working precision, so the closed form is taken at
+        # dps + 60.  Here |x| = (1 - lambda) eps pi / a >= 1, so the
+        # tower takes the magnitude of x from x itself.
+        rng = random.Random(dps + 7)
+        with mp.workdps(dps):
+            for _ in range(12):
+                a = rng.uniform(0.1, 3)
+                geom = PlateGeometry(mpf(a))
+                cutoff = CutoffParams(mpf(a * rng.uniform(1, 20)), mpf(rng.uniform(0, 0.6)))
+                assert (1 - cutoff.lam) * cutoff.epsilon * pi / geom.a >= 1
+                for field in FieldKind:
+                    res = energy_mode_sum(geom, cutoff, field)
+                    with mp.workdps(dps + 60):
+                        exact = energy_closed_form(geom, cutoff, field)
+                        assert abs(res.value - exact) <= res.remainder_bound, (geom, cutoff, field)
+
     def test_each_call_makes_one_exponential(self, monkeypatch):
         # The sum takes its exponential from libmp on raw values, through
         # the module's _mpf_exp; mpmath's exp and expm1 are counted too,
@@ -703,11 +811,35 @@ class TestOperatorFormBitIdentity:
     tolerance, a tolerance alone and a tolerance a few times the drift
     5 (n + 2) 2^-prec at the index it needs, at lambda in {0, 1e-20,
     0.999, 0.9999} and epsilon from 1e-4 to 100, plus a q that rounds to
-    1 and the cap and drift failures.
+    1, an epsilon whose log q is beyond a double's range, and the cap and
+    drift failures.  The grid is run again with every
+    magnitude that the floats certify taken from its exact fallback.
     """
 
     @pytest.mark.parametrize("dps", [15, 20, 30, 50, 100, 200])
     def test_results_and_errors_match_the_operator_form(self, dps):
+        self._check_grid(dps)
+
+    @pytest.mark.parametrize("dps", [15, 50])
+    def test_exact_fallbacks_match_the_operator_form(self, monkeypatch, dps):
+        # Every magnitude the floats certify is taken from its exact
+        # fallback instead: mag(x) in _tower from x at prec bits, and
+        # mag(U) and mag(head + term_1) from those values at prec bits;
+        # the float estimate is never certified either.
+        at_prec = []
+        real = casimir_cutoff.modesum._moments
+
+        def counted(*args):
+            at_prec.append(args[-2] == mp.prec)
+            return real(*args)
+
+        monkeypatch.setattr(casimir_cutoff.modesum, "_moments", counted)
+        monkeypatch.setattr(casimir_cutoff.modesum, "_CERTIFY_BITS", -60)
+        monkeypatch.setattr(casimir_cutoff.modesum, "_SMALL_X", 0)
+        self._check_grid(dps)
+        assert sum(at_prec) * 2 == len(at_prec) > 0
+
+    def _check_grid(self, dps):
         rng = random.Random(dps)
         calls, near_drift = [], 0
         with mp.workdps(dps):
@@ -741,6 +873,9 @@ class TestOperatorFormBitIdentity:
                 (PlateGeometry(1), flat, f, n, t)
                 for f in FieldKind for n in (None, 7) for t in (None, mpf(10) ** -5)
             ]
+            # log q beyond a double's range.
+            huge = CutoffParams(mpf("1e400"), mpf("0.5"))
+            calls += [(PlateGeometry(1), huge, f, n, None) for f in FieldKind for n in (None, 3)]
             low = CutoffParams(mpf("0.01"), mpf("0.3"))
             calls += [(PlateGeometry(1), low, FieldKind.SCALAR, None, mpf(10) ** -(2 * dps))]
             calls += [(PlateGeometry(1), low, FieldKind.ELECTROMAGNETIC, 10**30, None)]
@@ -756,7 +891,7 @@ class TestOperatorFormBitIdentity:
         seen = "\n".join(seen)
         for kind in ("do not decay", "cap of 50000", "rounding drift", "exceeds tolerance"):
             assert kind in seen
-        assert "remainder_bound=mpf('" in seen and "inf" not in seen
+        assert "remainder_bound=mpf('" in seen and "inf" not in seen and "Error" not in seen
 
 
 class TestEigenmodes:
