@@ -22,14 +22,14 @@ tolerance is estimated in double precision from the logarithm of the
 same closed form, rounding drift included, and confirmed by one exact
 evaluation of it, or two where the float value one below does not
 clear the tolerance by more than the floats' error; parameters that
-would need more modes than the cap fail at once.  The whole sum and
-log q, which only that estimate and the choice of guard bits read,
-are not formed at the working precision: the sum enters as a float
-logarithm and log q as a bound from the doubles of the inputs, and
-each is evaluated only where the floats cannot settle the magnitude
-it sets.  The bound also covers the rounding drift, and the default
-tolerance follows the working precision, so a sum is certified at
-every precision.
+would need more modes than the cap fail at once.  The whole sum, which
+only that estimate reads, is not formed at the working precision: the
+estimate takes its logarithm from the same moments as floats.  The
+guard bits come from exponents already in hand, those of epsilon, a
+and the rounded r = 1 / (1 - q), so no magnitude is evaluated to
+choose them.  The bound also covers the rounding drift, and the
+default tolerance follows the working precision, so a sum is certified
+at every precision.
 
 The sum's arithmetic runs on mpmath's raw values (``._mpf_`` tuples)
 through ``libmp``, with each precision passed to each call instead of
@@ -89,37 +89,31 @@ _AUTO_N_CAP = 50_000
 # the 15 r u T_n charged.
 _DRIFT_C = 5
 # Certificate of the float estimate n: where the float ln T_{n-1} exceeds
-# the float goal, ln tol + ln U from _partial_sums, by delta = 2^-30 s,
-# the exact rule fails at n - 1, which is then not probed; s = 1 + prec
-# + |goal| + |n x| + |ln A| + |ln B| + |ln C| + 3 |ln r| bounds every
-# number the floats form.  The rule holds at n - 1 only if t <= bound <=
-# tol S_{n-1} (1 + u) <= tol U (1 + 3u), t the T_{n-1} and U the whole
-# sum of _partial_sums, and goal is within 6u of ln(tol U), since U is
-# of degree 3 in r and the rounded r is within 2u of 1 / (1 - q), plus
-# the float arithmetic: the rule fails once ln t > goal + 9u.  ln t and
-# the float ln T_{n-1} differ by
-# - the evaluation and rounding of t: 2u;
-# - the rounded r, within 2u of the r of t, in a bracket of degree 3
+# the float goal ln(tol U) by delta = 2^-30 s, the exact rule fails at
+# n - 1, which is then not probed; s = 1 + prec + |goal| + |n x| +
+# |ln A| + |ln B| + |ln C| + 3 |ln r| bounds every number the floats
+# form.  The rule holds at n - 1 only if t <= bound <= tol S_{n-1}
+# (1 + u) <= tol U (1 + 3u), t the T_{n-1} and U the whole sum of
+# _partial_sums.  The float ln of either closed form, T_m or U, and the
+# ln of its exact value at the rounded q, A, B, C differ by
+# - the rounded r, within 2u of 1 / (1 - q), in a bracket of degree 3
 #   in r: 6u;
 # - q against e^x, both rounded from one x with guard bits (_tower):
-#   ln q = x + eta, |eta| <= u (1 + |x|), which moves q^N by N |eta| and
-#   the rest of the bracket by 2 |eta|;
+#   ln q = x + eta, |eta| <= u (1 + |x|), which moves T_{N-1}, with
+#   its q^N, by (N + 2) |eta| and U - head by 2 |eta|;
 # - x against its double: eta' = 2^-53 |x|, likewise;
 # - the float arithmetic: a few dozen roundings of 2^-53 of at most s,
 #   the logarithms of prec-bit mantissas included.
-# With N <= 50 001 (the cap is checked first) and u <= 2^-53 (15 digits
-# and up), all of it is far below 2^-30 s.  The same margin, with
-# s = 1 + prec + |x| + |ln head| + |ln A| + |ln B| + |ln C| + 3 |ln r|,
-# bounds the distance of _partial_sums' float ln U and ln(head + term_1)
-# from the ln of the values the operator form rounds to prec bits: a few
-# dozen u from those roundings and the rounded r, eta and eta' for the
-# double x in place of ln q, and the float arithmetic as above.
+# The goal is ln tol plus ln U, from U = head + q r (A (1 + q) r^2 +
+# B r + C), so it is within 6u + 2 (|eta| + |eta'|) of ln(tol U) plus
+# its float arithmetic, and the rule fails once ln t exceeds the goal by
+# 9u + 2 (|eta| + |eta'|) and that arithmetic.  t, evaluated at
+# prec + g bits and rounded (_partial_sums), is within 2u of T_{n-1}.
+# With n <= 50 001 (the cap is checked first) and u <= 2^-53 (15 digits
+# and up), all of it is far below 2^-30 s.
 _CERTIFY_BITS = 30
 # The float estimate of the stopping index searches no further.
 _ESTIMATE_LIMIT = 1 << 62
-# _tower takes mag(x) as 0 without evaluating x where the doubles show a
-# smaller |x|; the 1 % below 1 covers the doubles' rounding.
-_SMALL_X = 0.99
 _LN2 = math.log(2)
 
 _FZERO, _FONE, _FTWO = libmp.fzero, libmp.fone, libmp.from_int(2)
@@ -149,24 +143,18 @@ def _tower(geom: PlateGeometry, cutoff: CutoffParams, weight, prec: int, rnd: st
     once, so each value is within 2^-prec relative of its exact value,
     as _DRIFT_C assumes; rounding x itself would cost |x| units in the
     last place of q, hence guard bits that grow with the size of x.
-    Those are 20 alone where the doubles of lambda, eps and a show
-    |x| < _SMALL_X: lambda's is rounded down, so the double 1 - lambda
-    is at least 1 - lambda less 2^-53 of it, and then |x| < 1 and
-    mag(x) <= 0.  Everything else, a subnormal a, inf and NaN included,
-    takes mag(x) from x at prec bits.
+    Since 0 <= lambda < 1, eps < 2^(mag eps), pi < 4 and a >=
+    2^(mag a - 1), |x| = (1 - lambda) eps pi / a < 2^(mag eps - mag a +
+    3), and x rounded at prec bits, within a few roundings of 2^-prec of
+    it, is below 2^(mag eps - mag a + 4).  So 20 bits plus that
+    exponent, where it is positive, are never fewer than 20 plus mag(x)
+    at prec bits, and cost no evaluation of x.
     """
     lam, eps, a = cutoff.lam._mpf_, cutoff.epsilon._mpf_, geom.a._mpf_
-
-    def log_q(p: int, pi_p):  # (lambda - 1) eps pi / a
-        x = _mpf_mul(_mpf_sub(lam, _FONE, p, rnd), eps, p, rnd)
-        return _mpf_div(_mpf_mul(x, pi_p, p, rnd), a, p, rnd)
-
-    lf, ef, af = _to_float(lam, False, "d"), _to_float(eps), _to_float(a)
-    p = prec + 20
-    if not (af > 1e-300 and (1 - lf) * ef * math.pi < _SMALL_X * af):
-        p += max(0, _mpf_mag(log_q(prec, _mpf_pi(prec, rnd))))
+    p = prec + 20 + max(0, _mpf_mag(eps) - _mpf_mag(a) + 4)
     pi_p = _mpf_pi(p, rnd)
-    x = log_q(p, pi_p)
+    x = _mpf_mul(_mpf_mul(_mpf_sub(lam, _FONE, p, rnd), eps, p, rnd), pi_p, p, rnd)
+    x = _mpf_div(x, a, p, rnd)
     k = _mpf_div(pi_p, a, p, rnd)
     f = _mpf_div(weight, _mpf_mul(_mpf_mul_int(pi_p, 2, p, rnd), eps, p, rnd), p, rnd)
     f2 = _mpf_mul_int(f, 2, p, rnd)
@@ -180,25 +168,8 @@ def _tower(geom: PlateGeometry, cutoff: CutoffParams, weight, prec: int, rnd: st
     return tuple(_mpf_pos(v, prec, rnd) for v in parts)
 
 
-def _moments(q, A, B, C, head, p: int, rnd: str):
-    """r = 1 / (1 - q), q r, A (1 + q) r and U at p bits, raw (_partial_sums)."""
-    r = _mpf_rdiv_int(1, _mpf_sub(_FONE, q, p, rnd), p, rnd)
-    qr = _mpf_mul(q, r, p, rnd)
-    a1 = _mpf_mul(_mpf_mul(A, _mpf_add(q, _FONE, p, rnd), p, rnd), r, p, rnd)
-    inner = _mpf_add(_mpf_mul(_mpf_add(a1, B, p, rnd), r, p, rnd), C, p, rnd)
-    return r, qr, a1, _mpf_add(head, _mpf_mul(qr, inner, p, rnd), p, rnd)
-
-
-def _floor_log2(ln_v: float, err: float):
-    """floor(log2 v) for a v whose ln is within err of ln_v, or None where that is not certain."""
-    if not err < 1:  # inf and NaN included
-        return None
-    lo = math.floor((ln_v - err) / _LN2)
-    return lo if lo == math.floor((ln_v + err) / _LN2) else None
-
-
-def _partial_sums(xf: float, q, A, B, C, head, prec: int, rnd: str):
-    """ln U, r and n -> (S_n, T_n) for U = head + sum q^n p(n), n >= 1, raw.
+def _partial_sums(q, A, B, C, head, prec: int, rnd: str):
+    """r and n -> (S_n, T_n) for U = head + sum q^n p(n), n >= 1, raw.
 
     p(n) = A n^2 + B n + C, q < 1 (energy_mode_sum refuses a q that
     rounds too close to 1 first), and q, A, B, C are taken as exact.
@@ -206,40 +177,25 @@ def _partial_sums(xf: float, q, A, B, C, head, prec: int, rnd: str):
     B r + C), with r = 1 / (1 - q), and the terms past n, with N = n + 1:
     T_n = q^N [p(N) r + (2 A N + B) q r^2 + A q (1 + q) r^3], every part
     positive.  So S_n = U - T_n whatever n is, from one integer power.
-    r is rounded to prec bits; it serves the rounding drift and the
-    float estimate.  Since S_n >= head + term_1, the difference cancels
-    at most U / (head + term_1) < 2^(d + 2), with d the difference of
-    their magnitudes; working at prec + g bits, g = 30 + d, keeps the
-    few dozen roundings of U and T_n, each 2^-(prec + g) of U, below
-    2^-20 u of S_n.  Each value is rounded once to prec bits.
-
-    U at prec bits would serve only the float goal ln(tol U) and, with
-    head + term_1, the magnitudes that set g, so its ln and that of
-    head + term_1 are formed as floats, every factor a logarithm: ln q
-    is xf, the double of x, and the rest are taken from the raw
-    mantissa and exponent of head, A, B, C and the rounded r.  Each is
-    within 2^-30 s of the ln of the value the operator form rounds to
-    prec bits (_CERTIFY_BITS); where either lies within that of a power
-    of 2, or that margin is 1 or more (|x| past about 2^28, or beyond a
-    double's range), both values are evaluated at prec bits as the
-    operator form does, so g is always the operator form's.
+    r is rounded to prec bits; it serves the rounding drift, the float
+    estimate and the guard bits.  Since r >= 1, U - head is at most
+    (1 + q) r^3 < 2 r^3 times term_1 = q (A + B + C), and S_n >= head +
+    term_1, so the difference cancels at most U / (head + term_1) <
+    2 r^3, with r within 2u of the rounded r < 2^(mag r).  Working at
+    prec + g bits, g = 32 + 3 mag r, keeps the few dozen roundings of U
+    and T_n, each 2^-(prec + g) of U, below 2^-20 u of S_n.  The
+    magnitudes of U and head + term_1 rounded at prec bits differ by
+    less than 1 + log2 of their ratio, so by at most 2 + 3 mag r: g is
+    never below 30 plus that difference.  Each value is rounded once to
+    prec bits.
     """
     r = _mpf_rdiv_int(1, _mpf_sub(_FONE, q, prec, rnd), prec, rnd)
-    lq, lr, la, lb, lc = xf, _ln(r), _ln(A), _ln(B), _ln(C)
-    ln_u = lq + lr + _lse(la + math.log1p(math.exp(lq)) + 2 * lr, lb + lr, lc)
-    ln_first = lq + _lse(la, lb, lc)
-    scale = 1 + prec + abs(lq) + abs(la) + abs(lb) + abs(lc) + 3 * abs(lr)
-    if head != _FZERO:
-        lh = _ln(head)
-        ln_u, ln_first, scale = _lse(lh, ln_u), _lse(lh, ln_first), scale + abs(lh)
-    err = scale * 2.0**-_CERTIFY_BITS
-    top, bottom = _floor_log2(ln_u, err), _floor_log2(ln_first, err)
-    if top is None or bottom is None:
-        U = _moments(q, A, B, C, head, prec, rnd)[3]
-        first = _mpf_mul(q, _mpf_add(_mpf_add(A, B, prec, rnd), C, prec, rnd), prec, rnd)
-        top, bottom = _mpf_mag(U), _mpf_mag(_mpf_add(head, first, prec, rnd))
-    pg = prec + 30 + max(0, top - bottom)
-    r_g, qr, a1, U_g = _moments(q, A, B, C, head, pg, rnd)
+    pg = prec + 32 + 3 * _mpf_mag(r)
+    r_g = _mpf_rdiv_int(1, _mpf_sub(_FONE, q, pg, rnd), pg, rnd)
+    qr = _mpf_mul(q, r_g, pg, rnd)
+    a1 = _mpf_mul(_mpf_mul(A, _mpf_add(q, _FONE, pg, rnd), pg, rnd), r_g, pg, rnd)
+    inner = _mpf_add(_mpf_mul(_mpf_add(a1, B, pg, rnd), r_g, pg, rnd), C, pg, rnd)
+    U = _mpf_add(head, _mpf_mul(qr, inner, pg, rnd), pg, rnd)
 
     def at(n: int):
         N = n + 1
@@ -248,9 +204,9 @@ def _partial_sums(xf: float, q, A, B, C, head, prec: int, rnd: str):
         slope = _mpf_add(_mpf_add(_mpf_add(an, an, pg, rnd), B, pg, rnd), a1, pg, rnd)
         past = _mpf_add(poly, _mpf_mul(qr, slope, pg, rnd), pg, rnd)
         T = _mpf_mul(_mpf_mul(qN, r_g, pg, rnd), past, pg, rnd)
-        return _mpf_pos(_mpf_sub(U_g, T, pg, rnd), prec, rnd), _mpf_pos(T, prec, rnd)
+        return _mpf_pos(_mpf_sub(U, T, pg, rnd), prec, rnd), _mpf_pos(T, prec, rnd)
 
-    return ln_u, r, at
+    return r, at
 
 
 @lru_cache(maxsize=16)
@@ -272,11 +228,12 @@ def _lse(*logs: float) -> float:
     return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
-def _predict_stop(xf: float, A, B, C, r, goal: float, tol, prec: int) -> tuple[int, int, bool]:
+def _predict_stop(xf: float, head, A, B, C, r, tol, prec: int) -> tuple[int, int, bool]:
     """Float estimates (n, start, certified) of where the stopping rule first holds.
 
-    xf is the double of x; A, B, C, r = 1 / (1 - q) and tol are raw, and
-    goal = ln(tol U) is a float.
+    xf is the double of x; head, A, B, C, r = 1 / (1 - q) and tol are
+    raw.  The goal is ln(tol U), U the whole sum of _partial_sums, from
+    the same moments in logarithms.
     n is the first n >= 1 with ln T_n <= goal, T_n the terms past n
     of e^(n x) p(n): the index the cap and the drift are checked at.
     start, where the exact search starts, is the first m >= n where the
@@ -319,6 +276,10 @@ def _predict_stop(xf: float, A, B, C, r, goal: float, tol, prec: int) -> tuple[i
             la + 2 * lm + lr, lb + lm + lr, lc + lr,
             _LN2 + la + lm + xf + 2 * lr, lb + xf + 2 * lr, la + lq1 + 3 * lr,
         )
+
+    # ln(U - head), U - head = q r (A (1 + q) r^2 + B r + C)
+    ln_u = xf + lr + _lse(la + math.log1p(math.exp(xf)) + 2 * lr, lb + lr, lc)
+    goal = lt + (ln_u if head == _FZERO else _lse(_ln(head), ln_u))
 
     def meets(n: int) -> bool:
         if n not in ln_t:
@@ -407,12 +368,12 @@ def energy_mode_sum(
     makes, so both give the same result.  NotConverged is raised before
     any such probe if the estimate exceeds the 50 000-mode cap or if the
     rounding drift there already exceeds the tolerance.  A tolerance
-    that is not positive, or an n_max that is not an int >= 1 (bool
-    included), raises ValueError before any work.
+    that is not positive and finite (NaN included), or an n_max that is
+    not an int >= 1 (bool included), raises ValueError before any work.
     """
     rel_tol = _default_tol(mp.dps, mp.prec) if tol is None else to_mpf(tol)
-    if not rel_tol > 0:
-        raise ValueError(f"tolerance must be positive, got {rel_tol}")
+    if not 0 < rel_tol < mp.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {rel_tol}")
     if n_max is not None and (type(n_max) is bool or not isinstance(n_max, int)):
         raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if n_max is not None and n_max < 1:
@@ -434,7 +395,7 @@ def energy_mode_sum(
     def drift_per_unit(n: int):
         return _mpf_mul_int(u, _DRIFT_C * (n + 2), prec, rnd)
 
-    ln_whole, r, partial = _partial_sums(xf, q, A, B, C, head, prec, rnd)
+    r, partial = _partial_sums(q, A, B, C, head, prec, rnd)
     tail_unit = _mpf_mul_int(_mpf_mul(u, r, prec, rnd), 3 * _DRIFT_C, prec, rnd)
     tol_raw = rel_tol._mpf_
     checked = {}
@@ -452,8 +413,7 @@ def energy_mode_sum(
         return _mpf_le(bound, _mpf_mul(tol_raw, s, prec, rnd))
 
     if n_max is None:
-        goal = _ln(tol_raw) + ln_whole
-        estimate, start, certified = _predict_stop(xf, A, B, C, r, goal, tol_raw, prec)
+        estimate, start, certified = _predict_stop(xf, head, A, B, C, r, tol_raw, prec)
         if estimate > _AUTO_N_CAP:
             index = estimate if estimate < _ESTIMATE_LIMIT else "beyond the float search's limit of 2^62"
             raise NotConverged(

@@ -40,7 +40,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from mpmath import cos, exp, factorial, ldexp, log, mag, mp, mpf, pi, sin, sqrt
+from mpmath import cos, exp, factorial, ldexp, mag, mp, mpf, pi, sin, sqrt
 
 from casimir_cutoff.coth import _coth_coefficient
 from casimir_cutoff.errors import (
@@ -513,8 +513,7 @@ def reference_scalar_coefficients(a: mpf, lam: mpf, z: mpf) -> tuple[mpf, mpf, m
 def _operator_tower(geom, cutoff, weight: mpf):
     """x = log q, q and (A, B, C) of the mode sum, in mpf operator form."""
     eps = cutoff.epsilon
-    x = (cutoff.lam - 1) * eps * pi / geom.a
-    with mp.extraprec(20 + max(0, mag(x))):
+    with mp.extraprec(20 + max(0, mag(eps) - mag(geom.a) + 4)):
         x = (cutoff.lam - 1) * eps * pi / geom.a
         q = exp(x)
         k = pi / geom.a
@@ -524,16 +523,13 @@ def _operator_tower(geom, cutoff, weight: mpf):
 
 
 def _operator_partial_sums(q: mpf, A: mpf, B: mpf, C: mpf, head: mpf):
-    """U, r and n -> (S_n, T_n) for q < 1, in mpf operator form."""
-    def moments():
+    """r and n -> (S_n, T_n) for q < 1, in mpf operator form."""
+    r_prec = 1 / (1 - q)
+    g = 32 + 3 * mag(r_prec)
+    with mp.extraprec(g):
         r = 1 / (1 - q)
         qr, a1 = q * r, A * (1 + q) * r
-        return r, qr, a1, head + qr * ((a1 + B) * r + C)
-
-    r_prec, _, _, U = moments()
-    g = 30 + max(0, mag(U) - mag(head + q * (A + B + C)))
-    with mp.extraprec(g):
-        r, qr, a1, U_g = moments()
+        U = head + qr * ((a1 + B) * r + C)
 
     def at(n: int) -> tuple[mpf, mpf]:
         N = n + 1
@@ -541,10 +537,10 @@ def _operator_partial_sums(q: mpf, A: mpf, B: mpf, C: mpf, head: mpf):
             qN, an = q**N, A * N
             p = (an + B) * N + C
             T = qN * r * (p + qr * (an + an + B + a1))
-            S = U_g - T
+            S = U - T
         return +S, +T
 
-    return U, r_prec, at
+    return r_prec, at
 
 
 def reference_mode_sum(
@@ -556,14 +552,13 @@ def reference_mode_sum(
     raw-value kernel of ``modesum``, and the same decisions (the float
     estimate, the search and the error messages, taken from
     ``modesum``), so each result and each error should agree bit for
-    bit.  The whole sum U and the guard bits are formed at the working
-    precision, where ``energy_mode_sum`` takes them from float
-    logarithms, and the float estimate's goal is the logarithm of the
-    rounded tol U.  The stopping index is always found by the two-probe
-    exact search from the float start, without the float certificate
-    that lets ``energy_mode_sum`` skip the probe below it, so the two
-    agree only where that certificate is right.  Takes only arguments
-    that ``energy_mode_sum`` accepts.
+    bit.  The guard bits follow the same two rules, read from the
+    exponents of epsilon, a and the rounded r = 1 / (1 - q), and the
+    whole sum is formed only with those guard bits.  The stopping index
+    is always found by the two-probe exact search from the float start,
+    without the float certificate that lets ``energy_mode_sum`` skip the
+    probe below it, so the two agree only where that certificate is
+    right.  Takes only arguments that ``energy_mode_sum`` accepts.
     """
     rel_tol = _default_tol(mp.dps, mp.prec) if tol is None else to_mpf(tol)
     weight = mpf(1) if field is FieldKind.ELECTROMAGNETIC else mpf(1) / 2
@@ -578,7 +573,7 @@ def reference_mode_sum(
     def drift_per_unit(n: int) -> mpf:
         return _DRIFT_C * (n + 2) * u
 
-    whole, r, partial = _operator_partial_sums(q, A, B, C, head)
+    r, partial = _operator_partial_sums(q, A, B, C, head)
     tail_unit = u * r * (3 * _DRIFT_C)
     checked = {}
 
@@ -593,9 +588,8 @@ def reference_mode_sum(
         return bound <= rel_tol * s
 
     if n_max is None:
-        goal = float(log(rel_tol * whole))
-        A_, B_, C_, r_, tol_ = (v._mpf_ for v in (A, B, C, r, rel_tol))
-        predicted, start, _ = _predict_stop(float(x), A_, B_, C_, r_, goal, tol_, mp.prec)
+        head_, A_, B_, C_, r_, tol_ = (v._mpf_ for v in (head, A, B, C, r, rel_tol))
+        predicted, start, _ = _predict_stop(float(x), head_, A_, B_, C_, r_, tol_, mp.prec)
         if predicted > _AUTO_N_CAP:
             index = predicted if predicted < _ESTIMATE_LIMIT else "beyond the float search's limit of 2^62"
             raise NotConverged(
