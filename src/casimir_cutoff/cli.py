@@ -29,7 +29,9 @@ from pathlib import Path
 from mpmath import isfinite, isnan, mp, mpf
 
 from .errors import CasimirError, LightlikeSeparation, NotConverged
-from .params import CutoffParams, FieldKind, FourVector, PlateGeometry, SeparationVector
+from .params import (
+    CutoffParams, FieldKind, FourVector, PlateGeometry, SeparationVector, _unit_lambda,
+)
 from .precision import ENV_VAR, resolve_precision, to_mpf, value_type
 
 # parse_args needs only the modules above: the value types and the
@@ -248,14 +250,10 @@ def _pressure(cfg: ScanConfig):
 def _stress(cfg: ScanConfig):
     from .stress import _stress_for
 
-    # The stress reads only lambda from CutoffParams; its epsilon, the
-    # splitting's length, is the same for every point of a sweep.
-    length = cfg.split.length
     zs = cfg.z_values if cfg.field is FieldKind.SCALAR else (None,)
     for a, lam, z in product(cfg.a_values, cfg.lam_values, zs):
         def point(a=a, lam=lam, z=z):
-            cut = CutoffParams(length, lam)
-            d = _stress_for(cfg.field, PlateGeometry(a), cut, cfg.split, z)
+            d = _stress_for(cfg.field, PlateGeometry(a).a, _unit_lambda(lam), cfg.split, z)
             t = d.tensor()
             return d.A, d.B_finite, d.B_divergent_eps2, t[0, 0], t[3, 3], abs(t.trace())
 
@@ -271,16 +269,14 @@ def _covariance(cfg: ScanConfig):
     rng = random.Random(cfg.seed)
     z = cfg.z_values[0] if cfg.z_values is not None else None
     max_rap = float(cfg.rapidity)
-    length = cfg.split.length
 
     @cache
     def unmoved():
         # The decomposition at the sweep's splitting and its tensor, the
         # same for every trial: formed once, by the first trial that gets
         # here.  A failure is not cached, so every trial raises it again.
-        geom = PlateGeometry(cfg.a_values[0])
-        cutoff = CutoffParams(length, cfg.lam_values[0])
-        d = _stress_for(cfg.field, geom, cutoff, cfg.split, z)
+        a, lam = PlateGeometry(cfg.a_values[0]).a, _unit_lambda(cfg.lam_values[0])
+        d = _stress_for(cfg.field, a, lam, cfg.split, z)
         return d, d.tensor()
 
     for trial in range(cfg.trials):
@@ -299,14 +295,14 @@ def _scan(cfg: ScanConfig):
     # electromagnetic field only, since the scalar columns would just
     # repeat everything halved.
     from .expansion import _pressure_from_coefficients, _reported_coefficients
-    from .stress import em_stress
+    from .stress import _stress_for
 
-    length = cfg.split.length
     for a, lam in product(cfg.a_values, cfg.lam_values):
         def point(a=a, lam=lam):
+            # _reported_coefficients checks a and lambda; the stress takes both as checked.
             a, c_minus2, c_0 = _reported_coefficients(a, lam)
             pr = _pressure_from_coefficients(a, c_minus2, c_0)
-            d = em_stress(PlateGeometry(a), CutoffParams(length, lam), cfg.split)
+            d = _stress_for(FieldKind.ELECTROMAGNETIC, a, lam, cfg.split, None)
             return (
                 c_minus2, c_0, pr.finite_part, pr.divergent_coeff,
                 d.A, d.B_finite, d.B_divergent_eps2,

@@ -17,9 +17,12 @@ parameter lambda.  The divergence is the point of the exercise and is
 reported as a separate coefficient, never hidden.  The electromagnetic
 coefficients are closed forms in the Bernoulli numbers, from the same
 frozen-copy coth terms as the energy expansion (``_em_coefficients``);
-the scalar ones are directly coded (``_scalar_coefficients``).  The
-kernels of the construction at a finite splitting are in ``pointwise``,
-which no CLI command loads.
+the scalar ones are directly coded (``_scalar_coefficients``).
+``_stress_for`` is the one body that turns either set into a
+decomposition, from a plate separation and lambda already checked;
+``em_stress``, ``scalar_stress``, ``covariance_check`` and the CLI's
+points call it.  The kernels of the construction at a finite splitting
+are in ``pointwise``, which no CLI command loads.
 
 The coefficients and the tensor algebra run on mpmath's raw values at
 ``mp._prec_rounding``: both coefficient sets (their constants and the
@@ -196,16 +199,16 @@ def em_stress(
     direction: it is checked and taken apart once into its invariant
     length, which stands in for the cutoff, and its unit direction.
     Only lambda is read from CutoffParams; its epsilon is not used
-    here.  The coefficients come from the small-s series, so they are
-    exact in the splitting direction:
+    here: the decomposition is formed by ``_stress_for``, the one body,
+    which ``scalar_stress``, ``covariance_check`` and the CLI call too.
+    The coefficients come from the small-s series, so they are exact in
+    the splitting direction:
     A = (1 - lambda) pi^2 / 180 a^4, the 1/s^2 coefficient
     -lambda/24a^2, and the finite S2 part lambda(lambda^2 - 1) pi^2 /
     1440 a^4.  In the divergent coefficient's absence (lambda = 0) the
     zz component reduces to the classic -pi^2/240a^4.
     """
-    return StressDecomposition(
-        *_em_coefficients(geom.a, cutoff.lam), *_unit_splitting(eps.vector)
-    )
+    return _stress_for(FieldKind.ELECTROMAGNETIC, geom.a, cutoff.lam, eps, None)
 
 
 def scalar_stress(
@@ -218,17 +221,15 @@ def scalar_stress(
     and 1/sin^4(pi z/a) toward the walls whenever lambda is nonzero,
     which is why z = 0 and z = a are rejected rather than evaluated.
 
+    A z of None raises ValueError("scalar stress requires a z
+    position"), as ``covariance_check`` does without a z.
+
     The coefficients are the directly coded closed forms;
     ``_scalar_mode_assembly`` in ``tests/series_reference.py`` rebuilds
     them from the mode sums, and the tests compare the two as an
     independent cross-check.
     """
-    z, a = to_mpf(z), geom.a
-    if not (_mpf_gt(z._mpf_, _FZERO) and libmp.mpf_lt(z._mpf_, a._mpf_)):
-        raise WallContact(f"z must lie strictly between the walls, got {z}")
-    return StressDecomposition(
-        *_scalar_coefficients(a, cutoff.lam, z), *_unit_splitting(eps.vector)
-    )
+    return _stress_for(FieldKind.SCALAR, geom.a, cutoff.lam, eps, z)
 
 
 def _scalar_coefficients(a: mpf, lam: mpf, z: mpf) -> tuple[mpf, mpf, mpf]:
@@ -255,13 +256,20 @@ def _scalar_coefficients(a: mpf, lam: mpf, z: mpf) -> tuple[mpf, mpf, mpf]:
     return _make_mpf(big_a), _make_mpf(_mpf_mul(b_fin, wall, prec, rnd)), _make_mpf(b_div)
 
 
-def _stress_for(field, geom, cutoff, eps, z):
-    _check_field(field)
+def _stress_for(field: FieldKind, a: mpf, lam: mpf, eps: SeparationVector, z):
+    # The one body of the stress decomposition, for a field, plate
+    # separation a and lambda that the caller has checked: the field's
+    # coefficients, a scalar z checked first, then the splitting taken apart.
     if field is FieldKind.ELECTROMAGNETIC:
-        return em_stress(geom, cutoff, eps)
-    if z is None:
-        raise ValueError("scalar stress requires a z position")
-    return scalar_stress(geom, cutoff, eps, z)
+        coefficients = _em_coefficients(a, lam)
+    else:
+        if z is None:
+            raise ValueError("scalar stress requires a z position")
+        z = to_mpf(z)
+        if not (_mpf_gt(z._mpf_, _FZERO) and libmp.mpf_lt(z._mpf_, a._mpf_)):
+            raise WallContact(f"z must lie strictly between the walls, got {z}")
+        coefficients = _scalar_coefficients(a, lam, z)
+    return StressDecomposition(*coefficients, *_unit_splitting(eps.vector))
 
 
 def covariance_check(
@@ -288,7 +296,8 @@ def covariance_check(
     it is not safely spacelike, then InvalidMode if a transform that
     mixes z moved it off the (t, x, y) subspace.
     """
-    d = _stress_for(field, geom, cutoff, eps, z)
+    _check_field(field)
+    d = _stress_for(field, geom.a, cutoff.lam, eps, z)
     return _covariance_residual(d, d.tensor(), eps, transform)
 
 

@@ -717,7 +717,7 @@ def reference_covariance_check(field, geom, cutoff, eps, transform, z=None) -> m
     The coefficients come from ``_stress_for``, which this form does not
     replace; the splitting is taken apart again by the reference.
     """
-    d = _stress_for(field, geom, cutoff, eps, z)
+    d = _stress_for(field, geom.a, cutoff.lam, eps, z)
     unit, s = reference_unit_splitting(eps.vector)
     d = d._replace(direction=unit, separation_length=s)
     direct = reference_tensor(d)

@@ -19,6 +19,7 @@ from mpmath import mp, mpf, pi
 import casimir_cutoff.cli
 import casimir_cutoff.expansion
 from casimir_cutoff.cli import COMMANDS, ScanConfig, UsageError, main, parse_args, run
+from casimir_cutoff.errors import CasimirError
 from casimir_cutoff.expansion import casimir_pressure, energy_laurent
 from casimir_cutoff.modesum import CutoffParams, FieldKind, PlateGeometry
 from casimir_cutoff.pointwise import energy_closed_form
@@ -997,9 +998,10 @@ class TestSplittingTakenApartOnce:
 
     @pytest.mark.parametrize("field", [(), ("--field", "scalar", "--z", "0.5")])
     def test_covariance_sweep_forms_one_decomposition(self, monkeypatch, field):
-        # A 3-trial sweep forms 9 squares where it formed 13: the sweep's
-        # length, the unmoved decomposition and its tensor once, and 2 per
-        # trial.  The decomposition itself is formed once per sweep.
+        # A 3-trial sweep forms 8 squares: the unmoved decomposition and
+        # its tensor once, and 2 per trial.  The sweep forms no length of
+        # its own, since the stress takes lambda, not a cutoff.  The
+        # decomposition itself is formed once per sweep.
         import casimir_cutoff.stress
 
         decompositions = []
@@ -1012,13 +1014,12 @@ class TestSplittingTakenApartOnce:
         monkeypatch.setattr(casimir_cutoff.stress, "_stress_for", counted)
         argv = ("covariance", *field, "--a", "1.2", "--lambda", "0.4", _SPLIT, "--trials", "3")
         _, total = self._squares(monkeypatch, argv)
-        assert (total, len(decompositions)) == (9, 1)
+        assert (total, len(decompositions)) == (8, 1)
 
     @staticmethod
     def _squares(monkeypatch, argv) -> tuple[list[int], int]:
         # The squared lengths each point of argv's sweep forms, and those of
-        # the whole sweep: what every point shares, the splitting's length,
-        # is read when the grid starts, outside every point.
+        # the whole sweep, grid start included.
         import casimir_cutoff.params
         import casimir_cutoff.stress
 
@@ -1039,6 +1040,71 @@ class TestSplittingTakenApartOnce:
                 point()
                 counts.append(len(calls) - before)
         return counts, len(calls)
+
+
+class TestStressSeam:
+    """The stress points pass a and lambda, and match the public functions.
+
+    ``stress``, ``covariance`` and ``scan`` hand ``stress._stress_for`` a
+    checked plate separation and lambda; no point builds a cutoff from
+    the splitting's length.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ("stress", "--a", "0.8:1.2:2", "--lambda", "0:0.4:2", _SPLIT),
+        ("stress", "--field", "scalar", "--z", "0.3:0.5:2", "--lambda", "0.4", _SPLIT),
+        ("covariance", "--a", "1.2", "--lambda", "0.4", _SPLIT, "--trials", "3"),
+        ("covariance", "--field", "scalar", "--z", "0.5", _SPLIT, "--trials", "3"),
+        ("scan", "--a", "0.8:1.2:2", "--lambda", "0:0.4:2", _SPLIT),
+    ])
+    def test_no_length_and_no_cutoff(self, capsys, monkeypatch, argv):
+        import casimir_cutoff.params
+
+        def refuse(*args):
+            raise AssertionError("a stress point read the splitting's length or built a cutoff")
+
+        monkeypatch.setattr(casimir_cutoff.params.SeparationVector, "length", property(refuse))
+        monkeypatch.setattr(CutoffParams, "__new__", refuse)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows and all(row[-1] for row in rows)
+
+    @pytest.mark.parametrize("dps", [15, 50, 200])
+    @pytest.mark.parametrize("argv", [
+        ("stress", "--a=-1:2:4", "--lambda", "0:0.9:3", _SPLIT),
+        ("stress", "--a", "1.3", "--lambda=-0.5:1:4", "--eps-vec=0,0.07,0,0"),
+        ("stress", "--field", "scalar", "--a", "1.3", "--z=-0.1:1.3:5", "--lambda", "0:0.8:3",
+         _SPLIT),
+        ("stress", "--a", "1:2:2", "--lambda", "0:0.4:2", "--eps-vec=1,1.000000001,0,0"),
+    ])
+    def test_points_match_the_public_functions(self, argv, dps):
+        # Bit for bit, and the same error where a point fails, against
+        # em_stress and scalar_stress with CutoffParams(s, lambda).
+        from casimir_cutoff.stress import em_stress, scalar_stress
+
+        def outcome(f):
+            try:
+                values = f()
+            except CasimirError as exc:
+                return type(exc), str(exc)
+            return tuple(v._mpf_ for v in values)
+
+        def library(a, lam, z):
+            geom, cutoff = PlateGeometry(a), CutoffParams(cfg.split.length, lam)
+            if cfg.field is FieldKind.SCALAR:
+                d = scalar_stress(geom, cutoff, cfg.split, z)
+            else:
+                d = em_stress(geom, cutoff, cfg.split)
+            t = d.tensor()
+            return d.A, d.B_finite, d.B_divergent_eps2, t[0, 0], t[3, 3], abs(t.trace())
+
+        cfg = parse_args([*argv, "--precision", str(dps)])
+        with mp.workdps(cfg.precision):
+            points = list(casimir_cutoff.cli._SUBCOMMANDS["stress"][2](cfg))
+            for (a, lam, _, z), point in points:
+                assert outcome(point) == outcome(lambda: library(a, lam, z))
+        assert len(points) >= 4
 
 
 # Covariance sweeps whose every trial fails: a scalar height on the wall

@@ -681,7 +681,7 @@ class TestCovariance:
                     ((FieldKind.ELECTROMAGNETIC, None), (FieldKind.SCALAR, mpf("0.3"))),
                 ):
                     r = covariance_check(field, geom, cutoff, split, ell, z)
-                    t = _stress_for(field, geom, cutoff, split, z).tensor()
+                    t = _stress_for(field, geom.a, cutoff.lam, split, z).tensor()
                     largest = max(abs(e) for row in t.matrix for e in row)
                     assert r < mpf(10) ** (3 - dps) * largest
 
@@ -712,11 +712,14 @@ class TestCovariance:
         assert r < mpf("1e-25")
 
     def test_scalar_requires_height(self):
-        with pytest.raises(ValueError):
-            covariance_check(
-                FieldKind.SCALAR, PlateGeometry(1), CutoffParams(mpf("0.1"), 0),
-                spacelike(0, mpf("0.1"), 0), boost(mpf("0.5")),
-            )
+        # Both entry points refuse a missing height with the same error:
+        # scalar_stress given None, and covariance_check by its default.
+        geom, cutoff = PlateGeometry(1), CutoffParams(mpf("0.1"), 0)
+        eps = spacelike(0, mpf("0.1"), 0)
+        with pytest.raises(ValueError, match="^scalar stress requires a z position$"):
+            scalar_stress(geom, cutoff, eps, None)
+        with pytest.raises(ValueError, match="^scalar stress requires a z position$"):
+            covariance_check(FieldKind.SCALAR, geom, cutoff, eps, boost(mpf("0.5")))
 
     @pytest.mark.parametrize("field", ["em", "scalar", None])
     def test_field_must_be_a_field_kind(self, monkeypatch, field):
@@ -730,8 +733,6 @@ class TestCovariance:
         geom, cutoff = PlateGeometry(1), CutoffParams(mpf("0.1"), mpf("0.4"))
         eps = spacelike(0, mpf("0.1"), 0)
         for z in (None, mpf("0.5")):
-            with pytest.raises(InvalidMode, match="unknown field kind"):
-                _stress_for(field, geom, cutoff, eps, z)
             with pytest.raises(InvalidMode, match="unknown field kind"):
                 covariance_check(field, geom, cutoff, eps, boost(mpf("0.5")), z)
 
