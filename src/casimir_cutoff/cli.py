@@ -294,14 +294,13 @@ def _scan(cfg: ScanConfig):
     # Combined per-point summary of the three observable groups; the
     # electromagnetic field only, since the scalar columns would just
     # repeat everything halved.
-    from .expansion import _pressure_from_coefficients, _reported_coefficients
+    from .expansion import _reported_coefficients
     from .stress import _stress_for
 
     for a, lam in product(cfg.a_values, cfg.lam_values):
         def point(a=a, lam=lam):
             # _reported_coefficients checks a and lambda; the stress takes both as checked.
-            a, c_minus2, c_0 = _reported_coefficients(a, lam)
-            pr = _pressure_from_coefficients(a, c_minus2, c_0)
+            a, c_minus2, c_0, pr = _reported_coefficients(a, lam, pressure=True)
             d = _stress_for(FieldKind.ELECTROMAGNETIC, a, lam, cfg.split, None)
             return (
                 c_minus2, c_0, pr.finite_part, pr.divergent_coeff,

@@ -1,21 +1,22 @@
-"""The frozen-copy coth kernel that the energy and the EM stress share.
+"""The frozen-copy coth kernel: the one rounding of every closed form.
 
 The energy expansion in ``expansion`` and the electromagnetic stress
 coefficients in ``stress`` both expand the frozen-copy derivative of
 coth((eps - lambda eps') c) with c = pi/2a, through
-coth u = sum_n beta_n u^(2n-1), beta_n = 2^(2n) B_2n / (2n)!.  This
-module holds what the two share and nothing else: the raw common factor
-``_frozen_coth_term`` (beta_n c^m mu^(m-2)), the raw c and mu = 1 -
-lambda (``_c_mu``), the coth coefficients beta_n, and the constants pi,
-4 pi, 1/(4 pi), pi^2 and 1/15 that both layers' closed forms read
-(``_constants``).  It loads without ``expansion``, so the stress starts
-do not compile the energy layer.
+coth u = sum_n beta_n u^(2n-1), beta_n = 2^(2n) B_2n / (2n)!.  Each of
+their coefficients is beta_n (pi/2)^m / 4 pi times a polynomial in
+lambda, over powers of a and of mu = 1 - lambda.  ``_frozen_coth_term``
+takes that numerator and denominator from the caller and rounds the
+whole quotient once.  The scalar stress coefficients carry its m = 3
+and m = 1 factors, -pi^2/1440 and 1/24, so they are rounded by it too.
+It loads without ``expansion``, so the stress starts do not compile
+the energy layer.
 
-Everything runs on mpmath's raw values at the caller's precision and
-rounding.  The constants are formed once per (precision, rounding),
-each with the libmp calls of its operator form, and the coth
-coefficients once per (n, precision) from the exact Bernoulli fraction,
-rounded once; neither depends on a, lambda, z or the splitting.
+Everything runs on mpmath's raw values.  The two caches hold constants
+only: beta_n (pi/2)^m / 4 pi as a pair of raw factors per m and number
+of bits, exact but for pi's power (``_beta``), and pi^k per k and
+number of bits (``_pi_power``).  Neither depends on a, lambda, z or the
+splitting.
 """
 
 from __future__ import annotations
@@ -23,56 +24,55 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from mpmath import libmp, mp, mpf
+from mpmath import libmp
 
-_make_mpf, _from_int, _mpf_mul, _mpf_sub = mp.make_mpf, libmp.from_int, libmp.mpf_mul, libmp.mpf_sub
-_mpf_mul_int, _mpf_div, _mpf_pow_int = libmp.mpf_mul_int, libmp.mpf_div, libmp.mpf_pow_int
+_from_int, _mpf_mul = libmp.from_int, libmp.mpf_mul
 
-
-@lru_cache(maxsize=16)
-def _constants(prec: int, rnd: str) -> tuple:
-    """Raw pi, 4 pi, 1/(4 pi), pi^2 and 1/15 at (prec, rnd).
-
-    Each is formed by the libmp calls of its operator form (``4*pi``,
-    ``1/(4*pi)``, ``pi**2`` and ``mpf(1)/15``), so it has their bits.
-    They depend on nothing but the precision and the rounding, which
-    are the key, so a value is never served at another of either.
-    """
-    pi = libmp.mpf_pi(prec, rnd)
-    four_pi = _mpf_mul_int(pi, 4, prec, rnd)
-    return (pi, four_pi, libmp.mpf_rdiv_int(1, four_pi, prec, rnd),
-            _mpf_pow_int(pi, 2, prec, rnd), _mpf_div(libmp.fone, _from_int(15), prec, rnd))
+# Guard bits of pi^k and of the callers' powers of a and mu.
+_GUARD = 20
 
 
 @lru_cache(maxsize=64)
-def _coth_coefficient(n: int, prec: int) -> mpf:
-    # beta_n = 2^(2n) B_2n / (2n)!, the u^(2n-1) coefficient of coth u.
-    # It depends on nothing else, so one value serves every (a, lambda);
-    # prec (which the caller passes as mp.prec) is in the key only so
-    # that a value is never reused at another working precision.  The
-    # exact fraction is rounded once, to nearest as mp rounds: mpmath's
-    # own bernoulli would round B_2n first, to bits that depend on
-    # whether its cache already held a value at this precision.
-    p, q = libmp.bernfrac(2 * n)
-    return _make_mpf(libmp.from_rational(p << 2 * n, q * factorial(2 * n), prec, "n"))
+def _pi_power(k: int, bits: int):
+    """Raw pi^k for k >= 1, within 2^(2 - bits) of it relatively.
+
+    pi is taken with enough extra bits that its k-th power loses less
+    than one of them; the power is then rounded to ``bits``.
+    """
+    return libmp.mpf_pow_int(libmp.mpf_pi(bits + k.bit_length() + 2), k, bits, "n")
 
 
-def _frozen_coth_term(m: int, c, mu, prec: int, rnd: str):
-    """Raw common factor beta_n c^m mu^(m-2) of the frozen-copy coth terms.
+@lru_cache(maxsize=64)
+def _beta(m: int, bits: int) -> tuple:
+    """Raw (num, den) whose quotient is beta_n (pi/2)^m / 4 pi, m = 2n - 1.
 
-    For odd m = 2n - 1, mu = 1 - lambda and c = pi/2a: the k-th
+    beta_n = p / q comes from the exact Bernoulli fraction (mpmath's own
+    bernoulli would round B_2n first), and the quotient is
+    p pi^(m-1) / (q 2^(m+2)): p and q 2^(m+2) are exact, and pi^(m-1),
+    taken to ``bits``, joins whichever side keeps its power positive.
+    """
+    p, q = libmp.bernfrac(m + 1)
+    num, den = _from_int(p << (m + 1)), _from_int(q * factorial(m + 1) << (m + 2))
+    if m != 1:
+        pi = _pi_power(abs(m - 1), bits)
+        num, den = (_mpf_mul(num, pi), den) if m > 1 else (num, _mpf_mul(den, pi))
+    return num, den
+
+
+def _frozen_coth_term(m: int, num, den, prec: int, rnd: str):
+    """Raw beta_n c^m num / (4 pi den) with c = pi/2, rounded once.
+
+    For odd m = 2n - 1 >= -1, mu = 1 - lambda and c = pi/2a: the k-th
     eps-derivative of coth((eps - lambda eps') c), taken with eps'
     frozen and then set to eps, is
-    sum_n beta_n c^m m (m-1) ... (m-k+1) mu^(m-k) eps^(m-k).  So for
-    k = 0, 1, 2 the coefficients of eps^m, eps^(m-1) and eps^(m-2) are
-    this factor times mu^2, m mu and m(m-1).
+    sum_n beta_n c^m m (m-1) ... (m-k+1) mu^(m-k) eps^(m-k).  The
+    caller puts a^-m, the powers of mu and its polynomial in lambda
+    into num and den, and ``_beta`` the rest, pi^(m-1) within
+    2^-(prec + 18) of its value.  When the relative errors of num and
+    den add up to at most 2^-(prec + 18) as well, the quotient before
+    its one rounding is within 2^-(prec + 17) of the exact one, so the
+    result is within 1/2 + 2^-17 ulp of it, and an exact zero for a
+    zero num.
     """
-    beta = _coth_coefficient((m + 1) // 2, prec)._mpf_
-    cm = _mpf_mul(beta, _mpf_pow_int(c, m, prec, rnd), prec, rnd)
-    return _mpf_mul(cm, _mpf_pow_int(mu, m - 2, prec, rnd), prec, rnd)
-
-
-def _c_mu(a, lam, prec: int, rnd: str) -> tuple:
-    # Raw c = pi/2a and mu = 1 - lambda from the raw a and lambda.
-    c = _mpf_div(_constants(prec, rnd)[0], _mpf_mul_int(a, 2, prec, rnd), prec, rnd)
-    return c, _mpf_sub(_from_int(1), lam, prec, rnd)
+    p, q = _beta(m, prec + _GUARD)
+    return libmp.mpf_div(_mpf_mul(num, p), _mpf_mul(den, q), prec, rnd)

@@ -19,36 +19,36 @@ finite pressure; the surviving epsilon^-2 part is a genuinely
 regulator-shaped divergence and is reported separately, never summed
 into the finite answer.
 
-``casimir_pressure`` is ``_pressure_from_coefficients`` applied to
-``_reported_coefficients``, the same two routines the CLI calls, and
-the domain of (a, lambda) is checked by ``PlateGeometry`` and
-``_unit_lambda``, the field by ``_check_field``.
+``casimir_pressure`` and the CLI's points take the pressure from the
+same checked setup as the two reported coefficients, and the domain of
+(a, lambda) is checked by ``PlateGeometry`` and ``_unit_lambda``, the
+field by ``_check_field``.
 
-The closed forms run on mpmath's raw values at ``mp._prec_rounding``:
-the window, the two reported coefficients, the pressure and the
-transcribed reference coefficients, and through ``_frozen_coth_term``
-the electromagnetic stress coefficients in ``stress``.  Each step makes
-the libmp call that mpf's operator makes, with the same operands, so
-every number has the bits of the operator form that
-``tests/series_reference.py`` keeps (``reference_energy_laurent``,
-``reference_reported_coefficients`` and
-``reference_reference_coefficients``); an mpf is built only for a value
-the caller receives.  The kernel ``_frozen_coth_term``, the raw c and
-mu of ``_c_mu`` and the per-precision constants of ``_constants`` come
-from ``coth``, which the EM stress reads without loading this module.
+The closed forms run on mpmath's raw values at ``mp._prec_rounding``.
+Each coefficient of the window, each reported coefficient and each
+part of the pressure is an exact polynomial in lambda over powers of a
+and mu = 1 - lambda, times beta_n pi^(m-1); ``_odd_terms`` forms the
+polynomial exactly and the powers with guard bits, and the whole is
+rounded once through ``coth._frozen_coth_term``, which the
+electromagnetic stress in ``stress`` shares.  So each value is within
+1/2 + 2^-16 ulp of its exact value.  ``reference_coefficients``, the
+independent transcription, is formed exactly and rounded once as well,
+over the same pi^2 and a^3: its two values are the same exact quotients
+as the closed form's, so they have the same bits.  An mpf is built only
+for a value the caller receives.
 """
 
 from __future__ import annotations
 
 from mpmath import libmp, mp, mpf
 
-from .coth import _c_mu, _constants, _frozen_coth_term
+from .coth import _GUARD, _frozen_coth_term, _pi_power
 from .params import FieldKind, PlateGeometry, _check_field, _unit_lambda
 from .precision import value_type
 
-_make_mpf, _from_int, _mpf_add = mp.make_mpf, libmp.from_int, libmp.mpf_add
-_mpf_sub, _mpf_mul, _mpf_mul_int = libmp.mpf_sub, libmp.mpf_mul, libmp.mpf_mul_int
-_mpf_div, _mpf_pow_int, _ZERO = libmp.mpf_div, libmp.mpf_pow_int, mpf(0)
+_make_mpf, _from_int, _mpf_add, _mpf_sub = mp.make_mpf, libmp.from_int, libmp.mpf_add, libmp.mpf_sub
+_mpf_mul, _mpf_shift, _mpf_pow_int = libmp.mpf_mul, libmp.mpf_shift, libmp.mpf_pow_int
+_ONE, _ZERO = libmp.fone, mpf(0)
 
 # Window eps^-4 .. eps^4: the physics needs eps^-4 .. eps^0, and the two
 # even orders above that make the truncated series good to O(eps^6) at
@@ -89,56 +89,57 @@ class PressureResult(value_type("PressureResult", "finite_part divergent_coeff")
 
 
 def _energy_setup(a, lam, field: FieldKind) -> tuple[mpf, mpf, tuple]:
-    """The validated a and lambda, then the raw arguments of ``_odd_coefficient``."""
+    """The validated a and lambda, then the raw arguments of ``_odd_terms``."""
     _check_field(field)
     # PlateGeometry rejects a zero, negative, NaN or infinite separation;
     # at a = inf, c = pi/2a is 0 and the eps^-4 term c^-1 is undefined.
     a, lam = PlateGeometry(a).a, _unit_lambda(lam)
-    prec, rnd = mp._prec_rounding
-    inv4pi = _constants(prec, rnd)[2]
-    c, mu = _c_mu(a._mpf_, lam._mpf_, prec, rnd)
-    return a, lam, (c, mu, lam._mpf_, inv4pi, field is FieldKind.SCALAR, prec, rnd)
+    mu = _mpf_sub(_ONE, lam._mpf_)
+    return a, lam, (a._mpf_, lam._mpf_, mu, field is FieldKind.SCALAR, *mp._prec_rounding)
 
 
-def _odd_coefficient(m: int, c, mu, lam, inv4pi, scalar: bool, prec: int, rnd: str):
-    """The raw eps^(m-3) energy coefficient for odd m, halved for the scalar field.
+def _power(x, k: int, wp: int, rnd: str):
+    # Raw x^k for k > 0, 1 otherwise: x itself at k = 1, so that mu stays
+    # exact there, and rounded to wp bits above it.
+    return _ONE if k <= 0 else x if k == 1 else _mpf_pow_int(x, k, wp, rnd)
 
-    beta_n c^m mu^(m-2) [2 mu^2 - 2 m mu + m(m-1)] / 4 pi, with the bracket
-    as m(m-1) - 2 mu (lambda + (m - 1)): the m = 1 one, -2 lambda mu, keeps
-    its relative accuracy as lambda -> 0 and is exactly zero at lambda = 0.
+
+def _odd_terms(m: int, a, lam, mu, scalar: bool, prec: int, rnd: str) -> tuple:
+    """Raw (num, den) of the eps^(m-3) energy coefficient, for odd m.
+
+    The coefficient is beta_n c^m mu^(m-2) [m(m-1) - 2 mu (lambda + m - 1)]
+    / 4 pi with c = pi/2a, halved for the scalar field: num and den are
+    ``_frozen_coth_term``'s.  The bracket is exact: the m = 1 one is
+    -2 lambda mu, an exact zero at lambda = 0.
     """
-    shifted = _mpf_add(lam, _from_int(m - 1), prec, rnd)
-    twice = _mpf_mul(_mpf_mul_int(mu, 2, prec, rnd), shifted, prec, rnd)
-    bracket = _mpf_sub(_from_int(m * (m - 1)), twice, prec, rnd)
-    coeff = _mpf_mul(_frozen_coth_term(m, c, mu, prec, rnd), bracket, prec, rnd)
-    coeff = _mpf_mul(coeff, inv4pi, prec, rnd)
-    return _mpf_div(coeff, _from_int(2), prec, rnd) if scalar else coeff
+    wp = prec + _GUARD
+    num = _mpf_mul(_mpf_shift(mu, 1), _mpf_add(lam, _from_int(m - 1)))
+    num = _mpf_sub(_from_int(m * (m - 1)), num)
+    num = _mpf_mul(_mpf_mul(num, _power(a, -m, wp, rnd)), _power(mu, m - 2, wp, rnd))
+    den = _mpf_mul(_power(a, m, wp, rnd), _power(mu, 2 - m, wp, rnd))
+    return num, _mpf_shift(den, int(scalar))
 
 
 def _reported_coefficients(
-    a, lam, field: FieldKind = FieldKind.ELECTROMAGNETIC
-) -> tuple[mpf, mpf, mpf]:
+    a, lam, field: FieldKind = FieldKind.ELECTROMAGNETIC, pressure: bool = False
+) -> tuple:
     """The validated a with the eps^-2 and eps^0 energy coefficients.
 
     These odd m = 1 and 3 coefficients are the two that the outer
     subtraction leaves to report, and it keeps them whole: each equals
-    its entry of the built and subtracted window, bit for bit.
+    its entry of the built and subtracted window, bit for bit.  With
+    pressure, the PressureResult of the same terms follows: each c_k is
+    the pure power c_k a^-m, m = k + 3, so -d c_k/da = m c_k / a, formed
+    inside the one rounding.
     """
     a, _, raw = _energy_setup(a, lam, field)
-    return a, _make_mpf(_odd_coefficient(1, *raw)), _make_mpf(_odd_coefficient(3, *raw))
-
-
-def _pressure_from_coefficients(a: mpf, c_minus2: mpf, c_0: mpf) -> PressureResult:
-    """Negative a-gradient of the eps^0 and eps^-2 energy coefficients.
-
-    Each is a pure power c_k a^-(k+3), so -d c_k/da = (k+3) c_k / a,
-    formed on raw values; at k = -2, (k + 3) c_k is c_k itself and no
-    product is formed.
-    """
-    prec, rnd = mp._prec_rounding
-    finite = _make_mpf(_mpf_div(_mpf_mul_int(c_0._mpf_, 3, prec, rnd), a._mpf_, prec, rnd))
-    divergent = _make_mpf(_mpf_div(c_minus2._mpf_, a._mpf_, prec, rnd))
-    return PressureResult(finite_part=finite, divergent_coeff=divergent)
+    prec, rnd = raw[-2:]
+    # m = 3 first, so that the slopes come in PressureResult's order.
+    terms = {m: _odd_terms(m, *raw) for m in (3, 1)}
+    values = (a, *(_make_mpf(_frozen_coth_term(m, *terms[m], prec, rnd)) for m in (1, 3)))
+    slopes = (_make_mpf(_frozen_coth_term(m, _mpf_mul(num, _from_int(m)), _mpf_mul(den, raw[0]),
+                                          prec, rnd)) for m, (num, den) in terms.items())
+    return values + (PressureResult(*slopes),) if pressure else values
 
 
 def energy_laurent(
@@ -150,10 +151,11 @@ def energy_laurent(
     P(eps) * coth((eps - lambda*eps') c) with P = 1/(4 pi eps) and
     c = pi/2a.  P'' K + 2 P' K' + P K'' puts the coth terms of power m
     at eps^(m-3), so with m = k + 3 the eps^k coefficient is
-    ``_odd_coefficient`` for odd m and zero for even m, except that the
-    scalar field drops the n = 0 half-term the full sum contains, which
-    gives its eps^-3 coefficient -1/(4 pi), independent of a.  The order
-    must be an int of at least 0, so that the window holds eps^0.
+    ``_odd_terms`` rounded once for odd m and zero for even m, except
+    that the scalar field drops the n = 0 half-term the full sum
+    contains, which gives its eps^-3 coefficient -1/(4 pi), independent
+    of a.  The order must be an int of at least 0, so that the window
+    holds eps^0.
     """
     if type(order) is bool or not isinstance(order, int) or order < 0:
         raise ValueError(f"order must be an integer >= 0, got {order!r}")
@@ -162,9 +164,11 @@ def energy_laurent(
     from .laurent import LaurentSeries
 
     a, lam, raw = _energy_setup(a, lam, field)
-    _, _, _, inv4pi, scalar, prec, rnd = raw
-    pole = _make_mpf(libmp.mpf_neg(inv4pi, prec, rnd)) if scalar else _ZERO
-    coeffs = tuple(_make_mpf(_odd_coefficient(m, *raw)) if m % 2 else pole if m == 0 else _ZERO
+    _, _, _, scalar, prec, rnd = raw
+    # The scalar pole -1/4 pi, rounded once.
+    pole = libmp.mpf_rdiv_int(-1, _mpf_shift(_pi_power(1, prec + _GUARD), 2), prec, rnd)
+    coeffs = tuple(_make_mpf(_frozen_coth_term(m, *_odd_terms(m, *raw), prec, rnd) if m % 2
+                             else pole if scalar and m == 0 else libmp.fzero)
                    for m in range(-1, order + 4))
     return EnergyExpansion(LaurentSeries(-4, coeffs), a, lam, field)
 
@@ -199,26 +203,19 @@ def reference_coefficients(a, lam) -> ReferenceCoefficients:
     """
     a, lam = PlateGeometry(a).a._mpf_, _unit_lambda(lam)._mpf_
     prec, rnd = mp._prec_rounding
-    pi2 = _constants(prec, rnd)[3]
-    a3x720 = _mpf_mul_int(_mpf_pow_int(a, 3, prec, rnd), 720, prec, rnd)
-
-    def over_720a3(x):
-        # x pi^2 / 720 a^3, with pi^2 and 720 a^3 formed once for both terms.
-        return _mpf_div(_mpf_mul(x, pi2, prec, rnd), a3x720, prec, rnd)
-
-    c_minus2 = _mpf_div(libmp.mpf_neg(lam, prec, rnd), _mpf_mul_int(a, 12, prec, rnd), prec, rnd)
-    first = over_720a3(libmp.mpf_neg(_mpf_sub(_from_int(1), lam, prec, rnd), prec, rnd))
-    cubic = _mpf_sub(_mpf_pow_int(lam, 2, prec, rnd), _from_int(1), prec, rnd)
-    cubic = _mpf_mul(lam, cubic, prec, rnd)
-    c_0 = _mpf_add(first, over_720a3(cubic), prec, rnd)
+    c_minus2 = libmp.mpf_div(libmp.mpf_neg(lam), _mpf_mul(a, _from_int(12)), prec, rnd)
+    # lam (lam^2 - 1) - (1 - lam), exact, times pi^2, over 720 a^3: each
+    # rounded once, the powers with the guard bits of the energy's kernel.
+    poly = _mpf_sub(_mpf_mul(lam, _mpf_sub(_mpf_mul(lam, lam), _ONE)), _mpf_sub(_ONE, lam))
+    c_0 = libmp.mpf_div(_mpf_mul(poly, _pi_power(2, prec + _GUARD)),
+                        _mpf_mul(_mpf_pow_int(a, 3, prec + _GUARD, rnd), _from_int(720)), prec, rnd)
     return ReferenceCoefficients(c_minus2=_make_mpf(c_minus2), c_0=_make_mpf(c_0))
 
 
 def casimir_pressure(a, lam, field: FieldKind = FieldKind.ELECTROMAGNETIC) -> PressureResult:
     """Pressure on the plates from the subtracted energy at (a, lambda).
 
-    Evaluates only the two reported coefficients, without building the
-    expansion: the result equals (k + 3) c_k / a on the eps^0 and
-    eps^-2 entries of the built and subtracted expansion, bit for bit.
+    Builds no expansion: each part is (k + 3) c_k / a on the eps^0 and
+    eps^-2 coefficients, formed inside the coefficient's one rounding.
     """
-    return _pressure_from_coefficients(*_reported_coefficients(a, lam, field))
+    return _reported_coefficients(a, lam, field, pressure=True)[3]

@@ -17,7 +17,7 @@ parameter lambda.  The divergence is the point of the exercise and is
 reported as a separate coefficient, never hidden.  The electromagnetic
 coefficients are closed forms in the Bernoulli numbers, from the same
 frozen-copy coth terms as the energy expansion (``_em_coefficients``);
-the scalar ones are directly coded (``_scalar_coefficients``).
+the scalar ones are transcribed closed forms (``_scalar_coefficients``).
 ``_stress_for`` is the one body that turns either set into a
 decomposition, from a plate separation and lambda already checked;
 ``em_stress``, ``scalar_stress``, ``covariance_check`` and the CLI's
@@ -25,20 +25,23 @@ points call it.  The kernels of the construction at a finite splitting
 are in ``pointwise``, which no CLI command loads.
 
 The coefficients and the tensor algebra run on mpmath's raw values at
-``mp._prec_rounding``: both coefficient sets (their constants and the
-EM kernel from ``coth``, which the energy expansion shares, so this
-module loads without ``expansion``), the scalar position's wall test,
-taking the splitting apart (its square, the margin test, then the z
-test, the root and the unit scaling), assembling the tensor from its
-decomposition, moving the splitting back by g L^T g and forming the
-covariance residual here, and the push-forward in ``transform_tensor``.
-Every product sum of the tensor algebra goes through the package's one
-kernel, ``params._rdot``.  Each step makes the libmp calls that mpf's
-operators make, with the same operands and the same exact-zero skips,
-so every number has the bits of the operator form that
-``tests/series_reference.py`` keeps (``reference_em_coefficients`` and
-``reference_scalar_coefficients`` for the coefficients); an mpf is
-built only for a value the caller receives.
+``mp._prec_rounding``.  Each coefficient of either field is an exact
+polynomial in lambda over powers of a (and, for the scalar field, of
+sin(pi z/a)), times pi^2 or 1.  It is formed from exact parts and from
+powers with guard bits, then rounded once through
+``coth._frozen_coth_term``, the kernel the energy expansion shares, so
+this module loads without ``expansion``.  Each is within 1/2 + 2^-16
+ulp of its exact value; the scalar sine is taken from the nearer wall.
+The tensor algebra makes the libmp calls that mpf's operators make,
+with the same operands and the same exact-zero skips, so every number
+has the bits of the operator form that ``tests/series_reference.py``
+keeps: the scalar position's wall test, taking the splitting apart (its
+square, the margin test, then the z test, the root and the unit
+scaling), assembling the tensor, moving the splitting back by g L^T g,
+the covariance residual here and the push-forward in
+``transform_tensor``.  Every product sum of it goes through the
+package's one kernel, ``params._rdot``.  An mpf is built only for a
+value the caller receives.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from __future__ import annotations
 from mpmath import libmp, mp, mpf
 
 from .errors import InvalidMode, LightlikeSeparation, WallContact
-from .coth import _c_mu, _constants, _frozen_coth_term
+from .coth import _GUARD, _frozen_coth_term, _pi_power
 from .minkowski import (
     _ZERO, DIM, LorentzTransform, SymTensor4, _apply, _inverse_rows, _raw, _rmax, transform_tensor,
 )
@@ -167,27 +170,33 @@ def _em_coefficients(a: mpf, lam: mpf) -> tuple[mpf, mpf, mpf]:
     which cancels exactly the n = 0 terms.  The derivative structure
     applied to a radial kernel decomposes as A(s) S1 + B(s) S2 with
     A(s) = -(4/3) (g2 + 2 g1 / s) and B(s) = (g2 - g1 / s) / 3, so the
-    s^(m-3) coefficients, in the notation of ``_frozen_coth_term`` and
-    with pref = 1/(4 pi a), are
-    A = -(4/3) pref beta_n c^m mu^(m-2) m(m-1) and
-    B = pref beta_n c^m mu^(m-2) [3 mu^2 - 3 m mu + m(m-1)] / 3.
+    s^(m-3) coefficients, with c = pi/2a, are
+    A = -(4/3) beta_n c^m mu^(m-2) m(m-1) / (4 pi a) and
+    B = beta_n c^m mu^(m-2) [3 mu^2 - 3 m mu + m(m-1)] / (12 pi a).
     s^0 is m = 3 and s^-2 is m = 1.  At m = 3, -(4/3) m(m-1) = -8; B's
     bracket over 3 factors as lambda (1 + lambda) at m = 3 and as
-    -lambda mu at m = 1, so neither cancels near lambda = 0 and both are
-    exact zeros at lambda = 0.
+    -lambda mu at m = 1, so each numerator below is exact, and the B's
+    are exact zeros at lambda = 0.  Each goes through
+    ``_frozen_coth_term`` once.
     """
     prec, rnd = mp._prec_rounding
+    lam, mu, lam_mu_plus, a2, a4 = _raw_parts(a, lam, prec + _GUARD, rnd)
+    return _rounded_once(prec, rnd, (3, _mpf_mul(mu, _from_int(-8)), a4), (3, lam_mu_plus, a4),
+                         (1, libmp.mpf_neg(lam), a2))
+
+
+def _raw_parts(a: mpf, lam: mpf, wp: int, rnd: str) -> tuple:
+    # Raw lambda, mu = 1 - lambda and lambda mu (1 + lambda) = lambda (1 -
+    # lambda^2), all exact, then a^2 and a^4 rounded to wp bits.
     a, lam = a._mpf_, lam._mpf_
-    c, mu = _c_mu(a, lam, prec, rnd)
-    pref = _mpf_mul(_constants(prec, rnd)[1], a, prec, rnd)
-    pref = libmp.mpf_rdiv_int(1, pref, prec, rnd)
-    t3 = _mpf_mul(pref, _frozen_coth_term(3, c, mu, prec, rnd), prec, rnd)
-    b_fin = _mpf_mul(t3, lam, prec, rnd)
-    b_fin = _mpf_mul(b_fin, libmp.mpf_add(lam, _from_int(1), prec, rnd), prec, rnd)
-    t1 = _frozen_coth_term(1, c, mu, prec, rnd)
-    b_div = _mpf_mul(libmp.mpf_neg(pref, prec, rnd), t1, prec, rnd)
-    b_div = _mpf_mul(_mpf_mul(b_div, lam, prec, rnd), mu, prec, rnd)
-    return _make_mpf(libmp.mpf_mul_int(t3, -8, prec, rnd)), _make_mpf(b_fin), _make_mpf(b_div)
+    mu, a2 = _mpf_sub(libmp.fone, lam), libmp.mpf_pow_int(a, 2, wp, rnd)
+    lam_mu_plus = _mpf_mul(_mpf_mul(lam, mu), libmp.mpf_add(lam, libmp.fone))
+    return lam, mu, lam_mu_plus, a2, _mpf_mul(a2, a2, wp, rnd)
+
+
+def _rounded_once(prec: int, rnd: str, *terms) -> tuple:
+    # Each (m, num, den) through the kernel: one rounding per coefficient.
+    return tuple(_make_mpf(_frozen_coth_term(m, num, den, prec, rnd)) for m, num, den in terms)
 
 
 def em_stress(
@@ -224,7 +233,7 @@ def scalar_stress(
     A z of None raises ValueError("scalar stress requires a z
     position"), as ``covariance_check`` does without a z.
 
-    The coefficients are the directly coded closed forms;
+    The coefficients are transcribed closed forms, each rounded once;
     ``_scalar_mode_assembly`` in ``tests/series_reference.py`` rebuilds
     them from the mode sums, and the tests compare the two as an
     independent cross-check.
@@ -233,27 +242,33 @@ def scalar_stress(
 
 
 def _scalar_coefficients(a: mpf, lam: mpf, z: mpf) -> tuple[mpf, mpf, mpf]:
-    # (1 - lam) pi^2 / 360 a^4, lam/48 (pi^2 / 4 a^4) (1 - lam^2)
-    # ((3 - 2 sz^2) / sz^4 - 1/15) and lam/48 (3 / sz^2 - 1) / a^2 with
-    # sz = sin(pi z / a).
+    # A = (1 - lam) pi^2 / 360 a^4, half the EM one.  With sz = sin(pi z / a)
+    # and s = sz^2, the B's are
+    # lam/48 (pi^2 / 4 a^4) (1 - lam^2) ((3 - 2 s) / s^2 - 1/15)
+    #     = lam (1 - lam^2) pi^2 (45 - 30 s - s^2) / (2880 a^4 s^2) and
+    # lam/48 (3 / s - 1) / a^2 = lam (3 - s) / (48 a^2 s).
+    # The kernel's m = 3 and m = 1 factors are -pi^2/1440 and 1/24, so all
+    # three go through it.  The wall factors 45 - 30 s - s^2 and 3 - s are
+    # at least 14 and 2, so they cannot cancel, and sz is taken from the
+    # nearer wall, where a - z is exact.  The rounding errors of sz and of
+    # the powers add up to under 50 units of wp's last bit in each
+    # numerator and denominator, so 8 bits beyond the kernel's guard keep
+    # them within its bound.
     prec, rnd = mp._prec_rounding
-    a, lam, z = a._mpf_, lam._mpf_, z._mpf_
-    pi, _, _, pi2, fifteenth = _constants(prec, rnd)
-    sz = libmp.mpf_sin(_mpf_div(_mpf_mul(pi, z, prec, rnd), a, prec, rnd), prec, rnd)
-    a4, sz2 = libmp.mpf_pow_int(a, 4, prec, rnd), libmp.mpf_pow_int(sz, 2, prec, rnd)
-    lam48 = _mpf_div(lam, _from_int(48), prec, rnd)
-    big_a = _mpf_mul(_mpf_sub(_from_int(1), lam, prec, rnd), pi2, prec, rnd)
-    big_a = _mpf_div(big_a, libmp.mpf_mul_int(a4, 360, prec, rnd), prec, rnd)
-    b_fin = _mpf_div(pi2, libmp.mpf_mul_int(a4, 4, prec, rnd), prec, rnd)
-    one_less = _mpf_sub(_from_int(1), libmp.mpf_pow_int(lam, 2, prec, rnd), prec, rnd)
-    b_fin = _mpf_mul(_mpf_mul(lam48, b_fin, prec, rnd), one_less, prec, rnd)
-    wall = _mpf_sub(_from_int(3), libmp.mpf_mul_int(sz2, 2, prec, rnd), prec, rnd)
-    wall = _mpf_div(wall, libmp.mpf_pow_int(sz, 4, prec, rnd), prec, rnd)
-    wall = _mpf_sub(wall, fifteenth, prec, rnd)
-    b_div = _mpf_sub(libmp.mpf_rdiv_int(3, sz2, prec, rnd), _from_int(1), prec, rnd)
-    b_div = _mpf_mul(lam48, b_div, prec, rnd)
-    b_div = _mpf_div(b_div, libmp.mpf_pow_int(a, 2, prec, rnd), prec, rnd)
-    return _make_mpf(big_a), _make_mpf(_mpf_mul(b_fin, wall, prec, rnd)), _make_mpf(b_div)
+    wp = prec + _GUARD + 8
+    lam, mu, lam_mu_plus, a2, a4 = _raw_parts(a, lam, wp, rnd)
+    a, z = a._mpf_, z._mpf_
+    if _mpf_gt(libmp.mpf_shift(z, 1), a):
+        z = _mpf_sub(a, z)
+    sz = libmp.mpf_sin(_mpf_div(_mpf_mul(_pi_power(1, wp), z, wp, rnd), a, wp, rnd), wp, rnd)
+    s = _mpf_mul(sz, sz, wp, rnd)
+    s2 = _mpf_mul(s, s, wp, rnd)
+    wall = _mpf_sub(_mpf_sub(_from_int(45), _mpf_mul(s, _from_int(30))), s2, wp, rnd)
+    return _rounded_once(
+        prec, rnd, (3, _mpf_mul(mu, _from_int(-4)), a4),
+        (3, libmp.mpf_neg(_mpf_mul(lam_mu_plus, wall)), libmp.mpf_shift(_mpf_mul(a4, s2), 1)),
+        (1, _mpf_mul(lam, _mpf_sub(_from_int(3), s)), libmp.mpf_shift(_mpf_mul(a2, s), 1)),
+    )
 
 
 def _stress_for(field: FieldKind, a: mpf, lam: mpf, eps: SeparationVector, z):

@@ -23,12 +23,11 @@ the two bit for bit.  ``reference_unit_splitting``, ``reference_s2_rows``,
 the same operator form, which ``stress`` and ``minkowski`` run on raw
 values, ``checked_inverse`` is the checked inverse transform
 g L^T g, and ``scale`` and ``apply`` are a four-vector times a number
-and a transform applied to a four-vector.  ``reference_energy_laurent``,
-``reference_reported_coefficients``,
-``reference_reference_coefficients``, ``reference_em_coefficients`` and
-``reference_scalar_coefficients`` are the closed forms of ``expansion``
-and ``stress`` in the same operator form, which those modules run on
-raw values; the tests compare the two bit for bit.
+and a transform applied to a four-vector.  ``reference_window`` and
+``reference_scalar_coefficients`` are the energy window of
+``expansion`` and the scalar coefficients of ``stress`` in operator
+form.  Evaluated with extra digits, they give the exact values that
+``assert_rounded_once`` holds the closed forms to.
 
 Truncation bookkeeping is pessimistic on purpose.  Every operation
 derives the tightest window that is provably correct from its inputs'
@@ -40,9 +39,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from mpmath import cos, exp, factorial, ldexp, mag, mp, mpf, pi, sin, sqrt
+from mpmath import cos, exp, factorial, ldexp, libmp, mag, mp, mpf, pi, sin, sqrt
 
-from casimir_cutoff.coth import _coth_coefficient
 from casimir_cutoff.errors import (
     CutoffDomain,
     InvalidMode,
@@ -50,7 +48,6 @@ from casimir_cutoff.errors import (
     NonPositiveSeparation,
     NotConverged,
 )
-from casimir_cutoff.expansion import EnergyExpansion, ReferenceCoefficients
 from casimir_cutoff.laurent import LaurentSeries, extract_coefficient
 from casimir_cutoff.modesum import (
     _AUTO_N_CAP,
@@ -70,7 +67,6 @@ from casimir_cutoff.minkowski import (
     SeparationVector,
     SymTensor4,
 )
-from casimir_cutoff.params import PlateGeometry, _unit_lambda
 from casimir_cutoff.pointwise import RadialKernel
 from casimir_cutoff.precision import to_mpf
 from casimir_cutoff.stress import _H_DIAG, _S1_DIAG, _stress_for
@@ -434,69 +430,42 @@ def em_coefficients(a, lam) -> tuple[mpf, mpf, mpf]:
     )
 
 
-def _operator_coth_term(c: mpf, mu: mpf, m: int) -> mpf:
-    """beta_n c^m mu^(m-2), the common factor of the frozen-copy coth terms."""
-    return _coth_coefficient((m + 1) // 2, mp.prec) * c**m * mu ** (m - 2)
+def reference_window(a: mpf, lam: mpf, order: int, field: FieldKind) -> tuple[mpf, ...]:
+    """``energy_laurent``'s window [-4, order + 1), with mpf's operators.
 
-
-def _operator_odd_coefficient(m, c, mu, lam, inv4pi, field) -> mpf:
-    """The eps^(m-3) energy coefficient for odd m, halved for the scalar field."""
-    bracket = m * (m - 1) - 2 * mu * (lam + (m - 1))
-    coeff = _operator_coth_term(c, mu, m) * bracket * inv4pi
-    return coeff / 2 if field is FieldKind.SCALAR else coeff
-
-
-def _validate_domain(a, lam) -> tuple[mpf, mpf]:
-    """The checked a and lambda, as the closed forms of ``expansion`` check them."""
-    return PlateGeometry(a).a, _unit_lambda(lam)
-
-
-def reference_reported_coefficients(
-    a, lam, field: FieldKind = FieldKind.ELECTROMAGNETIC
-) -> tuple[mpf, mpf, mpf]:
-    """``_reported_coefficients``: the validated a, then c_-2 and c_0."""
-    if not isinstance(field, FieldKind):
-        raise InvalidMode(f"unknown field kind: {field!r}")
-    a, lam = _validate_domain(a, lam)
-    c, mu, inv4pi = pi / (2 * a), 1 - lam, 1 / (4 * pi)
-    c_minus2, c_0 = (_operator_odd_coefficient(m, c, mu, lam, inv4pi, field) for m in (1, 3))
-    return a, c_minus2, c_0
-
-
-def reference_energy_laurent(
-    a, lam, order: int = 4, field: FieldKind = FieldKind.ELECTROMAGNETIC
-) -> EnergyExpansion:
-    """``energy_laurent``: the closed-form window [-4, order + 1)."""
-    if not isinstance(field, FieldKind):
-        raise InvalidMode(f"unknown field kind: {field!r}")
-    a, lam = _validate_domain(a, lam)
+    The eps^(m-3) coefficient for odd m is beta_n c^m mu^(m-2)
+    [m(m-1) - 2 mu (lambda + m - 1)] / 4 pi with c = pi/2a, mu = 1 - lambda
+    and beta_n = 2^(2n) B_2n / (2n)! from the exact Bernoulli fraction;
+    the scalar field halves it and has the eps^-3 pole -1/(4 pi).
+    """
     c, mu, inv4pi = pi / (2 * a), 1 - lam, 1 / (4 * pi)
     coeffs = []
-    for k in range(-4, order + 1):
-        m = k + 3
+    for m in range(-1, order + 4):
         if m % 2:
-            coeffs.append(_operator_odd_coefficient(m, c, mu, lam, inv4pi, field))
+            p, q = libmp.bernfrac(m + 1)
+            beta = mpf(p) * 2 ** (m + 1) / (q * factorial(m + 1))
+            bracket = m * (m - 1) - 2 * mu * (lam + (m - 1))
+            coeff = beta * c**m * mu ** (m - 2) * bracket * inv4pi
+            coeffs.append(coeff / 2 if field is FieldKind.SCALAR else coeff)
         else:
             coeffs.append(-inv4pi if m == 0 and field is FieldKind.SCALAR else mpf(0))
-    return EnergyExpansion(
-        series=LaurentSeries(-4, tuple(coeffs)), a=a, lam=lam, field=field
-    )
+    return tuple(coeffs)
 
 
-def reference_reference_coefficients(a, lam) -> ReferenceCoefficients:
-    """``reference_coefficients``: -lambda/12a and the finite coefficient."""
-    a, lam = _validate_domain(a, lam)
-    c_minus2 = -lam / (12 * a)
-    c_0 = -(1 - lam) * pi**2 / (720 * a**3) + lam * (lam**2 - 1) * pi**2 / (720 * a**3)
-    return ReferenceCoefficients(c_minus2=c_minus2, c_0=c_0)
+def assert_rounded_once(x: mpf, exact: mpf, what=None) -> None:
+    """Assert that x is ``exact`` rounded to nearest at mp.prec, bit for bit.
 
-
-def reference_em_coefficients(a: mpf, lam: mpf) -> tuple[mpf, mpf, mpf]:
-    """``_em_coefficients``: (A, B_finite, B_divergent_eps2) of the EM stress."""
-    c, mu = pi / (2 * a), 1 - lam
-    pref = 1 / (4 * pi * a)
-    t3 = pref * _operator_coth_term(c, mu, 3)
-    return -8 * t3, t3 * lam * (1 + lam), -pref * _operator_coth_term(c, mu, 1) * lam * mu
+    ``exact`` carries many more bits than mp.prec.  Where it lies within
+    2^-16 ulp of a rounding midpoint, x may be either neighbour: that is
+    the bound of a value rounded once from within 2^-16 ulp of it.
+    """
+    if x._mpf_ == libmp.mpf_pos(exact._mpf_, mp.prec, "n"):
+        return
+    assert exact != 0, (what, x)
+    _, _, exp, bc = exact._mpf_
+    ulp = mpf(2) ** (exp + bc - mp.prec)
+    err = mp.make_mpf(libmp.mpf_abs(libmp.mpf_sub(x._mpf_, exact._mpf_)))
+    assert err <= (mpf(1) / 2 + mpf(2) ** -16) * ulp, (what, x, exact, err / ulp)
 
 
 def reference_scalar_coefficients(a: mpf, lam: mpf, z: mpf) -> tuple[mpf, mpf, mpf]:

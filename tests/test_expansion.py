@@ -15,10 +15,9 @@ from mpmath import libmp, mp, mpf, pi
 from mpmath.ctx_mp_python import _mpf
 
 import casimir_cutoff.expansion
-from casimir_cutoff.coth import _constants, _coth_coefficient
+from casimir_cutoff.coth import _beta, _pi_power
 from casimir_cutoff.errors import CutoffDomain, InvalidMode, NonPositiveSeparation
 from casimir_cutoff.expansion import (
-    _pressure_from_coefficients,
     _reported_coefficients,
     casimir_pressure,
     energy_laurent,
@@ -30,7 +29,7 @@ from casimir_cutoff.minkowski import FourVector, SeparationVector, boost, rotati
 from casimir_cutoff.modesum import CutoffParams, FieldKind, PlateGeometry
 from casimir_cutoff.pointwise import energy_closed_form
 from casimir_cutoff.stress import covariance_check, em_stress, scalar_stress
-from series_reference import evaluate
+from series_reference import assert_rounded_once, evaluate
 
 COEFF_TOL = mpf("1e-30")
 
@@ -130,65 +129,56 @@ class TestDimensionalScaling:
 
 
 class TestCothTower:
-    """The per-precision cache of coth's Laurent coefficients beta_n."""
-
-    def test_never_reused_across_precisions(self):
-        _coth_coefficient.cache_clear()
-        with mp.workdps(50):
-            low = _coth_coefficient(2, mp.prec)
-        with mp.workdps(200):
-            high = _coth_coefficient(2, mp.prec)
-            cold = _coth_coefficient.__wrapped__(2, mp.prec)
-            # beta_2 = 2^4 B_4 / 4! = -1/45; a 50-digit value is off by ~1e-52.
-            assert abs(high + mpf(1) / 45) < mpf("1e-199")
-        assert high == cold
-        assert low != high
+    """The kernel's constants: beta_n (pi/2)^m / 4 pi and pi^k, per number of bits."""
 
     def test_cached_build_matches_cold_build(self):
-        energy_laurent(mpf("0.7"), mpf("0.35"))
-        with mp.workdps(200):
-            warm = energy_laurent(mpf("0.7"), mpf("0.35"))
-            _coth_coefficient.cache_clear()
-            cold = energy_laurent(mpf("0.7"), mpf("0.35"))
-        assert warm.series.coeffs == cold.series.coeffs
+        # A 15 -> 200 -> 15 digit round trip on warm caches gives the bits
+        # that cold caches give, for the window and for the constants.
+        def build():
+            bits = mp.prec + 20
+            window = energy_laurent(mpf("0.7"), mpf("0.35"), 8).series.coeffs
+            constants = [_beta(m, bits) for m in range(-1, 12, 2)]
+            constants += [_pi_power(k, bits) for k in (1, 2, 4, 10)]
+            return window, constants
+
+        def cold():
+            _beta.cache_clear()
+            _pi_power.cache_clear()
+            return build()
+
+        warm = []
+        for dps in (15, 200, 15):
+            with mp.workdps(dps):
+                warm.append(build())
+        for dps, values in zip((15, 200, 15), warm):
+            with mp.workdps(dps):
+                assert values == cold(), dps
+        assert warm[0] == warm[2] != warm[1]
 
     @pytest.mark.parametrize("dps", [15, 50, 200])
     def test_independent_of_mpmath_bernoulli_cache(self, dps):
         # mpmath's bernoulli rounds B_2n once on its first call at a
-        # precision and returns a value rounded to it on later calls, so
-        # a beta_n built from it could depend on what ran before.  beta_n
-        # is the exact fraction 2^(2n) B_2n / (2n)! rounded once.
+        # precision, so a beta_n built from it could depend on what ran
+        # before.  _beta's pair is exactly the fraction 2^(2n) B_2n / (2n)!
+        # times pi^(m-1) / 2^(m+2), with its pi power, and pi^k is within
+        # 2^(2 - bits) of its value.
         with mp.workdps(dps):
-            for n in range(1, 9):
+            bits = mp.prec + 20
+            for n in range(0, 9):
+                m = 2 * n - 1
                 mp.bernoulli(2 * n)
-                _coth_coefficient.cache_clear()
-                sign, man, exp, bc = _coth_coefficient(n, mp.prec)._mpf_
+                _beta.cache_clear()
                 p, q = libmp.bernfrac(2 * n)
-                exact = Fraction(p * 2 ** (2 * n), q * factorial(2 * n))
-                value = Fraction((-1) ** sign * man) * Fraction(2) ** exp
-                half_ulp = Fraction(2) ** (exp + bc - mp.prec) / 2
-                assert abs(value - exact) <= half_ulp, (dps, n)
-
-
-class TestConstants:
-    """The per-(precision, rounding) cache of pi, 4 pi, 1/(4 pi), pi^2 and 1/15."""
-
-    @pytest.mark.parametrize("dps", [15, 50, 200])
-    def test_each_equals_its_operator_form(self, dps):
-        with mp.workdps(dps):
-            forms = (+pi, 4 * pi, 1 / (4 * pi), pi**2, mpf(1) / 15)
-            assert _constants(*mp._prec_rounding) == tuple(x._mpf_ for x in forms)
-
-    def test_never_served_at_another_precision_or_rounding(self):
-        _constants.cache_clear()
-        keys = [(prec, rnd) for prec in (53, 100, 667) for rnd in ("n", "f", "c")]
-        values = {key: _constants(*key) for key in keys}
-        for key in reversed(keys):
-            assert _constants(*key) == values[key] == _constants.__wrapped__(*key)
-        # pi is irrational: rounded down and up it differs at every precision.
-        assert len({values[key][0] for key in keys if key[1] != "n"}) == 6
-        with mp.workdps(50):
-            assert _constants(*mp._prec_rounding) == _constants.__wrapped__(mp.prec, "n")
+                exact = Fraction(p * 2 ** (2 * n), q * factorial(2 * n)) / 2 ** (m + 2)
+                num, den = (Fraction(*libmp.to_rational(x)) for x in _beta(m, bits))
+                pi_power = Fraction(1)
+                if m != 1:
+                    pi_power = Fraction(*libmp.to_rational(_pi_power(abs(m - 1), bits)))
+                assert num / den == exact * (pi_power if m > 1 else 1 / pi_power), (dps, n)
+            for k in (1, 2, 7):
+                with mp.workprec(2 * bits):
+                    err = abs(mp.make_mpf(_pi_power(k, bits)) / pi**k - 1)
+                assert err <= mpf(2) ** (2 - bits), (dps, k)
 
 
 class TestSubtraction:
@@ -325,19 +315,21 @@ class TestPressure:
     @pytest.mark.parametrize("dps", [15, 50, 200])
     @pytest.mark.parametrize("field", list(FieldKind), ids=lambda f: f.value)
     def test_equals_route_through_subtracted_expansion(self, dps, field):
-        # Tuple equality compares each entry as an mpf at one precision,
-        # so this is bit equality of each.
+        # The pressure is (k + 3) c_k / a on the eps^0 and eps^-2 entries of
+        # the subtracted window, that exact value rounded once; the reported
+        # coefficients are the window's entries, bit for bit.
         mp.dps = dps
         for lam in (0, "1e-20", "0.5", "0.95"):
             for a in ("0.37", 1, "2.5"):
                 sub = subtracted(a, lam, field)
                 c_minus2, c_0 = (extract_coefficient(sub.series, k) for k in (-2, 0))
-                # -d c_k/da = (k + 3) c_k / a on the window's own entries.
-                p = casimir_pressure(a, lam, field)
-                assert (p.finite_part, p.divergent_coeff) == tuple(
-                    (k + 3) * c_k / sub.a for k, c_k in ((0, c_0), (-2, c_minus2))
-                )
                 assert _reported_coefficients(a, lam, field) == (sub.a, c_minus2, c_0)
+                p = casimir_pressure(a, lam, field)
+                with mp.workdps(dps + 60):
+                    exact = subtracted(sub.a, sub.lam, field).series
+                    slopes = [(k + 3) * extract_coefficient(exact, k) / sub.a for k in (0, -2)]
+                for got, want in zip(p, slopes, strict=True):
+                    assert_rounded_once(got, want, (a, lam))
 
     @pytest.mark.parametrize(
         "a, lam, error",
@@ -375,7 +367,7 @@ class TestRawValues:
         a, lam = mpf("1.3"), mpf("0.4")
         geom, cutoff = PlateGeometry(a), CutoffParams(mpf("0.1"), lam)
         eps, z = SeparationVector(FourVector(0, mpf("0.1"), 0, 0)), mpf("0.2")
-        energy_laurent(a, lam, 8)  # fills the beta_n cache at this precision
+        energy_laurent(a, lam, 8)  # fills the kernel's caches at this precision
 
         def refuse(*args):
             raise AssertionError("an mpf operator was called")
@@ -385,7 +377,7 @@ class TestRawValues:
         for field in FieldKind:
             subtract_outer(energy_laurent(a, lam, 8, field))
             casimir_pressure(a, lam, field)
-            _pressure_from_coefficients(*_reported_coefficients(a, lam, field))
+            _reported_coefficients(a, lam, field, pressure=True)
         reference_coefficients(a, lam)
         em_stress(geom, cutoff, eps)
         scalar_stress(geom, cutoff, eps, z)
