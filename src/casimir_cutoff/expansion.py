@@ -128,18 +128,28 @@ def _reported_coefficients(
     These odd m = 1 and 3 coefficients are the two that the outer
     subtraction leaves to report, and it keeps them whole: each equals
     its entry of the built and subtracted window, bit for bit.  With
-    pressure, the PressureResult of the same terms follows: each c_k is
-    the pure power c_k a^-m, m = k + 3, so -d c_k/da = m c_k / a, formed
-    inside the one rounding.
+    pressure, the PressureResult of the same terms follows (``_slopes``).
     """
     a, _, raw = _energy_setup(a, lam, field)
     prec, rnd = raw[-2:]
-    # m = 3 first, so that the slopes come in PressureResult's order.
-    terms = {m: _odd_terms(m, *raw) for m in (3, 1)}
+    terms = _reported_terms(raw)
     values = (a, *(_make_mpf(_frozen_coth_term(m, *terms[m], prec, rnd)) for m in (1, 3)))
-    slopes = (_make_mpf(_frozen_coth_term(m, _mpf_mul(num, _from_int(m)), _mpf_mul(den, raw[0]),
-                                          prec, rnd)) for m, (num, den) in terms.items())
-    return values + (PressureResult(*slopes),) if pressure else values
+    return values + (_slopes(terms, raw),) if pressure else values
+
+
+def _reported_terms(raw) -> dict:
+    # m -> the kernel's (num, den) of the two reported coefficients, m = 3
+    # first, so that the slopes come in PressureResult's order.
+    return {m: _odd_terms(m, *raw) for m in (3, 1)}
+
+
+def _slopes(terms, raw) -> PressureResult:
+    # Each c_k is the pure power c_k a^-m, m = k + 3, so -d c_k/da = m c_k
+    # / a, formed inside the one rounding of the kernel.
+    a, prec, rnd = raw[0], *raw[-2:]
+    return PressureResult(*(
+        _make_mpf(_frozen_coth_term(m, _mpf_mul(num, _from_int(m)), _mpf_mul(den, a), prec, rnd))
+        for m, (num, den) in terms.items()))
 
 
 def energy_laurent(
@@ -215,7 +225,9 @@ def reference_coefficients(a, lam) -> ReferenceCoefficients:
 def casimir_pressure(a, lam, field: FieldKind = FieldKind.ELECTROMAGNETIC) -> PressureResult:
     """Pressure on the plates from the subtracted energy at (a, lambda).
 
-    Builds no expansion: each part is (k + 3) c_k / a on the eps^0 and
-    eps^-2 coefficients, formed inside the coefficient's one rounding.
+    Builds no expansion and rounds neither coefficient: each part is
+    (k + 3) c_k / a on the eps^0 and eps^-2 coefficients, formed inside
+    that part's one rounding.
     """
-    return _reported_coefficients(a, lam, field, pressure=True)[3]
+    raw = _energy_setup(a, lam, field)[2]
+    return _slopes(_reported_terms(raw), raw)

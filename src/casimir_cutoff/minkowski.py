@@ -33,8 +33,14 @@ moves stay raw until the vector is returned.
 Comparisons are ``libmp.mpf_gt``, ``mpf_le`` and ``mpf_lt``, False
 against a NaN as mpf's operators are, and ``_rmax`` takes a maximum as
 ``max`` takes it over mpf, so every outcome and error message is the
-operator form's.  Only ``SymTensor4``'s own symmetry check, which no
-point's path runs, still uses mpf operators.
+operator form's.  The metric check is first decided by an exact
+certificate: the defects are formed in integers, with a bound on what
+the rounded form's roundings add (``_metric_certified``).  Only a
+matrix that certificate cannot pass, such as one with a defect near
+the tolerance, a non-finite entry or a large rapidity, has its defects
+rounded and tested (``_rounded_metric_check``).  Only ``SymTensor4``'s
+own symmetry check, which no point's path runs, still uses mpf
+operators.
 """
 
 from __future__ import annotations
@@ -135,6 +141,61 @@ def _check_metric(raw, factors=()) -> None:
     rounding of its factors' entries, also with the product of
     max(1, max |f|) over the factors, the larger when the product
     cancels, as boost(r) after boost(-r) does.
+
+    ``_metric_certified`` decides first, in exact integers, whether
+    every rounded defect is sure to pass the first test, defect <= tol;
+    then the check is done.  Only when it cannot decide does
+    ``_rounded_metric_check`` form the rounded defects, so every outcome
+    and every message is the rounded form's.
+    """
+    if not _metric_certified(raw, mp.prec):
+        _rounded_metric_check(raw, factors)
+
+
+def _metric_certified(raw, prec: int) -> bool:
+    """True when every defect ``_rounded_metric_check`` rounds is at most tol.
+
+    With lo the least of 0 and the entries' exponents, each entry is an
+    integer times 2^lo, so E = m^T g m - g is formed exactly as integers
+    times 2^(2 lo), and so is S = max_i sum_k m[k][i]^2, which bounds every
+    sum_k |m[k][i] m[k][j]| (Cauchy-Schwarz).  The rounded form's entry
+    rounds each of at most 4 products and 3 sums, and on the diagonal
+    the subtraction of g_i; each rounding is within u = 2^(1 - prec)
+    relatively, whatever the rounding mode, so its rounded defect D is
+    within gamma_4 S (1 + u) + u |E| <= gamma_5 (S + 1) of E, with
+    gamma_k = k u / (1 - k u) and gamma_5 < 2^(4 - prec) from prec = 5
+    up.  Every defect so passes when max |E| + 2^(4 - prec) (S + 1) <=
+    tol, which is compared exactly.  A NaN or infinite entry, exponents
+    spread over more than 4 prec, which would make the integers long,
+    or a defect the bound cannot clear returns False.
+    """
+    lo = hi = 0
+    for row in raw:
+        for _, man, exp, bc in row:
+            if man:
+                lo, hi = min(lo, exp), max(hi, exp + bc)
+            elif exp:  # an infinity or a NaN; an exact zero has exponent 0
+                return False
+    if hi - lo > 4 * prec:
+        return False
+    cols = list(zip(*([(-man if sign else man) << (exp - lo) for sign, man, exp, _ in row]
+                      for row in raw)))
+    one, worst = 1 << -2 * lo, 0
+    for i, (t, x, y, z) in enumerate(cols):
+        for j in range(i, DIM):
+            u, v, w, s = cols[j]
+            exact = x * v + y * w + z * s - t * u
+            if i == j:
+                exact = exact + one if i == 0 else exact - one
+            worst = max(worst, abs(exact))
+    size = max(t * t + x * x + y * y + z * z for t, x, y, z in cols) + one
+    # (max |E| + 2^(4 - prec) (S + 1)) 2^(2 lo) <= tol, compared exactly.
+    bound = libmp.from_man_exp((worst << prec) + (size << 4), 2 * lo - prec)
+    return _mpf_le(bound, _validation_tol(mp.dps, prec)._mpf_)
+
+
+def _rounded_metric_check(raw, factors) -> None:
+    """``_check_metric`` from rounded defects, both of its tests.
 
     Everything is formed on raw values, as mpf's ``*``, ``+``, ``-``,
     ``**``, ``fabs``, ``max``, ``fprod``, ``<=`` and ``<`` form it, so

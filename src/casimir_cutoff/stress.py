@@ -41,7 +41,10 @@ scaling), assembling the tensor, moving the splitting back by g L^T g,
 the covariance residual here and the push-forward in
 ``transform_tensor``.  Every product sum of it goes through the
 package's one kernel, ``params._rdot``.  An mpf is built only for a
-value the caller receives.
+value the caller receives.  The margin test reads the exponents of the
+splitting's components first and forms their rounded sum of squares
+only when those cannot decide it, so its outcome is the operator
+form's either way.
 """
 
 from __future__ import annotations
@@ -142,12 +145,19 @@ def _unit_splitting(v: FourVector) -> tuple[SeparationVector, mpf]:
     # rejected too.  s^2 is formed by cancellation with a rounding error
     # of a few ulps of that sum, so asking s^2 to exceed 2^(-prec/2) of
     # it keeps at least half of the working bits in s^2, and hence in s,
-    # whatever the vector's size; the margin is an exact shift.
+    # whatever the vector's size; the margin is an exact shift.  The test
+    # is first decided from exponents: with M the largest mag of t, x and
+    # y, each square is below 2^(2M) and rounds to at most that, so the
+    # rounded sum is at most 2^(2M + 2), and a finite s^2 above 2^(2M + 2
+    # - prec/2) passes.  Only what that cannot decide, an infinite or NaN
+    # square among it, goes to ``_clears_margin``, which rounds the sum.
     t, x, y, z = v
     prec, rnd = mp._prec_rounding
     s2 = _rsquare(v, prec, rnd)
-    scale = _rdot([(c._mpf_, c._mpf_) for c in (t, x, y)], prec, rnd)
-    if not _mpf_gt(s2, libmp.mpf_shift(scale, -(prec // 2))):
+    parts = [c._mpf_ for c in (t, x, y)]
+    mags = [exp + bc for _, man, exp, bc in parts if man]
+    if not ((s2[1] and mags and _mpf_gt(s2, (0, 1, 2 * max(mags) + 2 - prec // 2, 1)))
+            or _clears_margin(s2, parts, prec, rnd)):
         s2 = _make_mpf(s2)
         raise LightlikeSeparation(f"squared splitting length {s2} is not safely spacelike")
     if z:
@@ -160,6 +170,12 @@ def _unit_splitting(v: FourVector) -> tuple[SeparationVector, mpf]:
     inv = libmp.mpf_rdiv_int(1, s, prec, rnd)
     unit = (_make_mpf(_mpf_mul(inv, c._mpf_, prec, rnd)) if c else _ZERO for c in v)
     return tuple.__new__(SeparationVector, (tuple.__new__(FourVector, unit),)), _make_mpf(s)
+
+
+def _clears_margin(s2, parts, prec: int, rnd: str) -> bool:
+    # The margin test on the rounded t^2 + x^2 + y^2 of the raw parts.
+    scale = _rdot([(c, c) for c in parts], prec, rnd)
+    return _mpf_gt(s2, libmp.mpf_shift(scale, -(prec // 2)))
 
 
 def _em_coefficients(a: mpf, lam: mpf) -> tuple[mpf, mpf, mpf]:

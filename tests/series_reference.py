@@ -21,7 +21,9 @@ the two bit for bit.  ``reference_unit_splitting``, ``reference_s2_rows``,
 ``reference_tensor``, ``reference_transform_tensor`` and
 ``reference_covariance_check`` are the stress layer's tensor algebra in
 the same operator form, which ``stress`` and ``minkowski`` run on raw
-values, ``checked_inverse`` is the checked inverse transform
+values, ``reference_check_metric`` is the metric check in that form,
+dense and without the exact certificate that ``minkowski`` decides by
+first, ``checked_inverse`` is the checked inverse transform
 g L^T g, and ``scale`` and ``apply`` are a four-vector times a number
 and a transform applied to a four-vector.  ``reference_window`` and
 ``reference_scalar_coefficients`` are the energy window of
@@ -39,7 +41,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from mpmath import cos, exp, factorial, ldexp, libmp, mag, mp, mpf, pi, sin, sqrt
+from mpmath import (
+    cos, exp, fabs, factorial, fprod, isnan, ldexp, libmp, mag, mp, mpf, pi, sin, sqrt,
+)
 
 from casimir_cutoff.errors import (
     CutoffDomain,
@@ -62,6 +66,8 @@ from casimir_cutoff.modesum import (
 from casimir_cutoff.minkowski import (
     _ZERO,
     DIM,
+    METRIC_DIAG,
+    _validation_tol,
     FourVector,
     LorentzTransform,
     SeparationVector,
@@ -626,6 +632,32 @@ def _operator_inverse_rows(m):
 def checked_inverse(transform: LorentzTransform) -> LorentzTransform:
     """The inverse g L^T g, its entries exact sign flips of L's, metric-checked."""
     return LorentzTransform(_operator_inverse_rows(transform.matrix))
+
+
+def reference_check_metric(m, factors=()) -> None:
+    """``minkowski._check_metric`` in operator form, on mpf matrices, dense.
+
+    The whole of m^T (g m) is formed, each entry by ``_operator_dot`` in
+    order of k, and every one of its 16 defects meets both tests: the
+    tolerance, then the tolerance scaled by max(1, max |m|)^2 and by the
+    product of max(1, max |f|) over the factors.  No exact certificate
+    runs, so this is the form the certified check must agree with.
+    """
+    gm = [[-e if k == 0 else e for e in row] for k, row in enumerate(m)]
+    p = _operator_mat_mul(tuple(zip(*m)), gm)
+    defects = [fabs(p[i][j] - METRIC_DIAG[i] if i == j else p[i][j])
+               for i in range(DIM) for j in range(DIM)]
+    tol = _validation_tol(mp.dps, mp.prec)
+    if all(d <= tol for d in defects):
+        return
+
+    def largest(rows):
+        return max(fabs(e) for row in rows for e in row)
+
+    bound = tol * max(max(1, largest(m)) ** 2, fprod(max(1, largest(f)) for f in factors))
+    if not all(d < bound for d in defects):
+        worst = next((d for d in defects if isnan(d)), max(defects))
+        raise ValueError(f"matrix does not preserve the metric: defect {mp.nstr(worst, 8)}")
 
 
 def reference_s2_rows(direction: SeparationVector) -> tuple[tuple[mpf, ...], ...]:
